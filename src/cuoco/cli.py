@@ -100,12 +100,11 @@ def cmd_verify(args) -> int:
     scale = max(m.a * m.a, m.b * m.b, m.c * m.c)
 
     identity = cosine_law.verify_cosine_identity(m, tol)
-    opposite_sq = {"A": m.a * m.a, "B": m.b * m.b, "C": m.c * m.c}
     defects = {}
     defects_ok = True
     for v in VERTICES:
         defect, residual = cosine_law.euclid_defect(t, v)
-        ok = abs(residual) <= tol * opposite_sq[v]
+        ok = abs(residual) <= tol * max(1.0, scale)
         defects_ok = defects_ok and ok
         defects[v] = {"defect": defect, "residual": residual, "passed": ok}
 
@@ -311,8 +310,9 @@ def _fuzz_checks(t: Triangle, tol: float):
 
     for v in VERTICES:
         defect, residual = cosine_law.euclid_defect(t, v)
-        opposite_sq = {"A": m.a * m.a, "B": m.b * m.b, "C": m.c * m.c}[v]
-        yield "euclid_defect", abs(residual) / opposite_sq
+        # An algebraic identity: only rounding, which grows with the
+        # largest squared side, can make the residual nonzero.
+        yield "euclid_defect", abs(residual) / scale
         cos_v = {"A": _cos_opposite(m.b, m.c, m.a),
                  "B": _cos_opposite(m.a, m.c, m.b),
                  "C": _cos_opposite(m.a, m.b, m.c)}[v]
@@ -381,8 +381,10 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
     for index in range(count):
         t = random_triangle(rng)
         for name, value in _fuzz_checks(t, tol):
-            maxima[name] = max(maxima.get(name, 0.0), value)
-            if value > tol and counterexample is None:
+            # Unlike max(), keeps a NaN residual; `not <=` fails it.
+            worst = maxima.get(name, 0.0)
+            maxima[name] = value if value > worst or math.isnan(value) else worst
+            if not value <= tol and counterexample is None:
                 counterexample = {
                     "index": index,
                     "check": name,
@@ -418,6 +420,17 @@ def cmd_fuzz(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number >= 0 (a NaN would pass nothing)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_triangle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sides", help="side lengths a,b,c")
     parser.add_argument("--points", help="vertex coordinates x1,y1,x2,y2,x3,y3")
@@ -432,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run every identity check on one triangle")
     _add_triangle_args(p_verify)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
     p_verify.set_defaults(func=cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve x+y=L, x+z=M, y+z=N")
@@ -443,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="treat L, M, N as degrees and convert to radians")
     p_solve.add_argument("--interpret", choices=("squares", "sides", "angles"),
                          help="cross-check the solution against a triangle")
-    p_solve.add_argument("--tol", type=float, default=1e-9)
+    p_solve.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_triangle_args(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -461,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="random triangles through every invariant check")
     p_fuzz.add_argument("--count", type=int, default=1000)
     p_fuzz.add_argument("--seed", default="0")
-    p_fuzz.add_argument("--tol", type=float, default=1e-9)
+    p_fuzz.add_argument("--tol", type=_tolerance, default=1e-9)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     return parser

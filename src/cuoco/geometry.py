@@ -44,7 +44,7 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (_is_finite(self.x) and _is_finite(self.y)):
             raise NonFiniteCoordinate(
                 f"coordinates must be finite, got ({self.x!r}, {self.y!r})"
             )
@@ -95,6 +95,16 @@ class Triangle:
 
     def __post_init__(self) -> None:
         doubled = cross(self.B - self.A, self.C - self.A)
+        squares = (
+            dot(self.C - self.B, self.C - self.B),
+            dot(self.A - self.C, self.A - self.C),
+            dot(self.B - self.A, self.B - self.A),
+        )
+        if not all(_is_finite(value) for value in (doubled, *squares)):
+            raise NonFiniteCoordinate(
+                f"coordinates overflow: twice the area or a squared side of "
+                f"{self.A}, {self.B}, {self.C} is not finite"
+            )
         if doubled == 0:
             raise CollinearPoints(f"vertices are collinear: {self.A}, {self.B}, {self.C}")
         if doubled < 0:
@@ -110,6 +120,15 @@ class Triangle:
     def vertex(self, name: str) -> Point:
         _check_vertex(name)
         return getattr(self, name)
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite, and False for an integer too large for a float:
+    lengths and angles are computed in floats."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_vertex(name: str) -> None:
@@ -135,23 +154,27 @@ class TriangleMetrics:
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
-    """Side lengths, angles (radians, via arccos of side cosines), semiperimeter, area."""
+    """Side lengths, angles (radians), semiperimeter, area.
+
+    Each angle is atan2(2 * area, dot) of the two side vectors leaving its
+    vertex; the dots are the pair areas S, T, R. The arccosine of a side
+    cosine near +-1 loses every digit of a small angle on a needle-like
+    triangle (W. Kahan, "Miscalculating Area and Angles of a Needle-like
+    Triangle", 2014); this form keeps them.
+    """
     a = distance(t.B, t.C)
     b = distance(t.C, t.A)
     c = distance(t.A, t.B)
-    alpha = math.acos(_clamp(_cos_opposite(b, c, a)))
-    beta = math.acos(_clamp(_cos_opposite(a, c, b)))
-    gamma = math.acos(_clamp(_cos_opposite(a, b, c)))
+    twice_area = t.twice_area
+    alpha = math.atan2(twice_area, dot(t.B - t.A, t.C - t.A))
+    beta = math.atan2(twice_area, dot(t.A - t.B, t.C - t.B))
+    gamma = math.atan2(twice_area, dot(t.A - t.C, t.B - t.C))
     return TriangleMetrics(
         a=a, b=b, c=c,
         alpha=alpha, beta=beta, gamma=gamma,
         s=(a + b + c) / 2.0,
         area=t.twice_area / 2.0,
     )
-
-
-def _clamp(value: float) -> float:
-    return -1.0 if value < -1.0 else (1.0 if value > 1.0 else value)
 
 
 @dataclass(frozen=True)
@@ -191,10 +214,12 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     |BC| = a, |CA| = b, |AB| = c. The result is already counterclockwise.
     """
     for value in (a, b, c):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
+        if not (isinstance(value, (int, float)) and _is_finite(value)) or value <= 0:
             raise NonPositiveSide(f"side lengths must be positive and finite, got {value!r}")
     if a + b <= c or a + c <= b or b + c <= a:
         raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) violate the strict triangle inequality")
+    if not _is_finite(a * a + b * b + c * c):
+        raise NonFiniteCoordinate(f"coordinates overflow: sides ({a}, {b}, {c}) are too large to square")
     x = (a * a + c * c - b * b) / (2.0 * a)
     y_sq = c * c - x * x
     if y_sq <= 0.0:

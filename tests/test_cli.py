@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from cuoco import cosine_law
 from cuoco.cli import main, random_triangle
+from cuoco.geometry import metrics
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +53,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--sides", "2,3,4", "--points", "0,0,1,0,0,1")
         assert code == 2
         assert err != ""
+
+    @pytest.mark.parametrize("triangle", [
+        "--points=1e200,0,0,1e200,0,0",
+        "--sides=1e300,1e300,1e300",
+        f"--points={10**200},0,0,{10**200},0,0",  # exact integers, too large to square as floats
+    ])
+    def test_overflow_names_its_cause(self, capsys, triangle):
+        code, out, err = run_cli(capsys, "verify", triangle)
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
@@ -201,6 +215,54 @@ class TestFuzz:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    # Near-needle triangles on which arccosine angles and a defect scaled
+    # by the opposite side's square reported false counterexamples.
+    @pytest.mark.parametrize("seed", ["227517880772879", "115808669789764",
+                                      "255403330890855", "50708751109744"])
+    def test_needle_triangles_pass(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "100", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["counterexample"] is None
+
+    @pytest.mark.parametrize("command", [
+        ("fuzz", "--count", "3"),
+        ("verify", "--sides", "2,3,4"),
+        ("solve", "--L", "3", "--M", "4", "--N", "5"),
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "tiny"])
+    def test_bad_tolerance_exit_2(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, *command, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
+        exact = cosine_law.euclid_defect
+
+        def corrupted(t, at_vertex):
+            defect, residual = exact(t, at_vertex)
+            m = metrics(t)
+            return defect, residual + 1e-8 * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
+
+        monkeypatch.setattr(cosine_law, "euclid_defect", corrupted)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
+        assert code == 1
+        assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
+        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+        assert code == 1
+        assert not any(entry["passed"] for entry in json.loads(out)["checks"]["euclid_defect"].values())
+
+    def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr(cosine_law, "euclid_defect", lambda t, at_vertex: (1.0, math.nan))
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["counterexample"]["check"] == "euclid_defect"
+        assert math.isnan(report["counterexample"]["residual"])
+        entry = report["checks"]["euclid_defect"]
+        assert math.isnan(entry["max_residual"]) and entry["passed"] is False
 
     def test_random_triangles_are_healthy(self):
         import random

@@ -176,8 +176,11 @@ class TestContainment:
     def test_containment_iff_foot_inside_side(self, t):
         d = build(t)
         m = d.metrics
-        slack = 1e-9 * max(1.0, m.a**2, m.b**2, m.c**2)
+        side_sq = {"a": m.a**2, "b": m.b**2, "c": m.c**2}
         for side, labels in HOSTED_PANELS.items():
+            # Slack in the host square's own units: a foot 1e-6 of a short
+            # side outside it must not pass as inside by a long side's slack.
+            slack = 1e-9 * side_sq[side]
             _, _, v_name = SIDE_FRAMES[side]
             _, param = foot_of_altitude(t, from_vertex=v_name)
             if min(abs(param), abs(1.0 - param)) < 1e-6:

@@ -1,6 +1,7 @@
 import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,21 @@ class TestDeterminism:
             svg = render(data_for(kind, (2.0, 3.0, 4.0)), FigureSpec(kind=kind))
             assert "nan" not in svg.lower()
             assert "inf" not in svg.lower()
+
+
+# The figures demos/draw_figures.py writes, with the specs it uses.
+DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+DEMO_FIGURES = {
+    **{f"{kind}.svg": FigureSpec(kind=kind) for kind in KINDS},
+    "cuoco_pairs_compact.svg": FigureSpec(kind="cuoco_pairs", labels=False, precision=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_FIGURES))
+def test_demo_figures_match_committed_files(name):
+    spec = DEMO_FIGURES[name]
+    svg = render(data_for(spec.kind, TRIANGLES["obtuse"]), spec)
+    assert svg.encode("utf-8") == (DEMO_OUTPUT / name).read_bytes()
 
 
 class TestStructure:
