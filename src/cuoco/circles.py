@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 from .geometry import (
     OPPOSITE_SIDE,
+    NonFiniteCoordinate,
     Point,
     Triangle,
     TriangleMetrics,
     VERTICES,
     cross,
     dot,
-    metrics,
     norm,
+    _is_finite,
+    _point,
+    _project,
 )
 
 # Side id -> its endpoints in cyclic order.
@@ -48,10 +51,13 @@ class CircumcircleData:
     splits: dict[str, dict[str, float]]  # splits[v][w]: signed split at v toward side vw
 
 
-def _project_onto_side(point: Point, p: Point, q: Point) -> tuple[Point, float]:
-    e = q - p
-    tparam = dot(point - p, e) / dot(e, e)
-    return Point(p.x + tparam * e.x, p.y + tparam * e.y), tparam
+def _centre(x, y, name: str) -> Point:
+    """A circle centre. Its formula mixes absolute coordinates into
+    products, which can overflow where the triangle's own check does not
+    reach, so it is checked here."""
+    if not (_is_finite(x) and _is_finite(y)):
+        raise NonFiniteCoordinate(f"coordinates overflow: the {name} is not finite")
+    return _point(x, y)
 
 
 def incircle(t: Triangle) -> IncircleData:
@@ -62,16 +68,17 @@ def incircle(t: Triangle) -> IncircleData:
     the tangent point on the side toward the cyclically next vertex (the
     distance along the other adjacent side is equal, which callers test).
     """
-    m = metrics(t)
+    m = t.metrics
     weight = m.a + m.b + m.c
-    center = Point(
+    center = _centre(
         (m.a * t.A.x + m.b * t.B.x + m.c * t.C.x) / weight,
         (m.a * t.A.y + m.b * t.B.y + m.c * t.C.y) / weight,
+        "incentre",
     )
     radius = m.area / m.s
     tangent_points = {}
     for side, (first, second) in SIDE_ENDPOINTS.items():
-        foot, _ = _project_onto_side(center, t.vertex(first), t.vertex(second))
+        foot, _ = _project(center, t.vertex(first), t.vertex(second))
         tangent_points[side] = foot
     tangent_lengths = {
         v: norm(tangent_points[_NEXT_SIDE[v]] - t.vertex(v)) for v in VERTICES
@@ -87,7 +94,7 @@ def incircle(t: Triangle) -> IncircleData:
 
 def tangent_lengths(t: Triangle) -> dict[str, float]:
     """Closed-form tangent lengths: s - a at A, s - b at B, s - c at C."""
-    m = metrics(t)
+    m = t.metrics
     return {"A": m.s - m.a, "B": m.s - m.b, "C": m.s - m.c}
 
 
@@ -101,7 +108,7 @@ def _circumcenter(t: Triangle) -> Point:
     c2 = cx * cx + cy * cy
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    return Point(ux, uy)
+    return _centre(ux, uy, "circumcentre")
 
 
 def circumcircle(t: Triangle) -> CircumcircleData:
@@ -111,7 +118,7 @@ def circumcircle(t: Triangle) -> CircumcircleData:
         triangle=t,
         center=center,
         radius=norm(center - t.A),
-        splits=vertex_splits(t),
+        splits=_splits(t, center),
     )
 
 
@@ -128,7 +135,10 @@ def vertex_splits(t: Triangle) -> dict[str, dict[str, float]]:
     splits[v][w] == splits[w][v] (base angles of the isosceles central
     triangle over side vw).
     """
-    center = _circumcenter(t)
+    return _splits(t, _circumcenter(t))
+
+
+def _splits(t: Triangle, center: Point) -> dict[str, dict[str, float]]:
     splits: dict[str, dict[str, float]] = {}
     for v in VERTICES:
         nxt, prv = OPPOSITE_SIDE[v]  # cyclically next and previous vertices
@@ -144,12 +154,7 @@ def vertex_splits(t: Triangle) -> dict[str, dict[str, float]]:
 def closed_form_splits(m: TriangleMetrics) -> dict[str, dict[str, float]]:
     """The same structure as vertex_splits, from pi/2 minus the third angle."""
     angle = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-    splits: dict[str, dict[str, float]] = {}
-    for v in VERTICES:
-        splits[v] = {}
-        for w in VERTICES:
-            if w == v:
-                continue
-            third = next(u for u in VERTICES if u not in (v, w))
-            splits[v][w] = math.pi / 2.0 - angle[third]
-    return splits
+    return {
+        v: {nxt: math.pi / 2.0 - angle[prv], prv: math.pi / 2.0 - angle[nxt]}
+        for v, (nxt, prv) in OPPOSITE_SIDE.items()
+    }

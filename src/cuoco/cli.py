@@ -21,10 +21,10 @@ from .geometry import (
     Triangle,
     VERTICES,
     classify,
-    metrics,
     norm,
     triangle_from_sides,
     _cos_opposite,
+    _project,
 )
 
 SCHEMA = "cuoco-report/1"
@@ -95,7 +95,7 @@ def _triangle_json(t: Triangle) -> dict:
 def cmd_verify(args) -> int:
     t = _triangle_from_args(args)
     tol = args.tol
-    m = metrics(t)
+    m = t.metrics
     cls = classify(m)
     scale = max(m.a * m.a, m.b * m.b, m.c * m.c)
 
@@ -283,39 +283,33 @@ def random_triangle(rng: random.Random, span: float = 10.0) -> Triangle:
             )
         except GeometryError:
             continue
-        m = metrics(t)
+        m = t.metrics
         if abs(t.twice_area) < 1e-6 or min(m.a, m.b, m.c) < 1e-6:
             continue
         return t
 
 
-def _near_right(m, band: float = 1e-9) -> bool:
-    return any(
-        abs(cosine) <= band
-        for cosine in (
-            _cos_opposite(m.b, m.c, m.a),
-            _cos_opposite(m.a, m.c, m.b),
-            _cos_opposite(m.a, m.b, m.c),
-        )
-    )
-
-
 def _fuzz_checks(t: Triangle, tol: float):
-    """Yield (check name, normalized residual) pairs for one triangle."""
-    m = metrics(t)
+    """Yield (check name, normalized residual) pairs for one triangle.
+
+    Each construction (metrics, decomposition, incircle, circumcircle) is
+    made once here and shared by the checks that read it.
+    """
+    m = t.metrics
     scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
 
     identity = cosine_law.verify_cosine_identity(m, tol)
     yield "cosine_identity", max(abs(r) for r in identity.residuals) / identity.scale
 
+    cosines = {"A": _cos_opposite(m.b, m.c, m.a),
+               "B": _cos_opposite(m.a, m.c, m.b),
+               "C": _cos_opposite(m.a, m.b, m.c)}
     for v in VERTICES:
         defect, residual = cosine_law.euclid_defect(t, v)
         # An algebraic identity: only rounding, which grows with the
         # largest squared side, can make the residual nonzero.
         yield "euclid_defect", abs(residual) / scale
-        cos_v = {"A": _cos_opposite(m.b, m.c, m.a),
-                 "B": _cos_opposite(m.a, m.c, m.b),
-                 "C": _cos_opposite(m.a, m.b, m.c)}[v]
+        cos_v = cosines[v]
         if abs(cos_v) > 1e-12:
             yield "defect_sign", 0.0 if (defect > 0) == (cos_v > 0) else 1.0
 
@@ -339,15 +333,16 @@ def _fuzz_checks(t: Triangle, tol: float):
     yield "squares_interpretation", squares_rep.max_residual
     if squares_rep.acute_iff_positive is not None:
         yield "squares_positivity", 0.0 if squares_rep.acute_iff_positive else 1.0
-    sides_rep = three_sum.interpret_sides(t, tol)
+    inc = circles.incircle(t)
+    sides_rep = three_sum._interpret_sides(inc, tol)
     yield "sides_interpretation", sides_rep.max_residual
     yield "sides_positivity", 0.0 if sides_rep.all_positive else 1.0
-    angles_rep = three_sum.interpret_angles(t, tol)
+    circ = circles.circumcircle(t)
+    angles_rep = three_sum._interpret_angles(t, circ.splits, tol, eps=1e-9)
     yield "angles_interpretation", angles_rep.max_residual
     if angles_rep.acute_iff_positive is not None:
         yield "angles_positivity", 0.0 if angles_rep.acute_iff_positive else 1.0
 
-    inc = circles.incircle(t)
     closed = circles.tangent_lengths(t)
     side_scale = max(1.0, m.a, m.b, m.c)
     yield "tangent_lengths", max(
@@ -356,11 +351,10 @@ def _fuzz_checks(t: Triangle, tol: float):
     for side, (first, second) in circles.SIDE_ENDPOINTS.items():
         p = t.vertex(first)
         q = t.vertex(second)
-        foot, tparam = circles._project_onto_side(inc.center, p, q)
+        foot, tparam = _project(inc.center, p, q)
         yield "incircle_radius", abs(norm(inc.center - foot) - inc.radius) / max(1.0, inc.radius)
         yield "tangent_inside", max(0.0, -tparam, tparam - 1.0)
 
-    circ = circles.circumcircle(t)
     yield "circumradius", max(
         abs(norm(circ.center - t.vertex(v)) - circ.radius) for v in VERTICES
     ) / max(1.0, circ.radius)

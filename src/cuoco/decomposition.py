@@ -28,13 +28,14 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
+    OPPOSITE_SIDE,
     Point,
     Triangle,
     TriangleMetrics,
     cross,
     dot,
     foot_of_altitude,
-    metrics,
+    norm,
     perp,
     _check_vertex,
 )
@@ -148,36 +149,36 @@ def build(t: Triangle) -> CuocoDecomposition:
         # perp(p - q) points away from the triangle for a counterclockwise
         # vertex order, and has the side's length, so these four corners
         # are the exterior square, counterclockwise starting on the side.
-        n = perp(p - q)
-        squares.append(SquareOnSide(side, (q, p, p + n, q + n)))
+        qp = p - q
+        n = perp(qp)
+        p_out, q_out = p + n, q + n
+        squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
 
-        e = q - p
-        tparam = dot(v - p, e) / dot(e, e)
-        foot = Point(p.x + tparam * e.x, p.y + tparam * e.y)
+        foot, _ = foot_of_altitude(t, opposite)
+        foot_out = foot + n
         first_label, second_label = HOSTED_PANELS[side]
         panels.append(RectanglePanel(
             label=first_label,
             host=side,
             signed_area=dot(v - p, q - p),
-            quad=(foot, p, p + n, foot + n),
+            quad=(foot, p, p_out, foot_out),
         ))
         panels.append(RectanglePanel(
             label=second_label,
             host=side,
-            signed_area=dot(v - q, p - q),
-            quad=(q, foot, foot + n, q + n),
+            signed_area=dot(v - q, qp),
+            quad=(q, foot, foot_out, q_out),
         ))
     panels.sort(key=lambda panel: panel.label)
+    # Each panel's signed area is its pair's panel_area_exact: the same
+    # dot product of the same two vectors.
+    area = {panel.label: panel.signed_area for panel in panels}
     return CuocoDecomposition(
         triangle=t,
-        metrics=metrics(t),
+        metrics=t.metrics,
         squares=tuple(squares),
         panels=tuple(panels),
-        pair_areas=PairAreas(
-            R=panel_area_exact("R", t),
-            S=panel_area_exact("S", t),
-            T=panel_area_exact("T", t),
-        ),
+        pair_areas=PairAreas(R=area["R1"], S=area["S1"], T=area["T1"]),
     )
 
 
@@ -243,18 +244,18 @@ class SimilarityReport:
 
 def similarity_check(t: Triangle, at_vertex: str, tol: float = 1e-9) -> SimilarityReport:
     _check_vertex(at_vertex)
-    from .geometry import OPPOSITE_SIDE, norm
-
     v = t.vertex(at_vertex)
     first, second = OPPOSITE_SIDE[at_vertex]  # P, Q in cyclic order
     p = t.vertex(first)
     q = t.vertex(second)
     foot_h, _ = foot_of_altitude(t, from_vertex=first)  # on line (v, q)
     foot_k, _ = foot_of_altitude(t, from_vertex=second)  # on line (v, p)
-    len_vp = norm(p - v)
-    len_vq = norm(q - v)
-    ch = dot(foot_h - v, q - v) / len_vq
-    ck = dot(foot_k - v, p - v) / len_vp
+    vp = p - v
+    vq = q - v
+    len_vp = norm(vp)
+    len_vq = norm(vq)
+    ch = dot(foot_h - v, vq) / len_vq
+    ck = dot(foot_k - v, vp) / len_vp
     residual = len_vp * ck - len_vq * ch
     scale = max(1.0, len_vp * len_vq)
     return SimilarityReport(

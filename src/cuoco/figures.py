@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circles import CircumcircleData, IncircleData
+from .circles import CircumcircleData, IncircleData, _NEXT_SIDE
 from .decomposition import CuocoDecomposition, SIDE_FRAMES, shoelace
 from .geometry import Point, Triangle, VERTICES, dot, foot_of_altitude, perp
 
@@ -293,8 +293,6 @@ def _draw_incircle(sheet: _Sheet, data: IncircleData) -> None:
         sheet.add_circle("tangent-point", data.tangent_points[side], 0.012 * sheet.diag, filled=True)
     _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, t.A, 0.05 * sheet.diag), "I")
-    from .circles import _NEXT_SIDE
-
     for name in VERTICES:
         v = t.vertex(name)
         tp = data.tangent_points[_NEXT_SIDE[name]]

@@ -3,13 +3,14 @@
 Coordinates keep the numeric type they arrive with. Integer input stays
 integer all the way through the dot-product identities, so those can be
 checked exactly; nothing in this module coerces to float except the
-square roots and arccosines that genuinely need it.
+square roots and arctangents that genuinely need it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 VERTICES = ("A", "B", "C")
 
@@ -40,6 +41,15 @@ class TriangleInequalityViolated(GeometryError):
 
 @dataclass(frozen=True)
 class Point:
+    """A point or vector. `Point(x, y)` checks that both are finite.
+
+    Results of arithmetic on points are built by `_point` without that
+    check: their inputs were checked already, and the one way they can
+    stop being finite, overflow, is caught once per triangle by
+    `Triangle` (and by the circle centres, which mix in absolute
+    coordinates).
+    """
+
     x: float
     y: float
 
@@ -50,13 +60,22 @@ class Point:
             )
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        return _point(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return _point(self.x - other.x, self.y - other.y)
 
     def scaled(self, k) -> "Point":
-        return Point(k * self.x, k * self.y)
+        return _point(k * self.x, k * self.y)
+
+
+def _point(x, y) -> Point:
+    """A Point from computed coordinates, without the finiteness check."""
+    p = object.__new__(Point)
+    fields = p.__dict__
+    fields["x"] = x
+    fields["y"] = y
+    return p
 
 
 def dot(u: Point, v: Point):
@@ -69,7 +88,7 @@ def cross(u: Point, v: Point):
 
 def perp(u: Point) -> Point:
     """u rotated a quarter turn counterclockwise."""
-    return Point(-u.y, u.x)
+    return _point(-u.y, u.x)
 
 
 def norm(u: Point) -> float:
@@ -87,35 +106,51 @@ class Triangle:
     Clockwise input is re-labeled (B and C swapped) rather than rejected,
     so side names keep their meaning: a = |BC|, b = |CA|, c = |AB|, with
     alpha, beta, gamma the angles at A, B, C.
+
+    Construction is where finiteness is checked: twice the area and the
+    squared sides must be finite, so that no coordinate difference, dot or
+    cross product computed from the triangle later can overflow.
     """
 
     A: Point
     B: Point
     C: Point
+    twice_area: float = field(init=False, repr=False, compare=False)  # positive
+    # (a^2, b^2, c^2), each the dot of a side vector with itself.
+    _side_squares: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        doubled = cross(self.B - self.A, self.C - self.A)
-        squares = (
-            dot(self.C - self.B, self.C - self.B),
-            dot(self.A - self.C, self.A - self.C),
-            dot(self.B - self.A, self.B - self.A),
-        )
-        if not all(_is_finite(value) for value in (doubled, *squares)):
+        A, B, C = self.A, self.B, self.C
+        doubled = cross(B - A, C - A)
+        if doubled < 0:
+            B, C = C, B
+            object.__setattr__(self, "B", B)
+            object.__setattr__(self, "C", C)
+            doubled = -doubled  # exact: the cross product of the swapped sides
+        bc, ca, ab = C - B, A - C, B - A
+        squares = (dot(bc, bc), dot(ca, ca), dot(ab, ab))
+        if not all(map(_is_finite, (doubled, *squares))):
             raise NonFiniteCoordinate(
                 f"coordinates overflow: twice the area or a squared side of "
-                f"{self.A}, {self.B}, {self.C} is not finite"
+                f"{A}, {B}, {C} is not finite"
             )
         if doubled == 0:
-            raise CollinearPoints(f"vertices are collinear: {self.A}, {self.B}, {self.C}")
-        if doubled < 0:
-            b, c = self.B, self.C
-            object.__setattr__(self, "B", c)
-            object.__setattr__(self, "C", b)
+            raise CollinearPoints(f"vertices are collinear: {A}, {B}, {C}")
+        object.__setattr__(self, "twice_area", doubled)
+        object.__setattr__(self, "_side_squares", squares)
 
-    @property
-    def twice_area(self):
-        """Twice the signed area; positive after normalization."""
-        return cross(self.B - self.A, self.C - self.A)
+    @cached_property
+    def metrics(self) -> "TriangleMetrics":
+        """metrics(self), computed on first use; a Triangle never changes."""
+        return metrics(self)
+
+    @cached_property
+    def _feet(self) -> dict[str, tuple[Point, float]]:
+        """foot_of_altitude for every vertex, computed on first use."""
+        return {
+            v: _project(self.vertex(v), self.vertex(first), self.vertex(second))
+            for v, (first, second) in OPPOSITE_SIDE.items()
+        }
 
     def vertex(self, name: str) -> Point:
         _check_vertex(name)
@@ -162,9 +197,7 @@ def metrics(t: Triangle) -> TriangleMetrics:
     triangle (W. Kahan, "Miscalculating Area and Angles of a Needle-like
     Triangle", 2014); this form keeps them.
     """
-    a = distance(t.B, t.C)
-    b = distance(t.C, t.A)
-    c = distance(t.A, t.B)
+    a, b, c = map(math.sqrt, t._side_squares)
     twice_area = t.twice_area
     alpha = math.atan2(twice_area, dot(t.B - t.A, t.C - t.A))
     beta = math.atan2(twice_area, dot(t.A - t.B, t.C - t.B))
@@ -237,14 +270,15 @@ def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:
     beyond the segment, which happens exactly at an obtuse base angle.
     """
     _check_vertex(from_vertex)
-    v = t.vertex(from_vertex)
-    first, second = OPPOSITE_SIDE[from_vertex]
-    p = t.vertex(first)
-    q = t.vertex(second)
+    return t._feet[from_vertex]
+
+
+def _project(point: Point, p: Point, q: Point) -> tuple[Point, float]:
+    """Foot of the perpendicular from `point` to line pq, and its affine
+    coordinate along p -> q."""
     e = q - p
-    tparam = dot(v - p, e) / dot(e, e)
-    foot = Point(p.x + tparam * e.x, p.y + tparam * e.y)
-    return foot, tparam
+    tparam = dot(point - p, e) / dot(e, e)
+    return _point(p.x + tparam * e.x, p.y + tparam * e.y), tparam
 
 
 def signed_projection(t: Triangle, at: str, of: str, onto: str) -> float:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circles import incircle, vertex_splits
-from .decomposition import build
-from .geometry import Classification, GeometryError, Triangle, classify, metrics
+from .circles import IncircleData, incircle, vertex_splits
+from .decomposition import panel_area_exact, panel_area_trig
+from .geometry import Classification, GeometryError, Triangle, classify, _cos_opposite
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,14 @@ def _positivity_flag(system: ThreeSum, cls: Classification, cosines_near_right: 
 
 def interpret_squares(t: Triangle, tol: float = 1e-9, eps: float = 1e-9) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
-    m = metrics(t)
-    d = build(t)
+    m = t.metrics
     system = ThreeSum(m.a * m.a, m.b * m.b, m.c * m.c)
     sol = solve(system)
-    geometric = {"x": d.pair_areas.R, "y": d.pair_areas.T, "z": d.pair_areas.S}
-    from .decomposition import panel_area_trig
-
+    geometric = {
+        "x": panel_area_exact("R", t),
+        "y": panel_area_exact("T", t),
+        "z": panel_area_exact("S", t),
+    }
     closed_form = {
         "x": panel_area_trig("R", m),
         "y": panel_area_trig("T", m),
@@ -150,10 +151,14 @@ def interpret_sides(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
     x = s - c (tangent length at C), y = s - b (at B), z = s - a (at A).
     Positivity is the strict triangle inequality, so it always holds.
     """
-    m = metrics(t)
+    return _interpret_sides(incircle(t), tol)
+
+
+def _interpret_sides(data: IncircleData, tol: float) -> InterpretationReport:
+    """interpret_sides for an incircle already constructed."""
+    m = data.triangle.metrics
     system = ThreeSum(m.a, m.b, m.c)
     sol = solve(system)
-    data = incircle(t)
     geometric = {
         "x": data.tangent_lengths["C"],
         "y": data.tangent_lengths["B"],
@@ -189,10 +194,16 @@ def interpret_angles(t: Triangle, tol: float = 1e-9, eps: float = 1e-9) -> Inter
     triangle over AB), y = pi/2 - beta over side b, z = pi/2 - alpha over
     side a. Residuals are absolute: angles are already order one.
     """
-    m = metrics(t)
+    return _interpret_angles(t, vertex_splits(t), tol, eps)
+
+
+def _interpret_angles(
+    t: Triangle, splits: dict[str, dict[str, float]], tol: float, eps: float
+) -> InterpretationReport:
+    """interpret_angles for circumcentre splits already measured."""
+    m = t.metrics
     system = ThreeSum(m.alpha, m.beta, m.gamma)
     sol = solve(system)
-    splits = vertex_splits(t)
     # Each component is realized twice; hold it against both measurements.
     measured_pairs = {
         "x": (splits["A"]["B"], splits["B"]["A"]),
@@ -230,8 +241,6 @@ def interpret_angles(t: Triangle, tol: float = 1e-9, eps: float = 1e-9) -> Inter
 
 
 def _near_right(m, eps: float) -> bool:
-    from .geometry import _cos_opposite
-
     return (
         abs(_cos_opposite(m.b, m.c, m.a)) <= eps
         or abs(_cos_opposite(m.a, m.c, m.b)) <= eps

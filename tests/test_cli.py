@@ -186,6 +186,19 @@ class TestFigure:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("kind", ["incircle", "circumcircle"])
+    def test_overflowing_centre_exit_2(self, capsys, tmp_path, kind):
+        # A valid triangle far from the origin: its sides square fine, but
+        # the centre formulas multiply absolute coordinates.
+        code, out, err = run_cli(
+            capsys, "figure", "--kind", kind,
+            "--points=1e160,0,1.00000000000001e160,0,1e160,1e150",
+            "--out", str(tmp_path / "c.svg"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
+
     def test_unknown_kind_rejected_by_parser(self, capsys):
         code, _, err = run_cli(
             capsys, "figure", "--kind", "bogus", "--sides", "2,3,4", "--out", "x.svg"
