@@ -39,8 +39,8 @@ print("area               =", m.area)
 print("semiperimeter      =", m.s)
 
 # --- Classification -------------------------------------------------------
-# The angle band `eps` bounds how far the smallest cosine may sit from zero
-# while still counting as a right angle.
+# The smallest side cosine may sit up to RIGHT_ANGLE_BAND (1e-9) from zero
+# and still count as a right angle; `classify(m, eps=...)` takes another band.
 for sides in ((2.0, 3.0, 4.0), (3.0, 4.0, 5.0), (6.0, 7.0, 8.0)):
     result = classify(metrics(triangle_from_sides(*sides)))
     where = f" at {result.vertex}" if result.vertex else ""

@@ -338,7 +338,7 @@ def _fuzz_checks(t: Triangle, tol: float):
     yield "sides_interpretation", sides_rep.max_residual
     yield "sides_positivity", 0.0 if sides_rep.all_positive else 1.0
     circ = circles.circumcircle(t)
-    angles_rep = three_sum._interpret_angles(t, circ.splits, tol, eps=1e-9)
+    angles_rep = three_sum._interpret_angles(t, circ.splits, tol)
     yield "angles_interpretation", angles_rep.max_residual
     if angles_rep.acute_iff_positive is not None:
         yield "angles_positivity", 0.0 if angles_rep.acute_iff_positive else 1.0

@@ -17,9 +17,9 @@ from .geometry import (
     NonPositiveSide,
     OPPOSITE_SIDE,
     Triangle,
-    TriangleInequalityViolated,
     TriangleMetrics,
     dot,
+    _check_sides,
     _check_vertex,
 )
 
@@ -40,11 +40,7 @@ def third_side(a: float, b: float, gamma: float) -> float:
 
 def cos_from_sides(a: float, b: float, c: float) -> float:
     """Cosine of the angle opposite c, between the sides of length a and b."""
-    for value in (a, b, c):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
-            raise NonPositiveSide(f"side lengths must be positive and finite, got {value!r}")
-    if a + b <= c or a + c <= b or b + c <= a:
-        raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) violate the strict triangle inequality")
+    _check_sides(a, b, c)
     return (a * a + b * b - c * c) / (2.0 * a * b)
 
 

@@ -18,6 +18,9 @@ VERTICES = ("A", "B", "C")
 # parameters along a side are measured from the first endpoint.
 OPPOSITE_SIDE = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
 
+# A side cosine within this distance of zero reads as a right angle.
+RIGHT_ANGLE_BAND = 1e-9
+
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
@@ -220,7 +223,7 @@ class Classification:
         return self.kind == "acute"
 
 
-def classify(m: TriangleMetrics, eps: float = 1e-12) -> Classification:
+def classify(m: TriangleMetrics, eps: float = RIGHT_ANGLE_BAND) -> Classification:
     """Acute/right/obtuse by the smallest side cosine.
 
     The band is on the cosine, not the angle: |cos| <= eps reads as right.
@@ -246,19 +249,26 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     B at the origin, C at (a, 0), A in the upper half-plane, so that
     |BC| = a, |CA| = b, |AB| = c. The result is already counterclockwise.
     """
-    for value in (a, b, c):
-        if not (isinstance(value, (int, float)) and _is_finite(value)) or value <= 0:
-            raise NonPositiveSide(f"side lengths must be positive and finite, got {value!r}")
-    if a + b <= c or a + c <= b or b + c <= a:
-        raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) violate the strict triangle inequality")
-    if not _is_finite(a * a + b * b + c * c):
-        raise NonFiniteCoordinate(f"coordinates overflow: sides ({a}, {b}, {c}) are too large to square")
+    _check_sides(a, b, c)
     x = (a * a + c * c - b * b) / (2.0 * a)
     y_sq = c * c - x * x
     if y_sq <= 0.0:
         # Valid by the strict inequality but flat at float precision.
         raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) are numerically degenerate")
     return Triangle(A=Point(x, math.sqrt(y_sq)), B=Point(0.0, 0.0), C=Point(a, 0.0))
+
+
+def _check_sides(a, b, c) -> None:
+    """Side lengths must be positive finite numbers (not bools), obey the
+    strict triangle inequality and square without overflow."""
+    for value in (a, b, c):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not _is_finite(value) or value <= 0):
+            raise NonPositiveSide(f"side lengths must be positive finite numbers, got {value!r}")
+    if a + b <= c or a + c <= b or b + c <= a:
+        raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) violate the strict triangle inequality")
+    if not _is_finite(a * a + b * b + c * c):
+        raise NonFiniteCoordinate(f"sides ({a}, {b}, {c}) overflow when squared")
 
 
 def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:

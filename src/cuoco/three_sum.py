@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .circles import IncircleData, incircle, vertex_splits
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import Classification, GeometryError, Triangle, classify, _cos_opposite
+from .geometry import Classification, GeometryError, Triangle, classify
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ class InterpretationReport:
     the solution components are supposed to equal, keyed by component.
     `max_residual` is the worst normalized deviation of the solution from
     either route. `acute_iff_positive` records whether positivity agreed
-    with the acute classification; None when the triangle sits inside the
-    right-angle band (eps on the cosines) or when the question does not
-    apply (side lengths are positive for every triangle).
+    with the acute classification; None when `classify` reads the triangle
+    as right (a side cosine within `RIGHT_ANGLE_BAND` of zero) or when the
+    question does not apply (side lengths are positive for every triangle).
     """
 
     kind: str
@@ -100,13 +100,13 @@ def _component_residual(sol: Solution, route: dict[str, float], scale: float) ->
     return max(abs(getattr(sol, name) - route[name]) for name in _COMPONENTS) / scale
 
 
-def _positivity_flag(system: ThreeSum, cls: Classification, cosines_near_right: bool) -> bool | None:
-    if cosines_near_right:
+def _positivity_flag(system: ThreeSum, cls: Classification) -> bool | None:
+    if cls.kind == "right":
         return None
     return all_positive(system) == cls.is_acute
 
 
-def interpret_squares(t: Triangle, tol: float = 1e-9, eps: float = 1e-9) -> InterpretationReport:
+def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
     m = t.metrics
     system = ThreeSum(m.a * m.a, m.b * m.b, m.c * m.c)
@@ -126,9 +126,8 @@ def interpret_squares(t: Triangle, tol: float = 1e-9, eps: float = 1e-9) -> Inte
         _component_residual(sol, geometric, scale),
         _component_residual(sol, closed_form, scale),
     )
-    cls = classify(m, eps=eps)
-    near_right = _near_right(m, eps)
-    flag = _positivity_flag(system, cls, near_right)
+    cls = classify(m)
+    flag = _positivity_flag(system, cls)
     return InterpretationReport(
         kind="squares",
         system=system,
@@ -187,18 +186,18 @@ def _interpret_sides(data: IncircleData, tol: float) -> InterpretationReport:
     )
 
 
-def interpret_angles(t: Triangle, tol: float = 1e-9, eps: float = 1e-9) -> InterpretationReport:
+def interpret_angles(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
     """(L, M, N) = angles; the solution must be the circumcenter splits.
 
     x = pi/2 - gamma appears at both ends of side c (the isosceles central
     triangle over AB), y = pi/2 - beta over side b, z = pi/2 - alpha over
     side a. Residuals are absolute: angles are already order one.
     """
-    return _interpret_angles(t, vertex_splits(t), tol, eps)
+    return _interpret_angles(t, vertex_splits(t), tol)
 
 
 def _interpret_angles(
-    t: Triangle, splits: dict[str, dict[str, float]], tol: float, eps: float
+    t: Triangle, splits: dict[str, dict[str, float]], tol: float
 ) -> InterpretationReport:
     """interpret_angles for circumcentre splits already measured."""
     m = t.metrics
@@ -221,9 +220,8 @@ def _interpret_angles(
         for name, pair in measured_pairs.items()
         for value in (*pair, closed_form[name])
     )
-    cls = classify(m, eps=eps)
-    near_right = _near_right(m, eps)
-    flag = _positivity_flag(system, cls, near_right)
+    cls = classify(m)
+    flag = _positivity_flag(system, cls)
     return InterpretationReport(
         kind="angles",
         system=system,
@@ -237,12 +235,4 @@ def _interpret_angles(
         acute_iff_positive=flag,
         tol=tol,
         passed=max_residual <= tol and flag is not False,
-    )
-
-
-def _near_right(m, eps: float) -> bool:
-    return (
-        abs(_cos_opposite(m.b, m.c, m.a)) <= eps
-        or abs(_cos_opposite(m.a, m.c, m.b)) <= eps
-        or abs(_cos_opposite(m.a, m.b, m.c)) <= eps
     )

@@ -65,6 +65,19 @@ class TestVerify:
         assert out == ""
         assert "overflow" in err
 
+    def test_band_edge_reads_right_everywhere(self, capsys):
+        # The cosine at C is about -6e-10: inside the one right-angle band.
+        sides = "3,4,5.0000000015"
+        _, out, _ = run_cli(capsys, "verify", "--sides", sides)
+        assert json.loads(out)["classification"] == {"kind": "right", "vertex": "C"}
+        for reading in ("squares", "sides", "angles"):
+            _, out, _ = run_cli(
+                capsys, "solve", "--L", "1", "--M", "2", "--N", "2",
+                "--interpret", reading, "--sides", sides,
+            )
+            interpretation = json.loads(out)["interpretation"]
+            assert interpretation["classification"] == {"kind": "right", "vertex": "C"}, reading
+
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         _, second, _ = run_cli(capsys, "verify", "--sides", "2,3,4")

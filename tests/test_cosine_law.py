@@ -12,6 +12,7 @@ from cuoco.cosine_law import (
 )
 from cuoco.geometry import (
     metrics,
+    NonFiniteCoordinate,
     NonPositiveSide,
     Point,
     Triangle,
@@ -69,6 +70,27 @@ class TestCosFromSides:
     def test_value_strictly_inside_unit_interval(self, sides):
         a, b, c = sides
         assert -1.0 < cos_from_sides(a, b, c) < 1.0
+
+
+class TestSideValidation:
+    """triangle_from_sides and cos_from_sides reject the same inputs."""
+
+    SIDE_FUNCTIONS = (triangle_from_sides, cos_from_sides)
+
+    def test_bools_rejected(self):
+        for function in self.SIDE_FUNCTIONS:
+            with pytest.raises(NonPositiveSide):
+                function(True, True, True)
+
+    def test_squares_that_overflow_rejected(self):
+        for function in self.SIDE_FUNCTIONS:
+            with pytest.raises(NonFiniteCoordinate, match="overflow"):
+                function(1e300, 1e300, 1e300)
+
+    def test_integers_too_large_for_a_float_rejected(self):
+        for function in self.SIDE_FUNCTIONS:
+            with pytest.raises(NonPositiveSide):
+                function(10**400, 10**400, 10**400)
 
 
 class TestEuclidDefect:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuoco.geometry import (
+    Classification,
     classify,
     CollinearPoints,
     cross,
@@ -170,6 +171,12 @@ class TestClassify:
         obtuse = metrics(triangle_from_sides(2.0, 3.0, 4.0))
         assert classify(obtuse, eps=0.5).kind == "right"
         assert classify(obtuse, eps=1e-12).kind == "obtuse"
+
+    def test_default_band_is_the_shared_right_angle_band(self):
+        # A hypotenuse longer by 3e-10 relative puts the cosine at C near
+        # -6e-10: outside a 1e-12 band, inside the 1e-9 one all readings use.
+        m = metrics(triangle_from_sides(3, 4, 5 * (1 + 3e-10)))
+        assert classify(m) == Classification("right", "C")
 
     @settings(max_examples=150)
     @given(float_triangles(), st.floats(1e-3, 1e3))
