@@ -40,6 +40,7 @@ class IncircleData:
     center: Point
     radius: float
     tangent_points: dict[str, Point]  # keyed by side id
+    tangent_params: dict[str, float]  # keyed by side id, affine along SIDE_ENDPOINTS
     tangent_lengths: dict[str, float]  # keyed by vertex, measured geometrically
 
 
@@ -64,9 +65,11 @@ def incircle(t: Triangle) -> IncircleData:
     """Incenter as the side-length weighted vertex average, with tangency data.
 
     tangent_points holds the foot of the perpendicular from the center to
-    each side; tangent_lengths holds, per vertex, the measured distance to
-    the tangent point on the side toward the cyclically next vertex (the
-    distance along the other adjacent side is equal, which callers test).
+    each side and tangent_params its affine coordinate along the side (0 at
+    the first endpoint, 1 at the second); tangent_lengths holds, per vertex,
+    the measured distance to the tangent point on the side toward the
+    cyclically next vertex (the distance along the other adjacent side is
+    equal, which callers test).
     """
     m = t.metrics
     weight = m.a + m.b + m.c
@@ -77,9 +80,11 @@ def incircle(t: Triangle) -> IncircleData:
     )
     radius = m.area / m.s
     tangent_points = {}
+    tangent_params = {}
     for side, (first, second) in SIDE_ENDPOINTS.items():
-        foot, _ = _project(center, t.vertex(first), t.vertex(second))
-        tangent_points[side] = foot
+        tangent_points[side], tangent_params[side] = _project(
+            center, t.vertex(first), t.vertex(second)
+        )
     tangent_lengths = {
         v: norm(tangent_points[_NEXT_SIDE[v]] - t.vertex(v)) for v in VERTICES
     }
@@ -88,6 +93,7 @@ def incircle(t: Triangle) -> IncircleData:
         center=center,
         radius=radius,
         tangent_points=tangent_points,
+        tangent_params=tangent_params,
         tangent_lengths=tangent_lengths,
     )
 

@@ -9,6 +9,7 @@ verification check failed, 2 invalid usage or input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -23,8 +24,6 @@ from .geometry import (
     classify,
     norm,
     triangle_from_sides,
-    _cos_opposite,
-    _project,
 )
 
 SCHEMA = "cuoco-report/1"
@@ -92,44 +91,90 @@ def _triangle_json(t: Triangle) -> dict:
     return {name: _point_json(t.vertex(name)) for name in VERTICES}
 
 
+def _keep_worst(worst: float, value: float) -> float:
+    """max(worst, value), except that a NaN, once seen, is kept (max() can drop it)."""
+    return value if value > worst or math.isnan(value) else worst
+
+
+def _worst(values) -> float:
+    """The largest of nonnegative values, or NaN if any is NaN."""
+    return functools.reduce(_keep_worst, values, 0.0)
+
+
+def _decomposition_checks(t: Triangle, d):
+    """Yield (check, item, residual, scale, detail) for the checks that
+    `verify` and `fuzz` share; a check passes when |residual| <= tol * scale.
+
+    `item` is the vertex or pair class a record is about, or None for a
+    whole-triangle check. `detail` is what `verify` reports for the record,
+    or None for the checks that only `fuzz` reports.
+    """
+    m = t.metrics
+    # Rounding in these area identities grows with the largest squared side.
+    scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
+
+    identity = cosine_law.verify_cosine_identity(m)
+    yield ("cosine_identity", None, _worst(abs(r) for r in identity.residuals), identity.scale,
+           {"residuals": list(identity.residuals)})
+
+    for v, cos_v in zip(VERTICES, m.cosines):
+        defect, residual = cosine_law.euclid_defect(t, v)
+        yield "euclid_defect", v, residual, scale, {"defect": defect, "residual": residual}
+        if abs(cos_v) > 1e-12:
+            yield "defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0, None
+
+    pairs = decomposition.verify_pairs(d)
+    yield ("pair_equivalence", None, _worst(check.delta for check in pairs.checks), pairs.scale,
+           {"pairs": {
+               check.pair: {"first": check.area_first, "second": check.area_second, "delta": check.delta}
+               for check in pairs.checks
+           }})
+    for pair in decomposition.PAIR_CLASSES:
+        exact = d.pair_areas.get(pair)
+        trig = decomposition.panel_area_trig(pair, m)
+        yield "trig_vs_exact", pair, exact - trig, scale, {"exact": exact, "trig": trig}
+    sums = (
+        abs(d.pair_areas.R + d.pair_areas.T - m.a * m.a),
+        abs(d.pair_areas.R + d.pair_areas.S - m.b * m.b),
+        abs(d.pair_areas.S + d.pair_areas.T - m.c * m.c),
+    )
+    yield "square_sums", None, _worst(sums), scale, None
+    for v in VERTICES:
+        rep = decomposition.similarity_check(t, v)
+        yield ("similarity", v, rep.residual, rep.scale,
+               {"ch": rep.ch, "ck": rep.ck, "residual": rep.residual})
+
+
 def cmd_verify(args) -> int:
     t = _triangle_from_args(args)
     tol = args.tol
     m = t.metrics
-    cls = classify(m)
-    scale = max(m.a * m.a, m.b * m.b, m.c * m.c)
-
-    identity = cosine_law.verify_cosine_identity(m, tol)
-    defects = {}
-    defects_ok = True
-    for v in VERTICES:
-        defect, residual = cosine_law.euclid_defect(t, v)
-        ok = abs(residual) <= tol * max(1.0, scale)
-        defects_ok = defects_ok and ok
-        defects[v] = {"defect": defect, "residual": residual, "passed": ok}
-
     d = decomposition.build(t)
-    pairs = decomposition.verify_pairs(d, tol)
-    trig_vs_exact = {}
-    routes_ok = True
-    for pair in decomposition.PAIR_CLASSES:
-        exact = d.pair_areas.get(pair)
-        trig = decomposition.panel_area_trig(pair, m)
-        ok = abs(exact - trig) <= tol * max(1.0, scale)
-        routes_ok = routes_ok and ok
-        trig_vs_exact[pair] = {"exact": exact, "trig": trig, "passed": ok}
-
-    similarity = {}
-    similarity_ok = True
-    for v in VERTICES:
-        rep = decomposition.similarity_check(t, v, tol)
-        similarity_ok = similarity_ok and rep.passed
-        similarity[v] = {"ch": rep.ch, "ck": rep.ck, "residual": rep.residual, "passed": rep.passed}
+    checks = {}
+    passed = True
+    for check, item, residual, scale, detail in _decomposition_checks(t, d):
+        if detail is None:
+            continue
+        entry = {**detail, "passed": abs(residual) <= tol * scale}
+        passed = passed and entry["passed"]
+        if item is None:
+            checks[check] = entry
+        else:
+            checks.setdefault(check, {})[item] = entry
 
     trace = decomposition.derive_cosine_theorem(d)
-    trace_ok = trace.max_deviation <= tol * max(1.0, scale)
-
-    passed = all((identity.passed, defects_ok, pairs.passed, routes_ok, similarity_ok, trace_ok))
+    trace_ok = trace.max_deviation <= tol * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
+    checks["derivation"] = {
+        "steps": [
+            {"expression": step.expression, "panels": list(step.panels), "value": step.value}
+            for step in trace.steps
+        ],
+        "residual": trace.residual,
+        "max_deviation": trace.max_deviation,
+        "passed": trace_ok,
+    }
+    passed = passed and trace_ok
+    cls = classify(m)
     _emit({
         "schema": SCHEMA,
         "command": "verify",
@@ -139,32 +184,7 @@ def cmd_verify(args) -> int:
         "classification": {"kind": cls.kind, "vertex": cls.vertex},
         "tol": tol,
         "pair_areas": [d.pair_areas.R, d.pair_areas.S, d.pair_areas.T],
-        "checks": {
-            "cosine_identity": {"residuals": list(identity.residuals), "passed": identity.passed},
-            "euclid_defect": defects,
-            "pair_equivalence": {
-                "pairs": {
-                    check.pair: {
-                        "first": check.area_first,
-                        "second": check.area_second,
-                        "delta": check.delta,
-                    }
-                    for check in pairs.checks
-                },
-                "passed": pairs.passed,
-            },
-            "trig_vs_exact": trig_vs_exact,
-            "similarity": similarity,
-            "derivation": {
-                "steps": [
-                    {"expression": step.expression, "panels": list(step.panels), "value": step.value}
-                    for step in trace.steps
-                ],
-                "residual": trace.residual,
-                "max_deviation": trace.max_deviation,
-                "passed": trace_ok,
-            },
-        },
+        "checks": checks,
         "passed": passed,
     })
     return 0 if passed else 1
@@ -296,38 +316,8 @@ def _fuzz_checks(t: Triangle, tol: float):
     made once here and shared by the checks that read it.
     """
     m = t.metrics
-    scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-
-    identity = cosine_law.verify_cosine_identity(m, tol)
-    yield "cosine_identity", max(abs(r) for r in identity.residuals) / identity.scale
-
-    cosines = {"A": _cos_opposite(m.b, m.c, m.a),
-               "B": _cos_opposite(m.a, m.c, m.b),
-               "C": _cos_opposite(m.a, m.b, m.c)}
-    for v in VERTICES:
-        defect, residual = cosine_law.euclid_defect(t, v)
-        # An algebraic identity: only rounding, which grows with the
-        # largest squared side, can make the residual nonzero.
-        yield "euclid_defect", abs(residual) / scale
-        cos_v = cosines[v]
-        if abs(cos_v) > 1e-12:
-            yield "defect_sign", 0.0 if (defect > 0) == (cos_v > 0) else 1.0
-
-    d = decomposition.build(t)
-    pairs = decomposition.verify_pairs(d, tol)
-    yield "pair_equivalence", max(check.delta for check in pairs.checks) / pairs.scale
-    for pair in decomposition.PAIR_CLASSES:
-        diff = abs(d.pair_areas.get(pair) - decomposition.panel_area_trig(pair, m))
-        yield "trig_vs_exact", diff / scale
-    sums = (
-        abs(d.pair_areas.R + d.pair_areas.T - m.a * m.a),
-        abs(d.pair_areas.R + d.pair_areas.S - m.b * m.b),
-        abs(d.pair_areas.S + d.pair_areas.T - m.c * m.c),
-    )
-    yield "square_sums", max(sums) / scale
-    for v in VERTICES:
-        rep = decomposition.similarity_check(t, v, tol)
-        yield "similarity", abs(rep.residual) / rep.scale
+    for check, _, residual, scale, _ in _decomposition_checks(t, decomposition.build(t)):
+        yield check, abs(residual) / scale
 
     squares_rep = three_sum.interpret_squares(t, tol)
     yield "squares_interpretation", squares_rep.max_residual
@@ -348,10 +338,8 @@ def _fuzz_checks(t: Triangle, tol: float):
     yield "tangent_lengths", max(
         abs(inc.tangent_lengths[v] - closed[v]) for v in VERTICES
     ) / side_scale
-    for side, (first, second) in circles.SIDE_ENDPOINTS.items():
-        p = t.vertex(first)
-        q = t.vertex(second)
-        foot, tparam = _project(inc.center, p, q)
+    for side in circles.SIDE_ENDPOINTS:
+        foot, tparam = inc.tangent_points[side], inc.tangent_params[side]
         yield "incircle_radius", abs(norm(inc.center - foot) - inc.radius) / max(1.0, inc.radius)
         yield "tangent_inside", max(0.0, -tparam, tparam - 1.0)
 
@@ -375,9 +363,8 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
     for index in range(count):
         t = random_triangle(rng)
         for name, value in _fuzz_checks(t, tol):
-            # Unlike max(), keeps a NaN residual; `not <=` fails it.
-            worst = maxima.get(name, 0.0)
-            maxima[name] = value if value > worst or math.isnan(value) else worst
+            # A NaN residual is kept as the maximum; `not <=` fails it.
+            maxima[name] = _keep_worst(maxima.get(name, 0.0), value)
             if not value <= tol and counterexample is None:
                 counterexample = {
                     "index": index,

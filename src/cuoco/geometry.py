@@ -189,10 +189,11 @@ class TriangleMetrics:
     gamma: float
     s: float
     area: float
+    cosines: tuple[float, float, float]  # side cosines at A, B, C
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
-    """Side lengths, angles (radians), semiperimeter, area.
+    """Side lengths, angles (radians), semiperimeter, area, side cosines.
 
     Each angle is atan2(2 * area, dot) of the two side vectors leaving its
     vertex; the dots are the pair areas S, T, R. The arccosine of a side
@@ -210,6 +211,7 @@ def metrics(t: Triangle) -> TriangleMetrics:
         alpha=alpha, beta=beta, gamma=gamma,
         s=(a + b + c) / 2.0,
         area=t.twice_area / 2.0,
+        cosines=(_cos_opposite(b, c, a), _cos_opposite(a, c, b), _cos_opposite(a, b, c)),
     )
 
 
@@ -230,12 +232,7 @@ def classify(m: TriangleMetrics, eps: float = RIGHT_ANGLE_BAND) -> Classificatio
     """
     if eps < 0:
         raise GeometryError("eps must be nonnegative")
-    cosines = (
-        ("A", _cos_opposite(m.b, m.c, m.a)),
-        ("B", _cos_opposite(m.a, m.c, m.b)),
-        ("C", _cos_opposite(m.a, m.b, m.c)),
-    )
-    vertex, smallest = min(cosines, key=lambda item: item[1])
+    vertex, smallest = min(zip(VERTICES, m.cosines), key=lambda item: item[1])
     if smallest < -eps:
         return Classification("obtuse", vertex)
     if smallest <= eps:

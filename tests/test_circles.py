@@ -68,6 +68,16 @@ class TestIncircle:
             # Touches the circle: the tangent point sits at radius distance.
             assert distance(data.center, tp) == pytest.approx(data.radius, rel=1e-9)
 
+    @settings(max_examples=100)
+    @given(float_triangles())
+    def test_tangent_params_locate_tangent_points(self, t):
+        data = incircle(t)
+        for side, (p_name, q_name) in SIDE_ENDPOINTS.items():
+            p = t.vertex(p_name)
+            q = t.vertex(q_name)
+            located = p + (q - p).scaled(data.tangent_params[side])
+            assert distance(located, data.tangent_points[side]) <= 1e-12 * max(1.0, distance(p, q))
+
     def test_measured_lengths_match_closed_form(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
             m = metrics(t)

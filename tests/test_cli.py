@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cuoco import cosine_law
-from cuoco.cli import main, random_triangle
+from cuoco.cli import _worst, main, random_triangle
 from cuoco.geometry import metrics
 
 
@@ -289,6 +289,13 @@ class TestFuzz:
         assert math.isnan(report["counterexample"]["residual"])
         entry = report["checks"]["euclid_defect"]
         assert math.isnan(entry["max_residual"]) and entry["passed"] is False
+
+    def test_worst_keeps_a_nan_in_any_position(self):
+        # max() keeps a NaN only in first place; a shared check's worst
+        # residual must fail wherever the NaN sits.
+        for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
+            assert math.isnan(_worst(values))
+        assert _worst([1.0, 3.0, 2.0]) == 3.0
 
     def test_random_triangles_are_healthy(self):
         import random
