@@ -120,15 +120,15 @@ def _decomposition_checks(t: Triangle, d):
     for v, cos_v in zip(VERTICES, m.cosines):
         defect, residual = cosine_law.euclid_defect(t, v)
         yield "euclid_defect", v, residual, scale, {"defect": defect, "residual": residual}
+        # Tighter than RIGHT_ANGLE_BAND, which would skip more vertices.
         if abs(cos_v) > 1e-12:
             yield "defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0, None
 
     pairs = decomposition.verify_pairs(d)
+    quads = {check.pair: {"first": check.area_first, "second": check.area_second, "delta": check.delta}
+             for check in pairs.checks}
     yield ("pair_equivalence", None, _worst(check.delta for check in pairs.checks), pairs.scale,
-           {"pairs": {
-               check.pair: {"first": check.area_first, "second": check.area_second, "delta": check.delta}
-               for check in pairs.checks
-           }})
+           {"pairs": quads})
     for pair in decomposition.PAIR_CLASSES:
         exact = d.pair_areas.get(pair)
         trig = decomposition.panel_area_trig(pair, m)
