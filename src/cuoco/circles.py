@@ -34,7 +34,7 @@ SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
 _NEXT_SIDE = {"A": "c", "B": "a", "C": "b"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IncircleData:
     triangle: Triangle
     center: Point
@@ -44,7 +44,7 @@ class IncircleData:
     tangent_lengths: dict[str, float]  # keyed by vertex, measured geometrically
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CircumcircleData:
     triangle: Triangle
     center: Point
@@ -81,12 +81,11 @@ def incircle(t: Triangle) -> IncircleData:
     radius = m.area / m.s
     tangent_points = {}
     tangent_params = {}
-    for side, (first, second) in SIDE_ENDPOINTS.items():
-        tangent_points[side], tangent_params[side] = _project(
-            center, t.vertex(first), t.vertex(second)
-        )
+    for side, (first, _) in SIDE_ENDPOINTS.items():
+        p = getattr(t, first)
+        tangent_points[side], tangent_params[side] = _project(p, t._legs[first][0], center - p)
     tangent_lengths = {
-        v: norm(tangent_points[_NEXT_SIDE[v]] - t.vertex(v)) for v in VERTICES
+        v: norm(tangent_points[_NEXT_SIDE[v]] - getattr(t, v)) for v in VERTICES
     }
     return IncircleData(
         triangle=t,
@@ -146,13 +145,12 @@ def vertex_splits(t: Triangle) -> dict[str, dict[str, float]]:
 
 def _splits(t: Triangle, center: Point) -> dict[str, dict[str, float]]:
     splits: dict[str, dict[str, float]] = {}
-    for v in VERTICES:
-        nxt, prv = OPPOSITE_SIDE[v]  # cyclically next and previous vertices
-        pv = t.vertex(v)
-        to_center = center - pv
+    for v, (nxt, prv) in OPPOSITE_SIDE.items():  # cyclically next and previous
+        to_nxt, to_prv = t._legs[v]
+        to_center = center - getattr(t, v)
         splits[v] = {
-            nxt: _signed_angle(t.vertex(nxt) - pv, to_center),
-            prv: _signed_angle(to_center, t.vertex(prv) - pv),
+            nxt: _signed_angle(to_nxt, to_center),
+            prv: _signed_angle(to_center, to_prv),
         }
     return splits
 

@@ -41,6 +41,12 @@ def third_side(a: float, b: float, gamma: float) -> float:
 def cos_from_sides(a: float, b: float, c: float) -> float:
     """Cosine of the angle opposite c, between the sides of length a and b."""
     _check_sides(a, b, c)
+    # Below 1/2, divide by the longest side's power of two, which is exact,
+    # so the squares of tiny sides do not underflow to zero. Larger sides,
+    # integers among them, keep their exact squares.
+    _, k = math.frexp(max(a, b, c))
+    if k < 0:
+        a, b, c = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
     return (a * a + b * b - c * c) / (2.0 * a * b)
 
 
@@ -53,19 +59,14 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     zero in exact arithmetic. Integer coordinates give integer results.
     """
     _check_vertex(at_vertex)
-    v = t.vertex(at_vertex)
-    first, second = OPPOSITE_SIDE[at_vertex]
-    p = t.vertex(first)
-    q = t.vertex(second)
-    u = p - v
-    w = q - v
+    u, w = t._legs[at_vertex]  # P - V, Q - V
     defect = 2 * dot(u, w)
-    opp = p - q
+    opp = t._legs[OPPOSITE_SIDE[at_vertex][1]][1]  # P - Q
     residual = dot(opp, opp) - dot(u, u) - dot(w, w) + defect
     return defect, residual
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CosineIdentityReport:
     """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic forms."""
 

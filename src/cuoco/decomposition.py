@@ -34,7 +34,6 @@ from .geometry import (
     TriangleMetrics,
     cross,
     dot,
-    foot_of_altitude,
     norm,
     perp,
     _check_vertex,
@@ -50,7 +49,7 @@ SIDE_FRAMES = {"a": ("B", "C", "A"), "b": ("C", "A", "B"), "c": ("A", "B", "C")}
 HOSTED_PANELS = {"a": ("T2", "R1"), "b": ("R2", "S1"), "c": ("S2", "T1")}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SquareOnSide:
     """Exterior square; vertices counterclockwise, first two on the triangle side."""
 
@@ -58,7 +57,7 @@ class SquareOnSide:
     vertices: tuple[Point, Point, Point, Point]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RectanglePanel:
     label: str  # one of PANEL_LABELS
     host: str  # side id of the host square
@@ -70,7 +69,7 @@ class RectanglePanel:
         return self.label[0]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairAreas:
     R: float
     S: float
@@ -82,7 +81,7 @@ class PairAreas:
         return getattr(self, pair)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CuocoDecomposition:
     triangle: Triangle
     metrics: TriangleMetrics
@@ -118,11 +117,11 @@ def panel_area_exact(pair: str, t: Triangle):
     R -> dot(C->A, C->B), S -> dot(A->B, A->C), T -> dot(B->A, B->C).
     """
     if pair == "R":
-        return dot(t.A - t.C, t.B - t.C)
+        return dot(*t._legs["C"])
     if pair == "S":
-        return dot(t.B - t.A, t.C - t.A)
+        return dot(*t._legs["A"])
     if pair == "T":
-        return dot(t.A - t.B, t.C - t.B)
+        return dot(*t._legs["B"])
     raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
 
 
@@ -143,30 +142,29 @@ def build(t: Triangle) -> CuocoDecomposition:
     panels = []
     for side in ("a", "b", "c"):
         first, second, opposite = SIDE_FRAMES[side]
-        p = t.vertex(first)
-        q = t.vertex(second)
-        v = t.vertex(opposite)
+        p = getattr(t, first)
+        q = getattr(t, second)
         # perp(p - q) points away from the triangle for a counterclockwise
         # vertex order, and has the side's length, so these four corners
         # are the exterior square, counterclockwise starting on the side.
-        qp = p - q
-        n = perp(qp)
+        # The legs at p are (q - p, v - p) and at q (v - q, p - q).
+        n = perp(t._legs[second][1])
         p_out, q_out = p + n, q + n
         squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
 
-        foot, _ = foot_of_altitude(t, opposite)
+        foot, _ = t._feet[opposite]
         foot_out = foot + n
         first_label, second_label = HOSTED_PANELS[side]
         panels.append(RectanglePanel(
             label=first_label,
             host=side,
-            signed_area=dot(v - p, q - p),
+            signed_area=dot(*t._legs[first]),
             quad=(foot, p, p_out, foot_out),
         ))
         panels.append(RectanglePanel(
             label=second_label,
             host=side,
-            signed_area=dot(v - q, qp),
+            signed_area=dot(*t._legs[second]),
             quad=(q, foot, foot_out, q_out),
         ))
     panels.sort(key=lambda panel: panel.label)
@@ -182,7 +180,7 @@ def build(t: Triangle) -> CuocoDecomposition:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairCheck:
     pair: str
     first: str
@@ -192,7 +190,7 @@ class PairCheck:
     delta: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairEquivalenceReport:
     checks: tuple[PairCheck, PairCheck, PairCheck]
     scale: float
@@ -221,7 +219,7 @@ def verify_pairs(d: CuocoDecomposition, tol: float = 1e-9) -> PairEquivalenceRep
     return PairEquivalenceReport(checks=tuple(checks), scale=scale, tol=tol, passed=passed)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimilarityReport:
     """Equal products from the similar altitude-foot triangles at a vertex.
 
@@ -244,14 +242,11 @@ class SimilarityReport:
 
 def similarity_check(t: Triangle, at_vertex: str, tol: float = 1e-9) -> SimilarityReport:
     _check_vertex(at_vertex)
-    v = t.vertex(at_vertex)
+    v = getattr(t, at_vertex)
     first, second = OPPOSITE_SIDE[at_vertex]  # P, Q in cyclic order
-    p = t.vertex(first)
-    q = t.vertex(second)
-    foot_h, _ = foot_of_altitude(t, from_vertex=first)  # on line (v, q)
-    foot_k, _ = foot_of_altitude(t, from_vertex=second)  # on line (v, p)
-    vp = p - v
-    vq = q - v
+    foot_h, _ = t._feet[first]  # on line (v, q)
+    foot_k, _ = t._feet[second]  # on line (v, p)
+    vp, vq = t._legs[at_vertex]
     len_vp = norm(vp)
     len_vq = norm(vq)
     ch = dot(foot_h - v, vq) / len_vq
@@ -269,14 +264,14 @@ def similarity_check(t: Triangle, at_vertex: str, tol: float = 1e-9) -> Similari
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerivationStep:
     expression: str
     panels: tuple[str, ...]
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerivationTrace:
     steps: tuple[DerivationStep, ...]
     residual: float  # a^2 - (b^2 + c^2 - 2*S)

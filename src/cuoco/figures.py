@@ -238,7 +238,7 @@ def _vertex_labels(sheet: _Sheet, t: Triangle) -> None:
     centroid = _centroid((t.A, t.B, t.C))
     offset = 0.07 * sheet.diag
     for name in VERTICES:
-        sheet.add_label(_away_from(t.vertex(name), centroid, offset), name)
+        sheet.add_label(_away_from(getattr(t, name), centroid, offset), name)
 
 
 def _draw_euclid_defect(sheet: _Sheet, t: Triangle) -> None:
@@ -276,11 +276,11 @@ def _draw_cuoco(sheet: _Sheet, d: CuocoDecomposition) -> None:
         sheet.add_label(_centroid(panel.quad), panel.label)
     sheet.add_triangle((t.A, t.B, t.C))
     for side, (first, second, opposite) in SIDE_FRAMES.items():
-        foot, _ = foot_of_altitude(t, opposite)
-        n = perp(t.vertex(first) - t.vertex(second))
+        foot, _ = t._feet[opposite]
+        n = perp(t._legs[second][1])  # first - second
         # The far end lies on the outer edge of the square; the altitude
         # line through the foot is parallel to n, so this stays straight.
-        sheet.add_line("altitude", t.vertex(opposite), foot + n)
+        sheet.add_line("altitude", getattr(t, opposite), foot + n)
     _vertex_labels(sheet, d.triangle)
 
 
@@ -294,7 +294,7 @@ def _draw_incircle(sheet: _Sheet, data: IncircleData) -> None:
     _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, t.A, 0.05 * sheet.diag), "I")
     for name in VERTICES:
-        v = t.vertex(name)
+        v = getattr(t, name)
         tp = data.tangent_points[_NEXT_SIDE[name]]
         mid = Point((v.x + tp.x) / 2.0, (v.y + tp.y) / 2.0)
         sheet.add_label(
@@ -309,7 +309,7 @@ def _draw_circumcircle(sheet: _Sheet, data: CircumcircleData) -> None:
     sheet.add_circle("circumcircle", data.center, data.radius, filled=False)
     sheet.add_circle("center", data.center, 0.012 * sheet.diag, filled=True)
     for name in VERTICES:
-        sheet.add_line("radius", data.center, t.vertex(name))
+        sheet.add_line("radius", data.center, getattr(t, name))
     _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, _centroid((t.A, t.B, t.C)), 0.05 * sheet.diag), "O")
 

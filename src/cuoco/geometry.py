@@ -121,16 +121,21 @@ class Triangle:
     twice_area: float = field(init=False, repr=False, compare=False)  # positive
     # (a^2, b^2, c^2), each the dot of a side vector with itself.
     _side_squares: tuple = field(init=False, repr=False, compare=False)
+    # Vertex V -> (P - V, Q - V), the two sides leaving V, with
+    # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
+    _legs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         A, B, C = self.A, self.B, self.C
-        doubled = cross(B - A, C - A)
+        ab, ac = B - A, C - A
+        doubled = cross(ab, ac)
         if doubled < 0:
             B, C = C, B
+            ab, ac = ac, ab
             object.__setattr__(self, "B", B)
             object.__setattr__(self, "C", C)
             doubled = -doubled  # exact: the cross product of the swapped sides
-        bc, ca, ab = C - B, A - C, B - A
+        bc, ca = C - B, A - C
         squares = (dot(bc, bc), dot(ca, ca), dot(ab, ab))
         if not all(map(_is_finite, (doubled, *squares))):
             raise NonFiniteCoordinate(
@@ -141,6 +146,7 @@ class Triangle:
             raise CollinearPoints(f"vertices are collinear: {A}, {B}, {C}")
         object.__setattr__(self, "twice_area", doubled)
         object.__setattr__(self, "_side_squares", squares)
+        object.__setattr__(self, "_legs", {"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)})
 
     @cached_property
     def metrics(self) -> "TriangleMetrics":
@@ -150,9 +156,10 @@ class Triangle:
     @cached_property
     def _feet(self) -> dict[str, tuple[Point, float]]:
         """foot_of_altitude for every vertex, computed on first use."""
+        # The side opposite V runs from P, whose legs are (Q - P, V - P).
         return {
-            v: _project(self.vertex(v), self.vertex(first), self.vertex(second))
-            for v, (first, second) in OPPOSITE_SIDE.items()
+            v: _project(getattr(self, first), *self._legs[first])
+            for v, (first, _) in OPPOSITE_SIDE.items()
         }
 
     def vertex(self, name: str) -> Point:
@@ -203,9 +210,10 @@ def metrics(t: Triangle) -> TriangleMetrics:
     """
     a, b, c = map(math.sqrt, t._side_squares)
     twice_area = t.twice_area
-    alpha = math.atan2(twice_area, dot(t.B - t.A, t.C - t.A))
-    beta = math.atan2(twice_area, dot(t.A - t.B, t.C - t.B))
-    gamma = math.atan2(twice_area, dot(t.A - t.C, t.B - t.C))
+    legs = t._legs
+    alpha = math.atan2(twice_area, dot(*legs["A"]))
+    beta = math.atan2(twice_area, dot(*legs["B"]))
+    gamma = math.atan2(twice_area, dot(*legs["C"]))
     return TriangleMetrics(
         a=a, b=b, c=c,
         alpha=alpha, beta=beta, gamma=gamma,
@@ -280,11 +288,10 @@ def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:
     return t._feet[from_vertex]
 
 
-def _project(point: Point, p: Point, q: Point) -> tuple[Point, float]:
-    """Foot of the perpendicular from `point` to line pq, and its affine
-    coordinate along p -> q."""
-    e = q - p
-    tparam = dot(point - p, e) / dot(e, e)
+def _project(p: Point, e: Point, to_point: Point) -> tuple[Point, float]:
+    """Foot of the perpendicular from p + to_point to the line through p
+    along e, and its affine coordinate: 0 at p, 1 at p + e."""
+    tparam = dot(to_point, e) / dot(e, e)
     return _point(p.x + tparam * e.x, p.y + tparam * e.y), tparam
 
 
@@ -299,6 +306,6 @@ def signed_projection(t: Triangle, at: str, of: str, onto: str) -> float:
     _check_vertex(onto)
     if len({at, of, onto}) != 3:
         raise GeometryError(f"vertices must be distinct, got at={at!r} of={of!r} onto={onto!r}")
-    u = t.vertex(of) - t.vertex(at)
-    w = t.vertex(onto) - t.vertex(at)
+    u = getattr(t, of) - getattr(t, at)
+    w = getattr(t, onto) - getattr(t, at)
     return dot(u, w) / math.sqrt(dot(w, w))

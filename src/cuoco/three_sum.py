@@ -37,7 +37,7 @@ class ThreeSum:
                 raise GeometryError(f"system inputs must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Solution:
     x: float
     y: float
@@ -66,7 +66,7 @@ def residuals(system: ThreeSum, sol: Solution) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InterpretationReport:
     """Cross-check of the algebraic solution against measured geometry.
 

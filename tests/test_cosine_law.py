@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cuoco.cosine_law import (
     DomainError,
@@ -64,6 +64,17 @@ class TestCosFromSides:
             cos_from_sides(0.0, 1.0, 1.0)
         with pytest.raises(TriangleInequalityViolated):
             cos_from_sides(1.0, 2.0, 5.0)
+
+    def test_tiny_sides(self):
+        # Their squares underflow to zero without the power-of-two rescaling.
+        assert cos_from_sides(1e-200, 1e-200, 1e-200) == 0.5
+        assert cos_from_sides(3e-200, 4e-200, 5e-200) == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=500)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    def test_rescaling_leaves_ordinary_sides_bit_identical(self, a, b, c):
+        assume(a + b > c and a + c > b and b + c > a)
+        assert cos_from_sides(a, b, c) == (a * a + b * b - c * c) / (2.0 * a * b)
 
     @settings(max_examples=200)
     @given(side_triples())

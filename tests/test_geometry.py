@@ -3,8 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuoco.cosine_law import euclid_defect
+from cuoco.decomposition import similarity_check
 from cuoco.geometry import (
     Classification,
+    GeometryError,
+    OPPOSITE_SIDE,
     classify,
     CollinearPoints,
     cross,
@@ -20,7 +24,7 @@ from cuoco.geometry import (
     TriangleInequalityViolated,
 )
 
-from conftest import float_triangles, side_triples
+from conftest import float_triangles, integer_triangles, side_triples
 
 
 class TestPoint:
@@ -76,6 +80,63 @@ class TestTriangle:
         assert t.vertex("C") == t.C
         with pytest.raises(ValueError):
             t.vertex("D")
+
+
+def _same_number(x, y) -> bool:
+    """Equal, and for floats also the same sign of zero."""
+    return x == y and (not isinstance(x, float) or math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
+def _assert_legs_are_vertex_differences(t):
+    for v, (p, q) in OPPOSITE_SIDE.items():
+        stored = t._legs[v]
+        expected = (getattr(t, p) - getattr(t, v), getattr(t, q) - getattr(t, v))
+        for leg, want in zip(stored, expected):
+            assert _same_number(leg.x, want.x) and _same_number(leg.y, want.y), (v, leg, want)
+
+
+class TestLegs:
+    """Triangle._legs[V] is (P - V, Q - V), computed by that very subtraction."""
+
+    @settings(max_examples=200)
+    @given(integer_triangles())
+    def test_integer_triangles(self, t):
+        _assert_legs_are_vertex_differences(t)
+
+    @settings(max_examples=200)
+    @given(float_triangles())
+    def test_float_triangles(self, t):
+        _assert_legs_are_vertex_differences(t)
+
+    @pytest.mark.parametrize("t", [
+        # A and C share x = 3.0: C - A is (0.0, -4.0), while -(A - C) would be (-0.0, -4.0).
+        triangle_from_sides(3, 4, 5),
+        triangle_from_sides(5, 3, 4),
+        # Clockwise input, relabelled by swapping B and C; signed zeros in the input.
+        Triangle(A=Point(0.0, 0.0), B=Point(-0.0, 1.0), C=Point(1.0, -0.0)),
+        Triangle(A=Point(2.0, -0.0), B=Point(2.0, 3.0), C=Point(5.0, 0.0)),
+    ])
+    def test_signed_zeros_and_clockwise_input(self, t):
+        _assert_legs_are_vertex_differences(t)
+
+
+class TestVertexNames:
+    """Every public function that takes a vertex name rejects an unknown one."""
+
+    T = Triangle(A=Point(1, 2), B=Point(0, 0), C=Point(3, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda t: t.vertex("D"),
+        lambda t: foot_of_altitude(t, "D"),
+        lambda t: euclid_defect(t, "D"),
+        lambda t: similarity_check(t, "D"),
+        lambda t: signed_projection(t, at="D", of="B", onto="C"),
+        lambda t: signed_projection(t, at="A", of="D", onto="C"),
+        lambda t: signed_projection(t, at="A", of="B", onto="D"),
+    ])
+    def test_unknown_vertex_rejected(self, call):
+        with pytest.raises(GeometryError, match="unknown vertex"):
+            call(self.T)
 
 
 class TestTriangleFromSides:
