@@ -35,7 +35,7 @@ print("pair areas: R =", d.pair_areas.R, " S =", d.pair_areas.S, " T =", d.pair_
 report = verify_pairs(d)
 for item in report.checks:
     print(f"pair {item.pair}: {item.first} vs {item.second}, delta = {item.delta:.3e}")
-print("pairs equivalent:", report.passed)
+print("pairs equivalent:", all(item.delta <= 1e-9 * report.scale for item in report.checks))
 
 # --- Walking the chain ----------------------------------------------------
 # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2S.

@@ -10,7 +10,6 @@ the closed forms live with the callers that cross-check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import (
     OPPOSITE_SIDE,
@@ -25,6 +24,7 @@ from .geometry import (
     _is_finite,
     _point,
     _project,
+    _Record,
 )
 
 # Side id -> its endpoints in cyclic order.
@@ -34,22 +34,26 @@ SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
 _NEXT_SIDE = {"A": "c", "B": "a", "C": "b"}
 
 
-@dataclass(slots=True)
-class IncircleData:
-    triangle: Triangle
-    center: Point
-    radius: float
-    tangent_points: dict[str, Point]  # keyed by side id
-    tangent_params: dict[str, float]  # keyed by side id, affine along SIDE_ENDPOINTS
-    tangent_lengths: dict[str, float]  # keyed by vertex, measured geometrically
+class IncircleData(_Record):
+    __slots__ = _fields = ("triangle", "center", "radius", "tangent_points", "tangent_params",
+                           "tangent_lengths")
+
+    def __init__(self, triangle: Triangle, center: Point, radius: float,
+                 tangent_points: dict[str, Point], tangent_params: dict[str, float],
+                 tangent_lengths: dict[str, float]) -> None:
+        self.triangle, self.center, self.radius = triangle, center, radius
+        self.tangent_points = tangent_points  # keyed by side id
+        self.tangent_params = tangent_params  # keyed by side id, affine along SIDE_ENDPOINTS
+        self.tangent_lengths = tangent_lengths  # keyed by vertex, measured geometrically
 
 
-@dataclass(slots=True)
-class CircumcircleData:
-    triangle: Triangle
-    center: Point
-    radius: float
-    splits: dict[str, dict[str, float]]  # splits[v][w]: signed split at v toward side vw
+class CircumcircleData(_Record):
+    __slots__ = _fields = ("triangle", "center", "radius", "splits")
+
+    def __init__(self, triangle: Triangle, center: Point, radius: float,
+                 splits: dict[str, dict[str, float]]) -> None:
+        self.triangle, self.center, self.radius = triangle, center, radius
+        self.splits = splits  # splits[v][w]: signed split at v toward side vw
 
 
 def _centre(x, y, name: str) -> Point:

@@ -25,7 +25,6 @@ quad areas is a real check rather than an algebraic identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import (
     OPPOSITE_SIDE,
@@ -37,6 +36,7 @@ from .geometry import (
     norm,
     perp,
     _check_vertex,
+    _Record,
 )
 
 PAIR_CLASSES = ("R", "S", "T")
@@ -49,31 +49,36 @@ SIDE_FRAMES = {"a": ("B", "C", "A"), "b": ("C", "A", "B"), "c": ("A", "B", "C")}
 HOSTED_PANELS = {"a": ("T2", "R1"), "b": ("R2", "S1"), "c": ("S2", "T1")}
 
 
-@dataclass(slots=True)
-class SquareOnSide:
+class SquareOnSide(_Record):
     """Exterior square; vertices counterclockwise, first two on the triangle side."""
 
-    side: str  # "a" | "b" | "c"
-    vertices: tuple[Point, Point, Point, Point]
+    __slots__ = _fields = ("side", "vertices")
+
+    def __init__(self, side: str, vertices: tuple[Point, Point, Point, Point]) -> None:
+        self.side = side  # "a" | "b" | "c"
+        self.vertices = vertices
 
 
-@dataclass(slots=True)
-class RectanglePanel:
-    label: str  # one of PANEL_LABELS
-    host: str  # side id of the host square
-    signed_area: float  # dot-product value, exact for integer coordinates
-    quad: tuple[Point, Point, Point, Point]  # constructed corners, degenerate at a right angle
+class RectanglePanel(_Record):
+    __slots__ = _fields = ("label", "host", "signed_area", "quad")
+
+    def __init__(self, label: str, host: str, signed_area: float,
+                 quad: tuple[Point, Point, Point, Point]) -> None:
+        self.label = label  # one of PANEL_LABELS
+        self.host = host  # side id of the host square
+        self.signed_area = signed_area  # dot-product value, exact for integer coordinates
+        self.quad = quad  # constructed corners, degenerate at a right angle
 
     @property
     def pair(self) -> str:
         return self.label[0]
 
 
-@dataclass(slots=True)
-class PairAreas:
-    R: float
-    S: float
-    T: float
+class PairAreas(_Record):
+    __slots__ = _fields = ("R", "S", "T")
+
+    def __init__(self, R: float, S: float, T: float) -> None:
+        self.R, self.S, self.T = R, S, T
 
     def get(self, pair: str) -> float:
         if pair not in PAIR_CLASSES:
@@ -81,13 +86,16 @@ class PairAreas:
         return getattr(self, pair)
 
 
-@dataclass(slots=True)
-class CuocoDecomposition:
-    triangle: Triangle
-    metrics: TriangleMetrics
-    squares: tuple[SquareOnSide, SquareOnSide, SquareOnSide]  # sides a, b, c
-    panels: tuple[RectanglePanel, ...]  # sorted by label
-    pair_areas: PairAreas
+class CuocoDecomposition(_Record):
+    __slots__ = _fields = ("triangle", "metrics", "squares", "panels", "pair_areas")
+
+    def __init__(self, triangle: Triangle, metrics: TriangleMetrics,
+                 squares: tuple[SquareOnSide, SquareOnSide, SquareOnSide],
+                 panels: tuple[RectanglePanel, ...], pair_areas: PairAreas) -> None:
+        self.triangle, self.metrics = triangle, metrics
+        self.squares = squares  # sides a, b, c
+        self.panels = panels  # sorted by label
+        self.pair_areas = pair_areas
 
     def square(self, side: str) -> SquareOnSide:
         for sq in self.squares:
@@ -180,25 +188,25 @@ def build(t: Triangle) -> CuocoDecomposition:
     )
 
 
-@dataclass(slots=True)
-class PairCheck:
-    pair: str
-    first: str
-    second: str
-    area_first: float  # shoelace of the first panel's quad
-    area_second: float
-    delta: float
+class PairCheck(_Record):
+    __slots__ = _fields = ("pair", "first", "second", "area_first", "area_second", "delta")
+
+    def __init__(self, pair: str, first: str, second: str, area_first: float,
+                 area_second: float, delta: float) -> None:
+        self.pair, self.first, self.second = pair, first, second
+        self.area_first = area_first  # shoelace of the first panel's quad
+        self.area_second = area_second
+        self.delta = delta
 
 
-@dataclass(slots=True)
-class PairEquivalenceReport:
-    checks: tuple[PairCheck, PairCheck, PairCheck]
-    scale: float
-    tol: float
-    passed: bool
+class PairEquivalenceReport(_Record):
+    __slots__ = _fields = ("checks", "scale")
+
+    def __init__(self, checks: tuple[PairCheck, PairCheck, PairCheck], scale: float) -> None:
+        self.checks, self.scale = checks, scale
 
 
-def verify_pairs(d: CuocoDecomposition, tol: float = 1e-9) -> PairEquivalenceReport:
+def verify_pairs(d: CuocoDecomposition) -> PairEquivalenceReport:
     """Compare the two constructed quads of each pair class by shoelace area."""
     m = d.metrics
     scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
@@ -215,12 +223,10 @@ def verify_pairs(d: CuocoDecomposition, tol: float = 1e-9) -> PairEquivalenceRep
             area_second=area_second,
             delta=abs(area_first - area_second),
         ))
-    passed = all(check.delta <= tol * scale for check in checks)
-    return PairEquivalenceReport(checks=tuple(checks), scale=scale, tol=tol, passed=passed)
+    return PairEquivalenceReport(checks=tuple(checks), scale=scale)
 
 
-@dataclass(slots=True)
-class SimilarityReport:
+class SimilarityReport(_Record):
     """Equal products from the similar altitude-foot triangles at a vertex.
 
     At vertex V with cyclic neighbors P and Q, the altitude from P lands
@@ -231,16 +237,17 @@ class SimilarityReport:
     both sides equal |VP|*|VQ|*cos(angle at V) only after the fact.
     """
 
-    vertex: str
-    ch: float  # signed distance from V to the altitude foot on line V->Q
-    ck: float  # signed distance from V to the altitude foot on line V->P
-    residual: float  # |VP| * ck - |VQ| * ch
-    scale: float
-    tol: float
-    passed: bool
+    __slots__ = _fields = ("vertex", "ch", "ck", "residual", "scale")
+
+    def __init__(self, vertex: str, ch: float, ck: float, residual: float, scale: float) -> None:
+        self.vertex = vertex
+        self.ch = ch  # signed distance from V to the altitude foot on line V->Q
+        self.ck = ck  # signed distance from V to the altitude foot on line V->P
+        self.residual = residual  # |VP| * ck - |VQ| * ch
+        self.scale = scale
 
 
-def similarity_check(t: Triangle, at_vertex: str, tol: float = 1e-9) -> SimilarityReport:
+def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     _check_vertex(at_vertex)
     v = getattr(t, at_vertex)
     first, second = OPPOSITE_SIDE[at_vertex]  # P, Q in cyclic order
@@ -251,31 +258,30 @@ def similarity_check(t: Triangle, at_vertex: str, tol: float = 1e-9) -> Similari
     len_vq = norm(vq)
     ch = dot(foot_h - v, vq) / len_vq
     ck = dot(foot_k - v, vp) / len_vp
-    residual = len_vp * ck - len_vq * ch
-    scale = max(1.0, len_vp * len_vq)
     return SimilarityReport(
         vertex=at_vertex,
         ch=ch,
         ck=ck,
-        residual=residual,
-        scale=scale,
-        tol=tol,
-        passed=abs(residual) <= tol * scale,
+        residual=len_vp * ck - len_vq * ch,
+        scale=max(1.0, len_vp * len_vq),
     )
 
 
-@dataclass(slots=True)
-class DerivationStep:
-    expression: str
-    panels: tuple[str, ...]
-    value: float
+class DerivationStep(_Record):
+    __slots__ = _fields = ("expression", "panels", "value")
+
+    def __init__(self, expression: str, panels: tuple[str, ...], value: float) -> None:
+        self.expression, self.panels, self.value = expression, panels, value
 
 
-@dataclass(slots=True)
-class DerivationTrace:
-    steps: tuple[DerivationStep, ...]
-    residual: float  # a^2 - (b^2 + c^2 - 2*S)
-    max_deviation: float  # worst |step - a^2|
+class DerivationTrace(_Record):
+    __slots__ = _fields = ("steps", "residual", "max_deviation")
+
+    def __init__(self, steps: tuple[DerivationStep, ...], residual: float,
+                 max_deviation: float) -> None:
+        self.steps = steps
+        self.residual = residual  # a^2 - (b^2 + c^2 - 2*S)
+        self.max_deviation = max_deviation  # worst |step - a^2|
 
 
 def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:

@@ -10,11 +10,10 @@ sorted by label, triangle, circles, lines, labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circles import CircumcircleData, IncircleData, _NEXT_SIDE
 from .decomposition import CuocoDecomposition, SIDE_FRAMES, shoelace
-from .geometry import Point, Triangle, VERTICES, dot, foot_of_altitude, perp
+from .geometry import Point, Triangle, VERTICES, dot, foot_of_altitude, perp, _Frozen
 
 KINDS = ("euclid_defect", "cuoco", "cuoco_pairs", "cuoco_obtuse", "incircle", "circumcircle")
 
@@ -43,24 +42,21 @@ class KindMismatch(ValueError):
     """Data object does not carry what the requested kind draws."""
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    kind: str
-    fill_palette: int = 0
-    stroke_palette: int = 0
-    labels: bool = True
-    precision: int = 6
-    omit_degenerate: bool = False
+class FigureSpec(_Frozen):
+    _fields = ("kind", "fill_palette", "stroke_palette", "labels", "precision", "omit_degenerate")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown figure kind {self.kind!r}, expected one of {KINDS}")
-        if not isinstance(self.precision, int) or not 1 <= self.precision <= 12:
-            raise ValueError(f"precision must be an integer in [1, 12], got {self.precision!r}")
-        if not 0 <= self.fill_palette < len(FILL_PALETTES):
-            raise ValueError(f"fill_palette out of range: {self.fill_palette!r}")
-        if not 0 <= self.stroke_palette < len(STROKE_PALETTES):
-            raise ValueError(f"stroke_palette out of range: {self.stroke_palette!r}")
+    def __init__(self, kind: str, fill_palette: int = 0, stroke_palette: int = 0,
+                 labels: bool = True, precision: int = 6, omit_degenerate: bool = False) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown figure kind {kind!r}, expected one of {KINDS}")
+        if not isinstance(precision, int) or not 1 <= precision <= 12:
+            raise ValueError(f"precision must be an integer in [1, 12], got {precision!r}")
+        if not 0 <= fill_palette < len(FILL_PALETTES):
+            raise ValueError(f"fill_palette out of range: {fill_palette!r}")
+        if not 0 <= stroke_palette < len(STROKE_PALETTES):
+            raise ValueError(f"stroke_palette out of range: {stroke_palette!r}")
+        self.__dict__.update(kind=kind, fill_palette=fill_palette, stroke_palette=stroke_palette,
+                             labels=labels, precision=precision, omit_degenerate=omit_degenerate)
 
 
 _EXPECTED_DATA = {

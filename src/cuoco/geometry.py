@@ -9,8 +9,8 @@ square roots and arctangents that genuinely need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 VERTICES = ("A", "B", "C")
 
@@ -42,8 +42,44 @@ class TriangleInequalityViolated(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
+class _Record:
+    """Repr and equality over the fields named in `_fields`, which is also
+    the order of the constructor's arguments; per-call reports use it as is."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:  # every record has two fields or more, so this returns a tuple
+            cls._values = attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+
+class _Frozen(_Record):
+    """An immutable _Record, hashed by its fields. Constructors store their
+    fields straight into the instance `__dict__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class Point(_Frozen):
     """A point or vector. `Point(x, y)` checks that both are finite.
 
     Results of arithmetic on points are built by `_point` without that
@@ -53,8 +89,11 @@ class Point:
     coordinates).
     """
 
-    x: float
-    y: float
+    _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        self.__dict__.update(x=x, y=y)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (_is_finite(self.x) and _is_finite(self.y)):
@@ -102,8 +141,7 @@ def distance(p: Point, q: Point) -> float:
     return norm(p - q)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(_Frozen):
     """Three non-collinear vertices, stored counterclockwise.
 
     Clockwise input is re-labeled (B and C swapped) rather than rejected,
@@ -115,25 +153,16 @@ class Triangle:
     cross product computed from the triangle later can overflow.
     """
 
-    A: Point
-    B: Point
-    C: Point
-    twice_area: float = field(init=False, repr=False, compare=False)  # positive
-    # (a^2, b^2, c^2), each the dot of a side vector with itself.
-    _side_squares: tuple = field(init=False, repr=False, compare=False)
-    # Vertex V -> (P - V, Q - V), the two sides leaving V, with
-    # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
-    _legs: dict = field(init=False, repr=False, compare=False)
+    # Only the vertices are fields; the values stored beside them stay out
+    # of repr, equality and hash.
+    _fields = ("A", "B", "C")
 
-    def __post_init__(self) -> None:
-        A, B, C = self.A, self.B, self.C
+    def __init__(self, A: Point, B: Point, C: Point) -> None:
         ab, ac = B - A, C - A
         doubled = cross(ab, ac)
         if doubled < 0:
             B, C = C, B
             ab, ac = ac, ab
-            object.__setattr__(self, "B", B)
-            object.__setattr__(self, "C", C)
             doubled = -doubled  # exact: the cross product of the swapped sides
         bc, ca = C - B, A - C
         squares = (dot(bc, bc), dot(ca, ca), dot(ab, ab))
@@ -144,9 +173,15 @@ class Triangle:
             )
         if doubled == 0:
             raise CollinearPoints(f"vertices are collinear: {A}, {B}, {C}")
-        object.__setattr__(self, "twice_area", doubled)
-        object.__setattr__(self, "_side_squares", squares)
-        object.__setattr__(self, "_legs", {"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)})
+        self.__dict__.update(
+            A=A, B=B, C=C,
+            twice_area=doubled,  # positive
+            # (a^2, b^2, c^2), each the dot of a side vector with itself.
+            _side_squares=squares,
+            # Vertex V -> (P - V, Q - V), the two sides leaving V, with
+            # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
+            _legs={"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)},
+        )
 
     @cached_property
     def metrics(self) -> "TriangleMetrics":
@@ -186,17 +221,14 @@ def _cos_opposite(p: float, q: float, r: float) -> float:
     return (p * p + q * q - r * r) / (2.0 * p * q)
 
 
-@dataclass(frozen=True)
-class TriangleMetrics:
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-    gamma: float
-    s: float
-    area: float
-    cosines: tuple[float, float, float]  # side cosines at A, B, C
+class TriangleMetrics(_Frozen):
+    _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
+
+    def __init__(self, a: float, b: float, c: float, alpha: float, beta: float, gamma: float,
+                 s: float, area: float, cosines: tuple[float, float, float]) -> None:
+        # cosines: the side cosines at A, B, C
+        self.__dict__.update(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
+                             s=s, area=area, cosines=cosines)
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
@@ -223,10 +255,12 @@ def metrics(t: Triangle) -> TriangleMetrics:
     )
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "acute" | "right" | "obtuse"
-    vertex: str | None = None  # set for right and obtuse
+class Classification(_Frozen):
+    _fields = ("kind", "vertex")
+
+    def __init__(self, kind: str, vertex: str | None = None) -> None:
+        # kind: "acute" | "right" | "obtuse"; vertex: set for right and obtuse
+        self.__dict__.update(kind=kind, vertex=vertex)
 
     @property
     def is_acute(self) -> bool:
@@ -263,17 +297,20 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     return Triangle(A=Point(x, math.sqrt(y_sq)), B=Point(0.0, 0.0), C=Point(a, 0.0))
 
 
-def _check_sides(a, b, c) -> None:
-    """Side lengths must be positive finite numbers (not bools), obey the
-    strict triangle inequality and square without overflow."""
-    for value in (a, b, c):
+def _check_sides(*sides) -> None:
+    """Side lengths must be positive finite numbers (not bools) whose
+    squares sum without overflow; three sides must also obey the strict
+    triangle inequality."""
+    for value in sides:
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not _is_finite(value) or value <= 0):
             raise NonPositiveSide(f"side lengths must be positive finite numbers, got {value!r}")
-    if a + b <= c or a + c <= b or b + c <= a:
-        raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) violate the strict triangle inequality")
-    if not _is_finite(a * a + b * b + c * c):
-        raise NonFiniteCoordinate(f"sides ({a}, {b}, {c}) overflow when squared")
+    if len(sides) == 3:
+        a, b, c = sides
+        if a + b <= c or a + c <= b or b + c <= a:
+            raise TriangleInequalityViolated(f"sides ({a}, {b}, {c}) violate the strict triangle inequality")
+    if not _is_finite(sum(value * value for value in sides)):
+        raise NonFiniteCoordinate(f"sides ({', '.join(map(str, sides))}) overflow when squared")
 
 
 def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:

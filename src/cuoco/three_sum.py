@@ -16,32 +16,29 @@ triangle inequality (always true), every split positive (acute again).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circles import IncircleData, incircle, vertex_splits
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import Classification, GeometryError, Triangle, classify
+from .geometry import Classification, GeometryError, Triangle, classify, _Frozen, _Record
 
 
-@dataclass(frozen=True)
-class ThreeSum:
+class ThreeSum(_Frozen):
     """Right-hand sides of x + y = L, x + z = M, y + z = N."""
 
-    L: float
-    M: float
-    N: float
+    _fields = ("L", "M", "N")
 
-    def __post_init__(self) -> None:
-        for value in (self.L, self.M, self.N):
+    def __init__(self, L: float, M: float, N: float) -> None:
+        for value in (L, M, N):
             if not math.isfinite(value):
                 raise GeometryError(f"system inputs must be finite, got {value!r}")
+        self.__dict__.update(L=L, M=M, N=N)
 
 
-@dataclass(slots=True)
-class Solution:
-    x: float
-    y: float
-    z: float
+class Solution(_Record):
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        self.x, self.y, self.z = x, y, z
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -66,8 +63,7 @@ def residuals(system: ThreeSum, sol: Solution) -> tuple[float, float, float]:
     )
 
 
-@dataclass(slots=True)
-class InterpretationReport:
+class InterpretationReport(_Record):
     """Cross-check of the algebraic solution against measured geometry.
 
     `geometric` and `closed_form` are two independent routes to the values
@@ -79,18 +75,19 @@ class InterpretationReport:
     question does not apply (side lengths are positive for every triangle).
     """
 
-    kind: str
-    system: ThreeSum
-    solution: Solution
-    mapping: dict[str, str]
-    geometric: dict[str, float]
-    closed_form: dict[str, float]
-    max_residual: float
-    all_positive: bool
-    classification: Classification
-    acute_iff_positive: bool | None
-    tol: float
-    passed: bool
+    __slots__ = _fields = ("kind", "system", "solution", "mapping", "geometric", "closed_form",
+                           "max_residual", "all_positive", "classification",
+                           "acute_iff_positive", "tol", "passed")
+
+    def __init__(self, kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, str],
+                 geometric: dict[str, float], closed_form: dict[str, float],
+                 max_residual: float, all_positive: bool, classification: Classification,
+                 acute_iff_positive: bool | None, tol: float, passed: bool) -> None:
+        self.kind, self.system, self.solution, self.mapping = kind, system, solution, mapping
+        self.geometric, self.closed_form = geometric, closed_form
+        self.max_residual, self.all_positive = max_residual, all_positive
+        self.classification, self.acute_iff_positive = classification, acute_iff_positive
+        self.tol, self.passed = tol, passed
 
 
 _COMPONENTS = ("x", "y", "z")

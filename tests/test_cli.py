@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cuoco
 from cuoco import cosine_law
 from cuoco.cli import _worst, main, random_triangle
 from cuoco.geometry import metrics
@@ -319,3 +322,17 @@ class TestEntryPoint:
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["classification"]["kind"] == "right"
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Start-up cost: `dataclasses` imports `inspect`, `ast`, `dis` and
+        # `tokenize`. -S keeps site hooks from importing either first.
+        package_root = Path(cuoco.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, cuoco.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -1,0 +1,83 @@
+"""The value types: immutable, compared and hashed by their fields, with
+the repr a generated class would have, and keyword construction."""
+
+import pytest
+
+from cuoco.figures import FigureSpec
+from cuoco.geometry import Classification, Point, Triangle, TriangleMetrics
+from cuoco.three_sum import ThreeSum
+
+
+def _triangle(**fields):
+    return Triangle(**{"A": Point(0, 0), "B": Point(1, 0), "C": Point(0, 1), **fields})
+
+
+# (type, keyword fields, the same fields positionally, repr)
+FROZEN = [
+    (Point, {"x": 1, "y": 2}, (1, 2), "Point(x=1, y=2)"),
+    (Triangle, {"A": Point(0, 0), "B": Point(1, 0), "C": Point(0, 1)},
+     (Point(0, 0), Point(1, 0), Point(0, 1)),
+     "Triangle(A=Point(x=0, y=0), B=Point(x=1, y=0), C=Point(x=0, y=1))"),
+    (TriangleMetrics,
+     {"a": 5, "b": 3, "c": 4, "alpha": 1.5, "beta": 0.6, "gamma": 0.9, "s": 6, "area": 6,
+      "cosines": (0, 0.8, 0.6)},
+     (5, 3, 4, 1.5, 0.6, 0.9, 6, 6, (0, 0.8, 0.6)),
+     "TriangleMetrics(a=5, b=3, c=4, alpha=1.5, beta=0.6, gamma=0.9, s=6, area=6, "
+     "cosines=(0, 0.8, 0.6))"),
+    (Classification, {"kind": "obtuse", "vertex": "C"}, ("obtuse", "C"),
+     "Classification(kind='obtuse', vertex='C')"),
+    (ThreeSum, {"L": 9, "M": 16, "N": 25}, (9, 16, 25), "ThreeSum(L=9, M=16, N=25)"),
+    (FigureSpec, {"kind": "cuoco", "precision": 3}, ("cuoco", 0, 0, True, 3),
+     "FigureSpec(kind='cuoco', fill_palette=0, stroke_palette=0, labels=True, precision=3, "
+     "omit_degenerate=False)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, positional, text", FROZEN, ids=[row[0].__name__ for row in FROZEN])
+class TestFrozenTypes:
+    def test_assignment_and_deletion_raise(self, cls, fields, positional, text):
+        obj = cls(**fields)
+        name = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(obj, name, fields[name])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.unknown = 1
+        assert getattr(obj, name) == fields[name]
+
+    def test_equal_fields_give_equal_objects_and_hashes(self, cls, fields, positional, text):
+        first, second = cls(**fields), cls(*positional)
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_repr(self, cls, fields, positional, text):
+        assert repr(cls(**fields)) == text
+
+    def test_keyword_and_positional_construction_agree(self, cls, fields, positional, text):
+        obj = cls(**fields)
+        for name, value in fields.items():
+            assert getattr(obj, name) == value
+        assert obj == cls(*positional)
+
+
+def test_unequal_fields_and_other_types_compare_unequal():
+    assert Point(1, 2) != Point(2, 1)
+    assert Classification("right", "A") != Classification("right", "B")
+    assert Classification("acute") == Classification("acute", None)
+    assert ThreeSum(1, 2, 3) != (1, 2, 3)
+    assert Point(1, 2).__eq__((1, 2)) is NotImplemented
+
+
+def test_triangle_stored_fields_stay_out_of_equality_hash_and_repr():
+    first, second = _triangle(), _triangle()
+    assert first.metrics.area == 0.5  # now cached on first only
+    second.__dict__["twice_area"] = 99.0
+    second.__dict__["_legs"] = {}
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(second) == repr(first)
+    assert "twice_area" not in repr(first) and "_legs" not in repr(first)
+    assert first != _triangle(C=Point(0, 2))
