@@ -9,7 +9,6 @@ verification check failed, 2 invalid usage or input.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import random
@@ -18,12 +17,13 @@ import sys
 from . import circles, cosine_law, decomposition, figures, three_sum
 from .geometry import (
     GeometryError,
+    OPPOSITE_SIDE,
     Point,
     Triangle,
     VERTICES,
-    classify,
     norm,
     triangle_from_sides,
+    _worst,
 )
 
 SCHEMA = "cuoco-report/1"
@@ -89,16 +89,6 @@ def _point_json(p: Point) -> list:
 
 def _triangle_json(t: Triangle) -> dict:
     return {name: _point_json(getattr(t, name)) for name in VERTICES}
-
-
-def _keep_worst(worst: float, value: float) -> float:
-    """max(worst, value), except that a NaN, once seen, is kept (max() can drop it)."""
-    return value if value > worst or math.isnan(value) else worst
-
-
-def _worst(values) -> float:
-    """The largest of nonnegative values, or NaN if any is NaN."""
-    return functools.reduce(_keep_worst, values, 0.0)
 
 
 def _decomposition_checks(t: Triangle, d):
@@ -174,7 +164,7 @@ def cmd_verify(args) -> int:
         "passed": trace_ok,
     }
     passed = passed and trace_ok
-    cls = classify(m)
+    cls = m.classification
     _emit({
         "schema": SCHEMA,
         "command": "verify",
@@ -293,8 +283,9 @@ def random_triangle(rng: random.Random, span: float = 10.0) -> Triangle:
     area or side) are rejected as well, since residual checks at 1e-9
     relative are not meaningful at worse conditioning.
     """
+    width = span - -span  # rng.uniform(-span, span) inlined, the same arithmetic
     while True:
-        coords = [rng.uniform(-span, span) for _ in range(6)]
+        coords = [-span + width * rng.random() for _ in range(6)]
         try:
             t = Triangle(
                 A=Point(coords[0], coords[1]),
@@ -333,27 +324,23 @@ def _fuzz_checks(t: Triangle, tol: float):
     if angles_rep.acute_iff_positive is not None:
         yield "angles_positivity", 0.0 if angles_rep.acute_iff_positive else 1.0
 
-    closed = circles.tangent_lengths(t)
-    side_scale = max(1.0, m.a, m.b, m.c)
-    yield "tangent_lengths", max(
-        abs(inc.tangent_lengths[v] - closed[v]) for v in VERTICES
-    ) / side_scale
+    lengths, closed = inc.tangent_lengths, circles.tangent_lengths(t)
+    yield "tangent_lengths", max(abs(lengths["A"] - closed["A"]), abs(lengths["B"] - closed["B"]),
+                                 abs(lengths["C"] - closed["C"])) / max(1.0, m.a, m.b, m.c)
     for side in circles.SIDE_ENDPOINTS:
         foot, tparam = inc.tangent_points[side], inc.tangent_params[side]
         yield "incircle_radius", abs(norm(inc.center - foot) - inc.radius) / max(1.0, inc.radius)
         yield "tangent_inside", max(0.0, -tparam, tparam - 1.0)
 
-    yield "circumradius", max(
-        abs(norm(circ.center - getattr(t, v)) - circ.radius) for v in VERTICES
-    ) / max(1.0, circ.radius)
-    measured = circ.splits
+    center, radius = circ.center, circ.radius
+    yield "circumradius", max(abs(norm(center - t.A) - radius), abs(norm(center - t.B) - radius),
+                              abs(norm(center - t.C) - radius)) / max(1.0, radius)
     closed_splits = circles.closed_form_splits(m)
     angle_at = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-    for v in VERTICES:
-        yield "vertex_splits", max(
-            abs(measured[v][w] - closed_splits[v][w]) for w in measured[v]
-        )
-        yield "split_sums", abs(sum(measured[v].values()) - angle_at[v])
+    for v, (nxt, prv) in OPPOSITE_SIDE.items():  # the order of each splits[v]
+        measured, closed = circ.splits[v], closed_splits[v]
+        yield "vertex_splits", max(abs(measured[nxt] - closed[nxt]), abs(measured[prv] - closed[prv]))
+        yield "split_sums", abs(sum(measured.values()) - angle_at[v])
 
 
 def run_fuzz(count: int, seed, tol: float) -> dict:
@@ -364,7 +351,7 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
         t = random_triangle(rng)
         for name, value in _fuzz_checks(t, tol):
             # A check's first record creates its entry, 0.0 included. As in
-            # _keep_worst, a NaN residual (the one value not equal to itself)
+            # _worst, a NaN residual (the one value not equal to itself)
             # is kept as the maximum; `not <=` fails it.
             if value > maxima.setdefault(name, value) or value != value:
                 maxima[name] = value

@@ -25,18 +25,20 @@ quad areas is a real check rather than an algebraic identity.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from .geometry import (
     OPPOSITE_SIDE,
+    NonFiniteCoordinate,
     Point,
     Triangle,
     TriangleMetrics,
     cross,
     dot,
-    norm,
     perp,
     _check_vertex,
     _Record,
+    _worst,
 )
 
 PAIR_CLASSES = ("R", "S", "T")
@@ -47,6 +49,9 @@ SIDE_FRAMES = {"a": ("B", "C", "A"), "b": ("C", "A", "B"), "c": ("A", "B", "C")}
 
 # Side -> (panel touching the first endpoint, panel touching the second).
 HOSTED_PANELS = {"a": ("T2", "R1"), "b": ("R2", "S1"), "c": ("S2", "T1")}
+
+# Vertex V -> (|VP|, |VQ|) read from the metrics, (P, Q) = OPPOSITE_SIDE[V].
+_LEG_LENGTHS = {"A": attrgetter("c", "b"), "B": attrgetter("a", "c"), "C": attrgetter("b", "a")}
 
 
 class SquareOnSide(_Record):
@@ -94,7 +99,7 @@ class CuocoDecomposition(_Record):
                  panels: tuple[RectanglePanel, ...], pair_areas: PairAreas) -> None:
         self.triangle, self.metrics = triangle, metrics
         self.squares = squares  # sides a, b, c
-        self.panels = panels  # sorted by label
+        self.panels = panels  # in PANEL_LABELS order
         self.pair_areas = pair_areas
 
     def square(self, side: str) -> SquareOnSide:
@@ -117,6 +122,15 @@ def shoelace(points) -> float:
     for i in range(n):
         total += cross(points[i], points[(i + 1) % n])
     return total / 2.0
+
+
+def _quad_areas(d: CuocoDecomposition) -> list[float]:
+    """shoelace(panel.quad) for each panel in order, the same terms summed alike."""
+    return [
+        (0 + (p.x * q.y - p.y * q.x) + (q.x * r.y - q.y * r.x)
+         + (r.x * s.y - r.y * s.x) + (s.x * p.y - s.y * p.x)) / 2.0
+        for p, q, r, s in map(attrgetter("quad"), d.panels)
+    ]
 
 
 def panel_area_exact(pair: str, t: Triangle):
@@ -148,8 +162,7 @@ def build(t: Triangle) -> CuocoDecomposition:
     """Construct the three exterior squares and the six altitude panels."""
     squares = []
     panels = []
-    for side in ("a", "b", "c"):
-        first, second, opposite = SIDE_FRAMES[side]
+    for side, (first, second, opposite) in SIDE_FRAMES.items():
         p = getattr(t, first)
         q = getattr(t, second)
         # perp(p - q) points away from the triangle for a counterclockwise
@@ -175,16 +188,17 @@ def build(t: Triangle) -> CuocoDecomposition:
             signed_area=dot(*t._legs[second]),
             quad=(q, foot, foot_out, q_out),
         ))
-    panels.sort(key=lambda panel: panel.label)
+    # Built as T2, R1, R2, S1, S2, T1; one place round is PANEL_LABELS order.
+    panels = panels[1:] + panels[:1]
     # Each panel's signed area is its pair's panel_area_exact: the same
     # dot product of the same two vectors.
-    area = {panel.label: panel.signed_area for panel in panels}
+    r1, _, s1, _, t1, _ = panels
     return CuocoDecomposition(
         triangle=t,
         metrics=t.metrics,
         squares=tuple(squares),
         panels=tuple(panels),
-        pair_areas=PairAreas(R=area["R1"], S=area["S1"], T=area["T1"]),
+        pair_areas=PairAreas(R=r1.signed_area, S=s1.signed_area, T=t1.signed_area),
     )
 
 
@@ -207,23 +221,18 @@ class PairEquivalenceReport(_Record):
 
 
 def verify_pairs(d: CuocoDecomposition) -> PairEquivalenceReport:
-    """Compare the two constructed quads of each pair class by shoelace area."""
+    """Compare each pair's two quads by shoelace area; overflow raises NonFiniteCoordinate."""
     m = d.metrics
     scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-    checks = []
-    for pair in PAIR_CLASSES:
-        first, second = pair + "1", pair + "2"
-        area_first = shoelace(d.panel(first).quad)
-        area_second = shoelace(d.panel(second).quad)
-        checks.append(PairCheck(
-            pair=pair,
-            first=first,
-            second=second,
-            area_first=area_first,
-            area_second=area_second,
-            delta=abs(area_first - area_second),
-        ))
-    return PairEquivalenceReport(checks=tuple(checks), scale=scale)
+    r1, r2, s1, s2, t1, t2 = _quad_areas(d)
+    if not math.isfinite(r1 + r2 + s1 + s2 + t1 + t2):
+        raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
+    checks = (
+        PairCheck("R", "R1", "R2", r1, r2, abs(r1 - r2)),
+        PairCheck("S", "S1", "S2", s1, s2, abs(s1 - s2)),
+        PairCheck("T", "T1", "T2", t1, t2, abs(t1 - t2)),
+    )
+    return PairEquivalenceReport(checks=checks, scale=scale)
 
 
 class SimilarityReport(_Record):
@@ -254,10 +263,10 @@ def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     foot_h, _ = t._feet[first]  # on line (v, q)
     foot_k, _ = t._feet[second]  # on line (v, p)
     vp, vq = t._legs[at_vertex]
-    len_vp = norm(vp)
-    len_vq = norm(vq)
-    ch = dot(foot_h - v, vq) / len_vq
-    ck = dot(foot_k - v, vp) / len_vp
+    # The same square roots of the same dots as norm(vp), norm(vq).
+    len_vp, len_vq = _LEG_LENGTHS[at_vertex](t.metrics)
+    ch = ((foot_h.x - v.x) * vq.x + (foot_h.y - v.y) * vq.y) / len_vq  # dot(foot_h - v, vq)
+    ck = ((foot_k.x - v.x) * vp.x + (foot_k.y - v.y) * vp.y) / len_vp
     return SimilarityReport(
         vertex=at_vertex,
         ch=ch,
@@ -292,19 +301,15 @@ def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     """
     m = d.metrics
     a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
-    quad_area = {label: shoelace(d.panel(label).quad) for label in PANEL_LABELS}
+    r1, r2, s1, s2, t1, t2 = _quad_areas(d)
     s_pair = d.pair_areas.S
     steps = (
         DerivationStep("a^2", (), a2),
-        DerivationStep("R1 + T2", ("R1", "T2"), quad_area["R1"] + quad_area["T2"]),
-        DerivationStep("R2 + T1", ("R2", "T1"), quad_area["R2"] + quad_area["T1"]),
-        DerivationStep(
-            "(b^2 - S1) + (c^2 - S2)",
-            ("S1", "S2"),
-            (b2 - quad_area["S1"]) + (c2 - quad_area["S2"]),
-        ),
+        DerivationStep("R1 + T2", ("R1", "T2"), r1 + t2),
+        DerivationStep("R2 + T1", ("R2", "T1"), r2 + t1),
+        DerivationStep("(b^2 - S1) + (c^2 - S2)", ("S1", "S2"), (b2 - s1) + (c2 - s2)),
         DerivationStep("b^2 + c^2 - 2*S", ("S1", "S2"), b2 + c2 - 2.0 * s_pair),
     )
     residual = a2 - steps[-1].value
-    max_deviation = max(abs(step.value - a2) for step in steps)
+    max_deviation = _worst(abs(step.value - a2) for step in steps)
     return DerivationTrace(steps=steps, residual=residual, max_deviation=max_deviation)

@@ -79,6 +79,16 @@ class _Frozen(_Record):
         return hash(self._values(self))
 
 
+class _cached(cached_property):
+    """cached_property without the lock that Python 3.11 takes on first use."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Point(_Frozen):
     """A point or vector. `Point(x, y)` checks that both are finite.
 
@@ -183,12 +193,12 @@ class Triangle(_Frozen):
             _legs={"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)},
         )
 
-    @cached_property
+    @_cached
     def metrics(self) -> "TriangleMetrics":
         """metrics(self), computed on first use; a Triangle never changes."""
         return metrics(self)
 
-    @cached_property
+    @_cached
     def _feet(self) -> dict[str, tuple[Point, float]]:
         """foot_of_altitude for every vertex, computed on first use."""
         # The side opposite V runs from P, whose legs are (Q - P, V - P).
@@ -211,6 +221,15 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _worst(values) -> float:
+    """The largest of nonnegative values, or NaN if any is NaN (max() can drop it)."""
+    worst = 0.0
+    for value in values:
+        if value > worst or value != value:
+            worst = value
+    return worst
+
+
 def _check_vertex(name: str) -> None:
     if name not in VERTICES:
         raise GeometryError(f"unknown vertex {name!r}, expected one of {VERTICES}")
@@ -229,6 +248,11 @@ class TriangleMetrics(_Frozen):
         # cosines: the side cosines at A, B, C
         self.__dict__.update(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
                              s=s, area=area, cosines=cosines)
+
+    @_cached
+    def classification(self) -> "Classification":
+        """classify(self), computed on first use and read by every reading."""
+        return classify(self)
 
 
 def metrics(t: Triangle) -> TriangleMetrics:

@@ -19,7 +19,7 @@ import math
 
 from .circles import IncircleData, incircle, vertex_splits
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import Classification, GeometryError, Triangle, classify, _Frozen, _Record
+from .geometry import Classification, GeometryError, Triangle, _Frozen, _Record
 
 
 class ThreeSum(_Frozen):
@@ -90,11 +90,8 @@ class InterpretationReport(_Record):
         self.tol, self.passed = tol, passed
 
 
-_COMPONENTS = ("x", "y", "z")
-
-
 def _component_residual(sol: Solution, route: dict[str, float], scale: float) -> float:
-    return max(abs(getattr(sol, name) - route[name]) for name in _COMPONENTS) / scale
+    return max(abs(sol.x - route["x"]), abs(sol.y - route["y"]), abs(sol.z - route["z"])) / scale
 
 
 def _positivity_flag(system: ThreeSum, cls: Classification) -> bool | None:
@@ -123,7 +120,7 @@ def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
         _component_residual(sol, geometric, scale),
         _component_residual(sol, closed_form, scale),
     )
-    cls = classify(m)
+    cls = m.classification
     flag = _positivity_flag(system, cls)
     return InterpretationReport(
         kind="squares",
@@ -176,7 +173,7 @@ def _interpret_sides(data: IncircleData, tol: float) -> InterpretationReport:
         closed_form=closed_form,
         max_residual=max_residual,
         all_positive=positive,
-        classification=classify(m),
+        classification=m.classification,
         acute_iff_positive=None,
         tol=tol,
         passed=max_residual <= tol and positive,
@@ -201,23 +198,20 @@ def _interpret_angles(
     system = ThreeSum(m.alpha, m.beta, m.gamma)
     sol = solve(system)
     # Each component is realized twice; hold it against both measurements.
-    measured_pairs = {
-        "x": (splits["A"]["B"], splits["B"]["A"]),
-        "y": (splits["A"]["C"], splits["C"]["A"]),
-        "z": (splits["B"]["C"], splits["C"]["B"]),
-    }
-    geometric = {name: pair[0] for name, pair in measured_pairs.items()}
+    at_a, at_b, at_c = splits["A"], splits["B"], splits["C"]
+    geometric = {"x": at_a["B"], "y": at_a["C"], "z": at_b["C"]}
     closed_form = {
         "x": math.pi / 2.0 - m.gamma,
         "y": math.pi / 2.0 - m.beta,
         "z": math.pi / 2.0 - m.alpha,
     }
+    x, y, z = sol.x, sol.y, sol.z
     max_residual = max(
-        abs(getattr(sol, name) - value)
-        for name, pair in measured_pairs.items()
-        for value in (*pair, closed_form[name])
+        abs(x - at_a["B"]), abs(x - at_b["A"]), abs(x - closed_form["x"]),
+        abs(y - at_a["C"]), abs(y - at_c["A"]), abs(y - closed_form["y"]),
+        abs(z - at_b["C"]), abs(z - at_c["B"]), abs(z - closed_form["z"]),
     )
-    cls = classify(m)
+    cls = m.classification
     flag = _positivity_flag(system, cls)
     return InterpretationReport(
         kind="angles",

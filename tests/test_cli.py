@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import cuoco
-from cuoco import cosine_law
-from cuoco.cli import _worst, main, random_triangle
-from cuoco.geometry import metrics
+from cuoco import cli, cosine_law, decomposition, geometry, three_sum
+from cuoco.cli import _worst, main, random_triangle, run_fuzz
+from cuoco.geometry import dot, metrics, triangle_from_sides
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +80,14 @@ class TestVerify:
             )
             interpretation = json.loads(out)["interpretation"]
             assert interpretation["classification"] == {"kind": "right", "vertex": "C"}, reading
+
+    def test_overflowing_quad_areas_exit_2(self, capsys):
+        # Far from the origin the absolute quad areas overflow (inf - inf);
+        # that is bad input, not a failed identity.
+        code, out, err = run_cli(capsys, "verify", "--points=1e160,0,1.00000000000001e160,0,1e160,1e150")
+        assert code == 2
+        assert out == ""
+        assert "coordinates overflow" in err and "panel quad areas" in err
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
@@ -299,6 +307,37 @@ class TestFuzz:
         for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
             assert math.isnan(_worst(values))
         assert _worst([1.0, 3.0, 2.0]) == 3.0
+
+    def test_classifies_once_per_triangle(self, monkeypatch):
+        original = geometry.classify
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (geometry, three_sum, cli):
+            if getattr(module, "classify", None) is original:
+                monkeypatch.setattr(module, "classify", counting)
+        run_fuzz(50, 7, 1e-9)
+        assert len(calls) == 50
+
+    def test_similarity_reads_side_lengths_from_metrics(self, monkeypatch):
+        t = triangle_from_sides(2.0, 3.0, 4.0)
+        # The quotients norm() gave: the metrics hold the same square roots.
+        expected = {}
+        for v in "ABC":
+            foot_h, _ = t._feet[geometry.OPPOSITE_SIDE[v][0]]
+            vq = t._legs[v][1]
+            expected[v] = dot(foot_h - getattr(t, v), vq) / geometry.norm(vq)
+
+        def no_norm(u):
+            raise AssertionError("similarity_check called norm")
+
+        for module in (geometry, decomposition):
+            monkeypatch.setattr(module, "norm", no_norm, raising=False)
+        for v in "ABC":
+            assert decomposition.similarity_check(t, v).ch == expected[v]
 
     def test_random_triangles_are_healthy(self):
         import random

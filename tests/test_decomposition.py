@@ -20,11 +20,18 @@ from cuoco.geometry import (
     dot,
     foot_of_altitude,
     metrics,
+    NonFiniteCoordinate,
     Point,
+    Triangle,
     triangle_from_sides,
 )
 
 from conftest import float_triangles, integer_triangles
+
+
+# Far from the origin: the triangle's own sizes are finite, but the cross
+# products of absolute quad coordinates (about 1e320) are not.
+FAR_OUT = Triangle(Point(1e160, 0), Point(1.00000000000001e160, 0), Point(1e160, 1e150))
 
 
 def point_in_convex_quad(pt, quad, slack):
@@ -234,6 +241,19 @@ class TestVerifyPairs:
         report = verify_pairs(build(triangle_from_sides(2.0, 3.0, 4.0)))
         assert tuple(c.pair for c in report.checks) == ("R", "S", "T")
 
+    def test_quad_areas_are_shoelace_bit_for_bit(self, fuzz_triangles):
+        triangles = [*fuzz_triangles[:200], triangle_from_sides(3, 4, 5),
+                     Triangle(Point(3, 4), Point(0, 0), Point(3, 0))]
+        for t in triangles:
+            d = build(t)
+            for check in verify_pairs(d).checks:  # hex() tells 0.0 from -0.0
+                assert check.area_first.hex() == shoelace(d.panel(check.first).quad).hex()
+                assert check.area_second.hex() == shoelace(d.panel(check.second).quad).hex()
+
+    def test_overflowing_quad_areas_raise(self):
+        with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
+            verify_pairs(build(FAR_OUT))
+
 
 class TestSimilarityCheck:
     def test_frozen_obtuse_values(self):
@@ -264,6 +284,12 @@ class TestDerivation:
         values = [step.value for step in trace.steps]
         assert values[0] == pytest.approx(9.0, rel=1e-12)
         assert max(values) - min(values) <= 1e-9 * 25.0
+
+    def test_nan_step_is_the_max_deviation(self):
+        # The quad steps are inf - inf; max() would keep the 0.0 of step one.
+        trace = derive_cosine_theorem(build(FAR_OUT))
+        assert any(math.isnan(step.value) for step in trace.steps)
+        assert math.isnan(trace.max_deviation)
 
     def test_holds_over_random_triangles(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:

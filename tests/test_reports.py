@@ -26,6 +26,16 @@ REPORTS = Path(__file__).resolve().parent / "reports"
      "solve_squares_9_16_25_sides_3_4_5.json"),
     (("solve", "--L", "1", "--M", "1", "--N", "1", "--interpret", "angles", "--sides", "5,3,4"),
      "solve_angles_1_1_1_sides_5_3_4.json"),
+    # Float coordinates; the second triangle is given clockwise (stored with
+    # B and C swapped) and is obtuse at A.
+    (("verify", "--points=0.3,0.1,1.7,0.2,0.4,2.9"), "verify_points_acute_float.json"),
+    (("verify", "--points=0.5,2.25,3.5,-0.375,-1.75,0.125"), "verify_points_obtuse_clockwise.json"),
+    (("solve", "--L", "2.5", "--M", "3.25", "--N", "4.75", "--interpret", "sides",
+      "--points=0.5,2.25,3.5,-0.375,-1.75,0.125"),
+     "solve_sides_2.5_3.25_4.75_points_obtuse_clockwise.json"),
+    (("solve", "--L", "1", "--M", "1", "--N", "1", "--interpret", "angles",
+      "--points=0.3,0.1,1.7,0.2,0.4,2.9"),
+     "solve_angles_1_1_1_points_acute_float.json"),
 ])
 def test_report_matches_pinned_text(capsys, argv, name):
     assert main(list(argv)) == 0
