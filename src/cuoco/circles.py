@@ -13,6 +13,7 @@ import math
 
 from .geometry import (
     OPPOSITE_SIDE,
+    GeometryError,
     NonFiniteCoordinate,
     Point,
     Triangle,
@@ -112,6 +113,8 @@ def _circumcenter(t: Triangle) -> Point:
     bx, by = t.B.x, t.B.y
     cx, cy = t.C.x, t.C.y
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if d == 0:  # absolute coordinates can cancel where the triangle's own cross product does not
+        raise GeometryError(f"the circumcentre's determinant rounds to zero for {t}")
     a2 = ax * ax + ay * ay
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy

@@ -43,7 +43,8 @@ class KindMismatch(ValueError):
 
 
 class FigureSpec(_Frozen):
-    _fields = ("kind", "fill_palette", "stroke_palette", "labels", "precision", "omit_degenerate")
+    __slots__ = _fields = ("kind", "fill_palette", "stroke_palette", "labels", "precision",
+                           "omit_degenerate")
 
     def __init__(self, kind: str, fill_palette: int = 0, stroke_palette: int = 0,
                  labels: bool = True, precision: int = 6, omit_degenerate: bool = False) -> None:
@@ -55,8 +56,7 @@ class FigureSpec(_Frozen):
             raise ValueError(f"fill_palette out of range: {fill_palette!r}")
         if not 0 <= stroke_palette < len(STROKE_PALETTES):
             raise ValueError(f"stroke_palette out of range: {stroke_palette!r}")
-        self.__dict__.update(kind=kind, fill_palette=fill_palette, stroke_palette=stroke_palette,
-                             labels=labels, precision=precision, omit_degenerate=omit_degenerate)
+        self._store(kind, fill_palette, stroke_palette, labels, precision, omit_degenerate)
 
 
 _EXPECTED_DATA = {

@@ -9,7 +9,6 @@ square roots and arctangents that genuinely need it.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from operator import attrgetter
 
 VERTICES = ("A", "B", "C")
@@ -64,10 +63,21 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """An immutable _Record, hashed by its fields. Constructors store their
-    fields straight into the instance `__dict__`."""
+    """An immutable _Record, hashed by its fields. Each subclass declares
+    `__slots__`: its fields, then any values stored beside them. Constructors
+    set them through `_store`; copy and pickle rebuild through the
+    constructor."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _store(self, *values) -> None:
+        """Set the leading slots, in `__slots__` order, to values."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,15 +88,8 @@ class _Frozen(_Record):
     def __hash__(self) -> int:
         return hash(self._values(self))
 
-
-class _cached(cached_property):
-    """cached_property without the lock that Python 3.11 takes on first use."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
+    def __reduce__(self):
+        return (type(self), self._values(self))
 
 
 class Point(_Frozen):
@@ -99,10 +102,10 @@ class Point(_Frozen):
     coordinates).
     """
 
-    _fields = ("x", "y")
+    __slots__ = _fields = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        self.__dict__.update(x=x, y=y)
+        self._store(x, y)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -121,12 +124,14 @@ class Point(_Frozen):
         return _point(k * self.x, k * self.y)
 
 
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
+
+
 def _point(x, y) -> Point:
     """A Point from computed coordinates, without the finiteness check."""
     p = object.__new__(Point)
-    fields = p.__dict__
-    fields["x"] = x
-    fields["y"] = y
+    _set_x(p, x)
+    _set_y(p, y)
     return p
 
 
@@ -160,12 +165,18 @@ class Triangle(_Frozen):
 
     Construction is where finiteness is checked: twice the area and the
     squared sides must be finite, so that no coordinate difference, dot or
-    cross product computed from the triangle later can overflow.
+    cross product computed from the triangle later can overflow. The
+    squared sides must also be nonzero, since the feet and the cosines
+    divide by them. The metrics and the feet are computed here too: every
+    reader needs them, and a Triangle never changes.
     """
 
     # Only the vertices are fields; the values stored beside them stay out
     # of repr, equality and hash.
     _fields = ("A", "B", "C")
+    # twice_area is positive; _side_squares is (a^2, b^2, c^2), each the dot
+    # of a side vector with itself.
+    __slots__ = _fields + ("twice_area", "_side_squares", "_legs", "_feet", "metrics")
 
     def __init__(self, A: Point, B: Point, C: Point) -> None:
         ab, ac = B - A, C - A
@@ -183,29 +194,17 @@ class Triangle(_Frozen):
             )
         if doubled == 0:
             raise CollinearPoints(f"vertices are collinear: {A}, {B}, {C}")
-        self.__dict__.update(
-            A=A, B=B, C=C,
-            twice_area=doubled,  # positive
-            # (a^2, b^2, c^2), each the dot of a side vector with itself.
-            _side_squares=squares,
-            # Vertex V -> (P - V, Q - V), the two sides leaving V, with
-            # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
-            _legs={"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)},
-        )
-
-    @_cached
-    def metrics(self) -> "TriangleMetrics":
-        """metrics(self), computed on first use; a Triangle never changes."""
-        return metrics(self)
-
-    @_cached
-    def _feet(self) -> dict[str, tuple[Point, float]]:
-        """foot_of_altitude for every vertex, computed on first use."""
-        # The side opposite V runs from P, whose legs are (Q - P, V - P).
-        return {
-            v: _project(getattr(self, first), *self._legs[first])
-            for v, (first, _) in OPPOSITE_SIDE.items()
-        }
+        if not all(squares):
+            raise GeometryError(f"a squared side of {A}, {B}, {C} underflows to zero")
+        # Vertex V -> (P - V, Q - V), the two sides leaving V, with
+        # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
+        legs = {"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)}
+        # Vertex V -> foot_of_altitude(self, V). The side opposite V runs
+        # from P, whose legs are (Q - P, V - P).
+        feet = {"A": _project(B, *legs["B"]), "B": _project(C, *legs["C"]),
+                "C": _project(A, *legs["A"])}
+        self._store(A, B, C, doubled, squares, legs, feet)
+        object.__setattr__(self, "metrics", metrics(self))
 
     def vertex(self, name: str) -> Point:
         _check_vertex(name)
@@ -242,17 +241,13 @@ def _cos_opposite(p: float, q: float, r: float) -> float:
 
 class TriangleMetrics(_Frozen):
     _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
+    __slots__ = _fields + ("classification",)  # classify(self), read by every reading
 
     def __init__(self, a: float, b: float, c: float, alpha: float, beta: float, gamma: float,
                  s: float, area: float, cosines: tuple[float, float, float]) -> None:
         # cosines: the side cosines at A, B, C
-        self.__dict__.update(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
-                             s=s, area=area, cosines=cosines)
-
-    @_cached
-    def classification(self) -> "Classification":
-        """classify(self), computed on first use and read by every reading."""
-        return classify(self)
+        self._store(a, b, c, alpha, beta, gamma, s, area, cosines)
+        object.__setattr__(self, "classification", classify(self))
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
@@ -280,11 +275,11 @@ def metrics(t: Triangle) -> TriangleMetrics:
 
 
 class Classification(_Frozen):
-    _fields = ("kind", "vertex")
+    __slots__ = _fields = ("kind", "vertex")
 
     def __init__(self, kind: str, vertex: str | None = None) -> None:
         # kind: "acute" | "right" | "obtuse"; vertex: set for right and obtuse
-        self.__dict__.update(kind=kind, vertex=vertex)
+        self._store(kind, vertex)
 
     @property
     def is_acute(self) -> bool:

@@ -25,13 +25,13 @@ from .geometry import Classification, GeometryError, Triangle, _Frozen, _Record
 class ThreeSum(_Frozen):
     """Right-hand sides of x + y = L, x + z = M, y + z = N."""
 
-    _fields = ("L", "M", "N")
+    __slots__ = _fields = ("L", "M", "N")
 
     def __init__(self, L: float, M: float, N: float) -> None:
         for value in (L, M, N):
             if not math.isfinite(value):
                 raise GeometryError(f"system inputs must be finite, got {value!r}")
-        self.__dict__.update(L=L, M=M, N=N)
+        self._store(L, M, N)
 
 
 class Solution(_Record):

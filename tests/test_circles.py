@@ -15,7 +15,10 @@ from cuoco.geometry import (
     cross,
     distance,
     dot,
+    GeometryError,
     metrics,
+    Point,
+    Triangle,
     triangle_from_sides,
     VERTICES,
 )
@@ -137,6 +140,17 @@ class TestCircumcircle:
         edges = ((t.A, t.B), (t.B, t.C), (t.C, t.A))
         sides = [cross(q - p, data.center - p) for p, q in edges]
         assert min(sides) > 0
+
+
+    @pytest.mark.parametrize("construct", [circumcircle, vertex_splits])
+    def test_cancelling_determinant_rejected(self, construct):
+        # The triangle's own cross product is nonzero, but the determinant
+        # taken from absolute coordinates this far out cancels to zero.
+        t = Triangle(A=Point(190233263674.5445, 190233263674.5445),
+                     B=Point(190233263674.54453, 190233263674.5445),
+                     C=Point(190233263674.5445, 190233263674.5446))
+        with pytest.raises(GeometryError, match="circumcentre"):
+            construct(t)
 
 
 class TestVertexSplits:

@@ -13,6 +13,11 @@ from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import dot, metrics, triangle_from_sides
 
 
+# A thin triangle about 2e11 from the origin.
+FAR_THIN = ("190233263674.5445,190233263674.5445,190233263674.54453,190233263674.5445,"
+            "190233263674.5445,190233263674.5446")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -229,6 +234,28 @@ class TestFigure:
         )
         assert code == 2
         assert err != ""
+
+
+class TestDegenerateArithmetic:
+    """Valid input whose float arithmetic degenerates exits 2 with the cause."""
+
+    @pytest.mark.parametrize("argv, cause", [
+        # |AB|^2 underflows to zero while the cross product does not.
+        (("verify", "--points=0,0,1e-170,0,0,1e10"), "underflows to zero"),
+        (("figure", "--kind", "euclid_defect", "--points=0,0,1e-170,0,0,1e10"), "underflows to zero"),
+        # The circumcentre's determinant cancels in absolute coordinates.
+        (("figure", "--kind", "circumcircle", f"--points={FAR_THIN}"), "circumcentre"),
+        (("solve", "--L", "1", "--M", "1", "--N", "1", "--interpret", "angles",
+          f"--points={FAR_THIN}"), "circumcentre"),
+    ], ids=["verify-underflow", "figure-underflow", "figure-circumcentre", "solve-circumcentre"])
+    def test_degenerate_arithmetic_exit_2(self, capsys, tmp_path, argv, cause):
+        if argv[0] == "figure":
+            argv += ("--out", str(tmp_path / "x.svg"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert cause in err
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestFuzz:

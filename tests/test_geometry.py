@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,12 @@ class TestTriangle:
         with pytest.raises(CollinearPoints):
             Triangle(A=Point(0, 0), B=Point(1, 1), C=Point(3, 3))
 
+    def test_underflowing_squared_side_rejected(self):
+        # The cross product 1e-160 is representable, but |AB|^2 = 1e-340 is not:
+        # the feet and the side cosines would divide by zero.
+        with pytest.raises(GeometryError, match="squared side .* underflows to zero"):
+            Triangle(A=Point(0, 0), B=Point(1e-170, 0), C=Point(0, 1e10))
+
     def test_vertex_lookup(self):
         t = Triangle(A=Point(0, 0), B=Point(2, 0), C=Point(0, 2))
         assert t.vertex("A") == t.A
@@ -95,6 +103,16 @@ def _assert_legs_are_vertex_differences(t):
             assert _same_number(leg.x, want.x) and _same_number(leg.y, want.y), (v, leg, want)
 
 
+SIGNED_ZERO_TRIANGLES = [
+    # A and C share x = 3.0: C - A is (0.0, -4.0), while -(A - C) would be (-0.0, -4.0).
+    triangle_from_sides(3, 4, 5),
+    triangle_from_sides(5, 3, 4),
+    # Clockwise input, relabelled by swapping B and C; signed zeros in the input.
+    Triangle(A=Point(0.0, 0.0), B=Point(-0.0, 1.0), C=Point(1.0, -0.0)),
+    Triangle(A=Point(2.0, -0.0), B=Point(2.0, 3.0), C=Point(5.0, 0.0)),
+]
+
+
 class TestLegs:
     """Triangle._legs[V] is (P - V, Q - V), computed by that very subtraction."""
 
@@ -108,16 +126,19 @@ class TestLegs:
     def test_float_triangles(self, t):
         _assert_legs_are_vertex_differences(t)
 
-    @pytest.mark.parametrize("t", [
-        # A and C share x = 3.0: C - A is (0.0, -4.0), while -(A - C) would be (-0.0, -4.0).
-        triangle_from_sides(3, 4, 5),
-        triangle_from_sides(5, 3, 4),
-        # Clockwise input, relabelled by swapping B and C; signed zeros in the input.
-        Triangle(A=Point(0.0, 0.0), B=Point(-0.0, 1.0), C=Point(1.0, -0.0)),
-        Triangle(A=Point(2.0, -0.0), B=Point(2.0, 3.0), C=Point(5.0, 0.0)),
-    ])
+    @pytest.mark.parametrize("t", SIGNED_ZERO_TRIANGLES)
     def test_signed_zeros_and_clockwise_input(self, t):
         _assert_legs_are_vertex_differences(t)
+
+    @pytest.mark.parametrize("t", SIGNED_ZERO_TRIANGLES)
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                            lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copy_and_pickle_keep_legs_bit_for_bit(self, t, round_trip):
+        other = round_trip(t)
+        assert other == t
+        for v in OPPOSITE_SIDE:
+            for leg, want in zip(other._legs[v], t._legs[v]):
+                assert _same_number(leg.x, want.x) and _same_number(leg.y, want.y), (v, leg, want)
 
 
 class TestVertexNames:

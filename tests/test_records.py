@@ -1,10 +1,13 @@
 """The value types: immutable, compared and hashed by their fields, with
 the repr a generated class would have, and keyword construction."""
 
+import copy
+import pickle
+
 import pytest
 
 from cuoco.figures import FigureSpec
-from cuoco.geometry import Classification, Point, Triangle, TriangleMetrics
+from cuoco.geometry import Classification, Point, Triangle, TriangleMetrics, _point
 from cuoco.three_sum import ThreeSum
 
 
@@ -62,6 +65,22 @@ class TestFrozenTypes:
             assert getattr(obj, name) == value
         assert obj == cls(*positional)
 
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                            lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_give_equal_objects(self, cls, fields, positional, text, round_trip):
+        obj = cls(**fields)
+        other = round_trip(obj)
+        assert type(other) is cls
+        assert other == obj and hash(other) == hash(obj)
+        assert repr(other) == text
+
+    def test_slotted_without_instance_dict(self, cls, fields, positional, text):
+        obj = cls(**fields)
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "unknown", 1)
+
 
 def test_unequal_fields_and_other_types_compare_unequal():
     assert Point(1, 2) != Point(2, 1)
@@ -71,11 +90,17 @@ def test_unequal_fields_and_other_types_compare_unequal():
     assert Point(1, 2).__eq__((1, 2)) is NotImplemented
 
 
+@pytest.mark.parametrize("x, y", [(1, 2), (0.5, -0.0), (3, 4.25)])
+def test_unchecked_point_equals_checked_point(x, y):
+    assert _point(x, y) == Point(x, y)
+    assert hash(_point(x, y)) == hash(Point(x, y))
+
+
 def test_triangle_stored_fields_stay_out_of_equality_hash_and_repr():
     first, second = _triangle(), _triangle()
-    assert first.metrics.area == 0.5  # now cached on first only
-    second.__dict__["twice_area"] = 99.0
-    second.__dict__["_legs"] = {}
+    assert first.metrics.area == 0.5  # computed on construction
+    object.__setattr__(second, "twice_area", 99.0)
+    object.__setattr__(second, "_legs", {})
     assert first == second
     assert hash(first) == hash(second)
     assert repr(second) == repr(first)
