@@ -64,9 +64,10 @@ class _Record:
 
 class _Frozen(_Record):
     """An immutable _Record, hashed by its fields. Each subclass declares
-    `__slots__`: its fields, then any values stored beside them. Constructors
-    set them through `_store`; copy and pickle rebuild through the
-    constructor."""
+    `__slots__`, its fields followed by any values stored beside them, and
+    has no instance `__dict__`. Assignment raises, so constructors set the
+    slots through their descriptors (`_store`) or `object.__setattr__`;
+    copy and pickle rebuild a value through its constructor."""
 
     __slots__ = ()
 

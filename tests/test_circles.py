@@ -141,7 +141,6 @@ class TestCircumcircle:
         sides = [cross(q - p, data.center - p) for p, q in edges]
         assert min(sides) > 0
 
-
     @pytest.mark.parametrize("construct", [circumcircle, vertex_splits])
     def test_cancelling_determinant_rejected(self, construct):
         # The triangle's own cross product is nonzero, but the determinant

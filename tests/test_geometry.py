@@ -132,7 +132,8 @@ class TestLegs:
 
     @pytest.mark.parametrize("t", SIGNED_ZERO_TRIANGLES)
     @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
-                                            lambda t: pickle.loads(pickle.dumps(t))])
+                                            lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
     def test_copy_and_pickle_keep_legs_bit_for_bit(self, t, round_trip):
         other = round_trip(t)
         assert other == t
