@@ -407,58 +407,77 @@ def _add_triangle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--points", help="vertex coordinates x1,y1,x2,y2,x3,y3")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _add_triangle_args(p)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--L", type=float, required=True)
+    p.add_argument("--M", type=float, required=True)
+    p.add_argument("--N", type=float, required=True)
+    p.add_argument("--degrees", action="store_true",
+                   help="treat L, M, N as degrees and convert to radians")
+    p.add_argument("--interpret", choices=("squares", "sides", "angles"),
+                   help="cross-check the solution against a triangle")
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    _add_triangle_args(p)
+
+
+def _figure_args(p: argparse.ArgumentParser) -> None:
+    _add_triangle_args(p)
+    p.add_argument("--kind", choices=figures.KINDS, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--precision", type=int, default=6)
+    p.add_argument("--fill-palette", type=int, default=0, dest="fill_palette")
+    p.add_argument("--stroke-palette", type=int, default=0, dest="stroke_palette")
+    p.add_argument("--no-labels", action="store_true")
+    p.add_argument("--omit-degenerate", action="store_true")
+
+
+def _fuzz_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+
+
+# name: (help, add_arguments, handler), in the order help lists them.
+COMMANDS = {
+    "verify": ("run every identity check on one triangle", _verify_args, cmd_verify),
+    "solve": ("solve x+y=L, x+z=M, y+z=N", _solve_args, cmd_solve),
+    "figure": ("write an SVG drawing", _figure_args, cmd_figure),
+    "fuzz": ("random triangles through every invariant check", _fuzz_args, cmd_fuzz),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser with only the subparser `argv[0]` names (one
+    costs more than most requests), or all four when it names none, so help
+    and errors list every command. The explicit usage and subparser `prog`
+    keep each usage line as the full tree prints it.
+    """
     parser = argparse.ArgumentParser(
         prog="cuoco",
+        usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
         description="Verify the law of cosines constructively and draw the figures behind it.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run every identity check on one triangle")
-    _add_triangle_args(p_verify)
-    p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_solve = sub.add_parser("solve", help="solve x+y=L, x+z=M, y+z=N")
-    p_solve.add_argument("--L", type=float, required=True)
-    p_solve.add_argument("--M", type=float, required=True)
-    p_solve.add_argument("--N", type=float, required=True)
-    p_solve.add_argument("--degrees", action="store_true",
-                         help="treat L, M, N as degrees and convert to radians")
-    p_solve.add_argument("--interpret", choices=("squares", "sides", "angles"),
-                         help="cross-check the solution against a triangle")
-    p_solve.add_argument("--tol", type=_tolerance, default=1e-9)
-    _add_triangle_args(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_figure = sub.add_parser("figure", help="write an SVG drawing")
-    _add_triangle_args(p_figure)
-    p_figure.add_argument("--kind", choices=figures.KINDS, required=True)
-    p_figure.add_argument("--out", required=True)
-    p_figure.add_argument("--precision", type=int, default=6)
-    p_figure.add_argument("--fill-palette", type=int, default=0, dest="fill_palette")
-    p_figure.add_argument("--stroke-palette", type=int, default=0, dest="stroke_palette")
-    p_figure.add_argument("--no-labels", action="store_true")
-    p_figure.add_argument("--omit-degenerate", action="store_true")
-    p_figure.set_defaults(func=cmd_figure)
-
-    p_fuzz = sub.add_parser("fuzz", help="random triangles through every invariant check")
-    p_fuzz.add_argument("--count", type=int, default=1000)
-    p_fuzz.add_argument("--seed", default="0")
-    p_fuzz.add_argument("--tol", type=_tolerance, default=1e-9)
-    p_fuzz.set_defaults(func=cmd_fuzz)
-
+    sub = parser.add_subparsers(dest="command", required=True, prog="cuoco")
+    names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return COMMANDS[args.command][2](args)
     except (InputError, GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

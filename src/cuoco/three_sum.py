@@ -45,8 +45,13 @@ class Solution(_Record):
 
 
 def solve(system: ThreeSum) -> Solution:
-    L, M, N = system.L, system.M, system.N
-    return Solution(x=(L + M - N) / 2.0, y=(L + N - M) / 2.0, z=(M + N - L) / 2.0)
+    # Halves first: halving is exact, so this is (L + M - N) / 2 bit for bit
+    # unless a sum would overflow or a half is subnormal.
+    L, M, N = system.L / 2.0, system.M / 2.0, system.N / 2.0
+    x, y, z = (L + M) - N, (L + N) - M, (M + N) - L
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise GeometryError(f"the solution overflows a float: x={x}, y={y}, z={z}")
+    return Solution(x=x, y=y, z=z)
 
 
 def all_positive(system: ThreeSum) -> bool:

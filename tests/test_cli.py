@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -147,6 +148,23 @@ class TestSolve:
     def test_non_finite_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--L", "nan", "--M", "1", "--N", "2")
         assert code == 2
+
+    def test_large_finite_input_gives_valid_json(self, capsys):
+        # (L + M - N) / 2 overflows to inf at 1e308; JSON has no Infinity.
+        code, out, _ = run_cli(capsys, "solve", "--L", "1e308", "--M", "1e308", "--N", "1e308")
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["solution"] == {"x": 5e307, "y": 5e307, "z": 5e307}
+
+    def test_unrepresentable_solution_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--L=1.7e308", "--M=1.7e308", "--N=-1.7e308")
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
 
 
 class TestFigure:
@@ -402,3 +420,86 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+
+NAMES = ("verify", "solve", "figure", "fuzz")
+
+
+class TestParser:
+    """Each command line builds the top-level parser and only its own
+    subparser; help, errors and usage lines read as from the full tree."""
+
+    @staticmethod
+    def built_parsers(monkeypatch) -> list:
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    def test_a_command_builds_only_its_own_subparser(self, capsys, monkeypatch):
+        built = self.built_parsers(monkeypatch)
+        assert run_cli(capsys, "verify", "--sides", "3,4,5")[0] == 0
+        assert len(built) == 2
+
+    def test_help_builds_every_subparser(self, capsys, monkeypatch):
+        built = self.built_parsers(monkeypatch)
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert len(built) == 5
+        assert all(name in out for name in NAMES)
+
+    def test_unknown_option_usage_lists_every_command(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--bogus")
+        assert code == 2
+        assert out == ""
+        usage = err.splitlines()[0]
+        assert usage.startswith("usage: cuoco ")
+        assert all(name in usage for name in NAMES)
+        assert "--bogus" in err
+
+    @pytest.mark.parametrize("argv", [("bogus",), ()], ids=["unknown", "none"])
+    def test_missing_or_unknown_command_names_every_choice(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert all(name in err for name in NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_command_help(self, capsys, name):
+        code, out, _ = run_cli(capsys, name, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: cuoco {name} ")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--sides", "3,4,5", "--tol", "1e-6"),
+        ("solve", "--L", "1", "--M", "2", "--N", "3", "--degrees", "--interpret", "sides"),
+        ("figure", "--kind", "cuoco", "--points=0,0,4,0,1,3", "--out", "x.svg", "--no-labels"),
+        ("fuzz", "--count", "5", "--seed", "s"),
+        ("verify", "--help"),
+        ("solve", "--L", "1"),
+        ("figure", "--kind", "nope"),
+        ("fuzz", "--count", "x"),
+        ("verify", "--bogus"),
+        ("verify", "--sides", "3,4,5", "extra"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_one_subparser_parses_as_the_full_tree(self, capsys, argv):
+        def parse(parser):
+            try:
+                result = vars(parser.parse_args(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert parse(cli.build_parser(list(argv))) == parse(cli.build_parser([]))
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # The `cuoco` console script calls main() with no arguments.
+        monkeypatch.setattr(sys, "argv", ["cuoco", "verify", "--sides", "3,4,5"])
+        code = main()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["classification"]["kind"] == "right"

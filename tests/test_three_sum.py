@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuoco.geometry import metrics, triangle_from_sides
+from cuoco.geometry import GeometryError, metrics, triangle_from_sides
 from cuoco.three_sum import (
     ThreeSum,
     all_positive,
@@ -33,6 +34,25 @@ class TestSolve:
             ThreeSum(float("nan"), 1.0, 2.0)
         with pytest.raises(ValueError):
             ThreeSum(1.0, float("inf"), 2.0)
+
+    def test_large_finite_input_stays_finite(self):
+        # (L + M - N) / 2 would overflow in L + M.
+        assert solve(ThreeSum(1e308, 1e308, 1e308)).as_tuple() == (5e307, 5e307, 5e307)
+        assert solve(ThreeSum(1.7e308, 1.7e308, 1e308)).x == 1.2e308
+
+    def test_unrepresentable_solution_rejected(self):
+        with pytest.raises(GeometryError, match="overflows"):
+            solve(ThreeSum(1.7e308, 1.7e308, -1.7e308))
+
+    def test_halves_first_is_bit_identical_on_normal_inputs(self):
+        # Halving is exact, so halves-first changes no bit of the
+        # solution away from overflow and subnormals.
+        rng = random.Random(20161)
+        for _ in range(20000):
+            L, M, N = (rng.choice((-1, 1)) * 10.0 ** rng.uniform(-8, 8) for _ in range(3))
+            old = ((L + M - N) / 2.0, (L + N - M) / 2.0, (M + N - L) / 2.0)
+            got = solve(ThreeSum(L, M, N)).as_tuple()
+            assert [v.hex() for v in got] == [v.hex() for v in old], (L, M, N)
 
     @settings(max_examples=300)
     @given(finite_values, finite_values, finite_values)
