@@ -91,13 +91,17 @@ def _triangle_json(t: Triangle) -> dict:
     return {name: _point_json(getattr(t, name)) for name in VERTICES}
 
 
-def _decomposition_checks(t: Triangle, d):
+def _decomposition_checks(t: Triangle):
     """Yield (check, item, residual, scale, detail) for the checks that
     `verify` and `fuzz` share; a check passes when |residual| <= tol * scale.
 
     `item` is the vertex or pair class a record is about, or None for a
-    whole-triangle check. `detail` is what `verify` reports for the record,
-    or None for the checks that only `fuzz` reports.
+    whole-triangle check. `detail` is the tuple of values `verify` reports
+    for the record, named by `_VERIFY_ENTRIES`, or None where `verify`
+    prints nothing from here: for `defect_sign` and `square_sums`, which
+    only `fuzz` reports, and for `derivation`, whose steps `verify` takes
+    from `derive_cosine_theorem`. The pair and quad areas are the ones
+    `build` stores and draws, computed without building the decomposition.
     """
     m = t.metrics
     # Rounding in these area identities grows with the largest squared side.
@@ -105,53 +109,66 @@ def _decomposition_checks(t: Triangle, d):
 
     identity = cosine_law.verify_cosine_identity(m)
     yield ("cosine_identity", None, _worst(abs(r) for r in identity.residuals), identity.scale,
-           {"residuals": list(identity.residuals)})
+           (identity.residuals,))
 
     for v, cos_v in zip(VERTICES, m.cosines):
         defect, residual = cosine_law.euclid_defect(t, v)
-        yield "euclid_defect", v, residual, scale, {"defect": defect, "residual": residual}
+        yield "euclid_defect", v, residual, scale, (defect, residual)
         # Tighter than RIGHT_ANGLE_BAND, which would skip more vertices.
         if abs(cos_v) > 1e-12:
             yield "defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0, None
 
-    pairs = decomposition.verify_pairs(d)
-    quads = {check.pair: {"first": check.area_first, "second": check.area_second, "delta": check.delta}
-             for check in pairs.checks}
-    yield ("pair_equivalence", None, _worst(check.delta for check in pairs.checks), pairs.scale,
-           {"pairs": quads})
-    for pair in decomposition.PAIR_CLASSES:
-        exact = d.pair_areas.get(pair)
+    quads = decomposition._finite_quad_areas(t)
+    r1, r2, s1, s2, t1, t2 = quads
+    yield ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
+           quads)
+    areas = {pair: decomposition.panel_area_exact(pair, t) for pair in decomposition.PAIR_CLASSES}
+    for pair, exact in areas.items():
         trig = decomposition.panel_area_trig(pair, m)
-        yield "trig_vs_exact", pair, exact - trig, scale, {"exact": exact, "trig": trig}
-    sums = (
-        abs(d.pair_areas.R + d.pair_areas.T - m.a * m.a),
-        abs(d.pair_areas.R + d.pair_areas.S - m.b * m.b),
-        abs(d.pair_areas.S + d.pair_areas.T - m.c * m.c),
-    )
-    yield "square_sums", None, _worst(sums), scale, None
+        yield "trig_vs_exact", pair, exact - trig, scale, (exact, trig)
+    R, S, T = areas.values()
+    yield "square_sums", None, _worst((abs(R + T - m.a * m.a), abs(R + S - m.b * m.b),
+                                       abs(S + T - m.c * m.c))), scale, None
     for v in VERTICES:
         rep = decomposition.similarity_check(t, v)
-        yield ("similarity", v, rep.residual, rep.scale,
-               {"ch": rep.ch, "ck": rep.ck, "residual": rep.residual})
+        yield "similarity", v, rep.residual, rep.scale, (rep.ch, rep.ck, rep.residual)
+    _, max_deviation = decomposition._chain(m, quads, S)
+    yield "derivation", None, max_deviation, scale, None
+
+
+def _pairs_entry(*quads) -> dict:
+    pairs = zip(decomposition.PAIR_CLASSES, quads[::2], quads[1::2])
+    return {"pairs": {pair: {"first": first, "second": second, "delta": abs(first - second)}
+                      for pair, first, second in pairs}}
+
+
+# Check -> verify's entry for one record, from the record's detail tuple.
+_VERIFY_ENTRIES = {
+    "cosine_identity": lambda residuals: {"residuals": residuals},
+    "euclid_defect": lambda defect, residual: {"defect": defect, "residual": residual},
+    "pair_equivalence": _pairs_entry,
+    "trig_vs_exact": lambda exact, trig: {"exact": exact, "trig": trig},
+    "similarity": lambda ch, ck, residual: {"ch": ch, "ck": ck, "residual": residual},
+}
 
 
 def cmd_verify(args) -> int:
     t = _triangle_from_args(args)
     tol = args.tol
     m = t.metrics
-    d = decomposition.build(t)
     checks = {}
     passed = True
-    for check, item, residual, scale, detail in _decomposition_checks(t, d):
+    for check, item, residual, scale, detail in _decomposition_checks(t):
         if detail is None:
             continue
-        entry = {**detail, "passed": abs(residual) <= tol * scale}
+        entry = {**_VERIFY_ENTRIES[check](*detail), "passed": abs(residual) <= tol * scale}
         passed = passed and entry["passed"]
         if item is None:
             checks[check] = entry
         else:
             checks.setdefault(check, {})[item] = entry
 
+    d = decomposition.build(t)
     trace = decomposition.derive_cosine_theorem(d)
     trace_ok = trace.max_deviation <= tol * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
     checks["derivation"] = {
@@ -303,11 +320,12 @@ def random_triangle(rng: random.Random, span: float = 10.0) -> Triangle:
 def _fuzz_checks(t: Triangle, tol: float):
     """Yield (check name, normalized residual) pairs for one triangle.
 
-    Each construction (metrics, decomposition, incircle, circumcircle) is
-    made once here and shared by the checks that read it.
+    Each construction (metrics, incircle, circumcircle) is made once here
+    and shared by the checks that read it; the decomposition's areas come
+    from the triangle's frame, so it is never built.
     """
     m = t.metrics
-    for check, _, residual, scale, _ in _decomposition_checks(t, decomposition.build(t)):
+    for check, _, residual, scale, _ in _decomposition_checks(t):
         yield check, abs(residual) / scale
 
     squares_rep = three_sum.interpret_squares(t, tol)

@@ -35,8 +35,8 @@ from .geometry import (
     TriangleMetrics,
     cross,
     dot,
-    perp,
     _check_vertex,
+    _point,
     _Record,
     _worst,
 )
@@ -85,11 +85,6 @@ class PairAreas(_Record):
     def __init__(self, R: float, S: float, T: float) -> None:
         self.R, self.S, self.T = R, S, T
 
-    def get(self, pair: str) -> float:
-        if pair not in PAIR_CLASSES:
-            raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
-        return getattr(self, pair)
-
 
 class CuocoDecomposition(_Record):
     __slots__ = _fields = ("triangle", "metrics", "squares", "panels", "pair_areas")
@@ -124,13 +119,49 @@ def shoelace(points) -> float:
     return total / 2.0
 
 
-def _quad_areas(d: CuocoDecomposition) -> list[float]:
-    """shoelace(panel.quad) for each panel in order, the same terms summed alike."""
-    return [
-        (0 + (p.x * q.y - p.y * q.x) + (q.x * r.y - q.y * r.x)
-         + (r.x * s.y - r.y * s.x) + (s.x * p.y - s.y * p.x)) / 2.0
-        for p, q, r, s in map(attrgetter("quad"), d.panels)
-    ]
+def _side_corners(t: Triangle):
+    """The corners `build` places on each side, in SIDE_FRAMES order.
+
+    Yields (p, q, foot, p_out, q_out, foot_out) as (x, y) pairs: the side's
+    endpoints, the foot of the altitude on its line, and each of the three
+    moved across the side by perp(p - q). That offset points away from the
+    triangle for a counterclockwise vertex order and has the side's length,
+    so (q, p, p_out, q_out) is the exterior square, counterclockwise from
+    the side, and the foot splits it into the panels (foot, p, p_out,
+    foot_out) and (q, foot, foot_out, q_out).
+    """
+    for first, second, opposite in SIDE_FRAMES.values():
+        p, q = getattr(t, first), getattr(t, second)
+        foot, _ = t._feet[opposite]
+        # The legs at q are (v - q, p - q); perp(p - q) = (-(p - q).y, (p - q).x).
+        side = t._legs[second][1]
+        nx, ny = -side.y, side.x
+        yield ((p.x, p.y), (q.x, q.y), (foot.x, foot.y),
+               (p.x + nx, p.y + ny), (q.x + nx, q.y + ny), (foot.x + nx, foot.y + ny))
+
+
+def _quad_areas(t: Triangle) -> list[float]:
+    """shoelace(panel.quad) for each panel of build(t), in PANEL_LABELS order:
+    the same corners, and the same terms summed alike, so bit for bit."""
+    areas = []
+    for (px, py), (qx, qy), (fx, fy), (pox, poy), (qox, qoy), (fox, foy) in _side_corners(t):
+        # (foot, p, p_out, foot_out), then (q, foot, foot_out, q_out)
+        areas.append((0 + (fx * py - fy * px) + (px * poy - py * pox)
+                      + (pox * foy - poy * fox) + (fox * fy - foy * fx)) / 2.0)
+        areas.append((0 + (qx * fy - qy * fx) + (fx * foy - fy * fox)
+                      + (fox * qoy - foy * qox) + (qox * qy - qoy * qx)) / 2.0)
+    # Made as T2, R1, R2, S1, S2, T1; one place round is PANEL_LABELS order.
+    return areas[1:] + areas[:1]
+
+
+def _finite_quad_areas(t: Triangle) -> list[float]:
+    """_quad_areas(t), or NonFiniteCoordinate if they overflow: the quads sit
+    in absolute coordinates, so their cross products can overflow where the
+    triangle's own sizes do not."""
+    areas = _quad_areas(t)
+    if not math.isfinite(sum(areas)):
+        raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
+    return areas
 
 
 def panel_area_exact(pair: str, t: Triangle):
@@ -162,19 +193,10 @@ def build(t: Triangle) -> CuocoDecomposition:
     """Construct the three exterior squares and the six altitude panels."""
     squares = []
     panels = []
-    for side, (first, second, opposite) in SIDE_FRAMES.items():
-        p = getattr(t, first)
-        q = getattr(t, second)
-        # perp(p - q) points away from the triangle for a counterclockwise
-        # vertex order, and has the side's length, so these four corners
-        # are the exterior square, counterclockwise starting on the side.
-        # The legs at p are (q - p, v - p) and at q (v - q, p - q).
-        n = perp(t._legs[second][1])
-        p_out, q_out = p + n, q + n
+    for (side, (first, second, opposite)), corners in zip(SIDE_FRAMES.items(), _side_corners(t)):
+        p, q, (foot, _) = getattr(t, first), getattr(t, second), t._feet[opposite]
+        p_out, q_out, foot_out = [_point(x, y) for x, y in corners[3:]]
         squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
-
-        foot, _ = t._feet[opposite]
-        foot_out = foot + n
         first_label, second_label = HOSTED_PANELS[side]
         panels.append(RectanglePanel(
             label=first_label,
@@ -224,9 +246,7 @@ def verify_pairs(d: CuocoDecomposition) -> PairEquivalenceReport:
     """Compare each pair's two quads by shoelace area; overflow raises NonFiniteCoordinate."""
     m = d.metrics
     scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-    r1, r2, s1, s2, t1, t2 = _quad_areas(d)
-    if not math.isfinite(r1 + r2 + s1 + s2 + t1 + t2):
-        raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
+    r1, r2, s1, s2, t1, t2 = _finite_quad_areas(d.triangle)
     checks = (
         PairCheck("R", "R1", "R2", r1, r2, abs(r1 - r2)),
         PairCheck("S", "S1", "S2", s1, s2, abs(s1 - s2)),
@@ -293,23 +313,33 @@ class DerivationTrace(_Record):
         self.max_deviation = max_deviation  # worst |step - a^2|
 
 
+# The equal-area chain, step by step: (expression, panels it reads).
+_CHAIN = (
+    ("a^2", ()),
+    ("R1 + T2", ("R1", "T2")),
+    ("R2 + T1", ("R2", "T1")),
+    ("(b^2 - S1) + (c^2 - S2)", ("S1", "S2")),
+    ("b^2 + c^2 - 2*S", ("S1", "S2")),
+)
+
+
+def _chain(m: TriangleMetrics, quad_areas, s_pair) -> tuple[tuple, float]:
+    """The values of the _CHAIN steps from the quad areas (in PANEL_LABELS
+    order) and the S pair area, and the worst |step - a^2|."""
+    a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
+    r1, r2, s1, s2, t1, t2 = quad_areas
+    values = (a2, r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * s_pair)
+    return values, _worst(abs(value - a2) for value in values)
+
+
 def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     """Walk the equal-area chain from a^2 down to b^2 + c^2 - 2*S.
 
     Intermediate steps use the constructed quads (the geometric route);
     the final form uses the certified S pair area.
     """
-    m = d.metrics
-    a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
-    r1, r2, s1, s2, t1, t2 = _quad_areas(d)
-    s_pair = d.pair_areas.S
-    steps = (
-        DerivationStep("a^2", (), a2),
-        DerivationStep("R1 + T2", ("R1", "T2"), r1 + t2),
-        DerivationStep("R2 + T1", ("R2", "T1"), r2 + t1),
-        DerivationStep("(b^2 - S1) + (c^2 - S2)", ("S1", "S2"), (b2 - s1) + (c2 - s2)),
-        DerivationStep("b^2 + c^2 - 2*S", ("S1", "S2"), b2 + c2 - 2.0 * s_pair),
-    )
-    residual = a2 - steps[-1].value
-    max_deviation = _worst(abs(step.value - a2) for step in steps)
+    values, max_deviation = _chain(d.metrics, _quad_areas(d.triangle), d.pair_areas.S)
+    steps = tuple(DerivationStep(expression, panels, value)
+                  for (expression, panels), value in zip(_CHAIN, values))
+    residual = values[0] - values[-1]
     return DerivationTrace(steps=steps, residual=residual, max_deviation=max_deviation)

@@ -283,8 +283,37 @@ class TestFuzz:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["counterexample"] is None
-        assert len(report["checks"]) == 19
+        assert len(report["checks"]) == 20
         assert all(entry["passed"] for entry in report["checks"].values())
+
+    def test_never_builds_the_decomposition(self, capsys, monkeypatch):
+        def refuse(t):
+            raise AssertionError("fuzz built a decomposition")
+
+        monkeypatch.setattr(decomposition, "build", refuse)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "50")
+        assert code == 0
+        assert json.loads(out)["checks"]["derivation"]["passed"] is True
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pair_areas"] == [-1.5, 10.5, 5.5]
+        assert report["checks"]["derivation"]["passed"] is True
+
+    def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
+        chain = decomposition._chain
+
+        def broken(m, quad_areas, s_pair):
+            values, _ = chain(m, quad_areas, s_pair)
+            return values, math.nan
+
+        monkeypatch.setattr(decomposition, "_chain", broken)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
+        assert code == 1
+        report = json.loads(out)
+        assert report["counterexample"]["check"] == "derivation"
+        assert report["checks"]["derivation"]["passed"] is False
 
     def test_seed_makes_output_reproducible(self, capsys):
         _, first, _ = run_cli(capsys, "fuzz", "--count", "40", "--seed", "11")

@@ -7,6 +7,7 @@ from cuoco.decomposition import (
     HOSTED_PANELS,
     PANEL_LABELS,
     SIDE_FRAMES,
+    _quad_areas,
     build,
     derive_cosine_theorem,
     panel_area_exact,
@@ -253,6 +254,40 @@ class TestVerifyPairs:
     def test_overflowing_quad_areas_raise(self):
         with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
             verify_pairs(build(FAR_OUT))
+
+
+def assert_frame_areas_are_the_figures(t):
+    """The areas the checks compute from the triangle's frame are the
+    shoelace areas of the quads build(t) draws, bit for bit: hex() tells
+    0.0 from -0.0."""
+    drawn = [shoelace(panel.quad).hex() for panel in build(t).panels]
+    assert [area.hex() for area in _quad_areas(t)] == drawn
+
+
+class TestFrameAreas:
+    @settings(max_examples=300)
+    @given(integer_triangles())
+    def test_lattice_triangles(self, t):
+        assert_frame_areas_are_the_figures(t)
+
+    @settings(max_examples=300)
+    @given(float_triangles())
+    def test_float_triangles(self, t):
+        assert_frame_areas_are_the_figures(t)
+
+    @settings(max_examples=200)
+    @given(float_triangles())
+    def test_clockwise_input(self, t):
+        # The mirror image of a stored (counterclockwise) triangle winds
+        # clockwise, so Triangle swaps its B and C.
+        mirrored = Triangle(*(Point(-v.x, v.y) for v in (t.A, t.B, t.C)))
+        assert mirrored.B == Point(-t.C.x, t.C.y)
+        assert_frame_areas_are_the_figures(mirrored)
+
+    @pytest.mark.parametrize("t", [triangle_from_sides(3, 4, 5), triangle_from_sides(5, 3, 4),
+                                   Triangle(Point(3, 4), Point(0, 0), Point(3, 0))])
+    def test_right_angles(self, t):
+        assert_frame_areas_are_the_figures(t)
 
 
 class TestSimilarityCheck:
