@@ -14,8 +14,8 @@ from cuoco import (
     euclid_defect,
     similarity_check,
     triangle_from_sides,
-    verify_pairs,
 )
+from cuoco.checks import rows
 
 t = triangle_from_sides(2.0, 3.0, 4.0)  # obtuse at C
 d = build_decomposition(t)
@@ -30,12 +30,14 @@ for panel in d.panels:
 print("pair areas: R =", d.pair_areas.R, " S =", d.pair_areas.S, " T =", d.pair_areas.T)
 
 # --- Checking the pairing -------------------------------------------------
-# Each check compares the two constructed quadrilaterals of one pair by
-# the shoelace formula; it does not reuse the algebra that built them.
-report = verify_pairs(d)
-for item in report.checks:
-    print(f"pair {item.pair}: {item.first} vs {item.second}, delta = {item.delta:.3e}")
-print("pairs equivalent:", all(item.delta <= 1e-9 * report.scale for item in report.checks))
+# The check catalogue compares the two constructed quadrilaterals of each
+# pair by the shoelace formula; it does not reuse the algebra that built
+# them. Each record comes with the scale its residual is measured against.
+for check, item, residual, scale, detail in rows(t):
+    if check == "pair_equivalence":
+        for pair, first, second in zip("RST", detail[::2], detail[1::2]):
+            print(f"pair {pair}: {pair}1 vs {pair}2, delta = {abs(first - second):.3e}")
+        print("pairs equivalent:", residual <= 1e-9 * scale)
 
 # --- Walking the chain ----------------------------------------------------
 # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2S.

@@ -13,7 +13,6 @@ import math
 
 from .geometry import (
     OPPOSITE_SIDE,
-    GeometryError,
     NonFiniteCoordinate,
     Point,
     Triangle,
@@ -58,9 +57,10 @@ class CircumcircleData(_Record):
 
 
 def _centre(x, y, name: str) -> Point:
-    """A circle centre. Its formula mixes absolute coordinates into
-    products, which can overflow where the triangle's own check does not
-    reach, so it is checked here."""
+    """A circle centre, checked here: the incentre's formula multiplies
+    absolute coordinates, which can overflow where the triangle's own check
+    does not reach, and a flat triangle's circumcentre can lie beyond the
+    float range."""
     if not (_is_finite(x) and _is_finite(y)):
         raise NonFiniteCoordinate(f"coordinates overflow: the {name} is not finite")
     return _point(x, y)
@@ -109,18 +109,21 @@ def tangent_lengths(t: Triangle) -> dict[str, float]:
 
 
 def _circumcenter(t: Triangle) -> Point:
-    ax, ay = t.A.x, t.A.y
-    bx, by = t.B.x, t.B.y
-    cx, cy = t.C.x, t.C.y
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0:  # absolute coordinates can cancel where the triangle's own cross product does not
-        raise GeometryError(f"the circumcentre's determinant rounds to zero for {t}")
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    return _centre(ux, uy, "circumcentre")
+    """A plus the centre's offset from A, found in A's frame: the legs are
+    scaled by a power of two (exact) so that their largest component is
+    about 1, where no product overflows or underflows, and the offset is
+    scaled back. The determinant is then the triangle's own cross product."""
+    ab, ac = t._legs["A"]
+    _, k = math.frexp(max(abs(ab.x), abs(ab.y), abs(ac.x), abs(ac.y)))
+    down = math.ldexp(1.0, -k)
+    bx, by, cx, cy = ab.x * down, ab.y * down, ac.x * down, ac.y * down
+    d = 2.0 * (bx * cy - by * cx)
+    if d == 0:  # an underflow, which only a centre beyond the float range allows
+        raise NonFiniteCoordinate("coordinates overflow: the circumcentre is not finite")
+    b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+    up = math.ldexp(1.0, k)
+    return _centre(t.A.x + (cy * b2 - by * c2) / d * up, t.A.y + (bx * c2 - cx * b2) / d * up,
+                   "circumcentre")
 
 
 def circumcircle(t: Triangle) -> CircumcircleData:

@@ -1,5 +1,9 @@
 """Command line driver: verify, solve, figure, fuzz.
 
+`verify` and `fuzz` are shells over one catalogue, `checks.rows`: `verify`
+prints every row of one triangle, `fuzz` folds the rows of many random
+triangles into each check's worst |residual| / scale.
+
 Reports go to stdout as JSON (schema "cuoco-report/1", floats rounded to
 twelve decimals so identical inputs give byte-identical output);
 diagnostics go to stderr. Exit codes: 0 all checks passed, 1 a
@@ -14,14 +18,12 @@ import math
 import random
 import sys
 
-from . import circles, cosine_law, decomposition, figures, three_sum
+from . import checks, circles, cosine_law, decomposition, figures, three_sum
 from .geometry import (
     GeometryError,
-    OPPOSITE_SIDE,
     Point,
     Triangle,
     VERTICES,
-    norm,
     triangle_from_sides,
     _worst,
 )
@@ -91,55 +93,16 @@ def _triangle_json(t: Triangle) -> dict:
     return {name: _point_json(getattr(t, name)) for name in VERTICES}
 
 
-def _decomposition_checks(t: Triangle):
-    """Yield (check, item, residual, scale, detail) for the checks that
-    `verify` and `fuzz` share; a check passes when |residual| <= tol * scale.
-
-    `item` is the vertex or pair class a record is about, or None for a
-    whole-triangle check. `detail` is the tuple of values `verify` reports
-    for the record, named by `_VERIFY_ENTRIES`, or None where `verify`
-    prints nothing from here: for `defect_sign` and `square_sums`, which
-    only `fuzz` reports, and for `derivation`, whose steps `verify` takes
-    from `derive_cosine_theorem`. The pair and quad areas are the ones
-    `build` stores and draws, computed without building the decomposition.
-    """
-    m = t.metrics
-    # Rounding in these area identities grows with the largest squared side.
-    scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-
-    identity = cosine_law.verify_cosine_identity(m)
-    yield ("cosine_identity", None, _worst(abs(r) for r in identity.residuals), identity.scale,
-           (identity.residuals,))
-
-    for v, cos_v in zip(VERTICES, m.cosines):
-        defect, residual = cosine_law.euclid_defect(t, v)
-        yield "euclid_defect", v, residual, scale, (defect, residual)
-        # Tighter than RIGHT_ANGLE_BAND, which would skip more vertices.
-        if abs(cos_v) > 1e-12:
-            yield "defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0, None
-
-    quads = decomposition._finite_quad_areas(t)
-    r1, r2, s1, s2, t1, t2 = quads
-    yield ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
-           quads)
-    areas = {pair: decomposition.panel_area_exact(pair, t) for pair in decomposition.PAIR_CLASSES}
-    for pair, exact in areas.items():
-        trig = decomposition.panel_area_trig(pair, m)
-        yield "trig_vs_exact", pair, exact - trig, scale, (exact, trig)
-    R, S, T = areas.values()
-    yield "square_sums", None, _worst((abs(R + T - m.a * m.a), abs(R + S - m.b * m.b),
-                                       abs(S + T - m.c * m.c))), scale, None
-    for v in VERTICES:
-        rep = decomposition.similarity_check(t, v)
-        yield "similarity", v, rep.residual, rep.scale, (rep.ch, rep.ck, rep.residual)
-    _, max_deviation = decomposition._chain(m, quads, S)
-    yield "derivation", None, max_deviation, scale, None
-
-
 def _pairs_entry(*quads) -> dict:
     pairs = zip(decomposition.PAIR_CLASSES, quads[::2], quads[1::2])
     return {"pairs": {pair: {"first": first, "second": second, "delta": abs(first - second)}
                       for pair, first, second in pairs}}
+
+
+def _derivation_entry(values, max_deviation) -> dict:
+    steps = [{"expression": expression, "panels": list(panels), "value": value}
+             for (expression, panels), value in zip(decomposition._CHAIN, values)]
+    return {"steps": steps, "residual": values[0] - values[-1], "max_deviation": max_deviation}
 
 
 # Check -> verify's entry for one record, from the record's detail tuple.
@@ -149,6 +112,7 @@ _VERIFY_ENTRIES = {
     "pair_equivalence": _pairs_entry,
     "trig_vs_exact": lambda exact, trig: {"exact": exact, "trig": trig},
     "similarity": lambda ch, ck, residual: {"ch": ch, "ck": ck, "residual": residual},
+    "derivation": _derivation_entry,
 }
 
 
@@ -156,31 +120,24 @@ def cmd_verify(args) -> int:
     t = _triangle_from_args(args)
     tol = args.tol
     m = t.metrics
-    checks = {}
+    entries, folded = {}, {}
     passed = True
-    for check, item, residual, scale, detail in _decomposition_checks(t):
-        if detail is None:
+    for check, item, residual, scale, detail in checks.rows(t):
+        if detail is None:  # one entry per check, filled in below
+            entries.setdefault(check, None)
+            folded.setdefault(check, []).append(abs(residual) / scale)
             continue
         entry = {**_VERIFY_ENTRIES[check](*detail), "passed": abs(residual) <= tol * scale}
         passed = passed and entry["passed"]
         if item is None:
-            checks[check] = entry
+            entries[check] = entry
         else:
-            checks.setdefault(check, {})[item] = entry
-
-    d = decomposition.build(t)
-    trace = decomposition.derive_cosine_theorem(d)
-    trace_ok = trace.max_deviation <= tol * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-    checks["derivation"] = {
-        "steps": [
-            {"expression": step.expression, "panels": list(step.panels), "value": step.value}
-            for step in trace.steps
-        ],
-        "residual": trace.residual,
-        "max_deviation": trace.max_deviation,
-        "passed": trace_ok,
-    }
-    passed = passed and trace_ok
+            entries.setdefault(check, {})[item] = entry
+    for check, values in folded.items():
+        # The worst |residual| / scale, as fuzz reports it; a NaN fails.
+        worst = _worst(values)
+        entries[check] = {"max_residual": worst, "passed": worst <= tol}
+        passed = passed and worst <= tol
     cls = m.classification
     _emit({
         "schema": SCHEMA,
@@ -190,8 +147,8 @@ def cmd_verify(args) -> int:
         "angles": {"alpha": m.alpha, "beta": m.beta, "gamma": m.gamma},
         "classification": {"kind": cls.kind, "vertex": cls.vertex},
         "tol": tol,
-        "pair_areas": [d.pair_areas.R, d.pair_areas.S, d.pair_areas.T],
-        "checks": checks,
+        "pair_areas": [decomposition.panel_area_exact(p, t) for p in decomposition.PAIR_CLASSES],
+        "checks": entries,
         "passed": passed,
     })
     return 0 if passed else 1
@@ -317,57 +274,14 @@ def random_triangle(rng: random.Random, span: float = 10.0) -> Triangle:
         return t
 
 
-def _fuzz_checks(t: Triangle, tol: float):
-    """Yield (check name, normalized residual) pairs for one triangle.
-
-    Each construction (metrics, incircle, circumcircle) is made once here
-    and shared by the checks that read it; the decomposition's areas come
-    from the triangle's frame, so it is never built.
-    """
-    m = t.metrics
-    for check, _, residual, scale, _ in _decomposition_checks(t):
-        yield check, abs(residual) / scale
-
-    squares_rep = three_sum.interpret_squares(t, tol)
-    yield "squares_interpretation", squares_rep.max_residual
-    if squares_rep.acute_iff_positive is not None:
-        yield "squares_positivity", 0.0 if squares_rep.acute_iff_positive else 1.0
-    inc = circles.incircle(t)
-    sides_rep = three_sum._interpret_sides(inc, tol)
-    yield "sides_interpretation", sides_rep.max_residual
-    yield "sides_positivity", 0.0 if sides_rep.all_positive else 1.0
-    circ = circles.circumcircle(t)
-    angles_rep = three_sum._interpret_angles(t, circ.splits, tol)
-    yield "angles_interpretation", angles_rep.max_residual
-    if angles_rep.acute_iff_positive is not None:
-        yield "angles_positivity", 0.0 if angles_rep.acute_iff_positive else 1.0
-
-    lengths, closed = inc.tangent_lengths, circles.tangent_lengths(t)
-    yield "tangent_lengths", max(abs(lengths["A"] - closed["A"]), abs(lengths["B"] - closed["B"]),
-                                 abs(lengths["C"] - closed["C"])) / max(1.0, m.a, m.b, m.c)
-    for side in circles.SIDE_ENDPOINTS:
-        foot, tparam = inc.tangent_points[side], inc.tangent_params[side]
-        yield "incircle_radius", abs(norm(inc.center - foot) - inc.radius) / max(1.0, inc.radius)
-        yield "tangent_inside", max(0.0, -tparam, tparam - 1.0)
-
-    center, radius = circ.center, circ.radius
-    yield "circumradius", max(abs(norm(center - t.A) - radius), abs(norm(center - t.B) - radius),
-                              abs(norm(center - t.C) - radius)) / max(1.0, radius)
-    closed_splits = circles.closed_form_splits(m)
-    angle_at = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-    for v, (nxt, prv) in OPPOSITE_SIDE.items():  # the order of each splits[v]
-        measured, closed = circ.splits[v], closed_splits[v]
-        yield "vertex_splits", max(abs(measured[nxt] - closed[nxt]), abs(measured[prv] - closed[prv]))
-        yield "split_sums", abs(sum(measured.values()) - angle_at[v])
-
-
 def run_fuzz(count: int, seed, tol: float) -> dict:
     rng = random.Random(seed)
     maxima: dict[str, float] = {}
     counterexample = None
     for index in range(count):
         t = random_triangle(rng)
-        for name, value in _fuzz_checks(t, tol):
+        for name, _, residual, scale, _ in checks.rows(t):
+            value = abs(residual) / scale
             # A check's first record creates its entry, 0.0 included. As in
             # _worst, a NaN residual (the one value not equal to itself)
             # is kept as the maximum; `not <=` fails it.

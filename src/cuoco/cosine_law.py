@@ -17,7 +17,6 @@ from .geometry import (
     Triangle,
     TriangleMetrics,
     dot,
-    _Record,
     _check_sides,
     _check_vertex,
 )
@@ -64,22 +63,12 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     return defect, residual
 
 
-class CosineIdentityReport(_Record):
-    """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic forms."""
-
-    __slots__ = _fields = ("residuals", "scale")
-
-    def __init__(self, residuals: tuple[float, float, float], scale: float) -> None:
-        self.residuals = residuals  # at A, at B, at C
-        self.scale = scale
-
-
-def verify_cosine_identity(m: TriangleMetrics) -> CosineIdentityReport:
-    """The three cyclic cosine identities' residuals, and max side^2 as their scale."""
+def verify_cosine_identity(m: TriangleMetrics) -> tuple[float, float, float]:
+    """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic
+    forms, at A, B and C; max side^2 is their scale."""
     a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
-    residuals = (
+    return (
         a2 - b2 - c2 + 2.0 * m.b * m.c * math.cos(m.alpha),
         b2 - a2 - c2 + 2.0 * m.a * m.c * math.cos(m.beta),
         c2 - a2 - b2 + 2.0 * m.a * m.b * math.cos(m.gamma),
     )
-    return CosineIdentityReport(residuals=residuals, scale=max(a2, b2, c2))

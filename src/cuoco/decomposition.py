@@ -97,18 +97,6 @@ class CuocoDecomposition(_Record):
         self.panels = panels  # in PANEL_LABELS order
         self.pair_areas = pair_areas
 
-    def square(self, side: str) -> SquareOnSide:
-        for sq in self.squares:
-            if sq.side == side:
-                return sq
-        raise ValueError(f"unknown side {side!r}")
-
-    def panel(self, label: str) -> RectanglePanel:
-        for p in self.panels:
-            if p.label == label:
-                return p
-        raise ValueError(f"unknown panel {label!r}, expected one of {PANEL_LABELS}")
-
 
 def shoelace(points) -> float:
     """Signed area of a polygon given as a sequence of Points."""
@@ -222,37 +210,6 @@ def build(t: Triangle) -> CuocoDecomposition:
         panels=tuple(panels),
         pair_areas=PairAreas(R=r1.signed_area, S=s1.signed_area, T=t1.signed_area),
     )
-
-
-class PairCheck(_Record):
-    __slots__ = _fields = ("pair", "first", "second", "area_first", "area_second", "delta")
-
-    def __init__(self, pair: str, first: str, second: str, area_first: float,
-                 area_second: float, delta: float) -> None:
-        self.pair, self.first, self.second = pair, first, second
-        self.area_first = area_first  # shoelace of the first panel's quad
-        self.area_second = area_second
-        self.delta = delta
-
-
-class PairEquivalenceReport(_Record):
-    __slots__ = _fields = ("checks", "scale")
-
-    def __init__(self, checks: tuple[PairCheck, PairCheck, PairCheck], scale: float) -> None:
-        self.checks, self.scale = checks, scale
-
-
-def verify_pairs(d: CuocoDecomposition) -> PairEquivalenceReport:
-    """Compare each pair's two quads by shoelace area; overflow raises NonFiniteCoordinate."""
-    m = d.metrics
-    scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-    r1, r2, s1, s2, t1, t2 = _finite_quad_areas(d.triangle)
-    checks = (
-        PairCheck("R", "R1", "R2", r1, r2, abs(r1 - r2)),
-        PairCheck("S", "S1", "S2", s1, s2, abs(s1 - s2)),
-        PairCheck("T", "T1", "T2", t1, t2, abs(t1 - t2)),
-    )
-    return PairEquivalenceReport(checks=checks, scale=scale)
 
 
 class SimilarityReport(_Record):

@@ -74,10 +74,12 @@ class InterpretationReport(_Record):
     `geometric` and `closed_form` are two independent routes to the values
     the solution components are supposed to equal, keyed by component.
     `max_residual` is the worst normalized deviation of the solution from
-    either route. `acute_iff_positive` records whether positivity agreed
-    with the acute classification; None when `classify` reads the triangle
-    as right (a side cosine within `RIGHT_ANGLE_BAND` of zero) or when the
-    question does not apply (side lengths are positive for every triangle).
+    either route. `all_positive` is None when the sides reading cannot tell
+    a tangent length's sign within rounding. `acute_iff_positive` records
+    whether positivity agreed with the acute classification; None when
+    `classify` reads the triangle as right (a side cosine within
+    `RIGHT_ANGLE_BAND` of zero) or when the question does not apply (side
+    lengths are positive for every triangle).
     """
 
     __slots__ = _fields = ("kind", "system", "solution", "mapping", "geometric", "closed_form",
@@ -86,7 +88,7 @@ class InterpretationReport(_Record):
 
     def __init__(self, kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, str],
                  geometric: dict[str, float], closed_form: dict[str, float],
-                 max_residual: float, all_positive: bool, classification: Classification,
+                 max_residual: float, all_positive: bool | None, classification: Classification,
                  acute_iff_positive: bool | None, tol: float, passed: bool) -> None:
         self.kind, self.system, self.solution, self.mapping = kind, system, solution, mapping
         self.geometric, self.closed_form = geometric, closed_form
@@ -143,16 +145,29 @@ def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
     )
 
 
+# Rounding budget on a tangent length, in units of u * max side with
+# u = 2**-53. Each side is the square root of its leg's squared length; the
+# leg's two components are rounded differences, so the side is off by at
+# most 3u relative (2u from the squared, summed components after the square
+# root halves them, u from the root itself). The solution's halves are
+# exact; its sum and difference add u * max side each. 3/2 * 3 sides + 2 =
+# 6.5, rounded up to 8 for the second-order terms.
+SIDES_BUDGET = 8
+
+
 def interpret_sides(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
     """(L, M, N) = sides; the solution must be the incircle tangent lengths.
 
     x = s - c (tangent length at C), y = s - b (at B), z = s - a (at A).
-    Positivity is the strict triangle inequality, so it always holds.
+    Positivity is the strict triangle inequality, so it holds in exact
+    arithmetic. In floats a needle's tangent length can round to zero or
+    below, so a sign is decided only beyond the rounding budget
+    SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
     return _interpret_sides(incircle(t), tol)
 
 
-def _interpret_sides(data: IncircleData, tol: float) -> InterpretationReport:
+def _interpret_sides(data: IncircleData, tol: float = 1e-9) -> InterpretationReport:
     """interpret_sides for an incircle already constructed."""
     m = data.triangle.metrics
     system = ThreeSum(m.a, m.b, m.c)
@@ -168,7 +183,9 @@ def _interpret_sides(data: IncircleData, tol: float) -> InterpretationReport:
         _component_residual(sol, geometric, scale),
         _component_residual(sol, closed_form, scale),
     )
-    positive = all_positive(system)
+    smallest = min(sol.x, sol.y, sol.z)
+    undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(m.a, m.b, m.c), -53)
+    positive = None if undecided else smallest > 0
     return InterpretationReport(
         kind="sides",
         system=system,
@@ -181,7 +198,7 @@ def _interpret_sides(data: IncircleData, tol: float) -> InterpretationReport:
         classification=m.classification,
         acute_iff_positive=None,
         tol=tol,
-        passed=max_residual <= tol and positive,
+        passed=max_residual <= tol and positive is not False,
     )
 
 
@@ -196,7 +213,7 @@ def interpret_angles(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
 
 
 def _interpret_angles(
-    t: Triangle, splits: dict[str, dict[str, float]], tol: float
+    t: Triangle, splits: dict[str, dict[str, float]], tol: float = 1e-9
 ) -> InterpretationReport:
     """interpret_angles for circumcentre splits already measured."""
     m = t.metrics

@@ -50,6 +50,16 @@ def integer_triangles(draw, bound: int = 100):
     return Triangle(A=a, B=b, C=c)
 
 
+def circumcentre_budget(center, radius) -> float:
+    """How far a computed circumcentre's distances to the vertices may
+    spread: twice the centre's own error, plus 6 u R for the three norms
+    (u = 2**-53). The centre is A plus an offset found in A's frame; the
+    sum rounds each coordinate by at most u times its size, so by
+    sqrt(2) u max|coordinate| in all, and the offset is allowed 8 u R."""
+    u = 2.0 ** -53
+    return 2 * (2 ** 0.5 * u * max(abs(center.x), abs(center.y)) + 8 * u * radius) + 6 * u * radius
+
+
 def eliminate(L, M, N):
     """Reference solver for x+y=L, x+z=M, y+z=N: straight Gaussian
     elimination on the 3x3 matrix, independent of the closed form."""

@@ -15,15 +15,15 @@ from cuoco.geometry import (
     cross,
     distance,
     dot,
-    GeometryError,
     metrics,
+    NonFiniteCoordinate,
     Point,
     Triangle,
     triangle_from_sides,
     VERTICES,
 )
 
-from conftest import float_triangles
+from conftest import circumcentre_budget, float_triangles
 
 
 def distance_to_line(point, p, q):
@@ -142,14 +142,28 @@ class TestCircumcircle:
         assert min(sides) > 0
 
     @pytest.mark.parametrize("construct", [circumcircle, vertex_splits])
-    def test_cancelling_determinant_rejected(self, construct):
-        # The triangle's own cross product is nonzero, but the determinant
-        # taken from absolute coordinates this far out cancels to zero.
-        t = Triangle(A=Point(190233263674.5445, 190233263674.5445),
-                     B=Point(190233263674.54453, 190233263674.5445),
-                     C=Point(190233263674.5445, 190233263674.5446))
-        with pytest.raises(GeometryError, match="circumcentre"):
-            construct(t)
+    def test_centre_equidistant_where_absolute_coordinates_failed(self, construct):
+        # Valid triangles that a determinant of absolute coordinates
+        # refused: a thin one far out, where it cancelled to zero, and a
+        # large one at the origin, where its products overflowed.
+        far_thin = Triangle(A=Point(190233263674.5445, 190233263674.5445),
+                            B=Point(190233263674.54453, 190233263674.5445),
+                            C=Point(190233263674.5445, 190233263674.5446))
+        large = Triangle(A=Point(0, 0), B=Point(1e150, 0), C=Point(0, 1e150))
+        for t in (far_thin, large):
+            data = circumcircle(t)
+            if construct is vertex_splits:  # measured from that same centre
+                assert vertex_splits(t) == data.splits
+            budget = circumcentre_budget(data.center, data.radius)
+            for name in VERTICES:
+                assert abs(distance(data.center, getattr(t, name)) - data.radius) <= budget
+
+    def test_centre_beyond_float_range_rejected(self):
+        # So flat that its scaled cross product underflows: the centre lies
+        # about 2.5e322 below the base.
+        t = Triangle(A=Point(0, 0), B=Point(1, 0), C=Point(0.5, 5e-324))
+        with pytest.raises(NonFiniteCoordinate, match="circumcentre is not finite"):
+            circumcircle(t)
 
 
 class TestVertexSplits:

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import cuoco
-from cuoco import cli, cosine_law, decomposition, geometry, three_sum
+from cuoco import checks, circles, cli, cosine_law, decomposition, geometry, three_sum
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
-from cuoco.geometry import dot, metrics, triangle_from_sides
+from cuoco.geometry import Point, dot, metrics, triangle_from_sides
+
+from conftest import circumcentre_budget
 
 
 # A thin triangle about 2e11 from the origin.
@@ -233,10 +235,10 @@ class TestFigure:
         assert code == 2
         assert err != ""
 
-    @pytest.mark.parametrize("kind", ["incircle", "circumcircle"])
+    @pytest.mark.parametrize("kind", ["incircle"])
     def test_overflowing_centre_exit_2(self, capsys, tmp_path, kind):
         # A valid triangle far from the origin: its sides square fine, but
-        # the centre formulas multiply absolute coordinates.
+        # the incentre's formula multiplies absolute coordinates.
         code, out, err = run_cli(
             capsys, "figure", "--kind", kind,
             "--points=1e160,0,1.00000000000001e160,0,1e160,1e150",
@@ -245,6 +247,18 @@ class TestFigure:
         assert code == 2
         assert out == ""
         assert "overflow" in err
+
+    def test_circumcircle_far_out_is_equidistant(self, capsys, tmp_path):
+        # The circumcentre is found in A's frame, so this valid triangle far
+        # from the origin, which once overflowed, has one.
+        code, out, _ = run_cli(
+            capsys, "figure", "--kind", "circumcircle",
+            "--points=1e160,0,1.00000000000001e160,0,1e160,1e150",
+            "--out", str(tmp_path / "c.svg"),
+        )
+        assert code == 0
+        assert_equidistant(json.loads(out)["report"],
+                           (1e160, 0), (1.00000000000001e160, 0), (1e160, 1e150))
 
     def test_unknown_kind_rejected_by_parser(self, capsys):
         code, _, err = run_cli(
@@ -261,11 +275,7 @@ class TestDegenerateArithmetic:
         # |AB|^2 underflows to zero while the cross product does not.
         (("verify", "--points=0,0,1e-170,0,0,1e10"), "underflows to zero"),
         (("figure", "--kind", "euclid_defect", "--points=0,0,1e-170,0,0,1e10"), "underflows to zero"),
-        # The circumcentre's determinant cancels in absolute coordinates.
-        (("figure", "--kind", "circumcircle", f"--points={FAR_THIN}"), "circumcentre"),
-        (("solve", "--L", "1", "--M", "1", "--N", "1", "--interpret", "angles",
-          f"--points={FAR_THIN}"), "circumcentre"),
-    ], ids=["verify-underflow", "figure-underflow", "figure-circumcentre", "solve-circumcentre"])
+    ], ids=["verify-underflow", "figure-underflow"])
     def test_degenerate_arithmetic_exit_2(self, capsys, tmp_path, argv, cause):
         if argv[0] == "figure":
             argv += ("--out", str(tmp_path / "x.svg"))
@@ -274,6 +284,40 @@ class TestDegenerateArithmetic:
         assert out == ""
         assert cause in err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("command", ["figure", "solve"])
+    def test_far_thin_circumcentre_is_equidistant(self, capsys, tmp_path, command):
+        # A determinant of absolute coordinates cancelled to zero here; the
+        # triangle's own cross product does not. `solve` now reports: its
+        # splits are measured from that centre, whose coordinates round to
+        # the grid of floats near 2e11 (3e-5 apart, the triangle's own
+        # size), so the angles reading fails, with exit 1.
+        argv = {
+            "figure": ("figure", "--kind", "circumcircle", f"--points={FAR_THIN}",
+                       "--out", str(tmp_path / "x.svg")),
+            "solve": ("solve", "--L", "1", "--M", "1", "--N", "1", "--interpret", "angles",
+                      f"--points={FAR_THIN}"),
+        }[command]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == (0 if command == "figure" else 1)
+        coords = [float(value) for value in FAR_THIN.split(",")]
+        vertices = (coords[0:2], coords[2:4], coords[4:6])
+        if command == "figure":
+            receipt = json.loads(out)["report"]
+        else:
+            assert json.loads(out)["interpretation"]["passed"] is False
+            data = circles.circumcircle(geometry.Triangle(*(Point(*v) for v in vertices)))
+            receipt = {"center": [data.center.x, data.center.y], "radius": data.radius}
+        assert_equidistant(receipt, *vertices)
+
+
+def assert_equidistant(receipt, *vertices):
+    """The receipt's circumcentre is as far from each vertex as its radius,
+    within circumcentre_budget."""
+    center, radius = Point(*receipt["center"]), receipt["radius"]
+    budget = circumcentre_budget(center, radius)
+    for v in vertices:
+        assert abs(geometry.distance(center, Point(*v)) - radius) <= budget
 
 
 class TestFuzz:
@@ -287,19 +331,31 @@ class TestFuzz:
         assert all(entry["passed"] for entry in report["checks"].values())
 
     def test_never_builds_the_decomposition(self, capsys, monkeypatch):
-        def refuse(t):
-            raise AssertionError("fuzz built a decomposition")
+        t = triangle_from_sides(2, 3, 4)
+        built = decomposition.build(t)
+        trace = decomposition.derive_cosine_theorem(built)
+
+        def refuse(*args):
+            raise AssertionError("a check built the decomposition or derived the chain again")
 
         monkeypatch.setattr(decomposition, "build", refuse)
+        monkeypatch.setattr(decomposition, "derive_cosine_theorem", refuse)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "50")
         assert code == 0
         assert json.loads(out)["checks"]["derivation"]["passed"] is True
-        monkeypatch.undo()
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 0
         report = json.loads(out)
-        assert report["pair_areas"] == [-1.5, 10.5, 5.5]
-        assert report["checks"]["derivation"]["passed"] is True
+        areas = built.pair_areas
+        assert report["pair_areas"] == [areas.R, areas.S, areas.T] == [-1.5, 10.5, 5.5]
+        derivation = report["checks"]["derivation"]
+        assert derivation["passed"] is True
+        assert derivation["steps"] == [
+            {"expression": step.expression, "panels": list(step.panels), "value": step.value}
+            for step in trace.steps
+        ]
+        assert (derivation["residual"], derivation["max_deviation"]) == (
+            trace.residual, trace.max_deviation)
 
     def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
         chain = decomposition._chain
@@ -423,6 +479,75 @@ class TestFuzz:
             for p in (t.A, t.B, t.C):
                 assert -10.0 <= p.x <= 10.0
                 assert -10.0 <= p.y <= 10.0
+
+
+def failed_checks(report) -> list:
+    """The checks of a verify report with a failed entry, in report order."""
+    return [name for name, entry in report["checks"].items()
+            if not (entry["passed"] if "passed" in entry
+                    else all(item["passed"] for item in entry.values()))]
+
+
+class TestCatalogue:
+    """`verify` and `fuzz` run the same rows of `cuoco.checks`."""
+
+    def test_verify_and_fuzz_name_the_same_checks(self, capsys):
+        # Obtuse and scalene, so that no check skips all of its records.
+        _, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+        assert list(json.loads(out)["checks"]) == list(checks.NAMES)
+        _, out, _ = run_cli(capsys, "fuzz", "--count", "50", "--seed", "7")
+        assert sorted(json.loads(out)["checks"]) == sorted(checks.NAMES)
+
+    def test_shifted_closed_form_splits_fail_verify(self, capsys, monkeypatch):
+        exact = circles.closed_form_splits
+
+        def shifted(m):
+            return {v: {w: value + 1e-6 for w, value in row.items()} for v, row in exact(m).items()}
+
+        monkeypatch.setattr(circles, "closed_form_splits", shifted)
+        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+        assert code == 1
+        report = json.loads(out)
+        assert failed_checks(report) == ["vertex_splits"]
+        assert report["checks"]["vertex_splits"]["max_residual"] == pytest.approx(1e-6, rel=1e-3)
+
+    def test_nan_in_a_folded_check_fails_verify(self, capsys, monkeypatch):
+        exact = circles.tangent_lengths
+        monkeypatch.setattr(circles, "tangent_lengths", lambda t: {**exact(t), "B": math.nan})
+        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+        assert code == 1
+        report = json.loads(out)
+        assert failed_checks(report) == ["tangent_lengths"]
+        assert math.isnan(report["checks"]["tangent_lengths"]["max_residual"])
+
+    def test_needle_sides_reading_is_undecided(self, capsys):
+        # Area 0.5, but the float sides satisfy b == a + c; the tangent
+        # length at B rounds to zero, inside the rounding budget.
+        needle = "--points=0,0,1,0,1e8,1"
+        code, out, _ = run_cli(capsys, "solve", "--L", "1", "--M", "1", "--N", "1",
+                               "--interpret", "sides", needle)
+        assert code == 0
+        interpretation = json.loads(out)["interpretation"]
+        assert interpretation["all_positive"] is None and interpretation["passed"] is True
+        code, out, _ = run_cli(capsys, "verify", needle)
+        assert code == 0
+        assert "sides_positivity" not in json.loads(out)["checks"]
+
+    def test_negative_tangent_length_fails_verify(self, capsys, monkeypatch):
+        # A mutant solve that puts a y inside the rounding budget (only the
+        # needle's tangent length at B is) twice the budget below zero.
+        exact = three_sum.solve
+
+        def pushed(system):
+            sol = exact(system)
+            budget = three_sum.SIDES_BUDGET * 2.0**-53 * max(system.L, system.M, system.N)
+            y = -2 * budget if abs(sol.y) <= budget else sol.y
+            return three_sum.Solution(sol.x, y, sol.z)
+
+        monkeypatch.setattr(three_sum, "solve", pushed)
+        code, out, _ = run_cli(capsys, "verify", "--points=0,0,1,0,1e8,1")
+        assert code == 1
+        assert failed_checks(json.loads(out)) == ["sides_positivity"]
 
 
 class TestEntryPoint:

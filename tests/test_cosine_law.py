@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cuoco.checks import rows
 from cuoco.cosine_law import (
     DomainError,
     cos_from_sides,
@@ -168,11 +169,16 @@ class TestEuclidDefect:
 class TestVerifyCosineIdentity:
     def test_passes_on_random_triangles(self, fuzz_triangles):
         for t in fuzz_triangles[:400]:
-            report = verify_cosine_identity(metrics(t))
-            assert max(abs(r) for r in report.residuals) <= 1e-9 * report.scale
+            m = metrics(t)
+            residuals = verify_cosine_identity(m)
+            assert max(abs(r) for r in residuals) <= 1e-9 * max(m.a**2, m.b**2, m.c**2)
 
     def test_scale_tracks_largest_side(self):
-        m = metrics(triangle_from_sides(3.0, 4.0, 5.0))
-        report = verify_cosine_identity(m)
-        assert report.scale == pytest.approx(25.0, rel=1e-12)
-        assert max(abs(r) for r in report.residuals) <= 1e-9 * report.scale
+        # The catalogue's cosine_identity record: its scale is max side^2,
+        # with no floor, and its residual the worst of the three.
+        t = triangle_from_sides(3.0, 4.0, 5.0)
+        record = next(row for row in rows(t) if row[0] == "cosine_identity")
+        _, _, residual, scale, (residuals,) = record
+        assert scale == pytest.approx(25.0, rel=1e-12)
+        assert residuals == verify_cosine_identity(t.metrics)
+        assert residual == max(abs(r) for r in residuals) <= 1e-9 * scale

@@ -7,6 +7,7 @@ from cuoco.decomposition import (
     HOSTED_PANELS,
     PANEL_LABELS,
     SIDE_FRAMES,
+    _finite_quad_areas,
     _quad_areas,
     build,
     derive_cosine_theorem,
@@ -14,8 +15,8 @@ from cuoco.decomposition import (
     panel_area_trig,
     shoelace,
     similarity_check,
-    verify_pairs,
 )
+from cuoco.checks import rows
 from cuoco.geometry import (
     cross,
     dot,
@@ -49,6 +50,18 @@ def panel_contained_in_host(panel, square, slack):
     return all(point_in_convex_quad(pt, square.vertices, slack) for pt in panel.quad)
 
 
+def by_label(d):
+    """The panels of d by label, and its squares by side."""
+    return dict(zip(PANEL_LABELS, d.panels)), dict(zip(SIDE_FRAMES, d.squares))
+
+
+def pair_equivalence_row(t):
+    """The catalogue's pair_equivalence record: (residual, scale, quad areas)."""
+    for check, _, residual, scale, detail in rows(t):
+        if check == "pair_equivalence":
+            return residual, scale, detail
+
+
 class TestBuild:
     def test_obtuse_pair_areas_frozen(self):
         d = build(triangle_from_sides(2.0, 3.0, 4.0))
@@ -70,16 +83,17 @@ class TestBuild:
     def test_panels_sorted_and_hosted_as_documented(self):
         d = build(triangle_from_sides(2.0, 3.0, 4.0))
         assert tuple(p.label for p in d.panels) == tuple(sorted(PANEL_LABELS))
+        panels, _ = by_label(d)
         for side, labels in HOSTED_PANELS.items():
             for label in labels:
-                assert d.panel(label).host == side
+                assert panels[label].host == side
 
     def test_panels_of_same_pair_share_area(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            d = build(t)
+            panels, _ = by_label(build(t))
             for first, second in (("R1", "R2"), ("S1", "S2"), ("T1", "T2")):
-                a = d.panel(first).signed_area
-                b = d.panel(second).signed_area
+                a = panels[first].signed_area
+                b = panels[second].signed_area
                 assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
 
     def test_pair_plus_pair_recovers_squares(self, fuzz_triangles):
@@ -122,9 +136,9 @@ class TestSquares:
 
 class TestPanels:
     def test_right_triangle_degenerate_panels(self):
-        d = build(triangle_from_sides(3.0, 4.0, 5.0))
+        panels, _ = by_label(build(triangle_from_sides(3.0, 4.0, 5.0)))
         for label in ("R1", "R2"):
-            panel = d.panel(label)
+            panel = panels[label]
             assert panel.signed_area == pytest.approx(0.0, abs=1e-9)
             width = panel.quad[1] - panel.quad[0]
             assert math.hypot(width.x, width.y) <= 1e-9
@@ -152,8 +166,9 @@ class TestPanels:
         m = d.metrics
         side_sq = {"a": m.a**2, "b": m.b**2, "c": m.c**2}
         scale = max(1.0, *side_sq.values())
+        panels, _ = by_label(d)
         for side, labels in HOSTED_PANELS.items():
-            total = sum(d.panel(label).signed_area for label in labels)
+            total = sum(panels[label].signed_area for label in labels)
             assert abs(total - side_sq[side]) <= 1e-9 * scale
 
 
@@ -162,17 +177,19 @@ class TestContainment:
         t = triangle_from_sides(6.0, 7.0, 8.0)
         d = build(t)
         slack = 1e-9 * max(1.0, d.metrics.c**2)
+        _, squares = by_label(d)
         for panel in d.panels:
-            assert panel_contained_in_host(panel, d.square(panel.host), slack)
+            assert panel_contained_in_host(panel, squares[panel.host], slack)
 
     def test_obtuse_triangle_spills_two_squares(self):
         t = triangle_from_sides(2.0, 3.0, 4.0)
         d = build(t)
         slack = 1e-9 * max(1.0, d.metrics.c**2)
+        _, squares = by_label(d)
         contained = {
             p.label
             for p in d.panels
-            if panel_contained_in_host(p, d.square(p.host), slack)
+            if panel_contained_in_host(p, squares[p.host], slack)
         }
         # The obtuse corner is opposite side c, whose altitude foot stays
         # inside the side; the feet on sides a and b fall outside, so all
@@ -185,6 +202,7 @@ class TestContainment:
         d = build(t)
         m = d.metrics
         side_sq = {"a": m.a**2, "b": m.b**2, "c": m.c**2}
+        panels, squares = by_label(d)
         for side, labels in HOSTED_PANELS.items():
             # Slack in the host square's own units: a foot 1e-6 of a short
             # side outside it must not pass as inside by a long side's slack.
@@ -194,9 +212,8 @@ class TestContainment:
             if min(abs(param), abs(1.0 - param)) < 1e-6:
                 continue  # foot too close to an endpoint to call either way
             expected = 0.0 < param < 1.0
-            square = d.square(side)
             for label in labels:
-                actual = panel_contained_in_host(d.panel(label), square, slack)
+                actual = panel_contained_in_host(panels[label], squares[side], slack)
                 assert actual == expected
 
 
@@ -226,34 +243,34 @@ class TestExactIntegerAreas:
 
 
 class TestVerifyPairs:
+    """The catalogue's pair_equivalence check: each pair's two quads by
+    shoelace area."""
+
     def test_passes_including_obtuse(self, fuzz_triangles):
         kinds = set()
         for t in fuzz_triangles[:400]:
-            d = build(t)
-            report = verify_pairs(d)
-            for check in report.checks:
-                assert check.delta <= 1e-9 * report.scale
-            from cuoco.geometry import classify
-
-            kinds.add(classify(d.metrics).kind)
+            residual, scale, _ = pair_equivalence_row(t)
+            assert residual <= 1e-9 * scale
+            kinds.add(t.metrics.classification.kind)
         assert "obtuse" in kinds and "acute" in kinds
 
     def test_reports_three_pairs(self):
-        report = verify_pairs(build(triangle_from_sides(2.0, 3.0, 4.0)))
-        assert tuple(c.pair for c in report.checks) == ("R", "S", "T")
+        _, scale, quads = pair_equivalence_row(triangle_from_sides(2.0, 3.0, 4.0))
+        assert scale == 16.0
+        assert quads == pytest.approx([-1.5, -1.5, 10.5, 10.5, 5.5, 5.5], abs=1e-12)
 
     def test_quad_areas_are_shoelace_bit_for_bit(self, fuzz_triangles):
         triangles = [*fuzz_triangles[:200], triangle_from_sides(3, 4, 5),
                      Triangle(Point(3, 4), Point(0, 0), Point(3, 0))]
         for t in triangles:
-            d = build(t)
-            for check in verify_pairs(d).checks:  # hex() tells 0.0 from -0.0
-                assert check.area_first.hex() == shoelace(d.panel(check.first).quad).hex()
-                assert check.area_second.hex() == shoelace(d.panel(check.second).quad).hex()
+            _, _, quads = pair_equivalence_row(t)  # hex() tells 0.0 from -0.0
+            assert [area.hex() for area in quads] == [shoelace(p.quad).hex() for p in build(t).panels]
 
     def test_overflowing_quad_areas_raise(self):
         with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
-            verify_pairs(build(FAR_OUT))
+            _finite_quad_areas(FAR_OUT)
+        with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
+            pair_equivalence_row(FAR_OUT)
 
 
 def assert_frame_areas_are_the_figures(t):

@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuoco.geometry import GeometryError, metrics, triangle_from_sides
+from cuoco import three_sum
+from cuoco.geometry import GeometryError, Point, Triangle, metrics, triangle_from_sides
 from cuoco.three_sum import (
+    SIDES_BUDGET,
+    Solution,
     ThreeSum,
     all_positive,
     interpret_angles,
@@ -140,6 +143,34 @@ class TestInterpretSides:
     def test_right_triangle_values(self):
         report = interpret_sides(triangle_from_sides(3.0, 4.0, 5.0))
         assert report.solution.as_tuple() == pytest.approx((1.0, 2.0, 3.0), abs=1e-12)
+
+    def test_needle_sign_is_undecided(self):
+        # Area 0.5, but the float sides satisfy b == a + c: the tangent
+        # length at B, about 2.5e-17, rounds to zero.
+        t = Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))
+        m = t.metrics
+        assert m.b == m.a + m.c
+        report = interpret_sides(t)
+        assert abs(report.solution.y) <= SIDES_BUDGET * 2.0**-53 * m.b
+        assert report.all_positive is None
+        assert report.passed
+
+    @pytest.mark.parametrize("times, expected", [(2.0, False), (0.5, None)])
+    def test_sign_decided_only_beyond_the_budget(self, monkeypatch, times, expected):
+        # A mutant solve that puts the needle's smallest tangent length
+        # `times` the rounding budget below zero: beyond the budget the
+        # reading fails, within it the sign stays undecided.
+        exact = three_sum.solve
+
+        def pushed(system):
+            sol = exact(system)
+            budget = SIDES_BUDGET * 2.0**-53 * max(system.L, system.M, system.N)
+            return Solution(sol.x, -times * budget, sol.z)
+
+        monkeypatch.setattr(three_sum, "solve", pushed)
+        report = interpret_sides(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1)))
+        assert report.all_positive is expected
+        assert report.passed is (expected is None)
 
 
 class TestInterpretAngles:
