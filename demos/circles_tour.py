@@ -11,13 +11,7 @@ Both circles attached to a triangle produce the same three-sum structure:
 
 import math
 
-from cuoco import (
-    circumcircle,
-    incircle,
-    metrics,
-    triangle_from_sides,
-    vertex_splits,
-)
+from cuoco import circumcircle, incircle, triangle_from_sides
 
 # --- Incircle on the 3-4-5 triangle ---------------------------------------
 t = triangle_from_sides(3.0, 4.0, 5.0)
@@ -28,7 +22,7 @@ for side, point in sorted(inc.tangent_points.items()):
 for vertex in ("A", "B", "C"):
     print(f"  tangent length from {vertex}: {inc.tangent_lengths[vertex]:.6f}")
 
-m = metrics(t)
+m = t.metrics
 print("  closed form (s-a, s-b, s-c):", (m.s - m.a, m.s - m.b, m.s - m.c))
 
 # --- Circumcircle ----------------------------------------------------------
@@ -43,8 +37,8 @@ print("\n3-4-5 circumcircle: center =", circ.center, " radius =", circ.radius)
 # both ends of one side agree.
 print("\nangle splits of the obtuse 2-3-4 triangle:")
 obtuse = triangle_from_sides(2.0, 3.0, 4.0)
-splits = vertex_splits(obtuse)
-om = metrics(obtuse)
+splits = circumcircle(obtuse).splits
+om = obtuse.metrics
 angle_at = {"A": om.alpha, "B": om.beta, "C": om.gamma}
 for v in ("A", "B", "C"):
     parts = {w: round(value, 6) for w, value in sorted(splits[v].items())}

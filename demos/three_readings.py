@@ -17,6 +17,8 @@ the triangle is acute.
 from cuoco import (
     ThreeSum,
     all_positive,
+    circumcircle,
+    incircle,
     interpret_angles,
     interpret_sides,
     interpret_squares,
@@ -33,8 +35,10 @@ print("all positive?", all_positive(system))
 # --- Readings on an obtuse triangle ----------------------------------------
 t = triangle_from_sides(2.0, 3.0, 4.0)
 
-for reading in (interpret_squares, interpret_sides, interpret_angles):
-    report = reading(t)
+# Each reading takes the construction it reads: the triangle itself, its
+# incircle, its circumcircle.
+for report in (interpret_squares(t), interpret_sides(incircle(t)),
+               interpret_angles(circumcircle(t))):
     print(f"\n{report.kind} reading:")
     print("  sums L,M,N   =", tuple(round(v, 6) for v in (report.system.L, report.system.M, report.system.N)))
     print("  solution     =", tuple(round(v, 6) for v in report.solution.as_tuple()))

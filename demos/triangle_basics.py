@@ -8,10 +8,9 @@ data, classify them, and drop altitudes. Everything here is plain floats
 from cuoco import (
     Point,
     Triangle,
-    classify,
+    distance,
+    dot,
     foot_of_altitude,
-    metrics,
-    signed_projection,
     triangle_from_sides,
 )
 
@@ -32,7 +31,7 @@ cw = Triangle(A=Point(0, 0), B=Point(0, 2), C=Point(3, 0))
 print("clockwise input is relabeled, twice_area =", cw.twice_area)
 
 # --- Measured data --------------------------------------------------------
-m = metrics(t)
+m = t.metrics
 print("sides      a, b, c =", (m.a, m.b, m.c))
 print("angles (radians)   =", (round(m.alpha, 6), round(m.beta, 6), round(m.gamma, 6)))
 print("area               =", m.area)
@@ -40,9 +39,10 @@ print("semiperimeter      =", m.s)
 
 # --- Classification -------------------------------------------------------
 # The smallest side cosine may sit up to RIGHT_ANGLE_BAND (1e-9) from zero
-# and still count as a right angle; `classify(m, eps=...)` takes another band.
+# and still count as a right angle. Each triangle is classified once, with
+# its metrics.
 for sides in ((2.0, 3.0, 4.0), (3.0, 4.0, 5.0), (6.0, 7.0, 8.0)):
-    result = classify(metrics(triangle_from_sides(*sides)))
+    result = triangle_from_sides(*sides).metrics.classification
     where = f" at {result.vertex}" if result.vertex else ""
     print(f"{sides}: {result.kind}{where}")
 
@@ -53,7 +53,8 @@ for sides in ((2.0, 3.0, 4.0), (3.0, 4.0, 5.0), (6.0, 7.0, 8.0)):
 foot, param = foot_of_altitude(t, from_vertex="A")
 print("foot of altitude from A:", foot, "at parameter", round(param, 6))
 
-# signed_projection measures |CA| * cos(angle at C): positive for an acute
-# vertex, negative for an obtuse one. Here the angle at C is obtuse.
-value = signed_projection(t, at="C", of="A", onto="B")
+# The signed projection of CA onto CB, dot(CA, CB) / |CB|, is
+# |CA| * cos(angle at C): positive for an acute vertex, negative for an
+# obtuse one. Here the angle at C is obtuse.
+value = dot(t.A - t.C, t.B - t.C) / distance(t.B, t.C)
 print("projection of CA onto CB:", value)

@@ -17,15 +17,12 @@ from .geometry import (
     Triangle,
     TriangleInequalityViolated,
     TriangleMetrics,
-    classify,
     cross,
     distance,
     dot,
     foot_of_altitude,
-    metrics,
     norm,
     perp,
-    signed_projection,
     triangle_from_sides,
 )
 from .cosine_law import (
@@ -66,7 +63,6 @@ from .circles import (
     closed_form_splits,
     incircle,
     tangent_lengths,
-    vertex_splits,
 )
 from .figures import KINDS as FIGURE_KINDS, FigureSpec, KindMismatch, render
 
@@ -100,7 +96,6 @@ __all__ = [
     "all_positive",
     "build_decomposition",
     "circumcircle",
-    "classify",
     "closed_form_splits",
     "cos_from_sides",
     "cross",
@@ -113,19 +108,16 @@ __all__ = [
     "interpret_angles",
     "interpret_sides",
     "interpret_squares",
-    "metrics",
     "norm",
     "panel_area_exact",
     "panel_area_trig",
     "perp",
     "render",
     "shoelace",
-    "signed_projection",
     "similarity_check",
     "solve",
     "tangent_lengths",
     "third_side",
     "triangle_from_sides",
     "verify_cosine_identity",
-    "vertex_splits",
 ]

@@ -70,12 +70,12 @@ def rows(t: Triangle):
         yield ("squares_positivity", None, 0.0 if squares_rep.acute_iff_positive else 1.0,
                1.0, None)
     inc = circles.incircle(t)
-    sides_rep = three_sum._interpret_sides(inc)
+    sides_rep = three_sum.interpret_sides(inc)
     yield "sides_interpretation", None, sides_rep.max_residual, 1.0, None
     if sides_rep.all_positive is not None:
         yield "sides_positivity", None, 0.0 if sides_rep.all_positive else 1.0, 1.0, None
     circ = circles.circumcircle(t)
-    angles_rep = three_sum._interpret_angles(t, circ.splits)
+    angles_rep = three_sum.interpret_angles(circ)
     yield "angles_interpretation", None, angles_rep.max_residual, 1.0, None
     if angles_rep.acute_iff_positive is not None:
         yield ("angles_positivity", None, 0.0 if angles_rep.acute_iff_positive else 1.0,

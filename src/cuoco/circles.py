@@ -108,11 +108,12 @@ def tangent_lengths(t: Triangle) -> dict[str, float]:
     return {"A": m.s - m.a, "B": m.s - m.b, "C": m.s - m.c}
 
 
-def _circumcenter(t: Triangle) -> Point:
-    """A plus the centre's offset from A, found in A's frame: the legs are
-    scaled by a power of two (exact) so that their largest component is
+def _circumcenter(t: Triangle) -> tuple[Point, Point]:
+    """The circumcentre and its offset from A, found in A's frame: the legs
+    are scaled by a power of two (exact) so that their largest component is
     about 1, where no product overflows or underflows, and the offset is
-    scaled back. The determinant is then the triangle's own cross product."""
+    scaled back (exact too). The determinant is then the triangle's own
+    cross product."""
     ab, ac = t._legs["A"]
     _, k = math.frexp(max(abs(ab.x), abs(ab.y), abs(ac.x), abs(ac.y)))
     down = math.ldexp(1.0, -k)
@@ -122,51 +123,47 @@ def _circumcenter(t: Triangle) -> Point:
         raise NonFiniteCoordinate("coordinates overflow: the circumcentre is not finite")
     b2, c2 = bx * bx + by * by, cx * cx + cy * cy
     up = math.ldexp(1.0, k)
-    return _centre(t.A.x + (cy * b2 - by * c2) / d * up, t.A.y + (bx * c2 - cx * b2) / d * up,
-                   "circumcentre")
-
-
-def circumcircle(t: Triangle) -> CircumcircleData:
-    """Circumcenter by perpendicular-bisector intersection, radius measured to A."""
-    center = _circumcenter(t)
-    return CircumcircleData(
-        triangle=t,
-        center=center,
-        radius=norm(center - t.A),
-        splits=_splits(t, center),
-    )
+    offset = _point((cy * b2 - by * c2) / d * up, (bx * c2 - cx * b2) / d * up)
+    return _centre(t.A.x + offset.x, t.A.y + offset.y, "circumcentre"), offset
 
 
 def _signed_angle(u: Point, v: Point) -> float:
     return math.atan2(cross(u, v), dot(u, v))
 
 
-def vertex_splits(t: Triangle) -> dict[str, dict[str, float]]:
-    """Signed angles into which the segments to the circumcenter cut each vertex.
+def circumcircle(t: Triangle) -> CircumcircleData:
+    """Circumcenter by perpendicular-bisector intersection, radius measured
+    to A, and the signed angles into which the segments to the centre cut
+    each vertex.
 
     splits[v][w] is the signed angle at v between side vw and the segment
     v -> circumcenter; negative exactly when the center lies on the far
     side of line vw. The two splits at a vertex sum to its angle, and
     splits[v][w] == splits[w][v] (base angles of the isosceles central
-    triangle over side vw).
+    triangle over side vw). The segments come from the centre's offset from
+    A and the legs at A, never as centre - v: far from the origin the
+    centre's coordinates round to a grid as coarse as the triangle itself.
     """
-    return _splits(t, _circumcenter(t))
-
-
-def _splits(t: Triangle, center: Point) -> dict[str, dict[str, float]]:
+    center, offset = _circumcenter(t)
+    ab, ac = t._legs["A"]
+    to_center = {"A": offset, "B": offset - ab, "C": offset - ac}
     splits: dict[str, dict[str, float]] = {}
     for v, (nxt, prv) in OPPOSITE_SIDE.items():  # cyclically next and previous
         to_nxt, to_prv = t._legs[v]
-        to_center = center - getattr(t, v)
         splits[v] = {
-            nxt: _signed_angle(to_nxt, to_center),
-            prv: _signed_angle(to_center, to_prv),
+            nxt: _signed_angle(to_nxt, to_center[v]),
+            prv: _signed_angle(to_center[v], to_prv),
         }
-    return splits
+    return CircumcircleData(
+        triangle=t,
+        center=center,
+        radius=norm(center - t.A),
+        splits=splits,
+    )
 
 
 def closed_form_splits(m: TriangleMetrics) -> dict[str, dict[str, float]]:
-    """The same structure as vertex_splits, from pi/2 minus the third angle."""
+    """The same structure as `circumcircle(t).splits`, from pi/2 minus the third angle."""
     angle = {"A": m.alpha, "B": m.beta, "C": m.gamma}
     return {
         v: {nxt: math.pi / 2.0 - angle[prv], prv: math.pi / 2.0 - angle[nxt]}

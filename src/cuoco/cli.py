@@ -25,6 +25,7 @@ from .geometry import (
     Triangle,
     VERTICES,
     triangle_from_sides,
+    _Record,
     _worst,
 )
 
@@ -78,6 +79,8 @@ def _rounded(obj):
         return {key: _rounded(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_rounded(value) for value in obj]
+    if isinstance(obj, _Record):  # a record prints as its fields, in order
+        return {name: _rounded(getattr(obj, name)) for name in obj._fields}
     return obj
 
 
@@ -138,14 +141,13 @@ def cmd_verify(args) -> int:
         worst = _worst(values)
         entries[check] = {"max_residual": worst, "passed": worst <= tol}
         passed = passed and worst <= tol
-    cls = m.classification
     _emit({
         "schema": SCHEMA,
         "command": "verify",
         "triangle": _triangle_json(t),
         "sides": {"a": m.a, "b": m.b, "c": m.c},
         "angles": {"alpha": m.alpha, "beta": m.beta, "gamma": m.gamma},
-        "classification": {"kind": cls.kind, "vertex": cls.vertex},
+        "classification": m.classification,
         "tol": tol,
         "pair_areas": [decomposition.panel_area_exact(p, t) for p in decomposition.PAIR_CLASSES],
         "checks": entries,
@@ -154,46 +156,30 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _interpretation_json(report) -> dict:
-    return {
-        "kind": report.kind,
-        "system": {"L": report.system.L, "M": report.system.M, "N": report.system.N},
-        "solution": {"x": report.solution.x, "y": report.solution.y, "z": report.solution.z},
-        "mapping": report.mapping,
-        "geometric": report.geometric,
-        "closed_form": report.closed_form,
-        "max_residual": report.max_residual,
-        "all_positive": report.all_positive,
-        "classification": {"kind": report.classification.kind, "vertex": report.classification.vertex},
-        "acute_iff_positive": report.acute_iff_positive,
-        "passed": report.passed,
-    }
-
-
 def cmd_solve(args) -> int:
     values = [args.L, args.M, args.N]
     if args.degrees:
         values = [math.radians(v) for v in values]
     system = three_sum.ThreeSum(*values)
-    sol = three_sum.solve(system)
     report = {
         "schema": SCHEMA,
         "command": "solve",
-        "system": {"L": system.L, "M": system.M, "N": system.N},
+        "system": system,
         "units": "radians" if args.degrees else "as-given",
-        "solution": {"x": sol.x, "y": sol.y, "z": sol.z},
+        "solution": three_sum.solve(system),
         "all_positive": three_sum.all_positive(system),
     }
     passed = True
     if args.interpret:
         t = _triangle_from_args(args)
-        interpret = {
-            "squares": three_sum.interpret_squares,
-            "sides": three_sum.interpret_sides,
-            "angles": three_sum.interpret_angles,
+        # Each reading takes the construction it reads.
+        construct, interpret = {
+            "squares": (lambda t: t, three_sum.interpret_squares),
+            "sides": (circles.incircle, three_sum.interpret_sides),
+            "angles": (circles.circumcircle, three_sum.interpret_angles),
         }[args.interpret]
-        interpretation = interpret(t, tol=args.tol)
-        report["interpretation"] = _interpretation_json(interpretation)
+        interpretation = interpret(construct(t), tol=args.tol)
+        report["interpretation"] = interpretation
         passed = interpretation.passed
     elif getattr(args, "sides", None) or getattr(args, "points", None):
         raise InputError("triangle input is only used together with --interpret")
@@ -250,16 +236,16 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def random_triangle(rng: random.Random, span: float = 10.0) -> Triangle:
-    """Rejection-sample a usable triangle with coordinates in [-span, span].
+def random_triangle(rng: random.Random) -> Triangle:
+    """Rejection-sample a usable triangle with coordinates in [-10, 10].
 
     Collinear triples are rejected outright; numerically thin ones (tiny
     area or side) are rejected as well, since residual checks at 1e-9
     relative are not meaningful at worse conditioning.
     """
-    width = span - -span  # rng.uniform(-span, span) inlined, the same arithmetic
     while True:
-        coords = [-span + width * rng.random() for _ in range(6)]
+        # rng.uniform(-10.0, 10.0) inlined, the same arithmetic
+        coords = [-10.0 + 20.0 * rng.random() for _ in range(6)]
         try:
             t = Triangle(
                 A=Point(coords[0], coords[1]),

@@ -207,10 +207,6 @@ class Triangle(_Frozen):
         self._store(A, B, C, doubled, squares, legs, feet)
         object.__setattr__(self, "metrics", metrics(self))
 
-    def vertex(self, name: str) -> Point:
-        _check_vertex(name)
-        return getattr(self, name)
-
 
 def _is_finite(value) -> bool:
     """math.isfinite, and False for an integer too large for a float:
@@ -287,17 +283,16 @@ class Classification(_Frozen):
         return self.kind == "acute"
 
 
-def classify(m: TriangleMetrics, eps: float = RIGHT_ANGLE_BAND) -> Classification:
+def classify(m: TriangleMetrics) -> Classification:
     """Acute/right/obtuse by the smallest side cosine.
 
-    The band is on the cosine, not the angle: |cos| <= eps reads as right.
+    The band is on the cosine, not the angle: |cos| <= RIGHT_ANGLE_BAND
+    reads as right.
     """
-    if eps < 0:
-        raise GeometryError("eps must be nonnegative")
     vertex, smallest = min(zip(VERTICES, m.cosines), key=lambda item: item[1])
-    if smallest < -eps:
+    if smallest < -RIGHT_ANGLE_BAND:
         return Classification("obtuse", vertex)
-    if smallest <= eps:
+    if smallest <= RIGHT_ANGLE_BAND:
         return Classification("right", vertex)
     return Classification("acute")
 
@@ -350,19 +345,3 @@ def _project(p: Point, e: Point, to_point: Point) -> tuple[Point, float]:
     along e, and its affine coordinate: 0 at p, 1 at p + e."""
     tparam = dot(to_point, e) / dot(e, e)
     return _point(p.x + tparam * e.x, p.y + tparam * e.y), tparam
-
-
-def signed_projection(t: Triangle, at: str, of: str, onto: str) -> float:
-    """Signed length of the projection of side (at -> of) onto side (at -> onto).
-
-    Positive toward `onto`, negative when the angle at `at` is obtuse.
-    Defined as dot(u, w) / |w| with u = of - at and w = onto - at.
-    """
-    _check_vertex(at)
-    _check_vertex(of)
-    _check_vertex(onto)
-    if len({at, of, onto}) != 3:
-        raise GeometryError(f"vertices must be distinct, got at={at!r} of={of!r} onto={onto!r}")
-    u = getattr(t, of) - getattr(t, at)
-    w = getattr(t, onto) - getattr(t, at)
-    return dot(u, w) / math.sqrt(dot(w, w))

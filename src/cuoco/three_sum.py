@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .circles import IncircleData, incircle, vertex_splits
+from .circles import CircumcircleData, IncircleData
 from .decomposition import panel_area_exact, panel_area_trig
 from .geometry import Classification, GeometryError, Triangle, _Frozen, _Record
 
@@ -84,17 +84,17 @@ class InterpretationReport(_Record):
 
     __slots__ = _fields = ("kind", "system", "solution", "mapping", "geometric", "closed_form",
                            "max_residual", "all_positive", "classification",
-                           "acute_iff_positive", "tol", "passed")
+                           "acute_iff_positive", "passed")
 
     def __init__(self, kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, str],
                  geometric: dict[str, float], closed_form: dict[str, float],
                  max_residual: float, all_positive: bool | None, classification: Classification,
-                 acute_iff_positive: bool | None, tol: float, passed: bool) -> None:
+                 acute_iff_positive: bool | None, passed: bool) -> None:
         self.kind, self.system, self.solution, self.mapping = kind, system, solution, mapping
         self.geometric, self.closed_form = geometric, closed_form
         self.max_residual, self.all_positive = max_residual, all_positive
         self.classification, self.acute_iff_positive = classification, acute_iff_positive
-        self.tol, self.passed = tol, passed
+        self.passed = passed
 
 
 def _component_residual(sol: Solution, route: dict[str, float], scale: float) -> float:
@@ -140,7 +140,6 @@ def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
         all_positive=all_positive(system),
         classification=cls,
         acute_iff_positive=flag,
-        tol=tol,
         passed=max_residual <= tol and flag is not False,
     )
 
@@ -155,8 +154,8 @@ def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
 SIDES_BUDGET = 8
 
 
-def interpret_sides(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
-    """(L, M, N) = sides; the solution must be the incircle tangent lengths.
+def interpret_sides(inc: IncircleData, tol: float = 1e-9) -> InterpretationReport:
+    """(L, M, N) = sides; the solution must be the incircle's tangent lengths.
 
     x = s - c (tangent length at C), y = s - b (at B), z = s - a (at A).
     Positivity is the strict triangle inequality, so it holds in exact
@@ -164,18 +163,13 @@ def interpret_sides(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
     below, so a sign is decided only beyond the rounding budget
     SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
-    return _interpret_sides(incircle(t), tol)
-
-
-def _interpret_sides(data: IncircleData, tol: float = 1e-9) -> InterpretationReport:
-    """interpret_sides for an incircle already constructed."""
-    m = data.triangle.metrics
+    m = inc.triangle.metrics
     system = ThreeSum(m.a, m.b, m.c)
     sol = solve(system)
     geometric = {
-        "x": data.tangent_lengths["C"],
-        "y": data.tangent_lengths["B"],
-        "z": data.tangent_lengths["A"],
+        "x": inc.tangent_lengths["C"],
+        "y": inc.tangent_lengths["B"],
+        "z": inc.tangent_lengths["A"],
     }
     closed_form = {"x": m.s - m.c, "y": m.s - m.b, "z": m.s - m.a}
     scale = max(1.0, m.a, m.b, m.c)
@@ -197,30 +191,22 @@ def _interpret_sides(data: IncircleData, tol: float = 1e-9) -> InterpretationRep
         all_positive=positive,
         classification=m.classification,
         acute_iff_positive=None,
-        tol=tol,
         passed=max_residual <= tol and positive is not False,
     )
 
 
-def interpret_angles(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
-    """(L, M, N) = angles; the solution must be the circumcenter splits.
+def interpret_angles(circ: CircumcircleData, tol: float = 1e-9) -> InterpretationReport:
+    """(L, M, N) = angles; the solution must be the circumcircle's splits.
 
     x = pi/2 - gamma appears at both ends of side c (the isosceles central
     triangle over AB), y = pi/2 - beta over side b, z = pi/2 - alpha over
     side a. Residuals are absolute: angles are already order one.
     """
-    return _interpret_angles(t, vertex_splits(t), tol)
-
-
-def _interpret_angles(
-    t: Triangle, splits: dict[str, dict[str, float]], tol: float = 1e-9
-) -> InterpretationReport:
-    """interpret_angles for circumcentre splits already measured."""
-    m = t.metrics
+    m = circ.triangle.metrics
     system = ThreeSum(m.alpha, m.beta, m.gamma)
     sol = solve(system)
     # Each component is realized twice; hold it against both measurements.
-    at_a, at_b, at_c = splits["A"], splits["B"], splits["C"]
+    at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
     geometric = {"x": at_a["B"], "y": at_a["C"], "z": at_b["C"]}
     closed_form = {
         "x": math.pi / 2.0 - m.gamma,
@@ -246,6 +232,5 @@ def _interpret_angles(
         all_positive=all_positive(system),
         classification=cls,
         acute_iff_positive=flag,
-        tol=tol,
         passed=max_residual <= tol and flag is not False,
     )

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cuoco.circles import circumcircle, incircle, vertex_splits
+from cuoco.circles import circumcircle, incircle
 from cuoco.cli import random_triangle
 from cuoco.cosine_law import cos_from_sides, euclid_defect, verify_cosine_identity
 from cuoco.decomposition import (
@@ -22,10 +22,8 @@ from cuoco.decomposition import (
 )
 from cuoco.figures import KINDS, FigureSpec, render
 from cuoco.geometry import (
-    classify,
     cross,
     dot,
-    metrics,
     Point,
     Triangle,
     triangle_from_sides,
@@ -61,7 +59,7 @@ def test_cosine_identity_on_bulk_sample(sample):
     worst = 0.0
     start = time.perf_counter()
     for t in sample:
-        m = metrics(t)
+        m = t.metrics
         residuals = verify_cosine_identity(m)
         worst = max(worst, max(abs(r) for r in residuals) / max(m.a**2, m.b**2, m.c**2))
     elapsed = time.perf_counter() - start
@@ -87,7 +85,7 @@ def test_panel_pair_equivalence_from_quads(sample):
     for t in sample + extras:
         d = build(t)
         m = d.metrics
-        kinds.add(classify(m, eps=1e-9).kind)
+        kinds.add(m.classification.kind)
         if min(d.pair_areas.R, d.pair_areas.S, d.pair_areas.T) < 0:
             negative_pairs += 1
         r1, r2, s1, s2, t1, t2 = (shoelace(panel.quad) for panel in d.panels)
@@ -139,7 +137,7 @@ def test_projection_defect_identity_and_sign(sample):
     worst = 0.0
     signs_ok = True
     for t in sample:
-        m = metrics(t)
+        m = t.metrics
         for vertex, angle, opp in (("A", m.alpha, m.a), ("B", m.beta, m.b), ("C", m.gamma, m.c)):
             defect, residual = euclid_defect(t, at_vertex=vertex)
             worst = max(worst, abs(residual) / (opp * opp))
@@ -187,14 +185,14 @@ def test_positivity_matches_acuteness(sample):
     exceptions = 0
     considered = 0
     for t in sample:
-        m = metrics(t)
+        m = t.metrics
         cosines = (math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
         if min(abs(v) for v in cosines) <= 1e-9:
             continue
         considered += 1
         acute = min(cosines) > 0
         squares_report = interpret_squares(t)
-        angles_report = interpret_angles(t)
+        angles_report = interpret_angles(circumcircle(t))
         if squares_report.all_positive != acute or angles_report.all_positive != acute:
             exceptions += 1
         if not (squares_report.passed and angles_report.passed):
@@ -212,7 +210,7 @@ def test_tangent_lengths_measured_vs_closed_form(sample):
     worst = 0.0
     sums_worst = 0.0
     for t in sample:
-        m = metrics(t)
+        m = t.metrics
         data = incircle(t)
         closed = {"A": m.s - m.a, "B": m.s - m.b, "C": m.s - m.c}
         scale = max(1.0, m.s)
@@ -234,23 +232,23 @@ def test_circumcircle_vertex_splits(sample):
     worst = 0.0
     sum_worst = 0.0
     for t in sample:
-        m = metrics(t)
+        m = t.metrics
         opposite_angle = {
             ("A", "B"): m.gamma, ("B", "A"): m.gamma,
             ("B", "C"): m.alpha, ("C", "B"): m.alpha,
             ("C", "A"): m.beta, ("A", "C"): m.beta,
         }
         angle_at = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-        splits = vertex_splits(t)
+        splits = circumcircle(t).splits
         for v, row in splits.items():
             total = 0.0
             for w, value in row.items():
                 worst = max(worst, abs(value - (math.pi / 2.0 - opposite_angle[(v, w)])))
                 total += value
             sum_worst = max(sum_worst, abs(total - angle_at[v]))
-    right = vertex_splits(triangle_from_sides(3.0, 4.0, 5.0))
+    right = circumcircle(triangle_from_sides(3.0, 4.0, 5.0)).splits
     zero_split_ok = abs(right["A"]["B"]) <= 1e-12 and abs(right["B"]["A"]) <= 1e-12
-    obtuse = vertex_splits(triangle_from_sides(2.0, 3.0, 4.0))
+    obtuse = circumcircle(triangle_from_sides(2.0, 3.0, 4.0)).splits
     negative_split_ok = obtuse["A"]["B"] < 0 and obtuse["B"]["A"] < 0
     ok = worst <= 1e-9 and sum_worst <= 1e-9 and zero_split_ok and negative_split_ok
     check(
@@ -293,11 +291,11 @@ def test_frozen_reference_values():
     if (circ.center.x, circ.center.y, circ.radius) != pytest.approx((1.5, 2.0, 2.5), abs=1e-12):
         failures.append("3-4-5 circumcircle")
 
-    angles = interpret_angles(triangle_from_sides(2.0, 3.0, 4.0))
+    angles = interpret_angles(circumcircle(triangle_from_sides(2.0, 3.0, 4.0)))
     if angles.solution.x != pytest.approx(-0.2526802551420787, abs=1e-12):
         failures.append(f"negative angle split of 2-3-4: {angles.solution.x}")
 
-    sides_reading = interpret_sides(triangle_from_sides(2.0, 3.0, 4.0))
+    sides_reading = interpret_sides(incircle(triangle_from_sides(2.0, 3.0, 4.0)))
     if sides_reading.solution.as_tuple() != pytest.approx((0.5, 1.5, 2.5), abs=1e-12):
         failures.append("tangent-length solution of 2-3-4")
 

@@ -9,13 +9,11 @@ from cuoco.circles import (
     closed_form_splits,
     incircle,
     tangent_lengths,
-    vertex_splits,
 )
 from cuoco.geometry import (
     cross,
     distance,
     dot,
-    metrics,
     NonFiniteCoordinate,
     Point,
     Triangle,
@@ -50,8 +48,8 @@ class TestIncircle:
     def test_center_equidistant_from_sides(self, t):
         data = incircle(t)
         for side, (p_name, q_name) in SIDE_ENDPOINTS.items():
-            p = t.vertex(p_name)
-            q = t.vertex(q_name)
+            p = getattr(t, p_name)
+            q = getattr(t, q_name)
             dist = distance_to_line(data.center, p, q)
             assert abs(dist - data.radius) <= 1e-9 * max(1.0, data.radius)
 
@@ -60,8 +58,8 @@ class TestIncircle:
     def test_tangent_points_on_their_sides(self, t):
         data = incircle(t)
         for side, (p_name, q_name) in SIDE_ENDPOINTS.items():
-            p = t.vertex(p_name)
-            q = t.vertex(q_name)
+            p = getattr(t, p_name)
+            q = getattr(t, q_name)
             tp = data.tangent_points[side]
             side_len = distance(p, q)
             # On the carrier line, strictly between the endpoints.
@@ -76,14 +74,14 @@ class TestIncircle:
     def test_tangent_params_locate_tangent_points(self, t):
         data = incircle(t)
         for side, (p_name, q_name) in SIDE_ENDPOINTS.items():
-            p = t.vertex(p_name)
-            q = t.vertex(q_name)
+            p = getattr(t, p_name)
+            q = getattr(t, q_name)
             located = p + (q - p).scaled(data.tangent_params[side])
             assert distance(located, data.tangent_points[side]) <= 1e-12 * max(1.0, distance(p, q))
 
     def test_measured_lengths_match_closed_form(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            m = metrics(t)
+            m = t.metrics
             closed = {
                 "A": m.s - m.a,
                 "B": m.s - m.b,
@@ -98,7 +96,7 @@ class TestIncircle:
 
     def test_adjacent_tangent_lengths_sum_to_sides(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            m = metrics(t)
+            m = t.metrics
             lengths = incircle(t).tangent_lengths
             sides = {"a": m.a, "b": m.b, "c": m.c}
             for side, (p_name, q_name) in SIDE_ENDPOINTS.items():
@@ -122,7 +120,7 @@ class TestCircumcircle:
     def test_center_equidistant_from_vertices(self, t):
         data = circumcircle(t)
         for name in VERTICES:
-            d = distance(data.center, t.vertex(name))
+            d = distance(data.center, getattr(t, name))
             assert abs(d - data.radius) <= 1e-9 * max(1.0, data.radius)
 
     def test_center_leaves_obtuse_triangle(self):
@@ -141,19 +139,26 @@ class TestCircumcircle:
         sides = [cross(q - p, data.center - p) for p, q in edges]
         assert min(sides) > 0
 
-    @pytest.mark.parametrize("construct", [circumcircle, vertex_splits])
-    def test_centre_equidistant_where_absolute_coordinates_failed(self, construct):
+    @pytest.mark.parametrize("measured", ["circumcircle", "vertex_splits"])
+    def test_centre_equidistant_where_absolute_coordinates_failed(self, measured):
         # Valid triangles that a determinant of absolute coordinates
         # refused: a thin one far out, where it cancelled to zero, and a
-        # large one at the origin, where its products overflowed.
+        # large one at the origin, where its products overflowed. The
+        # centre is equidistant from the vertices, and the splits, measured
+        # from its unrounded offset from A, match the closed form (from the
+        # rounded centre they were off by 0.3 radians on the thin one).
         far_thin = Triangle(A=Point(190233263674.5445, 190233263674.5445),
                             B=Point(190233263674.54453, 190233263674.5445),
                             C=Point(190233263674.5445, 190233263674.5446))
         large = Triangle(A=Point(0, 0), B=Point(1e150, 0), C=Point(0, 1e150))
         for t in (far_thin, large):
             data = circumcircle(t)
-            if construct is vertex_splits:  # measured from that same centre
-                assert vertex_splits(t) == data.splits
+            if measured == "vertex_splits":
+                closed = closed_form_splits(t.metrics)
+                for v, row in data.splits.items():
+                    for w, value in row.items():
+                        assert abs(value - closed[v][w]) <= 1e-9, (t, v, w)
+                continue
             budget = circumcentre_budget(data.center, data.radius)
             for name in VERTICES:
                 assert abs(distance(data.center, getattr(t, name)) - data.radius) <= budget
@@ -169,7 +174,7 @@ class TestCircumcircle:
 class TestVertexSplits:
     def test_right_triangle_zero_split(self):
         t = triangle_from_sides(3.0, 4.0, 5.0)
-        splits = vertex_splits(t)
+        splits = circumcircle(t).splits
         # gamma is the right angle, so the split pi/2 - gamma vanishes; it
         # appears at both ends of side c (at A toward B and at B toward A).
         assert splits["A"]["B"] == pytest.approx(0.0, abs=1e-12)
@@ -178,21 +183,21 @@ class TestVertexSplits:
 
     def test_obtuse_triangle_negative_split(self):
         t = triangle_from_sides(2.0, 3.0, 4.0)
-        splits = vertex_splits(t)
+        splits = circumcircle(t).splits
         gamma = math.acos(-0.25)
         expected = math.pi / 2.0 - gamma
         assert splits["A"]["B"] == pytest.approx(expected, abs=1e-12)
         assert splits["A"]["B"] < 0
 
     def test_acute_triangle_all_positive(self):
-        splits = vertex_splits(triangle_from_sides(6.0, 7.0, 8.0))
+        splits = circumcircle(triangle_from_sides(6.0, 7.0, 8.0)).splits
         for v, row in splits.items():
             for w, value in row.items():
                 assert value > 0
 
     def test_symmetric_across_each_side(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            splits = vertex_splits(t)
+            splits = circumcircle(t).splits
             for v in VERTICES:
                 for w in VERTICES:
                     if v != w:
@@ -200,17 +205,17 @@ class TestVertexSplits:
 
     def test_splits_sum_to_vertex_angles(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            m = metrics(t)
+            m = t.metrics
             angles = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-            splits = vertex_splits(t)
+            splits = circumcircle(t).splits
             for v in VERTICES:
                 total = sum(splits[v][w] for w in VERTICES if w != v)
                 assert abs(total - angles[v]) <= 1e-9
 
     def test_matches_closed_form(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            measured = vertex_splits(t)
-            closed = closed_form_splits(metrics(t))
+            measured = circumcircle(t).splits
+            closed = closed_form_splits(t.metrics)
             for v in VERTICES:
                 for w in VERTICES:
                     if v != w:

@@ -11,7 +11,7 @@ import pytest
 import cuoco
 from cuoco import checks, circles, cli, cosine_law, decomposition, geometry, three_sum
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
-from cuoco.geometry import Point, dot, metrics, triangle_from_sides
+from cuoco.geometry import Point, dot, triangle_from_sides
 
 from conftest import circumcentre_budget
 
@@ -168,6 +168,15 @@ class TestSolve:
         assert out == ""
         assert "overflows" in err
 
+    def test_records_print_as_their_fields(self):
+        # Nested records become objects keyed by their fields, in field order.
+        report = three_sum.interpret_squares(triangle_from_sides(3, 4, 5))
+        printed = cli._rounded(report)
+        assert list(printed) == list(type(report)._fields)
+        assert printed["system"] == {"L": 9.0, "M": 16.0, "N": 25.0}
+        assert list(printed["solution"]) == ["x", "y", "z"]
+        assert printed["classification"] == {"kind": "right", "vertex": "C"}
+
 
 class TestFigure:
     def test_writes_svg(self, capsys, tmp_path):
@@ -288,10 +297,10 @@ class TestDegenerateArithmetic:
     @pytest.mark.parametrize("command", ["figure", "solve"])
     def test_far_thin_circumcentre_is_equidistant(self, capsys, tmp_path, command):
         # A determinant of absolute coordinates cancelled to zero here; the
-        # triangle's own cross product does not. `solve` now reports: its
-        # splits are measured from that centre, whose coordinates round to
-        # the grid of floats near 2e11 (3e-5 apart, the triangle's own
-        # size), so the angles reading fails, with exit 1.
+        # triangle's own cross product does not. The centre's coordinates
+        # round to the grid of floats near 2e11 (3e-5 apart, the triangle's
+        # own size), but the splits are measured from its unrounded offset
+        # from A, so the angles reading passes.
         argv = {
             "figure": ("figure", "--kind", "circumcircle", f"--points={FAR_THIN}",
                        "--out", str(tmp_path / "x.svg")),
@@ -299,16 +308,28 @@ class TestDegenerateArithmetic:
                       f"--points={FAR_THIN}"),
         }[command]
         code, out, _ = run_cli(capsys, *argv)
-        assert code == (0 if command == "figure" else 1)
+        assert code == 0
         coords = [float(value) for value in FAR_THIN.split(",")]
         vertices = (coords[0:2], coords[2:4], coords[4:6])
         if command == "figure":
             receipt = json.loads(out)["report"]
         else:
-            assert json.loads(out)["interpretation"]["passed"] is False
+            assert json.loads(out)["interpretation"]["passed"] is True
             data = circles.circumcircle(geometry.Triangle(*(Point(*v) for v in vertices)))
             receipt = {"center": [data.center.x, data.center.y], "radius": data.radius}
         assert_equidistant(receipt, *vertices)
+
+    def test_far_circumcentre_splits_pass_verify(self, capsys):
+        # A triangle of size 1e-8 at 3.56: splits measured from the rounded
+        # centre, centre - v, were off by 1.1e-8 here and failed
+        # angles_interpretation and vertex_splits.
+        code, out, _ = run_cli(capsys, "verify", "--points=3.56101518335002,3.561015183002625,"
+                               "3.5610151838895097,3.5610151721073136,3.561015181583827,"
+                               "3.56101518463416")
+        assert code == 0
+        report = json.loads(out)
+        assert report["checks"]["angles_interpretation"]["passed"] is True
+        assert report["checks"]["vertex_splits"]["passed"] is True
 
 
 def assert_equidistant(receipt, *vertices):
@@ -409,7 +430,7 @@ class TestFuzz:
 
         def corrupted(t, at_vertex):
             defect, residual = exact(t, at_vertex)
-            m = metrics(t)
+            m = t.metrics
             return defect, residual + 1e-8 * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
 
         monkeypatch.setattr(cosine_law, "euclid_defect", corrupted)

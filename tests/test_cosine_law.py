@@ -12,7 +12,6 @@ from cuoco.cosine_law import (
     verify_cosine_identity,
 )
 from cuoco.geometry import (
-    metrics,
     NonFiniteCoordinate,
     NonPositiveSide,
     Point,
@@ -158,7 +157,7 @@ class TestEuclidDefect:
 
     def test_sign_matches_vertex_angle(self, fuzz_triangles):
         for t in fuzz_triangles:
-            m = metrics(t)
+            m = t.metrics
             for vertex, angle in (("A", m.alpha), ("B", m.beta), ("C", m.gamma)):
                 defect, _ = euclid_defect(t, at_vertex=vertex)
                 cosine = math.cos(angle)
@@ -169,7 +168,7 @@ class TestEuclidDefect:
 class TestVerifyCosineIdentity:
     def test_passes_on_random_triangles(self, fuzz_triangles):
         for t in fuzz_triangles[:400]:
-            m = metrics(t)
+            m = t.metrics
             residuals = verify_cosine_identity(m)
             assert max(abs(r) for r in residuals) <= 1e-9 * max(m.a**2, m.b**2, m.c**2)
 

@@ -21,7 +21,6 @@ from cuoco.geometry import (
     cross,
     dot,
     foot_of_altitude,
-    metrics,
     NonFiniteCoordinate,
     Point,
     Triangle,
@@ -114,9 +113,9 @@ class TestSquares:
         d = build(t)
         for square in d.squares:
             p_name, q_name, v_name = SIDE_FRAMES[square.side]
-            p = t.vertex(p_name)
-            q = t.vertex(q_name)
-            v = t.vertex(v_name)
+            p = getattr(t, p_name)
+            q = getattr(t, q_name)
+            v = getattr(t, v_name)
             verts = square.vertices
             side_sq = dot(p - q, p - q)
             # First two vertices are the side endpoints.
@@ -234,7 +233,7 @@ class TestExactIntegerAreas:
 
     def test_trig_path_agrees_with_exact(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            m = metrics(t)
+            m = t.metrics
             scale = max(1.0, m.a**2, m.b**2, m.c**2)
             for pair in ("R", "S", "T"):
                 exact = panel_area_exact(pair, t)

@@ -13,16 +13,13 @@ from cuoco.geometry import (
     Classification,
     GeometryError,
     OPPOSITE_SIDE,
-    classify,
     CollinearPoints,
     cross,
     distance,
     dot,
     foot_of_altitude,
-    metrics,
     NonPositiveSide,
     Point,
-    signed_projection,
     Triangle,
     triangle_from_sides,
     TriangleInequalityViolated,
@@ -83,14 +80,6 @@ class TestTriangle:
         with pytest.raises(GeometryError, match="squared side .* underflows to zero"):
             Triangle(A=Point(0, 0), B=Point(1e-170, 0), C=Point(0, 1e10))
 
-    def test_vertex_lookup(self):
-        t = Triangle(A=Point(0, 0), B=Point(2, 0), C=Point(0, 2))
-        assert t.vertex("A") == t.A
-        assert t.vertex("B") == t.B
-        assert t.vertex("C") == t.C
-        with pytest.raises(ValueError):
-            t.vertex("D")
-
 
 def _same_number(x, y) -> bool:
     """Equal, and for floats also the same sign of zero."""
@@ -150,13 +139,9 @@ class TestVertexNames:
     T = Triangle(A=Point(1, 2), B=Point(0, 0), C=Point(3, 0))
 
     @pytest.mark.parametrize("call", [
-        lambda t: t.vertex("D"),
         lambda t: foot_of_altitude(t, "D"),
         lambda t: euclid_defect(t, "D"),
         lambda t: similarity_check(t, "D"),
-        lambda t: signed_projection(t, at="D", of="B", onto="C"),
-        lambda t: signed_projection(t, at="A", of="D", onto="C"),
-        lambda t: signed_projection(t, at="A", of="B", onto="D"),
     ])
     def test_unknown_vertex_rejected(self, call):
         with pytest.raises(GeometryError, match="unknown vertex"):
@@ -192,7 +177,7 @@ class TestTriangleFromSides:
     def test_side_lengths_reproduced(self, sides):
         a, b, c = sides
         t = triangle_from_sides(a, b, c)
-        m = metrics(t)
+        m = t.metrics
         scale = max(a, b, c)
         assert abs(m.a - a) <= 1e-12 * scale
         assert abs(m.b - b) <= 1e-12 * scale
@@ -201,21 +186,21 @@ class TestTriangleFromSides:
 
 class TestMetrics:
     def test_3_4_5_values(self):
-        m = metrics(triangle_from_sides(3.0, 4.0, 5.0))
+        m = triangle_from_sides(3.0, 4.0, 5.0).metrics
         assert m.area == pytest.approx(6.0, rel=1e-12)
         assert m.s == pytest.approx(6.0, rel=1e-12)
         assert m.gamma == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_angle_sum_and_herons_formula(self, fuzz_triangles):
         for t in fuzz_triangles:
-            m = metrics(t)
+            m = t.metrics
             assert abs(m.alpha + m.beta + m.gamma - math.pi) <= 1e-9
             heron = math.sqrt(m.s * (m.s - m.a) * (m.s - m.b) * (m.s - m.c))
             assert abs(m.area - heron) <= 1e-9 * max(1.0, heron)
 
     def test_law_of_sines(self, fuzz_triangles):
         for t in fuzz_triangles:
-            m = metrics(t)
+            m = t.metrics
             if min(m.alpha, m.beta, m.gamma) < 1e-3:
                 # acos loses ~eps/angle^2 of relative sine precision near 0,
                 # so slivers cannot meet a 1e-9 bound in double precision.
@@ -267,49 +252,48 @@ class TestSideCosines:
 
 
 class TestClassify:
+    """`t.metrics.classification`, which `classify` computes with the metrics."""
+
     def test_right_triangle(self):
-        m = metrics(triangle_from_sides(3.0, 4.0, 5.0))
-        result = classify(m)
+        result = triangle_from_sides(3.0, 4.0, 5.0).metrics.classification
         assert result.kind == "right"
         assert result.vertex == "C"
 
     def test_obtuse_triangle(self):
-        m = metrics(triangle_from_sides(2.0, 3.0, 4.0))
-        result = classify(m)
+        result = triangle_from_sides(2.0, 3.0, 4.0).metrics.classification
         assert result.kind == "obtuse"
         assert result.vertex == "C"
 
     def test_acute_triangle(self):
-        m = metrics(triangle_from_sides(1.0, 1.0, 1.0))
-        result = classify(m)
+        result = triangle_from_sides(1.0, 1.0, 1.0).metrics.classification
         assert result.kind == "acute"
         assert result.vertex is None
 
     def test_near_right_lands_in_band(self):
         # Perturb the hypotenuse by far less than the band tolerates.
-        m = metrics(triangle_from_sides(3.0, 4.0, 5.0 * (1.0 + 1e-14)))
-        assert classify(m, eps=1e-12).kind == "right"
-        # A generous band swallows a clearly obtuse triangle; a tight band does not.
-        obtuse = metrics(triangle_from_sides(2.0, 3.0, 4.0))
-        assert classify(obtuse, eps=0.5).kind == "right"
-        assert classify(obtuse, eps=1e-12).kind == "obtuse"
+        m = triangle_from_sides(3.0, 4.0, 5.0 * (1.0 + 1e-14)).metrics
+        assert m.classification.kind == "right"
+        # Longer by 1e-8 relative, the cosine at C is near -2e-8, beyond the band.
+        m = triangle_from_sides(3.0, 4.0, 5.0 * (1.0 + 1e-8)).metrics
+        assert m.classification == Classification("obtuse", "C")
 
     def test_default_band_is_the_shared_right_angle_band(self):
         # A hypotenuse longer by 3e-10 relative puts the cosine at C near
         # -6e-10: outside a 1e-12 band, inside the 1e-9 one all readings use.
-        m = metrics(triangle_from_sides(3, 4, 5 * (1 + 3e-10)))
-        assert classify(m) == Classification("right", "C")
+        m = triangle_from_sides(3, 4, 5 * (1 + 3e-10)).metrics
+        assert abs(m.cosines[2]) > 1e-12
+        assert m.classification == Classification("right", "C")
 
     @settings(max_examples=150)
     @given(float_triangles(), st.floats(1e-3, 1e3))
     def test_scale_invariant(self, t, factor):
-        m = metrics(t)
+        m = t.metrics
         scaled = Triangle(
             A=t.A.scaled(factor), B=t.B.scaled(factor), C=t.C.scaled(factor)
         )
-        sm = metrics(scaled)
+        sm = scaled.metrics
         # Classification depends only on shape, so uniform scaling keeps it.
-        assert classify(m).kind == classify(sm).kind
+        assert m.classification.kind == sm.classification.kind
 
 
 class TestFootOfAltitude:
@@ -331,9 +315,9 @@ class TestFootOfAltitude:
     @given(float_triangles())
     def test_foot_is_perpendicular_projection(self, t):
         for vertex, (p_name, q_name) in (("A", ("B", "C")), ("B", ("C", "A")), ("C", ("A", "B"))):
-            v = t.vertex(vertex)
-            p = t.vertex(p_name)
-            q = t.vertex(q_name)
+            v = getattr(t, vertex)
+            p = getattr(t, p_name)
+            q = getattr(t, q_name)
             foot, param = foot_of_altitude(t, from_vertex=vertex)
             edge = q - p
             # Foot lies on the carrier line at the reported parameter...
@@ -342,26 +326,3 @@ class TestFootOfAltitude:
             # ...and the connecting segment is orthogonal to the edge.
             scale = max(1.0, dot(edge, edge))
             assert abs(dot(v - foot, edge)) <= 1e-9 * scale
-
-
-class TestSignedProjection:
-    def test_positive_when_angle_acute(self):
-        t = Triangle(A=Point(1, 2), B=Point(0, 0), C=Point(3, 0))
-        assert signed_projection(t, at="B", of="A", onto="C") == pytest.approx(1.0, rel=1e-15)
-
-    def test_negative_when_angle_obtuse(self):
-        t = triangle_from_sides(2.0, 3.0, 4.0)
-        # cos(gamma) = -1/4, |CA| = b = 3, so the projection is 3 * (-1/4).
-        value = signed_projection(t, at="C", of="A", onto="B")
-        assert value == pytest.approx(-0.75, rel=1e-12)
-
-    @settings(max_examples=200)
-    @given(float_triangles())
-    def test_sign_matches_vertex_angle(self, t):
-        m = metrics(t)
-        angle_at = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-        for at, (p_name, q_name) in (("A", ("B", "C")), ("B", ("C", "A")), ("C", ("A", "B"))):
-            value = signed_projection(t, at=at, of=p_name, onto=q_name)
-            cosine = math.cos(angle_at[at])
-            if abs(cosine) > 1e-6:
-                assert (value > 0) == (cosine > 0)

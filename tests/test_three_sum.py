@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cuoco import three_sum
-from cuoco.geometry import GeometryError, Point, Triangle, metrics, triangle_from_sides
+from cuoco.circles import circumcircle, incircle
+from cuoco.geometry import GeometryError, Point, Triangle, triangle_from_sides
 from cuoco.three_sum import (
     SIDES_BUDGET,
     Solution,
@@ -126,7 +127,7 @@ class TestInterpretSquares:
 
 class TestInterpretSides:
     def test_tangent_lengths_frozen(self):
-        report = interpret_sides(triangle_from_sides(2.0, 3.0, 4.0))
+        report = interpret_sides(incircle(triangle_from_sides(2.0, 3.0, 4.0)))
         assert report.kind == "sides"
         # Semiperimeter 4.5: x = s - c = 0.5, y = s - b = 1.5, z = s - a = 2.5.
         assert report.solution.as_tuple() == pytest.approx((0.5, 1.5, 2.5), abs=1e-12)
@@ -136,12 +137,12 @@ class TestInterpretSides:
 
     def test_always_positive(self, fuzz_triangles):
         for t in fuzz_triangles[:200]:
-            report = interpret_sides(t)
+            report = interpret_sides(incircle(t))
             assert report.all_positive is True
             assert report.passed
 
     def test_right_triangle_values(self):
-        report = interpret_sides(triangle_from_sides(3.0, 4.0, 5.0))
+        report = interpret_sides(incircle(triangle_from_sides(3.0, 4.0, 5.0)))
         assert report.solution.as_tuple() == pytest.approx((1.0, 2.0, 3.0), abs=1e-12)
 
     def test_needle_sign_is_undecided(self):
@@ -150,7 +151,7 @@ class TestInterpretSides:
         t = Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))
         m = t.metrics
         assert m.b == m.a + m.c
-        report = interpret_sides(t)
+        report = interpret_sides(incircle(t))
         assert abs(report.solution.y) <= SIDES_BUDGET * 2.0**-53 * m.b
         assert report.all_positive is None
         assert report.passed
@@ -168,14 +169,14 @@ class TestInterpretSides:
             return Solution(sol.x, -times * budget, sol.z)
 
         monkeypatch.setattr(three_sum, "solve", pushed)
-        report = interpret_sides(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1)))
+        report = interpret_sides(incircle(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))))
         assert report.all_positive is expected
         assert report.passed is (expected is None)
 
 
 class TestInterpretAngles:
     def test_obtuse_split_goes_negative(self):
-        report = interpret_angles(triangle_from_sides(2.0, 3.0, 4.0))
+        report = interpret_angles(circumcircle(triangle_from_sides(2.0, 3.0, 4.0)))
         assert report.kind == "angles"
         x, y, z = report.solution.as_tuple()
         gamma = math.acos(-0.25)
@@ -188,8 +189,8 @@ class TestInterpretAngles:
 
     def test_sums_are_the_vertex_angles(self):
         # x+y = (pi/2-gamma)+(pi/2-beta) = alpha, and cyclically.
-        report = interpret_angles(triangle_from_sides(6.0, 7.0, 8.0))
-        m = metrics(triangle_from_sides(6.0, 7.0, 8.0))
+        report = interpret_angles(circumcircle(triangle_from_sides(6.0, 7.0, 8.0)))
+        m = triangle_from_sides(6.0, 7.0, 8.0).metrics
         assert report.system.L == pytest.approx(m.alpha, abs=1e-12)
         assert report.system.M == pytest.approx(m.beta, abs=1e-12)
         assert report.system.N == pytest.approx(m.gamma, abs=1e-12)
@@ -197,16 +198,35 @@ class TestInterpretAngles:
         assert report.passed
 
     def test_right_triangle_excluded_from_equivalence(self):
-        report = interpret_angles(triangle_from_sides(3.0, 4.0, 5.0))
+        report = interpret_angles(circumcircle(triangle_from_sides(3.0, 4.0, 5.0)))
         assert report.acute_iff_positive is None
         assert report.passed
+
+
+class TestReadingsReadTheirConstruction:
+    """A reading takes its circle and measures nothing again: a shift in
+    the circle it is given shows in its residual."""
+
+    def test_sides_reading_reads_the_given_incircle(self):
+        inc = incircle(triangle_from_sides(2.0, 3.0, 4.0))
+        inc.tangent_lengths = {**inc.tangent_lengths, "B": inc.tangent_lengths["B"] + 1e-6}
+        report = interpret_sides(inc)
+        assert report.geometric["y"] == inc.tangent_lengths["B"]
+        assert report.max_residual == pytest.approx(1e-6 / 4.0, rel=1e-6)
+        assert not report.passed
+
+    def test_angles_reading_reads_the_given_circumcircle(self):
+        circ = circumcircle(triangle_from_sides(2.0, 3.0, 4.0))
+        circ.splits = {**circ.splits, "C": {w: value + 1e-6 for w, value in circ.splits["C"].items()}}
+        report = interpret_angles(circ)
+        assert report.max_residual == pytest.approx(1e-6, rel=1e-6)
+        assert not report.passed
 
 
 class TestPositivityMatchesShape:
     def test_over_random_triangles(self, fuzz_triangles):
         for t in fuzz_triangles[:300]:
-            for interpret in (interpret_squares, interpret_angles):
-                report = interpret(t)
+            for report in (interpret_squares(t), interpret_angles(circumcircle(t))):
                 assert report.passed
                 if report.acute_iff_positive is not None:
                     assert report.acute_iff_positive is True
