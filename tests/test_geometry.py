@@ -139,6 +139,7 @@ class TestVertexNames:
     T = Triangle(A=Point(1, 2), B=Point(0, 0), C=Point(3, 0))
 
     @pytest.mark.parametrize("call", [
+        lambda t: similarity_check(t, "a"),  # names are case-sensitive
         lambda t: foot_of_altitude(t, "D"),
         lambda t: euclid_defect(t, "D"),
         lambda t: similarity_check(t, "D"),
