@@ -8,9 +8,10 @@ whole-triangle check. `detail` is the tuple of values `verify` prints for
 the record, or None for a check that `verify` reports, as `fuzz` reports
 every check, by its worst |residual| / scale.
 
-Each construction is made once per triangle: the metrics, the pair and
-panel quad areas (read from the triangle's frame; the decomposition is
-never built), the incircle and the circumcircle. A record that folds
+Each construction is made once per triangle: the metrics, the panel quad
+areas (read from the triangle's frame; the decomposition is never built),
+the squares reading (whose two routes give the pair areas, exact and
+trigonometric), the incircle and the circumcircle. A record that folds
 several values takes their `_worst`, so a NaN among them is kept and fails.
 """
 
@@ -50,9 +51,13 @@ def rows(t: Triangle):
     r1, r2, s1, s2, t1, t2 = quads
     yield ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
            quads)
-    areas = {pair: decomposition.panel_area_exact(pair, t) for pair in decomposition.PAIR_CLASSES}
+    # The squares reading holds each pair area by both routes, keyed by the
+    # solution component its mapping names.
+    squares_rep = three_sum.interpret_squares(t)
+    component = {pair: x for x, pair in squares_rep.mapping.items()}
+    areas = {pair: squares_rep.geometric[component[pair]] for pair in decomposition.PAIR_CLASSES}
     for pair, exact in areas.items():
-        trig = decomposition.panel_area_trig(pair, m)
+        trig = squares_rep.closed_form[component[pair]]
         yield "trig_vs_exact", pair, exact - trig, scale, (exact, trig)
     R, S, T = areas.values()
     yield ("square_sums", None, _worst((abs(R + T - a2), abs(R + S - b2), abs(S + T - c2))),
@@ -64,7 +69,6 @@ def rows(t: Triangle):
     yield "derivation", None, max_deviation, scale, (values, max_deviation)
 
     # The readings' max_residual is already divided by their scales.
-    squares_rep = three_sum.interpret_squares(t)
     yield "squares_interpretation", None, squares_rep.max_residual, 1.0, None
     if squares_rep.acute_iff_positive is not None:
         yield ("squares_positivity", None, 0.0 if squares_rep.acute_iff_positive else 1.0,

@@ -102,12 +102,6 @@ def _pairs_entry(*quads) -> dict:
                       for pair, first, second in pairs}}
 
 
-def _derivation_entry(values, max_deviation) -> dict:
-    steps = [{"expression": expression, "panels": list(panels), "value": value}
-             for (expression, panels), value in zip(decomposition._CHAIN, values)]
-    return {"steps": steps, "residual": values[0] - values[-1], "max_deviation": max_deviation}
-
-
 # Check -> verify's entry for one record, from the record's detail tuple.
 _VERIFY_ENTRIES = {
     "cosine_identity": lambda residuals: {"residuals": residuals},
@@ -115,7 +109,8 @@ _VERIFY_ENTRIES = {
     "pair_equivalence": _pairs_entry,
     "trig_vs_exact": lambda exact, trig: {"exact": exact, "trig": trig},
     "similarity": lambda ch, ck, residual: {"ch": ch, "ck": ck, "residual": residual},
-    "derivation": _derivation_entry,
+    # The trace as derive_cosine_theorem returns it, printed as its fields.
+    "derivation": lambda *detail: _rounded(decomposition._trace(*detail)),
 }
 
 
@@ -190,14 +185,7 @@ def cmd_solve(args) -> int:
 
 def cmd_figure(args) -> int:
     t = _triangle_from_args(args)
-    spec = figures.FigureSpec(
-        kind=args.kind,
-        fill_palette=args.fill_palette,
-        stroke_palette=args.stroke_palette,
-        labels=not args.no_labels,
-        precision=args.precision,
-        omit_degenerate=args.omit_degenerate,
-    )
+    spec = figures.FigureSpec(kind=args.kind, labels=not args.no_labels, precision=args.precision)
     if args.kind == "euclid_defect":
         data = t
         defect, _ = cosine_law.euclid_defect(t, "B")
@@ -347,10 +335,7 @@ def _figure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=figures.KINDS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--precision", type=int, default=6)
-    p.add_argument("--fill-palette", type=int, default=0, dest="fill_palette")
-    p.add_argument("--stroke-palette", type=int, default=0, dest="stroke_palette")
     p.add_argument("--no-labels", action="store_true")
-    p.add_argument("--omit-degenerate", action="store_true")
 
 
 def _fuzz_args(p: argparse.ArgumentParser) -> None:

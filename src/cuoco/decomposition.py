@@ -289,14 +289,18 @@ def _chain(m: TriangleMetrics, quad_areas, s_pair) -> tuple[tuple, float]:
     return values, _worst(abs(value - a2) for value in values)
 
 
+def _trace(values, max_deviation: float) -> DerivationTrace:
+    """The trace of the _CHAIN step values and their worst |step - a^2|."""
+    steps = tuple(DerivationStep(expression, panels, value)
+                  for (expression, panels), value in zip(_CHAIN, values))
+    residual = values[0] - values[-1]
+    return DerivationTrace(steps=steps, residual=residual, max_deviation=max_deviation)
+
+
 def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     """Walk the equal-area chain from a^2 down to b^2 + c^2 - 2*S.
 
     Intermediate steps use the constructed quads (the geometric route);
     the final form uses the certified S pair area.
     """
-    values, max_deviation = _chain(d.metrics, _quad_areas(d.triangle), d.pair_areas.S)
-    steps = tuple(DerivationStep(expression, panels, value)
-                  for (expression, panels), value in zip(_CHAIN, values))
-    residual = values[0] - values[-1]
-    return DerivationTrace(steps=steps, residual=residual, max_deviation=max_deviation)
+    return _trace(*_chain(d.metrics, _quad_areas(d.triangle), d.pair_areas.S))

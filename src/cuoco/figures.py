@@ -13,29 +13,17 @@ import math
 
 from .circles import CircumcircleData, IncircleData, _NEXT_SIDE
 from .decomposition import CuocoDecomposition, SIDE_FRAMES, shoelace
-from .geometry import Point, Triangle, VERTICES, dot, foot_of_altitude, perp, _Frozen
-
-KINDS = ("euclid_defect", "cuoco", "cuoco_pairs", "cuoco_obtuse", "incircle", "circumcircle")
+from .geometry import Point, Triangle, VERTICES, foot_of_altitude, perp, _Frozen
 
 _NS = "http://www.w3.org/2000/svg"
 
-FILL_PALETTES = (
-    {
-        "a": "#bfdbfe", "b": "#bbf7d0", "c": "#fecaca",
-        "R": "#fde68a", "S": "#c7d2fe", "T": "#fbcfe8",
-        "triangle": "#f3f4f6", "defect": "#fde68a",
-    },
-    {
-        "a": "#93c5fd", "b": "#86efac", "c": "#fca5a5",
-        "R": "#fcd34d", "S": "#a5b4fc", "T": "#f9a8d4",
-        "triangle": "#e5e7eb", "defect": "#fcd34d",
-    },
-)
+FILL_PALETTE = {
+    "a": "#bfdbfe", "b": "#bbf7d0", "c": "#fecaca",
+    "R": "#fde68a", "S": "#c7d2fe", "T": "#fbcfe8",
+    "triangle": "#f3f4f6", "defect": "#fde68a",
+}
 
-STROKE_PALETTES = (
-    {"main": "#1f2937", "light": "#9ca3af", "accent": "#b91c1c"},
-    {"main": "#0c4a6e", "light": "#a8a29e", "accent": "#9d174d"},
-)
+STROKE_PALETTE = {"main": "#1f2937", "light": "#9ca3af", "accent": "#b91c1c"}
 
 
 class KindMismatch(ValueError):
@@ -43,30 +31,14 @@ class KindMismatch(ValueError):
 
 
 class FigureSpec(_Frozen):
-    __slots__ = _fields = ("kind", "fill_palette", "stroke_palette", "labels", "precision",
-                           "omit_degenerate")
+    __slots__ = _fields = ("kind", "labels", "precision")
 
-    def __init__(self, kind: str, fill_palette: int = 0, stroke_palette: int = 0,
-                 labels: bool = True, precision: int = 6, omit_degenerate: bool = False) -> None:
+    def __init__(self, kind: str, labels: bool = True, precision: int = 6) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown figure kind {kind!r}, expected one of {KINDS}")
         if not isinstance(precision, int) or not 1 <= precision <= 12:
             raise ValueError(f"precision must be an integer in [1, 12], got {precision!r}")
-        if not 0 <= fill_palette < len(FILL_PALETTES):
-            raise ValueError(f"fill_palette out of range: {fill_palette!r}")
-        if not 0 <= stroke_palette < len(STROKE_PALETTES):
-            raise ValueError(f"stroke_palette out of range: {stroke_palette!r}")
-        self._store(kind, fill_palette, stroke_palette, labels, precision, omit_degenerate)
-
-
-_EXPECTED_DATA = {
-    "euclid_defect": Triangle,
-    "cuoco": CuocoDecomposition,
-    "cuoco_pairs": CuocoDecomposition,
-    "cuoco_obtuse": CuocoDecomposition,
-    "incircle": IncircleData,
-    "circumcircle": CircumcircleData,
-}
+        self._store(kind, labels, precision)
 
 
 class _Sheet:
@@ -74,8 +46,6 @@ class _Sheet:
 
     def __init__(self, spec: FigureSpec, diag: float):
         self.spec = spec
-        self.fill = FILL_PALETTES[spec.fill_palette]
-        self.stroke = STROKE_PALETTES[spec.stroke_palette]
         self.diag = diag
         self.squares: list[str] = []
         self.panels: list[str] = []
@@ -120,7 +90,7 @@ class _Sheet:
         d = "M " + " L ".join(coords) + " Z"
         self.squares.append(
             f'<path class="square" d="{d}" fill="{fill}" fill-opacity="0.5" '
-            f'stroke="{self.stroke["main"]}" stroke-width="{self.wide}"/>'
+            f'stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.wide}"/>'
         )
 
     def add_panel(self, label: str, pts, fill: str, negative: bool, dashed: bool) -> None:
@@ -129,40 +99,39 @@ class _Sheet:
         dash = f' stroke-dasharray="{self.fmt(0.02 * self.diag)}"' if dashed else ""
         self.panels.append(
             f'<polygon class="{classes}" points="{self._points_attr(pts)}" fill="{paint}" '
-            f'fill-opacity="0.75" stroke="{self.stroke["accent" if negative else "main"]}" '
+            f'fill-opacity="0.75" stroke="{STROKE_PALETTE["accent" if negative else "main"]}" '
             f'stroke-width="{self.thin}"{dash}/>'
         )
 
-    def add_triangle(self, pts, cls: str = "triangle", fill: str | None = None) -> None:
-        paint = fill if fill is not None else self.fill["triangle"]
+    def add_triangle(self, pts) -> None:
         self.triangle.append(
-            f'<polygon class="{cls}" points="{self._points_attr(pts)}" fill="{paint}" '
-            f'stroke="{self.stroke["main"]}" stroke-width="{self.wide}"/>'
+            f'<polygon class="triangle" points="{self._points_attr(pts)}" '
+            f'fill="{FILL_PALETTE["triangle"]}" '
+            f'stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.wide}"/>'
         )
 
     def add_polygon(self, cls: str, pts, fill: str) -> None:
         self.triangle.append(
             f'<polygon class="{cls}" points="{self._points_attr(pts)}" fill="{fill}" '
-            f'fill-opacity="0.6" stroke="{self.stroke["main"]}" stroke-width="{self.thin}"/>'
+            f'fill-opacity="0.6" stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.thin}"/>'
         )
 
     def add_circle(self, cls: str, center: Point, r: float, filled: bool) -> None:
         self._cover(center.x, center.y, pad=r)
-        paint = self.stroke["main"] if filled else "none"
+        paint = STROKE_PALETTE["main"] if filled else "none"
         self.circles.append(
             f'<circle class="{cls}" cx="{self.fmt(center.x)}" cy="{self.fmt(center.y)}" '
-            f'r="{self.fmt(r)}" fill="{paint}" stroke="{self.stroke["main"]}" '
+            f'r="{self.fmt(r)}" fill="{paint}" stroke="{STROKE_PALETTE["main"]}" '
             f'stroke-width="{self.thin}"/>'
         )
 
-    def add_line(self, cls: str, p: Point, q: Point, dashed: bool = True) -> None:
+    def add_line(self, cls: str, p: Point, q: Point) -> None:
         self._cover(p.x, p.y)
         self._cover(q.x, q.y)
-        dash = f' stroke-dasharray="{self.fmt(0.02 * self.diag)}"' if dashed else ""
         self.lines.append(
             f'<line class="{cls}" x1="{self.fmt(p.x)}" y1="{self.fmt(p.y)}" '
-            f'x2="{self.fmt(q.x)}" y2="{self.fmt(q.y)}" stroke="{self.stroke["light"]}" '
-            f'stroke-width="{self.thin}"{dash}/>'
+            f'x2="{self.fmt(q.x)}" y2="{self.fmt(q.y)}" stroke="{STROKE_PALETTE["light"]}" '
+            f'stroke-width="{self.thin}" stroke-dasharray="{self.fmt(0.02 * self.diag)}"/>'
         )
 
     def add_label(self, pos: Point, text: str) -> None:
@@ -174,7 +143,7 @@ class _Sheet:
         self.labels.append(
             f'<text class="label" transform="translate({self.fmt(pos.x)} {self.fmt(pos.y)}) '
             f'scale(1 -1)" font-size="{size}" font-family="sans-serif" '
-            f'text-anchor="middle" fill="{self.stroke["main"]}">{text}</text>'
+            f'text-anchor="middle" fill="{STROKE_PALETTE["main"]}">{text}</text>'
         )
 
     def document(self) -> str:
@@ -193,7 +162,7 @@ class _Sheet:
             f'<pattern id="hatch" patternUnits="userSpaceOnUse" width="{period}" '
             f'height="{period}" patternTransform="rotate(45)">',
             f'<rect width="{period}" height="{period}" fill="#ffffff"/>',
-            f'<line x1="0" y1="0" x2="0" y2="{period}" stroke="{self.stroke["accent"]}" '
+            f'<line x1="0" y1="0" x2="0" y2="{period}" stroke="{STROKE_PALETTE["accent"]}" '
             f'stroke-width="{stripe}"/>',
             "</pattern>",
             "</defs>",
@@ -240,7 +209,7 @@ def _vertex_labels(sheet: _Sheet, t: Triangle) -> None:
 def _draw_euclid_defect(sheet: _Sheet, t: Triangle) -> None:
     foot, _ = foot_of_altitude(t, "A")
     n = perp(t.B - t.C)  # away from A, length |BC|
-    sheet.add_polygon("defect", (foot, t.B, t.B + n, foot + n), sheet.fill["defect"])
+    sheet.add_polygon("defect", (foot, t.B, t.B + n, foot + n), FILL_PALETTE["defect"])
     sheet.add_triangle((t.A, t.B, t.C))
     sheet.add_line("altitude", t.A, foot)
     _vertex_labels(sheet, t)
@@ -251,16 +220,13 @@ def _draw_euclid_defect(sheet: _Sheet, t: Triangle) -> None:
 def _draw_cuoco(sheet: _Sheet, d: CuocoDecomposition) -> None:
     t = d.triangle
     m = d.metrics
-    scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
     side_sq = {"a": m.a * m.a, "b": m.b * m.b, "c": m.c * m.c}
     for sq in d.squares:
-        sheet.add_square(sq.vertices, sheet.fill[sq.side])
+        sheet.add_square(sq.vertices, FILL_PALETTE[sq.side])
     by_pair = sheet.spec.kind in ("cuoco_pairs", "cuoco_obtuse")
     for panel in d.panels:
         area = shoelace(panel.quad)
-        if sheet.spec.omit_degenerate and abs(area) <= 1e-12 * scale:
-            continue
-        fill = sheet.fill[panel.pair if by_pair else panel.host]
+        fill = FILL_PALETTE[panel.pair if by_pair else panel.host]
         oversized = abs(area) > side_sq[panel.host] * (1.0 + 1e-12)
         sheet.add_panel(
             panel.label,
@@ -327,20 +293,27 @@ def _core_points(kind: str, data) -> list[Point]:
     return [t.A, t.B, t.C, Point(c.x - r, c.y - r), Point(c.x + r, c.y + r)]
 
 
+# Kind -> (the construction it draws, its drawing function), in the order
+# the CLI and the package export list the kinds.
+_DRAWINGS = {
+    "euclid_defect": (Triangle, _draw_euclid_defect),
+    "cuoco": (CuocoDecomposition, _draw_cuoco),
+    "cuoco_pairs": (CuocoDecomposition, _draw_cuoco),
+    "cuoco_obtuse": (CuocoDecomposition, _draw_cuoco),
+    "incircle": (IncircleData, _draw_incircle),
+    "circumcircle": (CircumcircleData, _draw_circumcircle),
+}
+
+KINDS = tuple(_DRAWINGS)
+
+
 def render(data, spec: FigureSpec) -> str:
     """Draw `data` according to `spec` and return the SVG document text."""
-    expected = _EXPECTED_DATA[spec.kind]
+    expected, draw = _DRAWINGS[spec.kind]
     if not isinstance(data, expected):
         raise KindMismatch(
             f"kind {spec.kind!r} draws {expected.__name__}, got {type(data).__name__}"
         )
     sheet = _Sheet(spec, _bbox_diag(_core_points(spec.kind, data)))
-    if spec.kind == "euclid_defect":
-        _draw_euclid_defect(sheet, data)
-    elif spec.kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
-        _draw_cuoco(sheet, data)
-    elif spec.kind == "incircle":
-        _draw_incircle(sheet, data)
-    else:
-        _draw_circumcircle(sheet, data)
+    draw(sheet, data)
     return sheet.document()

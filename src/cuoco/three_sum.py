@@ -60,14 +60,6 @@ def all_positive(system: ThreeSum) -> bool:
     return L < M + N and M < L + N and N < L + M
 
 
-def residuals(system: ThreeSum, sol: Solution) -> tuple[float, float, float]:
-    return (
-        sol.x + sol.y - system.L,
-        sol.x + sol.z - system.M,
-        sol.y + sol.z - system.N,
-    )
-
-
 class InterpretationReport(_Record):
     """Cross-check of the algebraic solution against measured geometry.
 

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import cuoco
-from cuoco import checks, circles, cli, cosine_law, decomposition, geometry, three_sum
+from cuoco import checks, circles, cli, cosine_law, decomposition, figures, geometry, three_sum
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, dot, triangle_from_sides
 
 from conftest import circumcentre_budget
 
+
+DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
 
 # A thin triangle about 2e11 from the origin.
 FAR_THIN = ("190233263674.5445,190233263674.5445,190233263674.54453,190233263674.5445,"
@@ -268,6 +270,27 @@ class TestFigure:
         assert code == 0
         assert_equidistant(json.loads(out)["report"],
                            (1e160, 0), (1.00000000000001e160, 0), (1e160, 1e150))
+
+    # demos/draw_figures.py draws these files from the same triangle.
+    @pytest.mark.parametrize("name, options", [
+        *((f"{kind}.svg", ("--kind", kind)) for kind in figures.KINDS),
+        ("cuoco_pairs_compact.svg", ("--kind", "cuoco_pairs", "--no-labels", "--precision", "3")),
+    ])
+    def test_writes_the_committed_demo_figures(self, capsys, tmp_path, name, options):
+        out_file = tmp_path / name
+        code, _, _ = run_cli(capsys, "figure", *options, "--sides", "2,3,4", "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_bytes() == (DEMO_OUTPUT / name).read_bytes()
+
+    @pytest.mark.parametrize("option", [("--fill-palette", "1"), ("--stroke-palette", "1"),
+                                        ("--omit-degenerate",)])
+    def test_palette_and_omit_options_rejected(self, capsys, tmp_path, option):
+        out_file = tmp_path / "figure.svg"
+        code, _, err = run_cli(capsys, "figure", "--kind", "cuoco", "--sides", "2,3,4", *option,
+                               "--out", str(out_file))
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert not out_file.exists()
 
     def test_unknown_kind_rejected_by_parser(self, capsys):
         code, _, err = run_cli(

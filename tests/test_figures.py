@@ -159,15 +159,6 @@ class TestStructure:
         svg = render(data_for("cuoco", (2.0, 3.0, 4.0)), spec)
         assert content_counts(svg).get("text", 0) == 0
 
-    def test_omit_degenerate_drops_zero_panels(self):
-        spec = FigureSpec(kind="cuoco", omit_degenerate=True)
-        svg = render(data_for("cuoco", (3.0, 4.0, 5.0)), spec)
-        counts = content_counts(svg)
-        # The two zero-area panels at the right angle disappear, along with
-        # their labels: 4 panels + triangle, 4 panel labels + 3 vertices.
-        assert counts["polygon"] == 5
-        assert counts["text"] == 7
-
 
 class TestAreaRecovery:
     @pytest.mark.parametrize("sides", TRIANGLES.values(), ids=TRIANGLES.keys())
@@ -199,12 +190,6 @@ class TestSpecValidation:
     def test_precision_out_of_range(self, precision):
         with pytest.raises(ValueError):
             FigureSpec(kind="cuoco", precision=precision)
-
-    def test_palette_out_of_range(self):
-        with pytest.raises(ValueError):
-            FigureSpec(kind="cuoco", fill_palette=99)
-        with pytest.raises(ValueError):
-            FigureSpec(kind="cuoco", stroke_palette=-1)
 
     def test_precision_controls_decimals(self):
         svg = render(data_for("cuoco", (2.0, 3.0, 4.0)), FigureSpec(kind="cuoco", precision=3))

@@ -30,9 +30,8 @@ FROZEN = [
     (Classification, {"kind": "obtuse", "vertex": "C"}, ("obtuse", "C"),
      "Classification(kind='obtuse', vertex='C')"),
     (ThreeSum, {"L": 9, "M": 16, "N": 25}, (9, 16, 25), "ThreeSum(L=9, M=16, N=25)"),
-    (FigureSpec, {"kind": "cuoco", "precision": 3}, ("cuoco", 0, 0, True, 3),
-     "FigureSpec(kind='cuoco', fill_palette=0, stroke_palette=0, labels=True, precision=3, "
-     "omit_degenerate=False)"),
+    (FigureSpec, {"kind": "cuoco", "precision": 3}, ("cuoco", True, 3),
+     "FigureSpec(kind='cuoco', labels=True, precision=3)"),
 ]
 
 
