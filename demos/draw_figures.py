@@ -1,40 +1,22 @@
 """Render every figure kind to SVG files.
 
 Figures are deterministic: the same data and options always produce the
-same bytes, so the files are safe to diff or cache. Output lands in
+same bytes, so the files are safe to diff or cache. Each kind builds the
+construction it draws with `figure_construction`. Output lands in
 demos/output/.
 """
 
 from pathlib import Path
 
-from cuoco import (
-    FIGURE_KINDS,
-    FigureSpec,
-    build_decomposition,
-    circumcircle,
-    incircle,
-    render,
-    triangle_from_sides,
-)
+from cuoco import FIGURE_KINDS, FigureSpec, figure_construction, render, triangle_from_sides
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 t = triangle_from_sides(2.0, 3.0, 4.0)  # obtuse: negative panels get hatching
 
-
-def data_for(kind):
-    if kind == "euclid_defect":
-        return t
-    if kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
-        return build_decomposition(t)
-    if kind == "incircle":
-        return incircle(t)
-    return circumcircle(t)
-
-
 for kind in FIGURE_KINDS:
-    svg = render(data_for(kind), FigureSpec(kind=kind))
+    svg = render(figure_construction(kind, t), FigureSpec(kind=kind))
     path = out_dir / f"{kind}.svg"
     path.write_text(svg)
     print(f"wrote {path} ({len(svg)} bytes)")
@@ -42,7 +24,7 @@ for kind in FIGURE_KINDS:
 # Variations: color the panels by pair instead of by host square, drop the
 # labels, or trim coordinate precision for smaller files.
 compact = FigureSpec(kind="cuoco_pairs", labels=False, precision=3)
-svg = render(build_decomposition(t), compact)
+svg = render(figure_construction(compact.kind, t), compact)
 path = out_dir / "cuoco_pairs_compact.svg"
 path.write_text(svg)
 print(f"wrote {path} ({len(svg)} bytes)")

@@ -144,7 +144,8 @@ def cmd_verify(args) -> int:
         "angles": {"alpha": m.alpha, "beta": m.beta, "gamma": m.gamma},
         "classification": m.classification,
         "tol": tol,
-        "pair_areas": [decomposition.panel_area_exact(p, t) for p in decomposition.PAIR_CLASSES],
+        # The exact pair areas, as the trig_vs_exact rows hold them.
+        "pair_areas": [entries["trig_vs_exact"][p]["exact"] for p in decomposition.PAIR_CLASSES],
         "checks": entries,
         "passed": passed,
     })
@@ -183,30 +184,24 @@ def cmd_solve(args) -> int:
     return 0 if passed else 1
 
 
+# Construction type -> the headline numbers `figure` prints beside the file.
+_RECEIPTS = {
+    Triangle: lambda t: {"vertex": "B", "defect": cosine_law.euclid_defect(t, "B")[0]},
+    decomposition.CuocoDecomposition: lambda d: {
+        "pair_areas": [d.pair_areas.R, d.pair_areas.S, d.pair_areas.T]},
+    circles.IncircleData: lambda inc: {
+        "center": _point_json(inc.center), "radius": inc.radius,
+        "tangent_lengths": inc.tangent_lengths},  # keyed A, B, C
+    circles.CircumcircleData: lambda circ: {
+        "center": _point_json(circ.center), "radius": circ.radius},
+}
+
+
 def cmd_figure(args) -> int:
     t = _triangle_from_args(args)
     spec = figures.FigureSpec(kind=args.kind, labels=not args.no_labels, precision=args.precision)
-    if args.kind == "euclid_defect":
-        data = t
-        defect, _ = cosine_law.euclid_defect(t, "B")
-        sidecar = {"vertex": "B", "defect": defect}
-    elif args.kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
-        data = decomposition.build(t)
-        pairs = data.pair_areas
-        sidecar = {"pair_areas": [pairs.R, pairs.S, pairs.T]}
-    elif args.kind == "incircle":
-        data = circles.incircle(t)
-        sidecar = {
-            "center": [data.center.x, data.center.y],
-            "radius": data.radius,
-            "tangent_lengths": {v: data.tangent_lengths[v] for v in VERTICES},
-        }
-    else:
-        data = circles.circumcircle(t)
-        sidecar = {
-            "center": [data.center.x, data.center.y],
-            "radius": data.radius,
-        }
+    data = figures.construction(args.kind, t)
+    receipt = _RECEIPTS[type(data)](data)
     text = figures.render(data, spec)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -219,7 +214,7 @@ def cmd_figure(args) -> int:
         "kind": args.kind,
         "out": args.out,
         "bytes": len(text.encode("utf-8")),
-        "report": sidecar,
+        "report": receipt,
     })
     return 0
 

@@ -10,7 +10,9 @@ sorted by label, triangle, circles, lines, labels.
 from __future__ import annotations
 
 import math
+from functools import partial
 
+from . import circles, decomposition
 from .circles import CircumcircleData, IncircleData, _NEXT_SIDE
 from .decomposition import CuocoDecomposition, SIDE_FRAMES, shoelace
 from .geometry import Point, Triangle, VERTICES, foot_of_altitude, perp, _Frozen
@@ -34,19 +36,21 @@ class FigureSpec(_Frozen):
     __slots__ = _fields = ("kind", "labels", "precision")
 
     def __init__(self, kind: str, labels: bool = True, precision: int = 6) -> None:
-        if kind not in KINDS:
-            raise ValueError(f"unknown figure kind {kind!r}, expected one of {KINDS}")
+        _row(kind)  # an unknown kind raises ValueError
         if not isinstance(precision, int) or not 1 <= precision <= 12:
             raise ValueError(f"precision must be an integer in [1, 12], got {precision!r}")
         self._store(kind, labels, precision)
 
 
 class _Sheet:
-    """Collects formatted elements in the fixed order and tracks the bbox."""
+    """Collects formatted elements in the fixed order and tracks the bbox.
+    Sizes scale with the diagonal of the bbox of the outline `points`."""
 
-    def __init__(self, spec: FigureSpec, diag: float):
+    def __init__(self, spec: FigureSpec, points):
         self.spec = spec
-        self.diag = diag
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        self.diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
         self.squares: list[str] = []
         self.panels: list[str] = []
         self.triangle: list[str] = []
@@ -179,12 +183,6 @@ class _Sheet:
         return "\n".join(parts) + "\n"
 
 
-def _bbox_diag(points) -> float:
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
-
 def _away_from(anchor: Point, reference: Point, amount: float) -> Point:
     d = anchor - reference
     length = math.hypot(d.x, d.y)
@@ -206,35 +204,32 @@ def _vertex_labels(sheet: _Sheet, t: Triangle) -> None:
         sheet.add_label(_away_from(getattr(t, name), centroid, offset), name)
 
 
-def _draw_euclid_defect(sheet: _Sheet, t: Triangle) -> None:
+def _draw_euclid_defect(t: Triangle, spec: FigureSpec) -> _Sheet:
     foot, _ = foot_of_altitude(t, "A")
     n = perp(t.B - t.C)  # away from A, length |BC|
-    sheet.add_polygon("defect", (foot, t.B, t.B + n, foot + n), FILL_PALETTE["defect"])
+    far_b, far_foot = t.B + n, foot + n
+    sheet = _Sheet(spec, (t.A, t.B, t.C, foot, far_foot, far_b))
+    sheet.add_polygon("defect", (foot, t.B, far_b, far_foot), FILL_PALETTE["defect"])
     sheet.add_triangle((t.A, t.B, t.C))
     sheet.add_line("altitude", t.A, foot)
     _vertex_labels(sheet, t)
-    label_pos = _away_from(foot, foot + n, 0.06 * sheet.diag)
-    sheet.add_label(label_pos, "D")
+    sheet.add_label(_away_from(foot, far_foot, 0.06 * sheet.diag), "D")
+    return sheet
 
 
-def _draw_cuoco(sheet: _Sheet, d: CuocoDecomposition) -> None:
-    t = d.triangle
-    m = d.metrics
+def _draw_cuoco(d: CuocoDecomposition, spec: FigureSpec, by_pair: bool,
+                dash_oversized: bool) -> _Sheet:
+    t, m = d.triangle, d.metrics
     side_sq = {"a": m.a * m.a, "b": m.b * m.b, "c": m.c * m.c}
+    sheet = _Sheet(spec, [p for sq in d.squares for p in sq.vertices]
+                   + [p for panel in d.panels for p in panel.quad])
     for sq in d.squares:
         sheet.add_square(sq.vertices, FILL_PALETTE[sq.side])
-    by_pair = sheet.spec.kind in ("cuoco_pairs", "cuoco_obtuse")
     for panel in d.panels:
-        area = shoelace(panel.quad)
         fill = FILL_PALETTE[panel.pair if by_pair else panel.host]
-        oversized = abs(area) > side_sq[panel.host] * (1.0 + 1e-12)
-        sheet.add_panel(
-            panel.label,
-            panel.quad,
-            fill,
-            negative=panel.signed_area < 0,
-            dashed=sheet.spec.kind == "cuoco_obtuse" and oversized,
-        )
+        # Oversized: larger than its host square, as beside an obtuse angle.
+        dashed = dash_oversized and abs(shoelace(panel.quad)) > side_sq[panel.host] * (1.0 + 1e-12)
+        sheet.add_panel(panel.label, panel.quad, fill, negative=panel.signed_area < 0, dashed=dashed)
         sheet.add_label(_centroid(panel.quad), panel.label)
     sheet.add_triangle((t.A, t.B, t.C))
     for side, (first, second, opposite) in SIDE_FRAMES.items():
@@ -243,17 +238,26 @@ def _draw_cuoco(sheet: _Sheet, d: CuocoDecomposition) -> None:
         # The far end lies on the outer edge of the square; the altitude
         # line through the foot is parallel to n, so this stays straight.
         sheet.add_line("altitude", getattr(t, opposite), foot + n)
-    _vertex_labels(sheet, d.triangle)
+    _vertex_labels(sheet, t)
+    return sheet
 
 
-def _draw_incircle(sheet: _Sheet, data: IncircleData) -> None:
-    t = data.triangle
+def _circle_sheet(data, spec: FigureSpec, cls: str) -> _Sheet:
+    """The triangle, its circle of class `cls`, the centre and the vertex labels."""
+    t, c, r = data.triangle, data.center, data.radius
+    sheet = _Sheet(spec, (t.A, t.B, t.C, Point(c.x - r, c.y - r), Point(c.x + r, c.y + r)))
     sheet.add_triangle((t.A, t.B, t.C))
-    sheet.add_circle("incircle", data.center, data.radius, filled=False)
-    sheet.add_circle("center", data.center, 0.012 * sheet.diag, filled=True)
+    sheet.add_circle(cls, c, r, filled=False)
+    sheet.add_circle("center", c, 0.012 * sheet.diag, filled=True)
+    _vertex_labels(sheet, t)
+    return sheet
+
+
+def _draw_incircle(data: IncircleData, spec: FigureSpec) -> _Sheet:
+    t = data.triangle
+    sheet = _circle_sheet(data, spec, "incircle")
     for side in ("a", "b", "c"):
         sheet.add_circle("tangent-point", data.tangent_points[side], 0.012 * sheet.diag, filled=True)
-    _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, t.A, 0.05 * sheet.diag), "I")
     for name in VERTICES:
         v = getattr(t, name)
@@ -263,57 +267,53 @@ def _draw_incircle(sheet: _Sheet, data: IncircleData) -> None:
             _away_from(mid, data.center, 0.06 * sheet.diag),
             f"{data.tangent_lengths[name]:.3f}",
         )
+    return sheet
 
 
-def _draw_circumcircle(sheet: _Sheet, data: CircumcircleData) -> None:
+def _draw_circumcircle(data: CircumcircleData, spec: FigureSpec) -> _Sheet:
     t = data.triangle
-    sheet.add_triangle((t.A, t.B, t.C))
-    sheet.add_circle("circumcircle", data.center, data.radius, filled=False)
-    sheet.add_circle("center", data.center, 0.012 * sheet.diag, filled=True)
+    sheet = _circle_sheet(data, spec, "circumcircle")
     for name in VERTICES:
         sheet.add_line("radius", data.center, getattr(t, name))
-    _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, _centroid((t.A, t.B, t.C)), 0.05 * sheet.diag), "O")
+    return sheet
 
 
-def _core_points(kind: str, data) -> list[Point]:
-    if kind == "euclid_defect":
-        foot, _ = foot_of_altitude(data, "A")
-        n = perp(data.B - data.C)
-        return [data.A, data.B, data.C, foot, foot + n, data.B + n]
-    if kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
-        pts: list[Point] = []
-        for sq in data.squares:
-            pts.extend(sq.vertices)
-        for panel in data.panels:
-            pts.extend(panel.quad)
-        return pts
-    t = data.triangle
-    c, r = data.center, data.radius
-    return [t.A, t.B, t.C, Point(c.x - r, c.y - r), Point(c.x + r, c.y + r)]
-
-
-# Kind -> (the construction it draws, its drawing function), in the order
-# the CLI and the package export list the kinds.
-_DRAWINGS = {
-    "euclid_defect": (Triangle, _draw_euclid_defect),
-    "cuoco": (CuocoDecomposition, _draw_cuoco),
-    "cuoco_pairs": (CuocoDecomposition, _draw_cuoco),
-    "cuoco_obtuse": (CuocoDecomposition, _draw_cuoco),
-    "incircle": (IncircleData, _draw_incircle),
-    "circumcircle": (CircumcircleData, _draw_circumcircle),
+# The one place a figure kind is named: kind -> (the construction it draws,
+# its builder from a triangle, its drawing function), in the order the CLI
+# and the package export list the kinds. The builders call through their
+# module, so a wrapper later bound to the module attribute sees the call.
+_KINDS = {
+    "euclid_defect": (Triangle, lambda t: t, _draw_euclid_defect),
+    "cuoco": (CuocoDecomposition, lambda t: decomposition.build(t),
+              partial(_draw_cuoco, by_pair=False, dash_oversized=False)),
+    "cuoco_pairs": (CuocoDecomposition, lambda t: decomposition.build(t),
+                    partial(_draw_cuoco, by_pair=True, dash_oversized=False)),
+    "cuoco_obtuse": (CuocoDecomposition, lambda t: decomposition.build(t),
+                     partial(_draw_cuoco, by_pair=True, dash_oversized=True)),
+    "incircle": (IncircleData, lambda t: circles.incircle(t), _draw_incircle),
+    "circumcircle": (CircumcircleData, lambda t: circles.circumcircle(t), _draw_circumcircle),
 }
 
-KINDS = tuple(_DRAWINGS)
+KINDS = tuple(_KINDS)
+
+
+def _row(kind: str):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown figure kind {kind!r}, expected one of {KINDS}")
+    return _KINDS[kind]
+
+
+def construction(kind: str, t: Triangle):
+    """The construction `kind` draws, built from the triangle `t`."""
+    return _row(kind)[1](t)
 
 
 def render(data, spec: FigureSpec) -> str:
     """Draw `data` according to `spec` and return the SVG document text."""
-    expected, draw = _DRAWINGS[spec.kind]
+    expected, _, draw = _KINDS[spec.kind]
     if not isinstance(data, expected):
         raise KindMismatch(
             f"kind {spec.kind!r} draws {expected.__name__}, got {type(data).__name__}"
         )
-    sheet = _Sheet(spec, _bbox_diag(_core_points(spec.kind, data)))
-    draw(sheet, data)
-    return sheet.document()
+    return draw(data, spec).document()

@@ -20,7 +20,7 @@ from cuoco.decomposition import (
     panel_area_exact,
     shoelace,
 )
-from cuoco.figures import KINDS, FigureSpec, render
+from cuoco.figures import KINDS, FigureSpec, construction, render
 from cuoco.geometry import (
     cross,
     dot,
@@ -323,19 +323,10 @@ def test_figures_deterministic_and_well_formed():
     }
     ns = "{http://www.w3.org/2000/svg}"
     problems = []
-    def make_data(kind, t):
-        if kind == "euclid_defect":
-            return t
-        if kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
-            return build(t)
-        if kind == "incircle":
-            return incircle(t)
-        return circumcircle(t)
-
     for kind in KINDS:
         for name, t in triangles.items():
-            first = render(make_data(kind, t), FigureSpec(kind=kind))
-            second = render(make_data(kind, t), FigureSpec(kind=kind))
+            first = render(construction(kind, t), FigureSpec(kind=kind))
+            second = render(construction(kind, t), FigureSpec(kind=kind))
             if first != second:
                 problems.append(f"{kind}/{name} render not reproducible")
                 continue

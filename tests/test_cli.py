@@ -227,16 +227,27 @@ class TestFigure:
         run_cli(capsys, "figure", "--kind", "incircle", "--sides", "3,4,5", "--out", str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_every_kind_renders(self, capsys, tmp_path):
-        from cuoco.figures import KINDS
+    # Each kind's receipt on --sides 2,3,4.
+    RECEIPTS_2_3_4 = {
+        "euclid_defect": {"vertex": "B", "defect": 11.0},
+        "cuoco": {"pair_areas": [-1.5, 10.5, 5.5]},
+        "cuoco_pairs": {"pair_areas": [-1.5, 10.5, 5.5]},
+        "cuoco_obtuse": {"pair_areas": [-1.5, 10.5, 5.5]},
+        "incircle": {"center": [1.5, 0.645497224368], "radius": 0.645497224368,
+                     "tangent_lengths": {"A": 2.5, "B": 1.5, "C": 0.5}},
+        "circumcircle": {"center": [1.0, 1.80739222823], "radius": 2.065591117977},
+    }
 
-        for kind in KINDS:
+    def test_every_kind_renders(self, capsys, tmp_path):
+        assert tuple(self.RECEIPTS_2_3_4) == figures.KINDS
+        for kind, receipt in self.RECEIPTS_2_3_4.items():
             out_file = tmp_path / f"{kind}.svg"
-            code, _, _ = run_cli(
+            code, out, _ = run_cli(
                 capsys, "figure", "--kind", kind, "--sides", "2,3,4", "--out", str(out_file)
             )
             assert code == 0
             assert out_file.stat().st_size > 0
+            assert json.loads(out)["report"] == receipt, kind
 
     def test_unwritable_path_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "figure.svg"

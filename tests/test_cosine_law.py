@@ -86,8 +86,15 @@ class TestCosFromSides:
         assert cos_from_sides(3e-200, 4e-200, 5e-200) == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=500)
-    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
-    def test_rescaling_leaves_ordinary_sides_bit_identical(self, a, b, c):
+    @given(st.data())
+    def test_rescaling_leaves_ordinary_sides_bit_identical(self, data):
+        # c is drawn strictly between |a - b| and a + b, inside [1e-3, 1e3],
+        # so nearly every triple is a triangle; the assume only drops one
+        # whose float sums round onto the boundary.
+        a = data.draw(st.floats(1e-3, 1e3))
+        b = data.draw(st.floats(1e-3, 1e3))
+        c = data.draw(st.floats(max(abs(a - b), 1e-3), min(a + b, 1e3),
+                                exclude_min=True, exclude_max=True))
         assume(a + b > c and a + c > b and b + c > a)
         assert cos_from_sides(a, b, c) == (a * a + b * b - c * c) / (2.0 * a * b)
 

@@ -5,29 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from cuoco.circles import circumcircle, incircle
+from cuoco import circles, decomposition
+from cuoco.circles import incircle
 from cuoco.decomposition import build
-from cuoco.figures import KINDS, FigureSpec, KindMismatch, render
+from cuoco.figures import KINDS, FigureSpec, KindMismatch, construction, render
 from cuoco.geometry import triangle_from_sides
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 TRIANGLES = {
-    "equilateral": (1.0, 1.0, 1.0),
-    "right": (3.0, 4.0, 5.0),
-    "obtuse": (2.0, 3.0, 4.0),
+    "equilateral": triangle_from_sides(1.0, 1.0, 1.0),
+    "right": triangle_from_sides(3.0, 4.0, 5.0),
+    "obtuse": triangle_from_sides(2.0, 3.0, 4.0),
 }
-
-
-def data_for(kind, sides):
-    t = triangle_from_sides(*sides)
-    if kind == "euclid_defect":
-        return t
-    if kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
-        return build(t)
-    if kind == "incircle":
-        return incircle(t)
-    return circumcircle(t)
+OBTUSE = TRIANGLES["obtuse"]
 
 
 def content_counts(svg_text):
@@ -59,21 +50,21 @@ def polygon_shoelace(coords):
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("sides", TRIANGLES.values(), ids=TRIANGLES.keys())
-    def test_repeat_renders_identical(self, kind, sides):
-        first = render(data_for(kind, sides), FigureSpec(kind=kind))
-        second = render(data_for(kind, sides), FigureSpec(kind=kind))
+    @pytest.mark.parametrize("t", TRIANGLES.values(), ids=TRIANGLES.keys())
+    def test_repeat_renders_identical(self, kind, t):
+        first = render(construction(kind, t), FigureSpec(kind=kind))
+        second = render(construction(kind, t), FigureSpec(kind=kind))
         assert first == second
 
     def test_output_is_well_formed_xml(self):
         for kind in KINDS:
-            svg = render(data_for(kind, (2.0, 3.0, 4.0)), FigureSpec(kind=kind))
+            svg = render(construction(kind, OBTUSE), FigureSpec(kind=kind))
             root = ET.fromstring(svg)
             assert root.tag == f"{SVG_NS}svg"
 
     def test_no_non_finite_values(self):
         for kind in KINDS:
-            svg = render(data_for(kind, (2.0, 3.0, 4.0)), FigureSpec(kind=kind))
+            svg = render(construction(kind, OBTUSE), FigureSpec(kind=kind))
             assert "nan" not in svg.lower()
             assert "inf" not in svg.lower()
 
@@ -89,7 +80,7 @@ DEMO_FIGURES = {
 @pytest.mark.parametrize("name", sorted(DEMO_FIGURES))
 def test_demo_figures_match_committed_files(name):
     spec = DEMO_FIGURES[name]
-    svg = render(data_for(spec.kind, TRIANGLES["obtuse"]), spec)
+    svg = render(construction(spec.kind, OBTUSE), spec)
     assert svg.encode("utf-8") == (DEMO_OUTPUT / name).read_bytes()
 
 
@@ -104,31 +95,30 @@ class TestStructure:
     }
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("sides", TRIANGLES.values(), ids=TRIANGLES.keys())
-    def test_element_counts(self, kind, sides):
-        svg = render(data_for(kind, sides), FigureSpec(kind=kind))
+    @pytest.mark.parametrize("t", TRIANGLES.values(), ids=TRIANGLES.keys())
+    def test_element_counts(self, kind, t):
+        svg = render(construction(kind, t), FigureSpec(kind=kind))
         counts = content_counts(svg)
         for tag, expected in self.EXPECTED[kind].items():
             assert counts.get(tag, 0) == expected, (kind, tag)
 
     def test_single_flip_group(self):
-        svg = render(data_for("cuoco", (2.0, 3.0, 4.0)), FigureSpec(kind="cuoco"))
+        svg = render(construction("cuoco", OBTUSE), FigureSpec(kind="cuoco"))
         assert svg.count('<g transform="scale(1 -1)">') == 1
 
     def test_viewbox_covers_triangle(self):
         for kind in KINDS:
-            svg = render(data_for(kind, (2.0, 3.0, 4.0)), FigureSpec(kind=kind))
+            svg = render(construction(kind, OBTUSE), FigureSpec(kind=kind))
             root = ET.fromstring(svg)
             vx, vy, vw, vh = (float(v) for v in root.attrib["viewBox"].split())
-            t = triangle_from_sides(2.0, 3.0, 4.0)
-            for p in (t.A, t.B, t.C):
+            for p in (OBTUSE.A, OBTUSE.B, OBTUSE.C):
                 # Drawing is mirrored vertically, so y appears as -y.
                 assert vx <= p.x <= vx + vw
                 assert vy <= -p.y <= vy + vh
 
     @pytest.mark.parametrize("kind", ["cuoco", "cuoco_obtuse"])
     def test_negative_panels_hatched(self, kind):
-        svg = render(data_for(kind, (2.0, 3.0, 4.0)), FigureSpec(kind=kind))
+        svg = render(construction(kind, OBTUSE), FigureSpec(kind=kind))
         root = ET.fromstring(svg)
         group = root.find(f"{SVG_NS}g")
         negatives = {
@@ -143,7 +133,7 @@ class TestStructure:
 
     def test_oversized_panels_dashed_only_in_obtuse_kind(self):
         def dashed_panels(kind):
-            svg = render(data_for(kind, (2.0, 3.0, 4.0)), FigureSpec(kind=kind))
+            svg = render(construction(kind, OBTUSE), FigureSpec(kind=kind))
             group = ET.fromstring(svg).find(f"{SVG_NS}g")
             return {
                 el.attrib["class"].split()[1]
@@ -156,15 +146,15 @@ class TestStructure:
 
     def test_labels_can_be_disabled(self):
         spec = FigureSpec(kind="cuoco", labels=False)
-        svg = render(data_for("cuoco", (2.0, 3.0, 4.0)), spec)
+        svg = render(construction("cuoco", OBTUSE), spec)
         assert content_counts(svg).get("text", 0) == 0
 
 
 class TestAreaRecovery:
-    @pytest.mark.parametrize("sides", TRIANGLES.values(), ids=TRIANGLES.keys())
-    def test_panel_areas_survive_rounding(self, sides):
+    @pytest.mark.parametrize("t", TRIANGLES.values(), ids=TRIANGLES.keys())
+    def test_panel_areas_survive_rounding(self, t):
         precision = 6
-        d = data_for("cuoco", sides)
+        d = construction("cuoco", t)
         svg = render(d, FigureSpec(kind="cuoco", precision=precision))
         group = ET.fromstring(svg).find(f"{SVG_NS}g")
         m = d.metrics
@@ -185,6 +175,8 @@ class TestSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FigureSpec(kind="pie_chart")
+        with pytest.raises(ValueError):
+            construction("pie_chart", OBTUSE)
 
     @pytest.mark.parametrize("precision", [0, -1, 13])
     def test_precision_out_of_range(self, precision):
@@ -192,17 +184,36 @@ class TestSpecValidation:
             FigureSpec(kind="cuoco", precision=precision)
 
     def test_precision_controls_decimals(self):
-        svg = render(data_for("cuoco", (2.0, 3.0, 4.0)), FigureSpec(kind="cuoco", precision=3))
+        svg = render(construction("cuoco", OBTUSE), FigureSpec(kind="cuoco", precision=3))
         group = ET.fromstring(svg).find(f"{SVG_NS}g")
         for el in group.iter(f"{SVG_NS}polygon"):
             for token in el.attrib["points"].replace(",", " ").split():
                 assert re.fullmatch(r"-?\d+\.\d{3}", token), token
 
     def test_wrong_data_type_rejected(self):
-        t = triangle_from_sides(2.0, 3.0, 4.0)
         with pytest.raises(KindMismatch):
-            render(t, FigureSpec(kind="cuoco"))
+            render(OBTUSE, FigureSpec(kind="cuoco"))
         with pytest.raises(KindMismatch):
-            render(build(t), FigureSpec(kind="incircle"))
+            render(build(OBTUSE), FigureSpec(kind="incircle"))
         with pytest.raises(KindMismatch):
-            render(incircle(t), FigureSpec(kind="circumcircle"))
+            render(incircle(OBTUSE), FigureSpec(kind="circumcircle"))
+
+
+BUILDERS = [
+    ("cuoco", decomposition, "build"),
+    ("cuoco_pairs", decomposition, "build"),
+    ("cuoco_obtuse", decomposition, "build"),
+    ("incircle", circles, "incircle"),
+    ("circumcircle", circles, "circumcircle"),
+]
+
+
+@pytest.mark.parametrize("kind, module, name", BUILDERS, ids=[kind for kind, _, _ in BUILDERS])
+def test_builder_calls_through_its_module(monkeypatch, kind, module, name):
+    # A wrapper later bound to the module attribute, as a tracer binds one,
+    # sees the kind table's call; a builder held by value would bypass it.
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda t: calls.append(t) or original(t))
+    construction(kind, OBTUSE)
+    assert calls == [OBTUSE]
