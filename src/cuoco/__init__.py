@@ -60,9 +60,7 @@ from .circles import (
     CircumcircleData,
     IncircleData,
     circumcircle,
-    closed_form_splits,
     incircle,
-    tangent_lengths,
 )
 from .figures import (KINDS as FIGURE_KINDS, FigureSpec, KindMismatch,
                       construction as figure_construction, render)
@@ -97,7 +95,6 @@ __all__ = [
     "all_positive",
     "build_decomposition",
     "circumcircle",
-    "closed_form_splits",
     "cos_from_sides",
     "cross",
     "derive_cosine_theorem",
@@ -118,7 +115,6 @@ __all__ = [
     "shoelace",
     "similarity_check",
     "solve",
-    "tangent_lengths",
     "third_side",
     "triangle_from_sides",
     "verify_cosine_identity",

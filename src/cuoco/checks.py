@@ -11,8 +11,10 @@ every check, by its worst |residual| / scale.
 Each construction is made once per triangle: the metrics, the panel quad
 areas (read from the triangle's frame; the decomposition is never built),
 the squares reading (whose two routes give the pair areas, exact and
-trigonometric), the incircle and the circumcircle. A record that folds
-several values takes their `_worst`, so a NaN among them is kept and fails.
+trigonometric), the incircle and the circumcircle with their readings
+(whose closed forms the tangent-length and split checks read). A record
+that folds several values takes their `_worst`, so a NaN among them is
+kept and fails.
 """
 
 from __future__ import annotations
@@ -29,13 +31,17 @@ NAMES = (
     "split_sums",
 )
 
+# Vertex -> the component of the sides and angles readings that belongs to
+# it: its tangent length, and pi/2 minus its angle.
+_AT = {"A": "z", "B": "y", "C": "x"}
+
 
 def rows(t: Triangle):
     """Yield every check's records for one triangle; see the module docstring."""
     m = t.metrics
-    a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
+    a2, b2, c2 = m.side_squares
     # Rounding in the area identities grows with the largest squared side.
-    scale = max(1.0, a2, b2, c2)
+    scale = m.area_scale
 
     residuals = cosine_law.verify_cosine_identity(m)
     yield "cosine_identity", None, _worst(map(abs, residuals)), max(a2, b2, c2), (residuals,)
@@ -85,11 +91,9 @@ def rows(t: Triangle):
         yield ("angles_positivity", None, 0.0 if angles_rep.acute_iff_positive else 1.0,
                1.0, None)
 
-    lengths, closed = inc.tangent_lengths, circles.tangent_lengths(t)
-    yield ("tangent_lengths", None, _worst((abs(lengths["A"] - closed["A"]),
-                                            abs(lengths["B"] - closed["B"]),
-                                            abs(lengths["C"] - closed["C"]))),
-           max(1.0, m.a, m.b, m.c), None)
+    yield ("tangent_lengths", None,
+           _worst(abs(inc.tangent_lengths[v] - sides_rep.closed_form[x]) for v, x in _AT.items()),
+           m.length_scale, None)
     for side in circles.SIDE_ENDPOINTS:
         foot, tparam = inc.tangent_points[side], inc.tangent_params[side]
         yield ("incircle_radius", side, norm(inc.center - foot) - inc.radius,
@@ -100,11 +104,13 @@ def rows(t: Triangle):
     yield ("circumradius", None, _worst((abs(norm(center - t.A) - radius),
                                          abs(norm(center - t.B) - radius),
                                          abs(norm(center - t.C) - radius))), max(1.0, radius), None)
-    closed_splits = circles.closed_form_splits(m)
-    angle_at = {"A": m.alpha, "B": m.beta, "C": m.gamma}
+    # The split at v toward w is pi/2 minus the angle at the third vertex.
+    complement = {v: angles_rep.closed_form[x] for v, x in _AT.items()}
+    angles = angles_rep.system
+    angle_at = {"A": angles.L, "B": angles.M, "C": angles.N}
     for v, (nxt, prv) in OPPOSITE_SIDE.items():  # the order of each splits[v]
-        measured, closed = circ.splits[v], closed_splits[v]
+        measured = circ.splits[v]
         yield ("vertex_splits", v,
-               _worst((abs(measured[nxt] - closed[nxt]), abs(measured[prv] - closed[prv]))), 1.0,
-               None)
+               _worst((abs(measured[nxt] - complement[prv]), abs(measured[prv] - complement[nxt]))),
+               1.0, None)
         yield "split_sums", v, sum(measured.values()) - angle_at[v], 1.0, None

@@ -4,7 +4,7 @@ Both circles realize solutions of the three-sum system: the tangent
 points cut the sides into lengths s-a, s-b, s-c, and the segments from
 the circumcenter to the vertices cut the angles into pi/2 minus the
 opposite angles. Everything here is measured from constructed geometry;
-the closed forms live with the callers that cross-check them.
+the closed forms live in the readings of `cuoco.three_sum`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .geometry import (
     NonFiniteCoordinate,
     Point,
     Triangle,
-    TriangleMetrics,
     VERTICES,
     cross,
     dot,
@@ -102,12 +101,6 @@ def incircle(t: Triangle) -> IncircleData:
     )
 
 
-def tangent_lengths(t: Triangle) -> dict[str, float]:
-    """Closed-form tangent lengths: s - a at A, s - b at B, s - c at C."""
-    m = t.metrics
-    return {"A": m.s - m.a, "B": m.s - m.b, "C": m.s - m.c}
-
-
 def _circumcenter(t: Triangle) -> tuple[Point, Point]:
     """The circumcentre and its offset from A, found in A's frame: the legs
     are scaled by a power of two (exact) so that their largest component is
@@ -160,12 +153,3 @@ def circumcircle(t: Triangle) -> CircumcircleData:
         radius=norm(center - t.A),
         splits=splits,
     )
-
-
-def closed_form_splits(m: TriangleMetrics) -> dict[str, dict[str, float]]:
-    """The same structure as `circumcircle(t).splits`, from pi/2 minus the third angle."""
-    angle = {"A": m.alpha, "B": m.beta, "C": m.gamma}
-    return {
-        v: {nxt: math.pi / 2.0 - angle[prv], prv: math.pi / 2.0 - angle[nxt]}
-        for v, (nxt, prv) in OPPOSITE_SIDE.items()
-    }

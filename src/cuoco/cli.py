@@ -20,6 +20,7 @@ import sys
 
 from . import checks, circles, cosine_law, decomposition, figures, three_sum
 from .geometry import (
+    TOLERANCE,
     GeometryError,
     Point,
     Triangle,
@@ -310,7 +311,7 @@ def _add_triangle_args(parser: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_triangle_args(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOLERANCE)
 
 
 def _solve_args(p: argparse.ArgumentParser) -> None:
@@ -321,7 +322,7 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
                    help="treat L, M, N as degrees and convert to radians")
     p.add_argument("--interpret", choices=("squares", "sides", "angles"),
                    help="cross-check the solution against a triangle")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOLERANCE)
     _add_triangle_args(p)
 
 
@@ -336,7 +337,7 @@ def _figure_args(p: argparse.ArgumentParser) -> None:
 def _fuzz_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", default="0")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=TOLERANCE)
 
 
 # name: (help, add_arguments, handler), in the order help lists them.

@@ -10,16 +10,19 @@ right angle.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .geometry import (
     GeometryError,
-    OPPOSITE_SIDE,
     Triangle,
     TriangleMetrics,
-    dot,
     _check_sides,
     _check_vertex,
 )
+
+# Vertex V -> the squares of |PQ|, |VP| and |VQ| in t._side_squares, with
+# (P, Q) = OPPOSITE_SIDE[V]: the opposite side, then V's two legs.
+_SQUARES_AT = {"A": itemgetter(0, 2, 1), "B": itemgetter(1, 0, 2), "C": itemgetter(2, 1, 0)}
 
 
 class DomainError(GeometryError):
@@ -54,19 +57,20 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     vectors leaving the vertex (equal to 2 * BC * BD in the classical
     reading) and residual = opp^2 - adj1^2 - adj2^2 + defect, which is
     zero in exact arithmetic. Integer coordinates give integer results.
+    Each square is the dot of a side vector with itself; a vector and its
+    negation square alike, so which way a side runs does not matter.
     """
     _check_vertex(at_vertex)
-    u, w = t._legs[at_vertex]  # P - V, Q - V
-    defect = 2 * dot(u, w)
-    opp = t._legs[OPPOSITE_SIDE[at_vertex][1]][1]  # P - Q
-    residual = dot(opp, opp) - dot(u, u) - dot(w, w) + defect
+    defect = 2 * t._dots[at_vertex]
+    opp2, adj1, adj2 = _SQUARES_AT[at_vertex](t._side_squares)
+    residual = opp2 - adj1 - adj2 + defect
     return defect, residual
 
 
 def verify_cosine_identity(m: TriangleMetrics) -> tuple[float, float, float]:
     """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic
     forms, at A, B and C; max side^2 is their scale."""
-    a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
+    a2, b2, c2 = m.side_squares
     return (
         a2 - b2 - c2 + 2.0 * m.b * m.c * math.cos(m.alpha),
         b2 - a2 - c2 + 2.0 * m.a * m.c * math.cos(m.beta),

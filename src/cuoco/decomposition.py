@@ -34,7 +34,6 @@ from .geometry import (
     Triangle,
     TriangleMetrics,
     cross,
-    dot,
     _check_vertex,
     _point,
     _Record,
@@ -49,6 +48,9 @@ SIDE_FRAMES = {"a": ("B", "C", "A"), "b": ("C", "A", "B"), "c": ("A", "B", "C")}
 
 # Side -> (panel touching the first endpoint, panel touching the second).
 HOSTED_PANELS = {"a": ("T2", "R1"), "b": ("R2", "S1"), "c": ("S2", "T1")}
+
+# Pair class -> the vertex whose two legs' dot is its area.
+_PAIR_VERTEX = {"R": "C", "S": "A", "T": "B"}
 
 # Vertex V -> (|VP|, |VQ|) read from the metrics, (P, Q) = OPPOSITE_SIDE[V].
 _LEG_LENGTHS = {"A": attrgetter("c", "b"), "B": attrgetter("a", "c"), "C": attrgetter("b", "a")}
@@ -157,13 +159,9 @@ def panel_area_exact(pair: str, t: Triangle):
 
     R -> dot(C->A, C->B), S -> dot(A->B, A->C), T -> dot(B->A, B->C).
     """
-    if pair == "R":
-        return dot(*t._legs["C"])
-    if pair == "S":
-        return dot(*t._legs["A"])
-    if pair == "T":
-        return dot(*t._legs["B"])
-    raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
+    if pair not in _PAIR_VERTEX:
+        raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
+    return t._dots[_PAIR_VERTEX[pair]]
 
 
 def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
@@ -189,19 +187,19 @@ def build(t: Triangle) -> CuocoDecomposition:
         panels.append(RectanglePanel(
             label=first_label,
             host=side,
-            signed_area=dot(*t._legs[first]),
+            signed_area=t._dots[first],
             quad=(foot, p, p_out, foot_out),
         ))
         panels.append(RectanglePanel(
             label=second_label,
             host=side,
-            signed_area=dot(*t._legs[second]),
+            signed_area=t._dots[second],
             quad=(q, foot, foot_out, q_out),
         ))
     # Built as T2, R1, R2, S1, S2, T1; one place round is PANEL_LABELS order.
     panels = panels[1:] + panels[:1]
     # Each panel's signed area is its pair's panel_area_exact: the same
-    # dot product of the same two vectors.
+    # stored dot of the same two legs.
     r1, _, s1, _, t1, _ = panels
     return CuocoDecomposition(
         triangle=t,
@@ -283,7 +281,7 @@ _CHAIN = (
 def _chain(m: TriangleMetrics, quad_areas, s_pair) -> tuple[tuple, float]:
     """The values of the _CHAIN steps from the quad areas (in PANEL_LABELS
     order) and the S pair area, and the worst |step - a^2|."""
-    a2, b2, c2 = m.a * m.a, m.b * m.b, m.c * m.c
+    a2, b2, c2 = m.side_squares
     r1, r2, s1, s2, t1, t2 = quad_areas
     values = (a2, r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * s_pair)
     return values, _worst(abs(value - a2) for value in values)

@@ -37,7 +37,8 @@ class FigureSpec(_Frozen):
 
     def __init__(self, kind: str, labels: bool = True, precision: int = 6) -> None:
         _row(kind)  # an unknown kind raises ValueError
-        if not isinstance(precision, int) or not 1 <= precision <= 12:
+        if (isinstance(precision, bool) or not isinstance(precision, int)
+                or not 1 <= precision <= 12):
             raise ValueError(f"precision must be an integer in [1, 12], got {precision!r}")
         self._store(kind, labels, precision)
 
@@ -220,7 +221,7 @@ def _draw_euclid_defect(t: Triangle, spec: FigureSpec) -> _Sheet:
 def _draw_cuoco(d: CuocoDecomposition, spec: FigureSpec, by_pair: bool,
                 dash_oversized: bool) -> _Sheet:
     t, m = d.triangle, d.metrics
-    side_sq = {"a": m.a * m.a, "b": m.b * m.b, "c": m.c * m.c}
+    side_sq = dict(zip(SIDE_FRAMES, m.side_squares))
     sheet = _Sheet(spec, [p for sq in d.squares for p in sq.vertices]
                    + [p for panel in d.panels for p in panel.quad])
     for sq in d.squares:

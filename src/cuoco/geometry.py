@@ -20,6 +20,10 @@ OPPOSITE_SIDE = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
 # A side cosine within this distance of zero reads as a right angle.
 RIGHT_ANGLE_BAND = 1e-9
 
+# A check passes when |residual| <= TOLERANCE * scale, unless the caller
+# gives its own tolerance (`--tol`, a reading's `tol`).
+TOLERANCE = 1e-9
+
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
@@ -121,9 +125,6 @@ class Point(_Frozen):
     def __sub__(self, other: "Point") -> "Point":
         return _point(self.x - other.x, self.y - other.y)
 
-    def scaled(self, k) -> "Point":
-        return _point(k * self.x, k * self.y)
-
 
 _set_x, _set_y = Point.x.__set__, Point.y.__set__
 
@@ -168,8 +169,8 @@ class Triangle(_Frozen):
     squared sides must be finite, so that no coordinate difference, dot or
     cross product computed from the triangle later can overflow. The
     squared sides must also be nonzero, since the feet and the cosines
-    divide by them. The metrics and the feet are computed here too: every
-    reader needs them, and a Triangle never changes.
+    divide by them. The legs' dots, the metrics and the feet are computed
+    here too: every reader needs them, and a Triangle never changes.
     """
 
     # Only the vertices are fields; the values stored beside them stay out
@@ -177,7 +178,7 @@ class Triangle(_Frozen):
     _fields = ("A", "B", "C")
     # twice_area is positive; _side_squares is (a^2, b^2, c^2), each the dot
     # of a side vector with itself.
-    __slots__ = _fields + ("twice_area", "_side_squares", "_legs", "_feet", "metrics")
+    __slots__ = _fields + ("twice_area", "_side_squares", "_legs", "_dots", "_feet", "metrics")
 
     def __init__(self, A: Point, B: Point, C: Point) -> None:
         ab, ac = B - A, C - A
@@ -200,11 +201,14 @@ class Triangle(_Frozen):
         # Vertex V -> (P - V, Q - V), the two sides leaving V, with
         # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
         legs = {"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)}
+        # Vertex V -> the dot of its two legs: half the Euclid defect at V,
+        # and the pair area S (at A), T (at B) or R (at C).
+        dots = {v: dot(u, w) for v, (u, w) in legs.items()}
         # Vertex V -> foot_of_altitude(self, V). The side opposite V runs
         # from P, whose legs are (Q - P, V - P).
         feet = {"A": _project(B, *legs["B"]), "B": _project(C, *legs["C"]),
                 "C": _project(A, *legs["A"])}
-        self._store(A, B, C, doubled, squares, legs, feet)
+        self._store(A, B, C, doubled, squares, legs, dots, feet)
         object.__setattr__(self, "metrics", metrics(self))
 
 
@@ -238,12 +242,18 @@ def _cos_opposite(p: float, q: float, r: float) -> float:
 
 class TriangleMetrics(_Frozen):
     _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
-    __slots__ = _fields + ("classification",)  # classify(self), read by every reading
+    # Stored beside the fields, each computed here once per triangle:
+    # side_squares is (a * a, b * b, c * c), the squared lengths the checks
+    # compare areas with; area_scale and length_scale floor the residual
+    # scales of areas and of lengths at 1; classification is classify(self).
+    __slots__ = _fields + ("side_squares", "area_scale", "length_scale", "classification")
 
     def __init__(self, a: float, b: float, c: float, alpha: float, beta: float, gamma: float,
                  s: float, area: float, cosines: tuple[float, float, float]) -> None:
         # cosines: the side cosines at A, B, C
-        self._store(a, b, c, alpha, beta, gamma, s, area, cosines)
+        squares = (a * a, b * b, c * c)
+        self._store(a, b, c, alpha, beta, gamma, s, area, cosines,
+                    squares, max(1.0, *squares), max(1.0, a, b, c))
         object.__setattr__(self, "classification", classify(self))
 
 
@@ -258,10 +268,10 @@ def metrics(t: Triangle) -> TriangleMetrics:
     """
     a, b, c = map(math.sqrt, t._side_squares)
     twice_area = t.twice_area
-    legs = t._legs
-    alpha = math.atan2(twice_area, dot(*legs["A"]))
-    beta = math.atan2(twice_area, dot(*legs["B"]))
-    gamma = math.atan2(twice_area, dot(*legs["C"]))
+    dots = t._dots
+    alpha = math.atan2(twice_area, dots["A"])
+    beta = math.atan2(twice_area, dots["B"])
+    gamma = math.atan2(twice_area, dots["C"])
     return TriangleMetrics(
         a=a, b=b, c=c,
         alpha=alpha, beta=beta, gamma=gamma,

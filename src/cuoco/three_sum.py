@@ -19,7 +19,7 @@ import math
 
 from .circles import CircumcircleData, IncircleData
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import Classification, GeometryError, Triangle, _Frozen, _Record
+from .geometry import TOLERANCE, Classification, GeometryError, Triangle, _Frozen, _Record
 
 
 class ThreeSum(_Frozen):
@@ -99,10 +99,10 @@ def _positivity_flag(system: ThreeSum, cls: Classification) -> bool | None:
     return all_positive(system) == cls.is_acute
 
 
-def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
+def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
     m = t.metrics
-    system = ThreeSum(m.a * m.a, m.b * m.b, m.c * m.c)
+    system = ThreeSum(*m.side_squares)
     sol = solve(system)
     geometric = {
         "x": panel_area_exact("R", t),
@@ -114,10 +114,9 @@ def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
         "y": panel_area_trig("T", m),
         "z": panel_area_trig("S", m),
     }
-    scale = max(1.0, system.L, system.M, system.N)
     max_residual = max(
-        _component_residual(sol, geometric, scale),
-        _component_residual(sol, closed_form, scale),
+        _component_residual(sol, geometric, m.area_scale),
+        _component_residual(sol, closed_form, m.area_scale),
     )
     cls = m.classification
     flag = _positivity_flag(system, cls)
@@ -146,7 +145,7 @@ def interpret_squares(t: Triangle, tol: float = 1e-9) -> InterpretationReport:
 SIDES_BUDGET = 8
 
 
-def interpret_sides(inc: IncircleData, tol: float = 1e-9) -> InterpretationReport:
+def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = sides; the solution must be the incircle's tangent lengths.
 
     x = s - c (tangent length at C), y = s - b (at B), z = s - a (at A).
@@ -164,10 +163,9 @@ def interpret_sides(inc: IncircleData, tol: float = 1e-9) -> InterpretationRepor
         "z": inc.tangent_lengths["A"],
     }
     closed_form = {"x": m.s - m.c, "y": m.s - m.b, "z": m.s - m.a}
-    scale = max(1.0, m.a, m.b, m.c)
     max_residual = max(
-        _component_residual(sol, geometric, scale),
-        _component_residual(sol, closed_form, scale),
+        _component_residual(sol, geometric, m.length_scale),
+        _component_residual(sol, closed_form, m.length_scale),
     )
     smallest = min(sol.x, sol.y, sol.z)
     undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(m.a, m.b, m.c), -53)
@@ -187,7 +185,7 @@ def interpret_sides(inc: IncircleData, tol: float = 1e-9) -> InterpretationRepor
     )
 
 
-def interpret_angles(circ: CircumcircleData, tol: float = 1e-9) -> InterpretationReport:
+def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = angles; the solution must be the circumcircle's splits.
 
     x = pi/2 - gamma appears at both ends of side c (the isosceles central

@@ -4,9 +4,13 @@ triangle, and the circle checks far from the origin."""
 import math
 import random
 
+import pytest
+
 from cuoco import checks, circles
 from cuoco.cli import random_triangle
-from cuoco.geometry import Point, Triangle
+from cuoco.geometry import Point, Triangle, triangle_from_sides
+
+AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sums", "derivation")
 
 
 def test_one_construction_per_triangle(monkeypatch):
@@ -37,3 +41,24 @@ def test_translation_far_out_keeps_the_splits_passing():
             for check, item, residual, scale, _ in checks.rows(triangle):
                 if check in ("angles_interpretation", "vertex_splits"):
                     assert abs(residual) <= 1e-9 * scale, (triangle, check, item, residual)
+
+
+@pytest.mark.parametrize("sides, floored", [((0.3, 0.5, 0.7), True), ((9.5, 10.0, 10.5), False)])
+def test_area_and_length_records_carry_one_scale(sides, floored):
+    # Below 1 the floors bind and both scales are 1; near 10 they are the
+    # largest squared side and the largest side.
+    t = triangle_from_sides(*sides)
+    m = t.metrics
+    area_scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
+    length_scale = max(1.0, m.a, m.b, m.c)
+    assert (area_scale == length_scale == 1.0) == floored
+    seen = set()
+    for check, item, _, scale, _ in checks.rows(t):
+        if check in AREA_SCALED:
+            assert scale == area_scale, (check, item)
+        elif check == "tangent_lengths":
+            assert scale == length_scale
+        else:
+            continue
+        seen.add(check)
+    assert seen == {*AREA_SCALED, "tangent_lengths"}

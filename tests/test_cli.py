@@ -553,13 +553,21 @@ class TestCatalogue:
         _, out, _ = run_cli(capsys, "fuzz", "--count", "50", "--seed", "7")
         assert sorted(json.loads(out)["checks"]) == sorted(checks.NAMES)
 
+    @staticmethod
+    def _edit_closed_form(monkeypatch, reading, edit):
+        """Make checks.rows see `reading`'s closed form passed through `edit`."""
+        exact = getattr(three_sum, reading)
+
+        def edited(*args, **kwargs):
+            report = exact(*args, **kwargs)
+            report.closed_form = edit(report.closed_form)
+            return report
+
+        monkeypatch.setattr(three_sum, reading, edited)
+
     def test_shifted_closed_form_splits_fail_verify(self, capsys, monkeypatch):
-        exact = circles.closed_form_splits
-
-        def shifted(m):
-            return {v: {w: value + 1e-6 for w, value in row.items()} for v, row in exact(m).items()}
-
-        monkeypatch.setattr(circles, "closed_form_splits", shifted)
+        self._edit_closed_form(monkeypatch, "interpret_angles",
+                               lambda closed: {x: value + 1e-6 for x, value in closed.items()})
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 1
         report = json.loads(out)
@@ -567,8 +575,9 @@ class TestCatalogue:
         assert report["checks"]["vertex_splits"]["max_residual"] == pytest.approx(1e-6, rel=1e-3)
 
     def test_nan_in_a_folded_check_fails_verify(self, capsys, monkeypatch):
-        exact = circles.tangent_lengths
-        monkeypatch.setattr(circles, "tangent_lengths", lambda t: {**exact(t), "B": math.nan})
+        # "y" is the tangent length at B.
+        self._edit_closed_form(monkeypatch, "interpret_sides",
+                               lambda closed: {**closed, "y": math.nan})
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 1
         report = json.loads(out)

@@ -178,7 +178,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             construction("pie_chart", OBTUSE)
 
-    @pytest.mark.parametrize("precision", [0, -1, 13])
+    @pytest.mark.parametrize("precision", [0, -1, 13, True])
     def test_precision_out_of_range(self, precision):
         with pytest.raises(ValueError):
             FigureSpec(kind="cuoco", precision=precision)

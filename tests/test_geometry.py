@@ -38,7 +38,6 @@ class TestPoint:
     def test_arithmetic(self):
         assert Point(1, 2) + Point(3, 4) == Point(4, 6)
         assert Point(1, 2) - Point(3, 4) == Point(-2, -2)
-        assert Point(1, 2).scaled(3) == Point(3, 6)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
@@ -289,9 +288,7 @@ class TestClassify:
     @given(float_triangles(), st.floats(1e-3, 1e3))
     def test_scale_invariant(self, t, factor):
         m = t.metrics
-        scaled = Triangle(
-            A=t.A.scaled(factor), B=t.B.scaled(factor), C=t.C.scaled(factor)
-        )
+        scaled = Triangle(*(Point(factor * p.x, factor * p.y) for p in (t.A, t.B, t.C)))
         sm = scaled.metrics
         # Classification depends only on shape, so uniform scaling keeps it.
         assert m.classification.kind == sm.classification.kind
