@@ -19,8 +19,10 @@ kept and fails.
 
 from __future__ import annotations
 
+from math import sqrt
+
 from . import circles, cosine_law, decomposition, three_sum
-from .geometry import OPPOSITE_SIDE, VERTICES, Triangle, norm, _worst
+from .geometry import OPPOSITE_SIDE, VERTICES, Triangle, _worst
 
 NAMES = (
     "cosine_identity", "euclid_defect", "defect_sign", "pair_equivalence", "trig_vs_exact",
@@ -94,16 +96,24 @@ def rows(t: Triangle):
     yield ("tangent_lengths", None,
            _worst(abs(inc.tangent_lengths[v] - sides_rep.closed_form[x]) for v, x in _AT.items()),
            m.length_scale, None)
+    # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
+    # it (not math.hypot, whose last bit can differ).
+    ox, oy = inc.center.x, inc.center.y
+    radius = inc.radius
+    radius_scale = max(1.0, radius)
     for side in circles.SIDE_ENDPOINTS:
         foot, tparam = inc.tangent_points[side], inc.tangent_params[side]
-        yield ("incircle_radius", side, norm(inc.center - foot) - inc.radius,
-               max(1.0, inc.radius), None)
+        dx, dy = ox - foot.x, oy - foot.y
+        yield "incircle_radius", side, sqrt(dx * dx + dy * dy) - radius, radius_scale, None
         yield "tangent_inside", side, _worst((-tparam, tparam - 1.0)), 1.0, None
 
-    center, radius = circ.center, circ.radius
-    yield ("circumradius", None, _worst((abs(norm(center - t.A) - radius),
-                                         abs(norm(center - t.B) - radius),
-                                         abs(norm(center - t.C) - radius))), max(1.0, radius), None)
+    ox, oy = circ.center.x, circ.center.y
+    radius = circ.radius
+    ax, ay, bx, by, cx, cy = ox - t.A.x, oy - t.A.y, ox - t.B.x, oy - t.B.y, ox - t.C.x, oy - t.C.y
+    yield ("circumradius", None, _worst((abs(sqrt(ax * ax + ay * ay) - radius),
+                                         abs(sqrt(bx * bx + by * by) - radius),
+                                         abs(sqrt(cx * cx + cy * cy) - radius))),
+           max(1.0, radius), None)
     # The split at v toward w is pi/2 minus the angle at the third vertex.
     complement = {v: angles_rep.closed_form[x] for v, x in _AT.items()}
     angles = angles_rep.system

@@ -11,20 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (
-    OPPOSITE_SIDE,
-    NonFiniteCoordinate,
-    Point,
-    Triangle,
-    VERTICES,
-    cross,
-    dot,
-    norm,
-    _is_finite,
-    _point,
-    _project,
-    _Record,
-)
+from .geometry import NonFiniteCoordinate, Point, Triangle, _is_finite, _point, _Record
 
 # Side id -> its endpoints in cyclic order.
 SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
@@ -76,37 +63,41 @@ def incircle(t: Triangle) -> IncircleData:
     equal, which callers test).
     """
     m = t.metrics
-    weight = m.a + m.b + m.c
-    center = _centre(
-        (m.a * t.A.x + m.b * t.B.x + m.c * t.C.x) / weight,
-        (m.a * t.A.y + m.b * t.B.y + m.c * t.C.y) / weight,
-        "incentre",
-    )
-    radius = m.area / m.s
-    tangent_points = {}
-    tangent_params = {}
-    for side, (first, _) in SIDE_ENDPOINTS.items():
-        p = getattr(t, first)
-        tangent_points[side], tangent_params[side] = _project(p, t._legs[first][0], center - p)
-    tangent_lengths = {
-        v: norm(tangent_points[_NEXT_SIDE[v]] - getattr(t, v)) for v in VERTICES
-    }
+    a, b, c = m.a, m.b, m.c
+    A, B, C = t.A, t.B, t.C
+    ax, ay, bx, by, cx, cy = A.x, A.y, B.x, B.y, C.x, C.y
+    weight = a + b + c
+    ox = (a * ax + b * bx + c * cx) / weight
+    oy = (a * ay + b * by + c * cy) / weight
+    center = _centre(ox, oy, "incentre")
+    # Each side runs from its first endpoint p along the leg e at p; the
+    # tangent point is p + t * e, with t = dot(center - p, e) / |e|^2.
+    (bc, _), (ca, _), (ab, _) = t._legs["B"], t._legs["C"], t._legs["A"]
+    bcx, bcy, cax, cay, abx, aby = bc.x, bc.y, ca.x, ca.y, ab.x, ab.y
+    a2, b2, c2 = t._side_squares
+    t_a = ((ox - bx) * bcx + (oy - by) * bcy) / a2
+    t_b = ((ox - cx) * cax + (oy - cy) * cay) / b2
+    t_c = ((ox - ax) * abx + (oy - ay) * aby) / c2
+    pax, pay = bx + t_a * bcx, by + t_a * bcy
+    pbx, pby = cx + t_b * cax, cy + t_b * cay
+    pcx, pcy = ax + t_c * abx, ay + t_c * aby
+    # Each vertex to the tangent point on the side toward the next vertex.
+    dax, day, dbx, dby, dcx, dcy = pcx - ax, pcy - ay, pax - bx, pay - by, pbx - cx, pby - cy
     return IncircleData(
-        triangle=t,
-        center=center,
-        radius=radius,
-        tangent_points=tangent_points,
-        tangent_params=tangent_params,
-        tangent_lengths=tangent_lengths,
+        t, center, m.area / m.s,
+        {"a": _point(pax, pay), "b": _point(pbx, pby), "c": _point(pcx, pcy)},
+        {"a": t_a, "b": t_b, "c": t_c},
+        {"A": math.sqrt(dax * dax + day * day), "B": math.sqrt(dbx * dbx + dby * dby),
+         "C": math.sqrt(dcx * dcx + dcy * dcy)},
     )
 
 
-def _circumcenter(t: Triangle) -> tuple[Point, Point]:
-    """The circumcentre and its offset from A, found in A's frame: the legs
-    are scaled by a power of two (exact) so that their largest component is
-    about 1, where no product overflows or underflows, and the offset is
-    scaled back (exact too). The determinant is then the triangle's own
-    cross product."""
+def _circumcenter(t: Triangle) -> tuple[Point, float, float]:
+    """The circumcentre and its offset (x, y) from A, found in A's frame:
+    the legs are scaled by a power of two (exact) so that their largest
+    component is about 1, where no product overflows or underflows, and the
+    offset is scaled back (exact too). The determinant is then the
+    triangle's own cross product."""
     ab, ac = t._legs["A"]
     _, k = math.frexp(max(abs(ab.x), abs(ab.y), abs(ac.x), abs(ac.y)))
     down = math.ldexp(1.0, -k)
@@ -116,12 +107,8 @@ def _circumcenter(t: Triangle) -> tuple[Point, Point]:
         raise NonFiniteCoordinate("coordinates overflow: the circumcentre is not finite")
     b2, c2 = bx * bx + by * by, cx * cx + cy * cy
     up = math.ldexp(1.0, k)
-    offset = _point((cy * b2 - by * c2) / d * up, (bx * c2 - cx * b2) / d * up)
-    return _centre(t.A.x + offset.x, t.A.y + offset.y, "circumcentre"), offset
-
-
-def _signed_angle(u: Point, v: Point) -> float:
-    return math.atan2(cross(u, v), dot(u, v))
+    ox, oy = (cy * b2 - by * c2) / d * up, (bx * c2 - cx * b2) / d * up
+    return _centre(t.A.x + ox, t.A.y + oy, "circumcentre"), ox, oy
 
 
 def circumcircle(t: Triangle) -> CircumcircleData:
@@ -137,19 +124,25 @@ def circumcircle(t: Triangle) -> CircumcircleData:
     A and the legs at A, never as centre - v: far from the origin the
     centre's coordinates round to a grid as coarse as the triangle itself.
     """
-    center, offset = _circumcenter(t)
-    ab, ac = t._legs["A"]
-    to_center = {"A": offset, "B": offset - ab, "C": offset - ac}
-    splits: dict[str, dict[str, float]] = {}
-    for v, (nxt, prv) in OPPOSITE_SIDE.items():  # cyclically next and previous
-        to_nxt, to_prv = t._legs[v]
-        splits[v] = {
-            nxt: _signed_angle(to_nxt, to_center[v]),
-            prv: _signed_angle(to_center[v], to_prv),
-        }
-    return CircumcircleData(
-        triangle=t,
-        center=center,
-        radius=norm(center - t.A),
-        splits=splits,
-    )
+    center, ox, oy = _circumcenter(t)
+    legs = t._legs
+    (ab, ac), (bc, ba), (ca, cb) = legs["A"], legs["B"], legs["C"]
+    abx, aby, acx, acy = ab.x, ab.y, ac.x, ac.y
+    bcx, bcy, bax, bay = bc.x, bc.y, ba.x, ba.y
+    cax, cay, cbx, cby = ca.x, ca.y, cb.x, cb.y
+    # v -> centre for v = B, C; A's is the offset itself.
+    obx, oby, ocx, ocy = ox - abx, oy - aby, ox - acx, oy - acy
+    # The signed angle from u to w is atan2(cross(u, w), dot(u, w)): at v,
+    # from the leg toward the cyclically next vertex to the centre, and
+    # from the centre to the leg toward the previous one.
+    atan2 = math.atan2
+    splits = {
+        "A": {"B": atan2(abx * oy - aby * ox, abx * ox + aby * oy),
+              "C": atan2(ox * acy - oy * acx, ox * acx + oy * acy)},
+        "B": {"C": atan2(bcx * oby - bcy * obx, bcx * obx + bcy * oby),
+              "A": atan2(obx * bay - oby * bax, obx * bax + oby * bay)},
+        "C": {"A": atan2(cax * ocy - cay * ocx, cax * ocx + cay * ocy),
+              "B": atan2(ocx * cby - ocy * cbx, ocx * cbx + ocy * cby)},
+    }
+    dx, dy = center.x - t.A.x, center.y - t.A.y
+    return CircumcircleData(t, center, math.sqrt(dx * dx + dy * dy), splits)

@@ -109,32 +109,36 @@ def shoelace(points) -> float:
     return total / 2.0
 
 
-def _side_corners(t: Triangle):
+def _side_corners(t: Triangle) -> list[tuple]:
     """The corners `build` places on each side, in SIDE_FRAMES order.
 
-    Yields (p, q, foot, p_out, q_out, foot_out) as (x, y) pairs: the side's
-    endpoints, the foot of the altitude on its line, and each of the three
-    moved across the side by perp(p - q). That offset points away from the
-    triangle for a counterclockwise vertex order and has the side's length,
-    so (q, p, p_out, q_out) is the exterior square, counterclockwise from
-    the side, and the foot splits it into the panels (foot, p, p_out,
-    foot_out) and (q, foot, foot_out, q_out).
+    Each entry is (px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy):
+    the side's endpoints p and q, the foot f of the altitude on its line,
+    and each of the three moved across the side by perp(p - q). That offset
+    points away from the triangle for a counterclockwise vertex order and
+    has the side's length, so (q, p, p_out, q_out) is the exterior square,
+    counterclockwise from the side, and the foot splits it into the panels
+    (foot, p, p_out, foot_out) and (q, foot, foot_out, q_out).
     """
+    corners = []
     for first, second, opposite in SIDE_FRAMES.values():
         p, q = getattr(t, first), getattr(t, second)
+        px, py, qx, qy = p.x, p.y, q.x, q.y
         foot, _ = t._feet[opposite]
+        fx, fy = foot.x, foot.y
         # The legs at q are (v - q, p - q); perp(p - q) = (-(p - q).y, (p - q).x).
         side = t._legs[second][1]
         nx, ny = -side.y, side.x
-        yield ((p.x, p.y), (q.x, q.y), (foot.x, foot.y),
-               (p.x + nx, p.y + ny), (q.x + nx, q.y + ny), (foot.x + nx, foot.y + ny))
+        corners.append((px, py, qx, qy, fx, fy,
+                        px + nx, py + ny, qx + nx, qy + ny, fx + nx, fy + ny))
+    return corners
 
 
 def _quad_areas(t: Triangle) -> list[float]:
     """shoelace(panel.quad) for each panel of build(t), in PANEL_LABELS order:
     the same corners, and the same terms summed alike, so bit for bit."""
     areas = []
-    for (px, py), (qx, qy), (fx, fy), (pox, poy), (qox, qoy), (fox, foy) in _side_corners(t):
+    for px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy in _side_corners(t):
         # (foot, p, p_out, foot_out), then (q, foot, foot_out, q_out)
         areas.append((0 + (fx * py - fy * px) + (px * poy - py * pox)
                       + (pox * foy - poy * fox) + (fox * fy - foy * fx)) / 2.0)
@@ -181,7 +185,8 @@ def build(t: Triangle) -> CuocoDecomposition:
     panels = []
     for (side, (first, second, opposite)), corners in zip(SIDE_FRAMES.items(), _side_corners(t)):
         p, q, (foot, _) = getattr(t, first), getattr(t, second), t._feet[opposite]
-        p_out, q_out, foot_out = [_point(x, y) for x, y in corners[3:]]
+        pox, poy, qox, qoy, fox, foy = corners[6:]
+        p_out, q_out, foot_out = _point(pox, poy), _point(qox, qoy), _point(fox, foy)
         squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
         first_label, second_label = HOSTED_PANELS[side]
         panels.append(RectanglePanel(

@@ -100,11 +100,17 @@ class _Frozen(_Record):
 class Point(_Frozen):
     """A point or vector. `Point(x, y)` checks that both are finite.
 
-    Results of arithmetic on points are built by `_point` without that
-    check: their inputs were checked already, and the one way they can
-    stop being finite, overflow, is caught once per triangle by
-    `Triangle` (and by the circle centres, which mix in absolute
-    coordinates).
+    The per-triangle constructions (the triangle's legs and feet, the
+    circles, the panel corners) compute in local floats read once from the
+    stored points, and make a Point only for a value they store. Their
+    results match the point-arithmetic forms (`-`, `dot`, `cross`, `norm`)
+    bit for bit: the same operations, associated alike.
+
+    Computed points, like the results of arithmetic on points, are built by
+    `_point` without the finiteness check: their inputs were checked
+    already, and the one way they can stop being finite, overflow, is
+    caught once per triangle by `Triangle` (and by the circle centres,
+    which mix in absolute coordinates).
     """
 
     __slots__ = _fields = ("x", "y")
@@ -181,15 +187,21 @@ class Triangle(_Frozen):
     __slots__ = _fields + ("twice_area", "_side_squares", "_legs", "_dots", "_feet", "metrics")
 
     def __init__(self, A: Point, B: Point, C: Point) -> None:
-        ab, ac = B - A, C - A
-        doubled = cross(ab, ac)
+        ax, ay, bx, by, cx, cy = A.x, A.y, B.x, B.y, C.x, C.y
+        abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
+        doubled = abx * acy - aby * acx  # cross(B - A, C - A)
         if doubled < 0:
             B, C = C, B
-            ab, ac = ac, ab
+            bx, by, cx, cy = cx, cy, bx, by
+            abx, aby, acx, acy = acx, acy, abx, aby
             doubled = -doubled  # exact: the cross product of the swapped sides
-        bc, ca = C - B, A - C
-        squares = (dot(bc, bc), dot(ca, ca), dot(ab, ab))
-        if not all(map(_is_finite, (doubled, *squares))):
+        bcx, bcy, cax, cay = cx - bx, cy - by, ax - cx, ay - cy
+        bax, bay, cbx, cby = ax - bx, ay - by, bx - cx, by - cy
+        squares = (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
+        # All four are nonnegative, so a finite sum means each is finite;
+        # only a sum that overflows needs each tested.
+        if (not _is_finite(doubled + squares[0] + squares[1] + squares[2])
+                and not all(map(_is_finite, (doubled, *squares)))):
             raise NonFiniteCoordinate(
                 f"coordinates overflow: twice the area or a squared side of "
                 f"{A}, {B}, {C} is not finite"
@@ -200,15 +212,20 @@ class Triangle(_Frozen):
             raise GeometryError(f"a squared side of {A}, {B}, {C} underflows to zero")
         # Vertex V -> (P - V, Q - V), the two sides leaving V, with
         # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
-        legs = {"A": (ab, ac), "B": (bc, A - B), "C": (ca, B - C)}
+        legs = {"A": (_point(abx, aby), _point(acx, acy)),
+                "B": (_point(bcx, bcy), _point(bax, bay)),
+                "C": (_point(cax, cay), _point(cbx, cby))}
         # Vertex V -> the dot of its two legs: half the Euclid defect at V,
         # and the pair area S (at A), T (at B) or R (at C).
-        dots = {v: dot(u, w) for v, (u, w) in legs.items()}
-        # Vertex V -> foot_of_altitude(self, V). The side opposite V runs
-        # from P, whose legs are (Q - P, V - P).
-        feet = {"A": _project(B, *legs["B"]), "B": _project(C, *legs["C"]),
-                "C": _project(A, *legs["A"])}
-        self._store(A, B, C, doubled, squares, legs, dots, feet)
+        dot_a, dot_b, dot_c = abx * acx + aby * acy, bcx * bax + bcy * bay, cax * cbx + cay * cby
+        # Vertex V -> foot_of_altitude(self, V): the side opposite V runs
+        # from P along the leg (Q - P), and the foot's parameter is the dot
+        # at P over that side's square.
+        t_a, t_b, t_c = dot_b / squares[0], dot_c / squares[1], dot_a / squares[2]
+        feet = {"A": (_point(bx + t_a * bcx, by + t_a * bcy), t_a),
+                "B": (_point(cx + t_b * cax, cy + t_b * cay), t_b),
+                "C": (_point(ax + t_c * abx, ay + t_c * aby), t_c)}
+        self._store(A, B, C, doubled, squares, legs, {"A": dot_a, "B": dot_b, "C": dot_c}, feet)
         object.__setattr__(self, "metrics", metrics(self))
 
 
@@ -233,11 +250,6 @@ def _worst(values) -> float:
 def _check_vertex(name: str) -> None:
     if name not in VERTICES:
         raise GeometryError(f"unknown vertex {name!r}, expected one of {VERTICES}")
-
-
-def _cos_opposite(p: float, q: float, r: float) -> float:
-    """Cosine of the angle between sides of length p and q, opposite r."""
-    return (p * p + q * q - r * r) / (2.0 * p * q)
 
 
 class TriangleMetrics(_Frozen):
@@ -269,15 +281,16 @@ def metrics(t: Triangle) -> TriangleMetrics:
     a, b, c = map(math.sqrt, t._side_squares)
     twice_area = t.twice_area
     dots = t._dots
-    alpha = math.atan2(twice_area, dots["A"])
-    beta = math.atan2(twice_area, dots["B"])
-    gamma = math.atan2(twice_area, dots["C"])
+    a2, b2, c2 = a * a, b * b, c * c  # the side_squares TriangleMetrics stores
     return TriangleMetrics(
-        a=a, b=b, c=c,
-        alpha=alpha, beta=beta, gamma=gamma,
-        s=(a + b + c) / 2.0,
-        area=t.twice_area / 2.0,
-        cosines=(_cos_opposite(b, c, a), _cos_opposite(a, c, b), _cos_opposite(a, b, c)),
+        a, b, c,
+        math.atan2(twice_area, dots["A"]), math.atan2(twice_area, dots["B"]),
+        math.atan2(twice_area, dots["C"]),
+        (a + b + c) / 2.0, twice_area / 2.0,
+        # The cosine at each vertex: (adjacent^2 + adjacent^2 - opposite^2)
+        # over twice the adjacent sides' product.
+        ((b2 + c2 - a2) / (2.0 * b * c), (a2 + c2 - b2) / (2.0 * a * c),
+         (a2 + b2 - c2) / (2.0 * a * b)),
     )
 
 
@@ -299,7 +312,13 @@ def classify(m: TriangleMetrics) -> Classification:
     The band is on the cosine, not the angle: |cos| <= RIGHT_ANGLE_BAND
     reads as right.
     """
-    vertex, smallest = min(zip(VERTICES, m.cosines), key=lambda item: item[1])
+    # min() over the vertices, the first of equal cosines
+    cos_a, cos_b, cos_c = m.cosines
+    vertex, smallest = "A", cos_a
+    if cos_b < smallest:
+        vertex, smallest = "B", cos_b
+    if cos_c < smallest:
+        vertex, smallest = "C", cos_c
     if smallest < -RIGHT_ANGLE_BAND:
         return Classification("obtuse", vertex)
     if smallest <= RIGHT_ANGLE_BAND:
@@ -348,10 +367,3 @@ def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:
     """
     _check_vertex(from_vertex)
     return t._feet[from_vertex]
-
-
-def _project(p: Point, e: Point, to_point: Point) -> tuple[Point, float]:
-    """Foot of the perpendicular from p + to_point to the line through p
-    along e, and its affine coordinate: 0 at p, 1 at p + e."""
-    tparam = dot(to_point, e) / dot(e, e)
-    return _point(p.x + tparam * e.x, p.y + tparam * e.y), tparam

@@ -28,9 +28,10 @@ class ThreeSum(_Frozen):
     __slots__ = _fields = ("L", "M", "N")
 
     def __init__(self, L: float, M: float, N: float) -> None:
-        for value in (L, M, N):
-            if not math.isfinite(value):
-                raise GeometryError(f"system inputs must be finite, got {value!r}")
+        isfinite = math.isfinite
+        if not (isfinite(L) and isfinite(M) and isfinite(N)):
+            value = next(value for value in (L, M, N) if not isfinite(value))
+            raise GeometryError(f"system inputs must be finite, got {value!r}")
         self._store(L, M, N)
 
 
@@ -89,10 +90,6 @@ class InterpretationReport(_Record):
         self.passed = passed
 
 
-def _component_residual(sol: Solution, route: dict[str, float], scale: float) -> float:
-    return max(abs(sol.x - route["x"]), abs(sol.y - route["y"]), abs(sol.z - route["z"])) / scale
-
-
 def _positivity_flag(system: ThreeSum, cls: Classification) -> bool | None:
     if cls.kind == "right":
         return None
@@ -104,20 +101,13 @@ def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationRepo
     m = t.metrics
     system = ThreeSum(*m.side_squares)
     sol = solve(system)
-    geometric = {
-        "x": panel_area_exact("R", t),
-        "y": panel_area_exact("T", t),
-        "z": panel_area_exact("S", t),
-    }
-    closed_form = {
-        "x": panel_area_trig("R", m),
-        "y": panel_area_trig("T", m),
-        "z": panel_area_trig("S", m),
-    }
-    max_residual = max(
-        _component_residual(sol, geometric, m.area_scale),
-        _component_residual(sol, closed_form, m.area_scale),
-    )
+    x, y, z = sol.x, sol.y, sol.z
+    gx, gy, gz = panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t)
+    cx, cy, cz = panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)
+    # Each route's worst component, over the area scale.
+    scale = m.area_scale
+    max_residual = max(max(abs(x - gx), abs(y - gy), abs(z - gz)) / scale,
+                       max(abs(x - cx), abs(y - cy), abs(z - cz)) / scale)
     cls = m.classification
     flag = _positivity_flag(system, cls)
     return InterpretationReport(
@@ -125,8 +115,8 @@ def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationRepo
         system=system,
         solution=sol,
         mapping={"x": "R", "y": "T", "z": "S"},
-        geometric=geometric,
-        closed_form=closed_form,
+        geometric={"x": gx, "y": gy, "z": gz},
+        closed_form={"x": cx, "y": cy, "z": cz},
         max_residual=max_residual,
         all_positive=all_positive(system),
         classification=cls,
@@ -155,28 +145,27 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
     m = inc.triangle.metrics
-    system = ThreeSum(m.a, m.b, m.c)
+    a, b, c, s = m.a, m.b, m.c, m.s
+    system = ThreeSum(a, b, c)
     sol = solve(system)
-    geometric = {
-        "x": inc.tangent_lengths["C"],
-        "y": inc.tangent_lengths["B"],
-        "z": inc.tangent_lengths["A"],
-    }
-    closed_form = {"x": m.s - m.c, "y": m.s - m.b, "z": m.s - m.a}
-    max_residual = max(
-        _component_residual(sol, geometric, m.length_scale),
-        _component_residual(sol, closed_form, m.length_scale),
-    )
-    smallest = min(sol.x, sol.y, sol.z)
-    undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(m.a, m.b, m.c), -53)
+    x, y, z = sol.x, sol.y, sol.z
+    lengths = inc.tangent_lengths
+    gx, gy, gz = lengths["C"], lengths["B"], lengths["A"]
+    cx, cy, cz = s - c, s - b, s - a
+    # Each route's worst component, over the length scale.
+    scale = m.length_scale
+    max_residual = max(max(abs(x - gx), abs(y - gy), abs(z - gz)) / scale,
+                       max(abs(x - cx), abs(y - cy), abs(z - cz)) / scale)
+    smallest = min(x, y, z)
+    undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
     positive = None if undecided else smallest > 0
     return InterpretationReport(
         kind="sides",
         system=system,
         solution=sol,
         mapping={"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
-        geometric=geometric,
-        closed_form=closed_form,
+        geometric={"x": gx, "y": gy, "z": gz},
+        closed_form={"x": cx, "y": cy, "z": cz},
         max_residual=max_residual,
         all_positive=positive,
         classification=m.classification,
@@ -193,21 +182,18 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     side a. Residuals are absolute: angles are already order one.
     """
     m = circ.triangle.metrics
-    system = ThreeSum(m.alpha, m.beta, m.gamma)
+    alpha, beta, gamma = m.alpha, m.beta, m.gamma
+    system = ThreeSum(alpha, beta, gamma)
     sol = solve(system)
+    x, y, z = sol.x, sol.y, sol.z
     # Each component is realized twice; hold it against both measurements.
     at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
-    geometric = {"x": at_a["B"], "y": at_a["C"], "z": at_b["C"]}
-    closed_form = {
-        "x": math.pi / 2.0 - m.gamma,
-        "y": math.pi / 2.0 - m.beta,
-        "z": math.pi / 2.0 - m.alpha,
-    }
-    x, y, z = sol.x, sol.y, sol.z
+    a_b, a_c, b_a, b_c, c_a, c_b = at_a["B"], at_a["C"], at_b["A"], at_b["C"], at_c["A"], at_c["B"]
+    cx, cy, cz = math.pi / 2.0 - gamma, math.pi / 2.0 - beta, math.pi / 2.0 - alpha
     max_residual = max(
-        abs(x - at_a["B"]), abs(x - at_b["A"]), abs(x - closed_form["x"]),
-        abs(y - at_a["C"]), abs(y - at_c["A"]), abs(y - closed_form["y"]),
-        abs(z - at_b["C"]), abs(z - at_c["B"]), abs(z - closed_form["z"]),
+        abs(x - a_b), abs(x - b_a), abs(x - cx),
+        abs(y - a_c), abs(y - c_a), abs(y - cy),
+        abs(z - b_c), abs(z - c_b), abs(z - cz),
     )
     cls = m.classification
     flag = _positivity_flag(system, cls)
@@ -216,8 +202,8 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
         system=system,
         solution=sol,
         mapping={"x": "split over side c", "y": "split over side b", "z": "split over side a"},
-        geometric=geometric,
-        closed_form=closed_form,
+        geometric={"x": a_b, "y": a_c, "z": b_c},
+        closed_form={"x": cx, "y": cy, "z": cz},
         max_residual=max_residual,
         all_positive=all_positive(system),
         classification=cls,
