@@ -2,7 +2,7 @@
 
 `rows(t)` yields `(check, item, residual, scale, detail)` for one triangle,
 check by check in `NAMES` order (records of neighbouring checks interleave
-where they share a loop). A record passes when |residual| <= tol * scale.
+where they share a loop). A record passes when |residual| / scale <= tol.
 `item` is the vertex, pair class or side a record is about, or None for a
 whole-triangle check. `detail` is the tuple of values `verify` prints for
 the record, or None for a check that `verify` reports, as `fuzz` reports

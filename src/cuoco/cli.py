@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
             entries.setdefault(check, None)
             folded.setdefault(check, []).append(abs(residual) / scale)
             continue
-        entry = {**_VERIFY_ENTRIES[check](*detail), "passed": abs(residual) <= tol * scale}
+        entry = {**_VERIFY_ENTRIES[check](*detail), "passed": abs(residual) / scale <= tol}
         passed = passed and entry["passed"]
         if item is None:
             entries[check] = entry
@@ -153,6 +153,14 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+# solve --interpret: each reading takes the construction it reads from the triangle.
+_READINGS = {
+    "squares": lambda t, tol: three_sum.interpret_squares(t, tol),
+    "sides": lambda t, tol: three_sum.interpret_sides(circles.incircle(t), tol),
+    "angles": lambda t, tol: three_sum.interpret_angles(circles.circumcircle(t), tol),
+}
+
+
 def cmd_solve(args) -> int:
     values = [args.L, args.M, args.N]
     if args.degrees:
@@ -168,14 +176,7 @@ def cmd_solve(args) -> int:
     }
     passed = True
     if args.interpret:
-        t = _triangle_from_args(args)
-        # Each reading takes the construction it reads.
-        construct, interpret = {
-            "squares": (lambda t: t, three_sum.interpret_squares),
-            "sides": (circles.incircle, three_sum.interpret_sides),
-            "angles": (circles.circumcircle, three_sum.interpret_angles),
-        }[args.interpret]
-        interpretation = interpret(construct(t), tol=args.tol)
+        interpretation = _READINGS[args.interpret](_triangle_from_args(args), args.tol)
         report["interpretation"] = interpretation
         passed = interpretation.passed
     elif getattr(args, "sides", None) or getattr(args, "points", None):
@@ -320,7 +321,7 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--degrees", action="store_true",
                    help="treat L, M, N as degrees and convert to radians")
-    p.add_argument("--interpret", choices=("squares", "sides", "angles"),
+    p.add_argument("--interpret", choices=tuple(_READINGS),
                    help="cross-check the solution against a triangle")
     p.add_argument("--tol", type=_tolerance, default=TOLERANCE)
     _add_triangle_args(p)

@@ -20,7 +20,7 @@ OPPOSITE_SIDE = {"A": ("B", "C"), "B": ("C", "A"), "C": ("A", "B")}
 # A side cosine within this distance of zero reads as a right angle.
 RIGHT_ANGLE_BAND = 1e-9
 
-# A check passes when |residual| <= TOLERANCE * scale, unless the caller
+# A check passes when |residual| / scale <= TOLERANCE, unless the caller
 # gives its own tolerance (`--tol`, a reading's `tol`).
 TOLERANCE = 1e-9
 

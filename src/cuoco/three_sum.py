@@ -19,7 +19,8 @@ import math
 
 from .circles import CircumcircleData, IncircleData
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import TOLERANCE, Classification, GeometryError, Triangle, _Frozen, _Record
+from .geometry import (TOLERANCE, Classification, GeometryError, Triangle, _Frozen, _Record,
+                       _is_finite, _worst)
 
 
 class ThreeSum(_Frozen):
@@ -28,9 +29,12 @@ class ThreeSum(_Frozen):
     __slots__ = _fields = ("L", "M", "N")
 
     def __init__(self, L: float, M: float, N: float) -> None:
-        isfinite = math.isfinite
-        if not (isfinite(L) and isfinite(M) and isfinite(N)):
-            value = next(value for value in (L, M, N) if not isfinite(value))
+        try:  # math.isfinite raises OverflowError on an integer too large for a float
+            finite = math.isfinite(L) and math.isfinite(M) and math.isfinite(N)
+        except OverflowError:
+            finite = False
+        if not finite:
+            value = next(value for value in (L, M, N) if not _is_finite(value))
             raise GeometryError(f"system inputs must be finite, got {value!r}")
         self._store(L, M, N)
 
@@ -67,8 +71,9 @@ class InterpretationReport(_Record):
     `geometric` and `closed_form` are two independent routes to the values
     the solution components are supposed to equal, keyed by component.
     `max_residual` is the worst normalized deviation of the solution from
-    either route. `all_positive` is None when the sides reading cannot tell
-    a tangent length's sign within rounding. `acute_iff_positive` records
+    either route; a NaN among the deviations is kept, so `passed` is False.
+    `all_positive` is None when the sides reading cannot tell a tangent
+    length's sign within rounding. `acute_iff_positive` records
     whether positivity agreed with the acute classification; None when
     `classify` reads the triangle as right (a side cosine within
     `RIGHT_ANGLE_BAND` of zero) or when the question does not apply (side
@@ -90,39 +95,38 @@ class InterpretationReport(_Record):
         self.passed = passed
 
 
-def _positivity_flag(system: ThreeSum, cls: Classification) -> bool | None:
-    if cls.kind == "right":
-        return None
-    return all_positive(system) == cls.is_acute
+def _report(kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, str],
+            measured: tuple, closed_form: tuple, scale: float, positive: bool | None,
+            classification: Classification, acute_iff_positive: bool | None,
+            verdict_flag: bool | None, tol: float) -> InterpretationReport:
+    """The body the three readings share. `measured` holds an (x, y, z) triple
+    per measurement, the first reported as `geometric`. The worst
+    |solution - value| over them and `closed_form`, a NaN kept, over `scale`
+    is `max_residual`; the reading passes when that is within `tol` and
+    `verdict_flag`, the flag its verdict reads, is not False."""
+    x, y, z = solution.x, solution.y, solution.z
+    residuals = ()
+    for gx, gy, gz in (*measured, closed_form):
+        residuals += (abs(x - gx), abs(y - gy), abs(z - gz))
+    max_residual = _worst(residuals) / scale
+    (gx, gy, gz), (cx, cy, cz) = measured[0], closed_form
+    return InterpretationReport(
+        kind, system, solution, mapping, {"x": gx, "y": gy, "z": gz}, {"x": cx, "y": cy, "z": cz},
+        max_residual, positive, classification, acute_iff_positive,
+        max_residual <= tol and verdict_flag is not False)
 
 
 def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
     m = t.metrics
     system = ThreeSum(*m.side_squares)
-    sol = solve(system)
-    x, y, z = sol.x, sol.y, sol.z
-    gx, gy, gz = panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t)
-    cx, cy, cz = panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)
-    # Each route's worst component, over the area scale.
-    scale = m.area_scale
-    max_residual = max(max(abs(x - gx), abs(y - gy), abs(z - gz)) / scale,
-                       max(abs(x - cx), abs(y - cy), abs(z - cz)) / scale)
-    cls = m.classification
-    flag = _positivity_flag(system, cls)
-    return InterpretationReport(
-        kind="squares",
-        system=system,
-        solution=sol,
-        mapping={"x": "R", "y": "T", "z": "S"},
-        geometric={"x": gx, "y": gy, "z": gz},
-        closed_form={"x": cx, "y": cy, "z": cz},
-        max_residual=max_residual,
-        all_positive=all_positive(system),
-        classification=cls,
-        acute_iff_positive=flag,
-        passed=max_residual <= tol and flag is not False,
-    )
+    positive, cls = all_positive(system), m.classification
+    acute = None if cls.kind == "right" else positive == cls.is_acute
+    return _report(
+        "squares", system, solve(system), {"x": "R", "y": "T", "z": "S"},
+        ((panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t)),),
+        (panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)),
+        m.area_scale, positive, cls, acute, verdict_flag=acute, tol=tol)
 
 
 # Rounding budget on a tangent length, in units of u * max side with
@@ -148,30 +152,15 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     a, b, c, s = m.a, m.b, m.c, m.s
     system = ThreeSum(a, b, c)
     sol = solve(system)
-    x, y, z = sol.x, sol.y, sol.z
-    lengths = inc.tangent_lengths
-    gx, gy, gz = lengths["C"], lengths["B"], lengths["A"]
-    cx, cy, cz = s - c, s - b, s - a
-    # Each route's worst component, over the length scale.
-    scale = m.length_scale
-    max_residual = max(max(abs(x - gx), abs(y - gy), abs(z - gz)) / scale,
-                       max(abs(x - cx), abs(y - cy), abs(z - cz)) / scale)
-    smallest = min(x, y, z)
+    smallest = min(sol.x, sol.y, sol.z)
     undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
     positive = None if undecided else smallest > 0
-    return InterpretationReport(
-        kind="sides",
-        system=system,
-        solution=sol,
-        mapping={"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
-        geometric={"x": gx, "y": gy, "z": gz},
-        closed_form={"x": cx, "y": cy, "z": cz},
-        max_residual=max_residual,
-        all_positive=positive,
-        classification=m.classification,
-        acute_iff_positive=None,
-        passed=max_residual <= tol and positive is not False,
-    )
+    lengths = inc.tangent_lengths
+    return _report(
+        "sides", system, sol,
+        {"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
+        ((lengths["C"], lengths["B"], lengths["A"]),), (s - c, s - b, s - a),
+        m.length_scale, positive, m.classification, None, verdict_flag=positive, tol=tol)
 
 
 def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -182,31 +171,14 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     side a. Residuals are absolute: angles are already order one.
     """
     m = circ.triangle.metrics
-    alpha, beta, gamma = m.alpha, m.beta, m.gamma
-    system = ThreeSum(alpha, beta, gamma)
-    sol = solve(system)
-    x, y, z = sol.x, sol.y, sol.z
+    system = ThreeSum(m.alpha, m.beta, m.gamma)
+    positive, cls = all_positive(system), m.classification
+    acute = None if cls.kind == "right" else positive == cls.is_acute
     # Each component is realized twice; hold it against both measurements.
     at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
-    a_b, a_c, b_a, b_c, c_a, c_b = at_a["B"], at_a["C"], at_b["A"], at_b["C"], at_c["A"], at_c["B"]
-    cx, cy, cz = math.pi / 2.0 - gamma, math.pi / 2.0 - beta, math.pi / 2.0 - alpha
-    max_residual = max(
-        abs(x - a_b), abs(x - b_a), abs(x - cx),
-        abs(y - a_c), abs(y - c_a), abs(y - cy),
-        abs(z - b_c), abs(z - c_b), abs(z - cz),
-    )
-    cls = m.classification
-    flag = _positivity_flag(system, cls)
-    return InterpretationReport(
-        kind="angles",
-        system=system,
-        solution=sol,
-        mapping={"x": "split over side c", "y": "split over side b", "z": "split over side a"},
-        geometric={"x": a_b, "y": a_c, "z": b_c},
-        closed_form={"x": cx, "y": cy, "z": cz},
-        max_residual=max_residual,
-        all_positive=all_positive(system),
-        classification=cls,
-        acute_iff_positive=flag,
-        passed=max_residual <= tol and flag is not False,
-    )
+    return _report(
+        "angles", system, solve(system),
+        {"x": "split over side c", "y": "split over side b", "z": "split over side a"},
+        ((at_a["B"], at_a["C"], at_b["C"]), (at_b["A"], at_c["A"], at_c["B"])),
+        (math.pi / 2.0 - m.gamma, math.pi / 2.0 - m.beta, math.pi / 2.0 - m.alpha),
+        1.0, positive, cls, acute, verdict_flag=acute, tol=tol)

@@ -614,6 +614,58 @@ class TestCatalogue:
         assert failed_checks(json.loads(out)) == ["sides_positivity"]
 
 
+    def test_per_record_verdict_divides_by_the_scale(self, capsys, monkeypatch):
+        # At this pair |r| <= tol * scale is False but |r| / scale <= tol is
+        # True; a per-record entry judges by the second, as the folded
+        # entries and fuzz do.
+        r, scale, tol = 1.4130532120301893e-07, 141.3053212030189, 1e-9
+        rows = checks.rows
+
+        def edited(t):
+            for check, item, residual, record_scale, detail in rows(t):
+                if check == "euclid_defect" and item == "A":
+                    residual, record_scale, detail = r, scale, (detail[0], r)
+                yield check, item, residual, record_scale, detail
+
+        monkeypatch.setattr(checks, "rows", edited)
+        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4", "--tol", str(tol))
+        assert code == 0
+        assert json.loads(out)["checks"]["euclid_defect"]["A"]["passed"] is (abs(r) / scale <= tol)
+
+
+# Far out, tiny, huge, needle and near-collinear triangles on which some
+# checks are known to fail or the input is refused.
+HARD_INPUTS = [
+    *(f"--points={0.3 + shift},{0.1 + shift},{1.7 + shift},{0.2 + shift},"
+      f"{0.4 + shift},{2.9 + shift}" for shift in (1e3, 1e5, 1e7)),
+    "--points=1e9,1e9,1.000000001e9,1e9,1e9,1.000000003e9",
+    f"--points={FAR_THIN}",
+    "--points=0,0,8.9e153,0,0,8.9e153",
+    "--points=1e-170,0,0,1e-170,0,0",
+    "--points=0,0,1e-170,0,0,1e10",
+    "--sides=1e-200,1e-200,1e-200",
+    "--points=-4.033711041662525e-158,-2.304597519925766e-158,-4.559287070502819e-158,"
+    "3.967412266899968e-158,-1.59372811696197e-158,2.0517940328603997e-158",
+    "--points=0,0,38438586.83628897,0,429840231938144.3,26294668.120519925",
+    "--sides=2,3,4",
+    "--sides=2e-6,3e-6,4e-6",
+    "--points=0.5000000000000262,0.5000000000000268,12,12,24,24",
+]
+
+
+@pytest.mark.parametrize("triangle", HARD_INPUTS)
+def test_verify_reports_or_refuses_hard_inputs(capsys, triangle):
+    """Each gives a JSON report whose exit code matches its verdict, or one
+    `error:` line and exit 2; none raises. Which checks fail is not pinned."""
+    code, out, err = run_cli(capsys, "verify", triangle)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == (0 if json.loads(out)["passed"] else 1)
+        assert err == ""
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

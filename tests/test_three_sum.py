@@ -38,6 +38,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             ThreeSum(1.0, float("inf"), 2.0)
 
+    @pytest.mark.parametrize("values", [(10**400, 1, 1), (1.0, -10**400, 2.0)])
+    def test_rejects_integer_beyond_float_range(self, values):
+        # math.isfinite raises OverflowError on such an integer.
+        with pytest.raises(GeometryError, match="must be finite, got .*0000"):
+            ThreeSum(*values)
+
     def test_large_finite_input_stays_finite(self):
         # (L + M - N) / 2 would overflow in L + M.
         assert solve(ThreeSum(1e308, 1e308, 1e308)).as_tuple() == (5e307, 5e307, 5e307)
@@ -229,3 +235,40 @@ class TestPositivityMatchesShape:
                 assert report.passed
                 if report.acute_iff_positive is not None:
                     assert report.acute_iff_positive is True
+
+
+class TestReadingsKeepANaN:
+    """A NaN in any one value a reading compares with, not only the first it
+    folds, gives max_residual NaN and fails the reading."""
+
+    @staticmethod
+    def assert_nan_fails(report):
+        assert math.isnan(report.max_residual)
+        assert report.passed is False
+
+    @pytest.mark.parametrize("route", ["panel_area_exact", "panel_area_trig"])
+    @pytest.mark.parametrize("pair", ["R", "T", "S"])
+    def test_squares(self, monkeypatch, route, pair):
+        exact = getattr(three_sum, route)
+        monkeypatch.setattr(three_sum, route,
+                            lambda p, arg: math.nan if p == pair else exact(p, arg))
+        self.assert_nan_fails(interpret_squares(triangle_from_sides(2.0, 3.0, 4.0)))
+
+    @pytest.mark.parametrize("vertex", ["A", "B", "C"])
+    def test_sides_measured(self, vertex):
+        inc = incircle(triangle_from_sides(2.0, 3.0, 4.0))
+        inc.tangent_lengths = {**inc.tangent_lengths, vertex: math.nan}
+        self.assert_nan_fails(interpret_sides(inc))
+
+    def test_sides_closed_form(self):
+        # The closed forms s - a, s - b, s - c all read the semiperimeter.
+        inc = incircle(triangle_from_sides(2.0, 3.0, 4.0))
+        object.__setattr__(inc.triangle.metrics, "s", math.nan)
+        self.assert_nan_fails(interpret_sides(inc))
+
+    @pytest.mark.parametrize("at, toward", [("A", "B"), ("A", "C"), ("B", "A"), ("B", "C"),
+                                            ("C", "A"), ("C", "B")])
+    def test_angles_measured(self, at, toward):
+        circ = circumcircle(triangle_from_sides(2.0, 3.0, 4.0))
+        circ.splits = {**circ.splits, at: {**circ.splits[at], toward: math.nan}}
+        self.assert_nan_fails(interpret_angles(circ))
