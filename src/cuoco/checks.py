@@ -37,6 +37,9 @@ NAMES = (
 # it: its tangent length, and pi/2 minus its angle.
 _AT = {"A": "z", "B": "y", "C": "x"}
 
+# Pair class -> its component in the squares reading: that of its vertex.
+_PAIR_AT = {pair: _AT[v] for pair, v in decomposition._PAIR_VERTEX.items()}
+
 
 def rows(t: Triangle):
     """Yield every check's records for one triangle; see the module docstring."""
@@ -45,8 +48,9 @@ def rows(t: Triangle):
     # Rounding in the area identities grows with the largest squared side.
     scale = m.area_scale
 
-    residuals = cosine_law.verify_cosine_identity(m)
-    yield "cosine_identity", None, _worst(map(abs, residuals)), max(a2, b2, c2), (residuals,)
+    r_a, r_b, r_c = residuals = cosine_law.verify_cosine_identity(m)
+    yield ("cosine_identity", None, _worst((abs(r_a), abs(r_b), abs(r_c))), max(a2, b2, c2),
+           (residuals,))
 
     for v, cos_v in zip(VERTICES, m.cosines):
         defect, residual = cosine_law.euclid_defect(t, v)
@@ -59,15 +63,14 @@ def rows(t: Triangle):
     r1, r2, s1, s2, t1, t2 = quads
     yield ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
            quads)
-    # The squares reading holds each pair area by both routes, keyed by the
-    # solution component its mapping names.
+    # The squares reading holds each pair area by both routes, keyed by its
+    # solution component, `_PAIR_AT[pair]`.
     squares_rep = three_sum.interpret_squares(t)
-    component = {pair: x for x, pair in squares_rep.mapping.items()}
-    areas = {pair: squares_rep.geometric[component[pair]] for pair in decomposition.PAIR_CLASSES}
-    for pair, exact in areas.items():
-        trig = squares_rep.closed_form[component[pair]]
+    exact_areas, trig_areas = squares_rep.geometric, squares_rep.closed_form
+    for pair, x in _PAIR_AT.items():
+        exact, trig = exact_areas[x], trig_areas[x]
         yield "trig_vs_exact", pair, exact - trig, scale, (exact, trig)
-    R, S, T = areas.values()
+    R, S, T = exact_areas[_PAIR_AT["R"]], exact_areas[_PAIR_AT["S"]], exact_areas[_PAIR_AT["T"]]
     yield ("square_sums", None, _worst((abs(R + T - a2), abs(R + S - b2), abs(S + T - c2))),
            scale, None)
     for v in VERTICES:
@@ -93,9 +96,9 @@ def rows(t: Triangle):
         yield ("angles_positivity", None, 0.0 if angles_rep.acute_iff_positive else 1.0,
                1.0, None)
 
+    lengths, closed = inc.tangent_lengths, sides_rep.closed_form
     yield ("tangent_lengths", None,
-           _worst(abs(inc.tangent_lengths[v] - sides_rep.closed_form[x]) for v, x in _AT.items()),
-           m.length_scale, None)
+           _worst([abs(lengths[v] - closed[x]) for v, x in _AT.items()]), m.length_scale, None)
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
     ox, oy = inc.center.x, inc.center.y
@@ -114,13 +117,11 @@ def rows(t: Triangle):
                                          abs(sqrt(bx * bx + by * by) - radius),
                                          abs(sqrt(cx * cx + cy * cy) - radius))),
            max(1.0, radius), None)
-    # The split at v toward w is pi/2 minus the angle at the third vertex.
-    complement = {v: angles_rep.closed_form[x] for v, x in _AT.items()}
-    angles = angles_rep.system
-    angle_at = {"A": angles.L, "B": angles.M, "C": angles.N}
-    for v, (nxt, prv) in OPPOSITE_SIDE.items():  # the order of each splits[v]
-        measured = circ.splits[v]
+    # The split at v toward w is pi/2 minus the angle at the third vertex,
+    # the closed form of that vertex's component.
+    closed, angles, splits = angles_rep.closed_form, angles_rep.system, circ.splits
+    for (v, (nxt, prv)), angle in zip(OPPOSITE_SIDE.items(), (angles.L, angles.M, angles.N)):
+        to_nxt, to_prv = splits[v][nxt], splits[v][prv]
         yield ("vertex_splits", v,
-               _worst((abs(measured[nxt] - complement[prv]), abs(measured[prv] - complement[nxt]))),
-               1.0, None)
-        yield "split_sums", v, sum(measured.values()) - angle_at[v], 1.0, None
+               _worst((abs(to_nxt - closed[_AT[prv]]), abs(to_prv - closed[_AT[nxt]]))), 1.0, None)
+        yield "split_sums", v, to_nxt + to_prv - angle, 1.0, None

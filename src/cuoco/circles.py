@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import NonFiniteCoordinate, Point, Triangle, _is_finite, _point, _Record
+from .geometry import NonFiniteCoordinate, Point, Triangle, _point, _Record
 
 # Side id -> its endpoints in cyclic order.
 SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
@@ -46,8 +46,8 @@ def _centre(x, y, name: str) -> Point:
     """A circle centre, checked here: the incentre's formula multiplies
     absolute coordinates, which can overflow where the triangle's own check
     does not reach, and a flat triangle's circumcentre can lie beyond the
-    float range."""
-    if not (_is_finite(x) and _is_finite(y)):
+    float range. Both coordinates are floats."""
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteCoordinate(f"coordinates overflow: the {name} is not finite")
     return _point(x, y)
 

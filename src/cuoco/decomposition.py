@@ -245,15 +245,12 @@ def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     vp, vq = t._legs[at_vertex]
     # The same square roots of the same dots as norm(vp), norm(vq).
     len_vp, len_vq = _LEG_LENGTHS[at_vertex](t.metrics)
-    ch = ((foot_h.x - v.x) * vq.x + (foot_h.y - v.y) * vq.y) / len_vq  # dot(foot_h - v, vq)
-    ck = ((foot_k.x - v.x) * vp.x + (foot_k.y - v.y) * vp.y) / len_vp
-    return SimilarityReport(
-        vertex=at_vertex,
-        ch=ch,
-        ck=ck,
-        residual=len_vp * ck - len_vq * ch,
-        scale=max(1.0, len_vp * len_vq),
-    )
+    vx, vy = v.x, v.y
+    ch = ((foot_h.x - vx) * vq.x + (foot_h.y - vy) * vq.y) / len_vq  # dot(foot_h - v, vq)
+    ck = ((foot_k.x - vx) * vp.x + (foot_k.y - vy) * vp.y) / len_vp
+    product = len_vp * len_vq  # the scale is max(1.0, product)
+    return SimilarityReport(at_vertex, ch, ck, len_vp * ck - len_vq * ch,
+                            product if product > 1.0 else 1.0)
 
 
 class DerivationStep(_Record):

@@ -239,10 +239,12 @@ def _is_finite(value) -> bool:
 
 
 def _worst(values) -> float:
-    """The largest of nonnegative values, or NaN if any is NaN (max() can drop it)."""
+    """The largest of values floored at 0.0, or NaN if any is NaN (max() can drop it)."""
     worst = 0.0
     for value in values:
-        if value > worst or value != value:
+        if not value <= worst:  # larger, or NaN
+            if value != value:
+                return value
             worst = value
     return worst
 
@@ -306,6 +308,13 @@ class Classification(_Frozen):
         return self.kind == "acute"
 
 
+# The seven answers classify gives, shared by every triangle: a
+# Classification is frozen, so no reader can change another's.
+_ACUTE = Classification("acute")
+_RIGHT = {v: Classification("right", v) for v in VERTICES}
+_OBTUSE = {v: Classification("obtuse", v) for v in VERTICES}
+
+
 def classify(m: TriangleMetrics) -> Classification:
     """Acute/right/obtuse by the smallest side cosine.
 
@@ -320,10 +329,10 @@ def classify(m: TriangleMetrics) -> Classification:
     if cos_c < smallest:
         vertex, smallest = "C", cos_c
     if smallest < -RIGHT_ANGLE_BAND:
-        return Classification("obtuse", vertex)
+        return _OBTUSE[vertex]
     if smallest <= RIGHT_ANGLE_BAND:
-        return Classification("right", vertex)
-    return Classification("acute")
+        return _RIGHT[vertex]
+    return _ACUTE
 
 
 def triangle_from_sides(a: float, b: float, c: float) -> Triangle:

@@ -29,13 +29,14 @@ class ThreeSum(_Frozen):
     __slots__ = _fields = ("L", "M", "N")
 
     def __init__(self, L: float, M: float, N: float) -> None:
-        try:  # math.isfinite raises OverflowError on an integer too large for a float
-            finite = math.isfinite(L) and math.isfinite(M) and math.isfinite(N)
-        except OverflowError:
+        try:  # a finite float sum means every term is finite
+            finite = math.isfinite(0.0 + L + M + N)
+        except OverflowError:  # 0.0 + an integer too large for a float
             finite = False
-        if not finite:
-            value = next(value for value in (L, M, N) if not _is_finite(value))
-            raise GeometryError(f"system inputs must be finite, got {value!r}")
+        if not finite:  # a bad term, or finite terms whose sum overflows
+            for value in (L, M, N):
+                if not _is_finite(value):
+                    raise GeometryError(f"system inputs must be finite, got {value!r}")
         self._store(L, M, N)
 
 
@@ -105,11 +106,11 @@ def _report(kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, 
     is `max_residual`; the reading passes when that is within `tol` and
     `verdict_flag`, the flag its verdict reads, is not False."""
     x, y, z = solution.x, solution.y, solution.z
-    residuals = ()
-    for gx, gy, gz in (*measured, closed_form):
-        residuals += (abs(x - gx), abs(y - gy), abs(z - gz))
-    max_residual = _worst(residuals) / scale
     (gx, gy, gz), (cx, cy, cz) = measured[0], closed_form
+    worst = _worst((abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz)))
+    for ox, oy, oz in measured[1:]:
+        worst = _worst((worst, abs(x - ox), abs(y - oy), abs(z - oz)))
+    max_residual = worst / scale
     return InterpretationReport(
         kind, system, solution, mapping, {"x": gx, "y": gy, "z": gz}, {"x": cx, "y": cy, "z": cz},
         max_residual, positive, classification, acute_iff_positive,

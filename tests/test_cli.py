@@ -492,6 +492,12 @@ class TestFuzz:
         for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
             assert math.isnan(_worst(values))
         assert _worst([1.0, 3.0, 2.0]) == 3.0
+        # The fold is floored at 0.0: `tangent_inside` folds (-t, t - 1),
+        # both negative for a tangent point inside its side.
+        assert _worst([-3.0, -1.0]) == 0.0
+        assert math.copysign(1.0, _worst([-0.0])) == 1.0 and _worst([-0.0]) == 0.0
+        for values in ([-1.0, math.nan, -2.0], [-1.0, -2.0, math.nan]):
+            assert math.isnan(_worst(values))
 
     def test_classifies_once_per_triangle(self, monkeypatch):
         original = geometry.classify

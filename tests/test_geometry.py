@@ -293,6 +293,30 @@ class TestClassify:
         # Classification depends only on shape, so uniform scaling keeps it.
         assert m.classification.kind == sm.classification.kind
 
+    # Kind -> two counterclockwise triangles of different shape, the vertex
+    # that decides the kind first.
+    SHAPES = {
+        "acute": [((0, 0), (4, 0), (2, 3)), ((0, 0), (5, 0), (2, 4))],
+        "right": [((0, 0), (4, 0), (0, 3)), ((0, 0), (5, 0), (0, 2))],
+        "obtuse": [((0, 0), (4, 0), (-1, 3)), ((0, 0), (2, 0), (-3, 1))],
+    }
+
+    @pytest.mark.parametrize("kind, vertex", [
+        ("acute", None), *((kind, v) for kind in ("right", "obtuse") for v in "ABC")])
+    def test_each_outcome_is_one_shared_frozen_value(self, kind, vertex):
+        # The deciding vertex moves to `vertex` by a cyclic relabelling,
+        # which keeps the triangles counterclockwise.
+        shift = "ABC".index(vertex or "A")
+        first, second = (
+            Triangle(*(Point(*p) for p in points[-shift:] + points[:-shift])).metrics.classification
+            for points in self.SHAPES[kind])
+        assert first is second
+        fresh = Classification(kind, vertex)
+        assert first == fresh and hash(first) == hash(fresh) and repr(first) == repr(fresh)
+        with pytest.raises(AttributeError):
+            first.kind = "acute"
+        assert first.kind == kind
+
 
 class TestFootOfAltitude:
     def test_foot_inside_segment(self):

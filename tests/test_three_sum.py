@@ -44,6 +44,22 @@ class TestSolve:
         with pytest.raises(GeometryError, match="must be finite, got .*0000"):
             ThreeSum(*values)
 
+    def test_finite_terms_whose_sum_overflows_are_accepted(self):
+        # 1e308 + 1e308 is inf, so the one-sum test fails; each term is
+        # then tested on its own, and all three are finite.
+        system = ThreeSum(1e308, 1e308, -1e308)
+        assert (system.L, system.M, system.N) == (1e308, 1e308, -1e308)
+
+    def test_opposite_infinities_are_named(self):
+        # inf - inf is NaN, so the sum alone does not say which term is bad.
+        with pytest.raises(GeometryError, match="got inf"):
+            ThreeSum(math.inf, -math.inf, 1)
+
+    def test_integers_beyond_float_range_that_cancel_are_rejected(self):
+        # Their integer sum is 1, finite; each is still too large for a float.
+        with pytest.raises(GeometryError, match="must be finite, got .*0000"):
+            ThreeSum(10**400, -10**400, 1)
+
     def test_large_finite_input_stays_finite(self):
         # (L + M - N) / 2 would overflow in L + M.
         assert solve(ThreeSum(1e308, 1e308, 1e308)).as_tuple() == (5e307, 5e307, 5e307)
