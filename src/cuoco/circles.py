@@ -16,9 +16,6 @@ from .geometry import NonFiniteCoordinate, Point, Triangle, _point, _Record
 # Side id -> its endpoints in cyclic order.
 SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
 
-# Vertex -> the side reached by walking to the cyclically next vertex.
-_NEXT_SIDE = {"A": "c", "B": "a", "C": "b"}
-
 
 class IncircleData(_Record):
     __slots__ = _fields = ("triangle", "center", "radius", "tangent_points", "tangent_params",

@@ -13,9 +13,9 @@ import math
 from functools import partial
 
 from . import circles, decomposition
-from .circles import CircumcircleData, IncircleData, _NEXT_SIDE
-from .decomposition import CuocoDecomposition, SIDE_FRAMES, shoelace
-from .geometry import Point, Triangle, VERTICES, foot_of_altitude, perp, _Frozen
+from .circles import CircumcircleData, IncircleData
+from .decomposition import CuocoDecomposition, HOSTED_PANELS, PANEL_LABELS, SIDE_FRAMES, shoelace
+from .geometry import Point, Triangle, VERTICES, _Frozen
 
 _NS = "http://www.w3.org/2000/svg"
 
@@ -27,6 +27,9 @@ FILL_PALETTE = {
 
 STROKE_PALETTE = {"main": "#1f2937", "light": "#9ca3af", "accent": "#b91c1c"}
 
+# Vertex -> the side reached by walking to the cyclically next vertex.
+_NEXT_SIDE = {"A": "c", "B": "a", "C": "b"}
+
 
 class KindMismatch(ValueError):
     """Data object does not carry what the requested kind draws."""
@@ -37,6 +40,8 @@ class FigureSpec(_Frozen):
 
     def __init__(self, kind: str, labels: bool = True, precision: int = 6) -> None:
         _row(kind)  # an unknown kind raises ValueError
+        if not isinstance(labels, bool):
+            raise ValueError(f"labels must be a bool, got {labels!r}")
         if (isinstance(precision, bool) or not isinstance(precision, int)
                 or not 1 <= precision <= 12):
             raise ValueError(f"precision must be an integer in [1, 12], got {precision!r}")
@@ -44,7 +49,7 @@ class FigureSpec(_Frozen):
 
 
 class _Sheet:
-    """Collects formatted elements in the fixed order and tracks the bbox.
+    """Collects formatted elements in paint order and tracks the bbox.
     Sizes scale with the diagonal of the bbox of the outline `points`."""
 
     def __init__(self, spec: FigureSpec, points):
@@ -52,12 +57,10 @@ class _Sheet:
         xs = [p.x for p in points]
         ys = [p.y for p in points]
         self.diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        self.squares: list[str] = []
-        self.panels: list[str] = []
-        self.triangle: list[str] = []
-        self.circles: list[str] = []
-        self.lines: list[str] = []
-        self.labels: list[str] = []
+        self.thin = self.fmt(0.003 * self.diag)
+        self.wide = self.fmt(0.005 * self.diag)
+        self.dash = self.fmt(0.02 * self.diag)
+        self.elements: list[str] = []
         self._min_x = math.inf
         self._min_y = math.inf
         self._max_x = -math.inf
@@ -72,59 +75,42 @@ class _Sheet:
         self._max_x = max(self._max_x, x + pad)
         self._max_y = max(self._max_y, y + pad)
 
-    def _points_attr(self, pts) -> str:
+    def _coords(self, pts, sep: str, between: str) -> str:
+        """Cover each point and format it as x `sep` y, the points joined by `between`."""
         chunks = []
         for p in pts:
             self._cover(p.x, p.y)
-            chunks.append(f"{self.fmt(p.x)},{self.fmt(p.y)}")
-        return " ".join(chunks)
-
-    @property
-    def thin(self) -> str:
-        return self.fmt(0.003 * self.diag)
-
-    @property
-    def wide(self) -> str:
-        return self.fmt(0.005 * self.diag)
+            chunks.append(f"{self.fmt(p.x)}{sep}{self.fmt(p.y)}")
+        return between.join(chunks)
 
     def add_square(self, pts, fill: str) -> None:
-        coords = []
-        for p in pts:
-            self._cover(p.x, p.y)
-            coords.append(f"{self.fmt(p.x)} {self.fmt(p.y)}")
-        d = "M " + " L ".join(coords) + " Z"
-        self.squares.append(
-            f'<path class="square" d="{d}" fill="{fill}" fill-opacity="0.5" '
-            f'stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.wide}"/>'
+        self.elements.append(
+            f'<path class="square" d="M {self._coords(pts, " ", " L ")} Z" fill="{fill}" '
+            f'fill-opacity="0.5" stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.wide}"/>'
         )
 
     def add_panel(self, label: str, pts, fill: str, negative: bool, dashed: bool) -> None:
         classes = f"panel panel-{label}" + (" negative" if negative else "")
         paint = "url(#hatch)" if negative else fill
-        dash = f' stroke-dasharray="{self.fmt(0.02 * self.diag)}"' if dashed else ""
-        self.panels.append(
-            f'<polygon class="{classes}" points="{self._points_attr(pts)}" fill="{paint}" '
+        dash = f' stroke-dasharray="{self.dash}"' if dashed else ""
+        self.elements.append(
+            f'<polygon class="{classes}" points="{self._coords(pts, ",", " ")}" fill="{paint}" '
             f'fill-opacity="0.75" stroke="{STROKE_PALETTE["accent" if negative else "main"]}" '
             f'stroke-width="{self.thin}"{dash}/>'
         )
 
-    def add_triangle(self, pts) -> None:
-        self.triangle.append(
-            f'<polygon class="triangle" points="{self._points_attr(pts)}" '
-            f'fill="{FILL_PALETTE["triangle"]}" '
-            f'stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.wide}"/>'
-        )
-
-    def add_polygon(self, cls: str, pts, fill: str) -> None:
-        self.triangle.append(
-            f'<polygon class="{cls}" points="{self._points_attr(pts)}" fill="{fill}" '
-            f'fill-opacity="0.6" stroke="{STROKE_PALETTE["main"]}" stroke-width="{self.thin}"/>'
+    def add_polygon(self, cls: str, pts, fill: str, opacity: str = "") -> None:
+        """Thin and filled at `opacity`; with none, opaque and wide, as the triangle."""
+        width, shade = (self.thin, f' fill-opacity="{opacity}"') if opacity else (self.wide, "")
+        self.elements.append(
+            f'<polygon class="{cls}" points="{self._coords(pts, ",", " ")}" fill="{fill}"{shade} '
+            f'stroke="{STROKE_PALETTE["main"]}" stroke-width="{width}"/>'
         )
 
     def add_circle(self, cls: str, center: Point, r: float, filled: bool) -> None:
         self._cover(center.x, center.y, pad=r)
         paint = STROKE_PALETTE["main"] if filled else "none"
-        self.circles.append(
+        self.elements.append(
             f'<circle class="{cls}" cx="{self.fmt(center.x)}" cy="{self.fmt(center.y)}" '
             f'r="{self.fmt(r)}" fill="{paint}" stroke="{STROKE_PALETTE["main"]}" '
             f'stroke-width="{self.thin}"/>'
@@ -133,20 +119,19 @@ class _Sheet:
     def add_line(self, cls: str, p: Point, q: Point) -> None:
         self._cover(p.x, p.y)
         self._cover(q.x, q.y)
-        self.lines.append(
+        self.elements.append(
             f'<line class="{cls}" x1="{self.fmt(p.x)}" y1="{self.fmt(p.y)}" '
             f'x2="{self.fmt(q.x)}" y2="{self.fmt(q.y)}" stroke="{STROKE_PALETTE["light"]}" '
-            f'stroke-width="{self.thin}" stroke-dasharray="{self.fmt(0.02 * self.diag)}"/>'
+            f'stroke-width="{self.thin}" stroke-dasharray="{self.dash}"/>'
         )
 
     def add_label(self, pos: Point, text: str) -> None:
         if not self.spec.labels:
             return
-        self._cover(pos.x, pos.y)
         size = self.fmt(0.045 * self.diag)
         # The group below flips y; each label flips itself back.
-        self.labels.append(
-            f'<text class="label" transform="translate({self.fmt(pos.x)} {self.fmt(pos.y)}) '
+        self.elements.append(
+            f'<text class="label" transform="translate({self._coords((pos,), " ", "")}) '
             f'scale(1 -1)" font-size="{size}" font-family="sans-serif" '
             f'text-anchor="middle" fill="{STROKE_PALETTE["main"]}">{text}</text>'
         )
@@ -159,6 +144,11 @@ class _Sheet:
             f"{self.fmt(self._min_x - margin)} {self.fmt(-(self._max_y + margin))} "
             f"{self.fmt(width + 2 * margin)} {self.fmt(height + 2 * margin)}"
         )
+        # A zero viewBox width or height disables rendering (SVG 1.1, 7.7).
+        if not all(float(extent) for extent in view.split()[2:]):
+            raise ValueError(
+                f"the drawing is {width + 2 * margin:.3g} by {height + 2 * margin:.3g} units, "
+                f"which prints as zero at precision {self.spec.precision}; raise the precision")
         period = self.fmt(0.025 * self.diag)
         stripe = self.fmt(0.008 * self.diag)
         parts = [
@@ -172,12 +162,7 @@ class _Sheet:
             "</pattern>",
             "</defs>",
             '<g transform="scale(1 -1)">',
-            *self.squares,
-            *self.panels,
-            *self.triangle,
-            *self.circles,
-            *self.lines,
-            *self.labels,
+            *self.elements,
             "</g>",
             "</svg>",
         ]
@@ -206,12 +191,11 @@ def _vertex_labels(sheet: _Sheet, t: Triangle) -> None:
 
 
 def _draw_euclid_defect(t: Triangle, spec: FigureSpec) -> _Sheet:
-    foot, _ = foot_of_altitude(t, "A")
-    n = perp(t.B - t.C)  # away from A, length |BC|
-    far_b, far_foot = t.B + n, foot + n
+    # Panel T2, (foot, B, B_out, foot_out), is the rectangle BC·BD.
+    foot, _, far_b, far_foot = decomposition.build(t).panels[PANEL_LABELS.index("T2")].quad
     sheet = _Sheet(spec, (t.A, t.B, t.C, foot, far_foot, far_b))
-    sheet.add_polygon("defect", (foot, t.B, far_b, far_foot), FILL_PALETTE["defect"])
-    sheet.add_triangle((t.A, t.B, t.C))
+    sheet.add_polygon("defect", (foot, t.B, far_b, far_foot), FILL_PALETTE["defect"], "0.6")
+    sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])
     sheet.add_line("altitude", t.A, foot)
     _vertex_labels(sheet, t)
     sheet.add_label(_away_from(foot, far_foot, 0.06 * sheet.diag), "D")
@@ -231,26 +215,25 @@ def _draw_cuoco(d: CuocoDecomposition, spec: FigureSpec, by_pair: bool,
         # Oversized: larger than its host square, as beside an obtuse angle.
         dashed = dash_oversized and abs(shoelace(panel.quad)) > side_sq[panel.host] * (1.0 + 1e-12)
         sheet.add_panel(panel.label, panel.quad, fill, negative=panel.signed_area < 0, dashed=dashed)
+    sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])
+    quads = {panel.label: panel.quad for panel in d.panels}
+    for side, (_, _, opposite) in SIDE_FRAMES.items():
+        # The side's first panel is (foot, p, p_out, foot_out): its last corner
+        # ends the altitude on the outer edge of the square.
+        sheet.add_line("altitude", getattr(t, opposite), quads[HOSTED_PANELS[side][0]][3])
+    for panel in d.panels:
         sheet.add_label(_centroid(panel.quad), panel.label)
-    sheet.add_triangle((t.A, t.B, t.C))
-    for side, (first, second, opposite) in SIDE_FRAMES.items():
-        foot, _ = t._feet[opposite]
-        n = perp(t._legs[second][1])  # first - second
-        # The far end lies on the outer edge of the square; the altitude
-        # line through the foot is parallel to n, so this stays straight.
-        sheet.add_line("altitude", getattr(t, opposite), foot + n)
     _vertex_labels(sheet, t)
     return sheet
 
 
 def _circle_sheet(data, spec: FigureSpec, cls: str) -> _Sheet:
-    """The triangle, its circle of class `cls`, the centre and the vertex labels."""
+    """The triangle, its circle of class `cls` and the centre."""
     t, c, r = data.triangle, data.center, data.radius
     sheet = _Sheet(spec, (t.A, t.B, t.C, Point(c.x - r, c.y - r), Point(c.x + r, c.y + r)))
-    sheet.add_triangle((t.A, t.B, t.C))
+    sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])
     sheet.add_circle(cls, c, r, filled=False)
     sheet.add_circle("center", c, 0.012 * sheet.diag, filled=True)
-    _vertex_labels(sheet, t)
     return sheet
 
 
@@ -259,6 +242,7 @@ def _draw_incircle(data: IncircleData, spec: FigureSpec) -> _Sheet:
     sheet = _circle_sheet(data, spec, "incircle")
     for side in ("a", "b", "c"):
         sheet.add_circle("tangent-point", data.tangent_points[side], 0.012 * sheet.diag, filled=True)
+    _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, t.A, 0.05 * sheet.diag), "I")
     for name in VERTICES:
         v = getattr(t, name)
@@ -276,6 +260,7 @@ def _draw_circumcircle(data: CircumcircleData, spec: FigureSpec) -> _Sheet:
     sheet = _circle_sheet(data, spec, "circumcircle")
     for name in VERTICES:
         sheet.add_line("radius", data.center, getattr(t, name))
+    _vertex_labels(sheet, t)
     sheet.add_label(_away_from(data.center, _centroid((t.A, t.B, t.C)), 0.05 * sheet.diag), "O")
     return sheet
 

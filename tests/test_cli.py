@@ -249,6 +249,22 @@ class TestFigure:
             assert out_file.stat().st_size > 0
             assert json.loads(out)["report"] == receipt, kind
 
+    def test_drawing_too_small_for_precision_exit_2(self, capsys, tmp_path):
+        # Every coordinate prints as 0.000000 at the default precision; the
+        # refusal comes before the file is opened, so none is written.
+        out_file = tmp_path / "figure.svg"
+        argv = ("figure", "--kind", "cuoco", "--sides", "1e-7,1e-7,1e-7", "--out", str(out_file))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "precision 6" in err
+        assert not out_file.exists()
+        code, _, _ = run_cli(capsys, *argv, "--precision", "12")
+        assert code == 0
+        assert 'viewBox="-0.000000100263 -0.000000150263 0.000000300526 0.000000263923"' in (
+            out_file.read_text())
+
     def test_unwritable_path_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "figure.svg"
         code, _, err = run_cli(

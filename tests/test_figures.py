@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 
 from cuoco import circles, decomposition
 from cuoco.circles import incircle
+from cuoco.cli import random_triangle
 from cuoco.decomposition import build
 from cuoco.figures import KINDS, FigureSpec, KindMismatch, construction, render
 from cuoco.geometry import triangle_from_sides
@@ -82,6 +85,23 @@ def test_demo_figures_match_committed_files(name):
     spec = DEMO_FIGURES[name]
     svg = render(construction(spec.kind, OBTUSE), spec)
     assert svg.encode("utf-8") == (DEMO_OUTPUT / name).read_bytes()
+
+
+def test_renders_match_pinned_digest():
+    # 46 triangles x 6 kinds x labels on and off x 4 precisions: 2 208 SVGs,
+    # hashed in that loop order. A change to any byte of any of them shows.
+    rng = random.Random(2024)
+    shapes = [(1, 1, 1), (3, 4, 5), (2, 3, 4), (5, 3, 4), (2.5, 3.25, 4.75), (1, 1, 1.9)]
+    triangles = [random_triangle(rng) for _ in range(40)]
+    triangles += [triangle_from_sides(*sides) for sides in shapes]
+    digest = hashlib.sha256()
+    for t in triangles:
+        for kind in KINDS:
+            data = construction(kind, t)
+            for labels in (True, False):
+                for precision in (1, 3, 6, 12):
+                    digest.update(render(data, FigureSpec(kind, labels, precision)).encode("utf-8"))
+    assert digest.hexdigest() == "baa6c4b0a55979a1785a8904cd0a45ae014bda196218f99639b5e7734f152957"
 
 
 class TestStructure:
@@ -182,6 +202,22 @@ class TestSpecValidation:
     def test_precision_out_of_range(self, precision):
         with pytest.raises(ValueError):
             FigureSpec(kind="cuoco", precision=precision)
+
+    @pytest.mark.parametrize("labels", ["false", None, 1])
+    def test_labels_must_be_bool(self, labels):
+        with pytest.raises(ValueError, match="labels must be a bool"):
+            FigureSpec(kind="cuoco", labels=labels)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_drawing_too_small_for_precision_rejected(self, kind):
+        # At precision 6 every coordinate of this triangle prints as 0.000000,
+        # and a zero-size viewBox would render nothing.
+        data = construction(kind, triangle_from_sides(1e-7, 1e-7, 1e-7))
+        with pytest.raises(ValueError, match="prints as zero at precision 6"):
+            render(data, FigureSpec(kind=kind))
+        svg = render(data, FigureSpec(kind=kind, precision=12))
+        _, _, width, height = (float(v) for v in ET.fromstring(svg).attrib["viewBox"].split())
+        assert width > 0 and height > 0
 
     def test_precision_controls_decimals(self):
         svg = render(construction("cuoco", OBTUSE), FigureSpec(kind="cuoco", precision=3))
