@@ -1,9 +1,11 @@
 import argparse
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import cuoco
 from cuoco import checks, circles, cli, cosine_law, decomposition, figures, geometry, three_sum
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
-from cuoco.geometry import Point, dot, triangle_from_sides
+from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
 from conftest import circumcentre_budget
 
@@ -686,6 +688,41 @@ def test_verify_reports_or_refuses_hard_inputs(capsys, triangle):
     else:
         assert code == (0 if json.loads(out)["passed"] else 1)
         assert err == ""
+
+
+# The hard inputs, an integer right angle at A, at B and at C, the needle,
+# and two refused triangles: quad areas that overflow, and a circumcentre
+# beyond the float range.
+PINNED_VERIFY_INPUTS = [
+    *HARD_INPUTS,
+    "--points=0,0,3,0,0,4",
+    "--points=0,0,3,0,3,4",
+    "--points=3,4,0,0,3,0",
+    "--points=0,0,1,0,1e8,1",
+    "--points=1e160,0,1.00000000000001e160,0,1e160,1e150",
+    "--points=0,0,1,0,0.5,5e-324",
+]
+
+# SHA-256 of repr((exit code, stdout, stderr)) of `verify` on each of
+# PINNED_VERIFY_INPUTS, then of repr(record) for every record of
+# checks.rows on the Fraction triangle of test_rational_input_stays_exact,
+# which `verify` cannot take.
+VERIFY_PIN_DIGEST = "194f941b6e30b9f2937593f01987f9f2036ce83d882adae22f4a80e8cd702a4d"
+
+
+def test_verify_outputs_match_pinned_digest(capsys):
+    """Every report, verdict and error message on the inputs above, byte for
+    byte, including which check fails on the inputs that fail today. Moving
+    to the triangle's own frame and scale (ROADMAP item 1) is expected to
+    change these verdicts and re-pin this digest, saying which changed."""
+    digest = hashlib.sha256()
+    for triangle in PINNED_VERIFY_INPUTS:
+        digest.update(repr(run_cli(capsys, "verify", triangle)).encode("utf-8"))
+    t = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
+                 Point(Fraction(-3, 4), Fraction(11, 3)))
+    for record in checks.rows(t):
+        digest.update(repr(record).encode("utf-8"))
+    assert digest.hexdigest() == VERIFY_PIN_DIGEST
 
 
 class TestEntryPoint:
