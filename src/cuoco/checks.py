@@ -1,28 +1,30 @@
 """The catalogue of checks: every invariant the package verifies, as rows.
 
-`rows(t)` yields `(check, item, residual, scale, detail)` for one triangle,
-check by check in `NAMES` order (records of neighbouring checks interleave
-where they share a loop). A record passes when |residual| / scale <= tol.
-`item` is the vertex, pair class or side a record is about, or None for a
-whole-triangle check. `detail` is the tuple of values `verify` prints for
-the record, or None for a check that `verify` reports, as `fuzz` reports
-every check, by its worst |residual| / scale.
+`rows(t)` returns the list of `(check, item, residual, scale, detail)`
+records of one triangle, check by check in `NAMES` order (neighbouring
+checks about the same items interleave, item by item). A record passes
+when |residual| / scale <= tol. `item` is the vertex, pair class or side a
+record is about, or None for a whole-triangle check. `detail` is the tuple
+of values `verify` prints for the record, or None for a check that
+`verify` reports, as `fuzz` reports every check, by its worst
+|residual| / scale.
 
-Each construction is made once per triangle: the metrics, the panel quad
-areas (read from the triangle's frame; the decomposition is never built),
-the squares reading (whose two routes give the pair areas, exact and
-trigonometric), the incircle and the circumcircle with their readings
-(whose closed forms the tangent-length and split checks read). A record
-that folds several values takes their `_worst`, so a NaN among them is
-kept and fails.
+Each construction is computed once per triangle, in plain floats, by the
+value functions behind its public builder: the metrics, cos(alpha),
+cos(beta) and cos(gamma), the panel quad areas (read from the triangle's
+frame; the decomposition is never built), the pair areas by both routes,
+the incircle and the circumcircle, and the three readings (whose closed
+forms the tangent-length and split checks read). No report record is
+built. A record that folds several values takes their `_worst`, so a NaN
+among them is kept and fails.
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import cos, sqrt
 
 from . import circles, cosine_law, decomposition, three_sum
-from .geometry import OPPOSITE_SIDE, VERTICES, Triangle, _worst
+from .geometry import VERTICES, Triangle, _worst
 
 NAMES = (
     "cosine_identity", "euclid_defect", "defect_sign", "pair_equivalence", "trig_vs_exact",
@@ -33,95 +35,96 @@ NAMES = (
     "split_sums",
 )
 
-# Vertex -> the component of the sides and angles readings that belongs to
-# it: its tangent length, and pi/2 minus its angle.
-_AT = {"A": "z", "B": "y", "C": "x"}
 
-# Pair class -> its component in the squares reading: that of its vertex.
-_PAIR_AT = {pair: _AT[v] for pair, v in decomposition._PAIR_VERTEX.items()}
-
-
-def rows(t: Triangle):
-    """Yield every check's records for one triangle; see the module docstring."""
+def rows(t: Triangle) -> list:
+    """Every check's records for one triangle; see the module docstring."""
     m = t.metrics
     a2, b2, c2 = m.side_squares
+    alpha, beta, gamma = m.alpha, m.beta, m.gamma
     # Rounding in the area identities grows with the largest squared side.
     scale = m.area_scale
+    cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
 
-    r_a, r_b, r_c = residuals = cosine_law.verify_cosine_identity(m)
-    yield ("cosine_identity", None, _worst((abs(r_a), abs(r_b), abs(r_c))), max(a2, b2, c2),
-           (residuals,))
-
-    for v, cos_v in zip(VERTICES, m.cosines):
-        defect, residual = cosine_law.euclid_defect(t, v)
-        yield "euclid_defect", v, residual, scale, (defect, residual)
+    r_a, r_b, r_c = residuals = cosine_law._identity_residuals(m, cos_alpha, cos_beta, cos_gamma)
+    records = [("cosine_identity", None, _worst((abs(r_a), abs(r_b), abs(r_c))), max(a2, b2, c2),
+                (residuals,))]
+    for v, cos_v, pair in zip(VERTICES, m.cosines, cosine_law._defects(t)):
+        defect, residual = pair
+        records.append(("euclid_defect", v, residual, scale, pair))
         # Tighter than RIGHT_ANGLE_BAND, which would skip more vertices.
         if abs(cos_v) > 1e-12:
-            yield "defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0, None
+            records.append(("defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0,
+                            None))
 
     quads = decomposition._finite_quad_areas(t)
     r1, r2, s1, s2, t1, t2 = quads
-    yield ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
-           quads)
-    # The squares reading holds each pair area by both routes, keyed by its
-    # solution component, `_PAIR_AT[pair]`.
-    squares_rep = three_sum.interpret_squares(t)
-    exact_areas, trig_areas = squares_rep.geometric, squares_rep.closed_form
-    for pair, x in _PAIR_AT.items():
-        exact, trig = exact_areas[x], trig_areas[x]
-        yield "trig_vs_exact", pair, exact - trig, scale, (exact, trig)
-    R, S, T = exact_areas[_PAIR_AT["R"]], exact_areas[_PAIR_AT["S"]], exact_areas[_PAIR_AT["T"]]
-    yield ("square_sums", None, _worst((abs(R + T - a2), abs(R + S - b2), abs(S + T - c2))),
-           scale, None)
+    # The pair areas R, S, T by both routes: the legs' dots and the trig forms.
+    dots = t._dots
+    R, S, T = dots["C"], dots["A"], dots["B"]
+    trig_r, trig_s, trig_t = decomposition._trig_areas(m, cos_alpha, cos_beta, cos_gamma)
+    # The squares reading's components are R, T, S.
+    squares = three_sum._squares(m, (R, T, S), (trig_r, trig_t, trig_s))
+    records += [
+        ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
+         quads),
+        ("trig_vs_exact", "R", R - trig_r, scale, (R, trig_r)),
+        ("trig_vs_exact", "S", S - trig_s, scale, (S, trig_s)),
+        ("trig_vs_exact", "T", T - trig_t, scale, (T, trig_t)),
+        ("square_sums", None, _worst((abs(R + T - a2), abs(R + S - b2), abs(S + T - c2))), scale,
+         None),
+    ]
     for v in VERTICES:
-        rep = decomposition.similarity_check(t, v)
-        yield "similarity", v, rep.residual, rep.scale, (rep.ch, rep.ck, rep.residual)
+        ch, ck, residual, similarity_scale = decomposition._similarity(t, v)
+        records.append(("similarity", v, residual, similarity_scale, (ch, ck, residual)))
     values, max_deviation = decomposition._chain(m, quads, S)
-    yield "derivation", None, max_deviation, scale, (values, max_deviation)
+    records.append(("derivation", None, max_deviation, scale, (values, max_deviation)))
 
-    # The readings' max_residual is already divided by their scales.
-    yield "squares_interpretation", None, squares_rep.max_residual, 1.0, None
-    if squares_rep.acute_iff_positive is not None:
-        yield ("squares_positivity", None, 0.0 if squares_rep.acute_iff_positive else 1.0,
-               1.0, None)
-    inc = circles.incircle(t)
-    sides_rep = three_sum.interpret_sides(inc)
-    yield "sides_interpretation", None, sides_rep.max_residual, 1.0, None
-    if sides_rep.all_positive is not None:
-        yield "sides_positivity", None, 0.0 if sides_rep.all_positive else 1.0, 1.0, None
-    circ = circles.circumcircle(t)
-    angles_rep = three_sum.interpret_angles(circ)
-    yield "angles_interpretation", None, angles_rep.max_residual, 1.0, None
-    if angles_rep.acute_iff_positive is not None:
-        yield ("angles_positivity", None, 0.0 if angles_rep.acute_iff_positive else 1.0,
-               1.0, None)
+    ox, oy, radius, (t_a, t_b, t_c), points, (length_a, length_b, length_c) = circles._incircle(t)
+    # The sides reading's components are the tangent lengths at C, B, A.
+    sides = three_sum._sides(m, (length_c, length_b, length_a))
+    centre_x, centre_y, circumradius, near, far = circles._circumcircle(t)
+    angles = three_sum._angles(m, (near, far))
+    # The readings' max_residual is already divided by their scales. Each
+    # positivity record reads the flag its reading's verdict reads: the sign
+    # of the sides reading, and acute_iff_positive of the other two.
+    for name, values, flag in (("squares", squares, squares[3]), ("sides", sides, sides[2]),
+                               ("angles", angles, angles[3])):
+        records.append((name + "_interpretation", None, values[4], 1.0, None))
+        if flag is not None:
+            records.append((name + "_positivity", None, 0.0 if flag else 1.0, 1.0, None))
 
-    lengths, closed = inc.tangent_lengths, sides_rep.closed_form
-    yield ("tangent_lengths", None,
-           _worst([abs(lengths[v] - closed[x]) for v, x in _AT.items()]), m.length_scale, None)
+    x, y, z = sides[1]
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
-    ox, oy = inc.center.x, inc.center.y
-    radius = inc.radius
+    (pax, pay), (pbx, pby), (pcx, pcy) = points
+    dax, day, dbx, dby, dcx, dcy = ox - pax, oy - pay, ox - pbx, oy - pby, ox - pcx, oy - pcy
     radius_scale = max(1.0, radius)
-    for side in circles.SIDE_ENDPOINTS:
-        foot, tparam = inc.tangent_points[side], inc.tangent_params[side]
-        dx, dy = ox - foot.x, oy - foot.y
-        yield "incircle_radius", side, sqrt(dx * dx + dy * dy) - radius, radius_scale, None
-        yield "tangent_inside", side, _worst((-tparam, tparam - 1.0)), 1.0, None
-
-    ox, oy = circ.center.x, circ.center.y
-    radius = circ.radius
-    ax, ay, bx, by, cx, cy = ox - t.A.x, oy - t.A.y, ox - t.B.x, oy - t.B.y, ox - t.C.x, oy - t.C.y
-    yield ("circumradius", None, _worst((abs(sqrt(ax * ax + ay * ay) - radius),
-                                         abs(sqrt(bx * bx + by * by) - radius),
-                                         abs(sqrt(cx * cx + cy * cy) - radius))),
-           max(1.0, radius), None)
-    # The split at v toward w is pi/2 minus the angle at the third vertex,
-    # the closed form of that vertex's component.
-    closed, angles, splits = angles_rep.closed_form, angles_rep.system, circ.splits
-    for (v, (nxt, prv)), angle in zip(OPPOSITE_SIDE.items(), (angles.L, angles.M, angles.N)):
-        to_nxt, to_prv = splits[v][nxt], splits[v][prv]
-        yield ("vertex_splits", v,
-               _worst((abs(to_nxt - closed[_AT[prv]]), abs(to_prv - closed[_AT[nxt]]))), 1.0, None)
-        yield "split_sums", v, to_nxt + to_prv - angle, 1.0, None
+    A, B, C = t.A, t.B, t.C
+    ax, ay, bx, by = centre_x - A.x, centre_y - A.y, centre_x - B.x, centre_y - B.y
+    cx, cy = centre_x - C.x, centre_y - C.y
+    # The two splits at a vertex: each is pi/2 minus the angle at the far end
+    # of its side, and they sum to the vertex's angle.
+    split_x, split_y, split_z = angles[1]
+    a_b, a_c, b_c = near
+    b_a, c_a, c_b = far
+    records += [
+        ("tangent_lengths", None,
+         _worst((abs(length_a - z), abs(length_b - y), abs(length_c - x))), m.length_scale, None),
+        ("incircle_radius", "a", sqrt(dax * dax + day * day) - radius, radius_scale, None),
+        ("tangent_inside", "a", _worst((-t_a, t_a - 1.0)), 1.0, None),
+        ("incircle_radius", "b", sqrt(dbx * dbx + dby * dby) - radius, radius_scale, None),
+        ("tangent_inside", "b", _worst((-t_b, t_b - 1.0)), 1.0, None),
+        ("incircle_radius", "c", sqrt(dcx * dcx + dcy * dcy) - radius, radius_scale, None),
+        ("tangent_inside", "c", _worst((-t_c, t_c - 1.0)), 1.0, None),
+        ("circumradius", None, _worst((abs(sqrt(ax * ax + ay * ay) - circumradius),
+                                       abs(sqrt(bx * bx + by * by) - circumradius),
+                                       abs(sqrt(cx * cx + cy * cy) - circumradius))),
+         max(1.0, circumradius), None),
+        ("vertex_splits", "A", _worst((abs(a_b - split_x), abs(a_c - split_y))), 1.0, None),
+        ("split_sums", "A", a_b + a_c - alpha, 1.0, None),
+        ("vertex_splits", "B", _worst((abs(b_c - split_z), abs(b_a - split_x))), 1.0, None),
+        ("split_sums", "B", b_c + b_a - beta, 1.0, None),
+        ("vertex_splits", "C", _worst((abs(c_a - split_y), abs(c_b - split_z))), 1.0, None),
+        ("split_sums", "C", c_a + c_b - gamma, 1.0, None),
+    ]
+    return records

@@ -39,26 +39,16 @@ class CircumcircleData(_Record):
         self.splits = splits  # splits[v][w]: signed split at v toward side vw
 
 
-def _centre(x, y, name: str) -> Point:
-    """A circle centre, checked here: the incentre's formula multiplies
-    absolute coordinates, which can overflow where the triangle's own check
-    does not reach, and a flat triangle's circumcentre can lie beyond the
-    float range. Both coordinates are floats."""
+def _check_centre(x, y, name: str) -> None:
+    """A circle centre's check: the incentre's formula multiplies absolute
+    coordinates, which can overflow where the triangle's own check does not
+    reach, and a flat triangle's circumcentre can lie beyond the float range."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteCoordinate(f"coordinates overflow: the {name} is not finite")
-    return _point(x, y)
 
 
-def incircle(t: Triangle) -> IncircleData:
-    """Incenter as the side-length weighted vertex average, with tangency data.
-
-    tangent_points holds the foot of the perpendicular from the center to
-    each side and tangent_params its affine coordinate along the side (0 at
-    the first endpoint, 1 at the second); tangent_lengths holds, per vertex,
-    the measured distance to the tangent point on the side toward the
-    cyclically next vertex (the distance along the other adjacent side is
-    equal, which callers test).
-    """
+def _incircle(t: Triangle) -> tuple:
+    """incircle's values: centre x, y, radius, and tangent params, points (x, y) and lengths."""
     m = t.metrics
     a, b, c = m.a, m.b, m.c
     A, B, C = t.A, t.B, t.C
@@ -66,7 +56,7 @@ def incircle(t: Triangle) -> IncircleData:
     weight = a + b + c
     ox = (a * ax + b * bx + c * cx) / weight
     oy = (a * ay + b * by + c * cy) / weight
-    center = _centre(ox, oy, "incentre")
+    _check_centre(ox, oy, "incentre")
     # Each side runs from its first endpoint p along the leg e at p; the
     # tangent point is p + t * e, with t = dot(center - p, e) / |e|^2.
     (bc, _), (ca, _), (ab, _) = t._legs["B"], t._legs["C"], t._legs["A"]
@@ -80,20 +70,32 @@ def incircle(t: Triangle) -> IncircleData:
     pcx, pcy = ax + t_c * abx, ay + t_c * aby
     # Each vertex to the tangent point on the side toward the next vertex.
     dax, day, dbx, dby, dcx, dcy = pcx - ax, pcy - ay, pax - bx, pay - by, pbx - cx, pby - cy
-    return IncircleData(
-        t, center, m.area / m.s,
-        {"a": _point(pax, pay), "b": _point(pbx, pby), "c": _point(pcx, pcy)},
-        {"a": t_a, "b": t_b, "c": t_c},
-        {"A": math.sqrt(dax * dax + day * day), "B": math.sqrt(dbx * dbx + dby * dby),
-         "C": math.sqrt(dcx * dcx + dcy * dcy)},
-    )
+    return (ox, oy, m.area / m.s, (t_a, t_b, t_c), ((pax, pay), (pbx, pby), (pcx, pcy)),
+            (math.sqrt(dax * dax + day * day), math.sqrt(dbx * dbx + dby * dby),
+             math.sqrt(dcx * dcx + dcy * dcy)))
 
 
-def _circumcenter(t: Triangle) -> tuple[Point, float, float]:
-    """The circumcentre and its offset (x, y) from A, found in A's frame:
-    the legs are scaled by a power of two (exact) so that their largest
-    component is about 1, where no product overflows or underflows, and the
-    offset is scaled back (exact too). The determinant is then the
+def incircle(t: Triangle) -> IncircleData:
+    """Incenter as the side-length weighted vertex average, with tangency data.
+
+    tangent_points holds the foot of the perpendicular from the center to
+    each side and tangent_params its affine coordinate along the side (0 at
+    the first endpoint, 1 at the second); tangent_lengths holds, per vertex,
+    the measured distance to the tangent point on the side toward the
+    cyclically next vertex (the distance along the other adjacent side is
+    equal, which callers test).
+    """
+    ox, oy, radius, (t_a, t_b, t_c), (p_a, p_b, p_c), (at_a, at_b, at_c) = _incircle(t)
+    return IncircleData(t, _point(ox, oy), radius,
+                        {"a": _point(*p_a), "b": _point(*p_b), "c": _point(*p_c)},
+                        {"a": t_a, "b": t_b, "c": t_c}, {"A": at_a, "B": at_b, "C": at_c})
+
+
+def _circumcenter(t: Triangle) -> tuple[float, float, float, float]:
+    """The circumcentre (x, y) and its offset (x, y) from A, found in A's
+    frame: the legs are scaled by a power of two (exact) so that their
+    largest component is about 1, where no product overflows or underflows,
+    and the offset is scaled back (exact too). The determinant is then the
     triangle's own cross product."""
     ab, ac = t._legs["A"]
     _, k = math.frexp(max(abs(ab.x), abs(ab.y), abs(ac.x), abs(ac.y)))
@@ -105,7 +107,34 @@ def _circumcenter(t: Triangle) -> tuple[Point, float, float]:
     b2, c2 = bx * bx + by * by, cx * cx + cy * cy
     up = math.ldexp(1.0, k)
     ox, oy = (cy * b2 - by * c2) / d * up, (bx * c2 - cx * b2) / d * up
-    return _centre(t.A.x + ox, t.A.y + oy, "circumcentre"), ox, oy
+    x, y = t.A.x + ox, t.A.y + oy
+    _check_centre(x, y, "circumcentre")
+    return x, y, ox, oy
+
+
+def _circumcircle(t: Triangle) -> tuple:
+    """circumcircle's values: centre x, y, radius, and the splits as the angles
+    reading's two (x, y, z) triples, at A, A, B toward B, C, C and at B, C, C toward A, A, B."""
+    x, y, ox, oy = _circumcenter(t)
+    legs = t._legs
+    (ab, ac), (bc, ba), (ca, cb) = legs["A"], legs["B"], legs["C"]
+    abx, aby, acx, acy = ab.x, ab.y, ac.x, ac.y
+    bcx, bcy, bax, bay = bc.x, bc.y, ba.x, ba.y
+    cax, cay, cbx, cby = ca.x, ca.y, cb.x, cb.y
+    # v -> centre for v = B, C; A's is the offset itself.
+    obx, oby, ocx, ocy = ox - abx, oy - aby, ox - acx, oy - acy
+    # The signed angle from u to w is atan2(cross(u, w), dot(u, w)): at v,
+    # from the leg toward the cyclically next vertex to the centre, and
+    # from the centre to the leg toward the previous one.
+    atan2 = math.atan2
+    near = (atan2(abx * oy - aby * ox, abx * ox + aby * oy),
+            atan2(ox * acy - oy * acx, ox * acx + oy * acy),
+            atan2(bcx * oby - bcy * obx, bcx * obx + bcy * oby))
+    far = (atan2(obx * bay - oby * bax, obx * bax + oby * bay),
+           atan2(cax * ocy - cay * ocx, cax * ocx + cay * ocy),
+           atan2(ocx * cby - ocy * cbx, ocx * cbx + ocy * cby))
+    dx, dy = x - t.A.x, y - t.A.y
+    return x, y, math.sqrt(dx * dx + dy * dy), near, far
 
 
 def circumcircle(t: Triangle) -> CircumcircleData:
@@ -121,25 +150,6 @@ def circumcircle(t: Triangle) -> CircumcircleData:
     A and the legs at A, never as centre - v: far from the origin the
     centre's coordinates round to a grid as coarse as the triangle itself.
     """
-    center, ox, oy = _circumcenter(t)
-    legs = t._legs
-    (ab, ac), (bc, ba), (ca, cb) = legs["A"], legs["B"], legs["C"]
-    abx, aby, acx, acy = ab.x, ab.y, ac.x, ac.y
-    bcx, bcy, bax, bay = bc.x, bc.y, ba.x, ba.y
-    cax, cay, cbx, cby = ca.x, ca.y, cb.x, cb.y
-    # v -> centre for v = B, C; A's is the offset itself.
-    obx, oby, ocx, ocy = ox - abx, oy - aby, ox - acx, oy - acy
-    # The signed angle from u to w is atan2(cross(u, w), dot(u, w)): at v,
-    # from the leg toward the cyclically next vertex to the centre, and
-    # from the centre to the leg toward the previous one.
-    atan2 = math.atan2
-    splits = {
-        "A": {"B": atan2(abx * oy - aby * ox, abx * ox + aby * oy),
-              "C": atan2(ox * acy - oy * acx, ox * acx + oy * acy)},
-        "B": {"C": atan2(bcx * oby - bcy * obx, bcx * obx + bcy * oby),
-              "A": atan2(obx * bay - oby * bax, obx * bax + oby * bay)},
-        "C": {"A": atan2(cax * ocy - cay * ocx, cax * ocx + cay * ocy),
-              "B": atan2(ocx * cby - ocy * cbx, ocx * cbx + ocy * cby)},
-    }
-    dx, dy = center.x - t.A.x, center.y - t.A.y
-    return CircumcircleData(t, center, math.sqrt(dx * dx + dy * dy), splits)
+    x, y, radius, (a_b, a_c, b_c), (b_a, c_a, c_b) = _circumcircle(t)
+    splits = {"A": {"B": a_b, "C": a_c}, "B": {"C": b_c, "A": b_a}, "C": {"A": c_a, "B": c_b}}
+    return CircumcircleData(t, _point(x, y), radius, splits)

@@ -1,8 +1,9 @@
 """Command line driver: verify, solve, figure, fuzz.
 
-`verify` and `fuzz` are shells over one catalogue, `checks.rows`: `verify`
-prints every row of one triangle, `fuzz` folds the rows of many random
-triangles into each check's worst |residual| / scale.
+`verify` and `fuzz` are shells over one catalogue, `checks.rows`, the list
+of every check's records for a triangle: `verify` prints every record of
+one triangle, `fuzz` folds the records of many random triangles into each
+check's worst |residual| / scale.
 
 Reports go to stdout as JSON (schema "cuoco-report/1", floats rounded to
 twelve decimals so identical inputs give byte-identical output);

@@ -10,19 +10,15 @@ right angle.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 from .geometry import (
+    VERTICES,
     GeometryError,
     Triangle,
     TriangleMetrics,
     _check_sides,
     _check_vertex,
 )
-
-# Vertex V -> the squares of |PQ|, |VP| and |VQ| in t._side_squares, with
-# (P, Q) = OPPOSITE_SIDE[V]: the opposite side, then V's two legs.
-_SQUARES_AT = {"A": itemgetter(0, 2, 1), "B": itemgetter(1, 0, 2), "C": itemgetter(2, 1, 0)}
 
 
 class DomainError(GeometryError):
@@ -50,6 +46,16 @@ def cos_from_sides(a: float, b: float, c: float) -> float:
     return (a * a + b * b - c * c) / (2.0 * a * b)
 
 
+def _defects(t: Triangle) -> tuple:
+    """(defect, residual) at A, B and C; see euclid_defect."""
+    a2, b2, c2 = t._side_squares
+    dots = t._dots
+    at_a, at_b, at_c = 2 * dots["A"], 2 * dots["B"], 2 * dots["C"]
+    # At V: the opposite side's square, minus the squares of V's two legs.
+    return ((at_a, a2 - c2 - b2 + at_a), (at_b, b2 - a2 - c2 + at_b),
+            (at_c, c2 - b2 - a2 + at_c))
+
+
 def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     """Signed defect at a vertex and the residual of the classical identity.
 
@@ -61,18 +67,20 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     negation square alike, so which way a side runs does not matter.
     """
     _check_vertex(at_vertex)
-    defect = 2 * t._dots[at_vertex]
-    opp2, adj1, adj2 = _SQUARES_AT[at_vertex](t._side_squares)
-    residual = opp2 - adj1 - adj2 + defect
-    return defect, residual
+    return _defects(t)[VERTICES.index(at_vertex)]
+
+
+def _identity_residuals(m: TriangleMetrics, cos_alpha, cos_beta, cos_gamma) -> tuple:
+    """verify_cosine_identity's residuals, given the angles' cosines."""
+    a2, b2, c2 = m.side_squares
+    return (
+        a2 - b2 - c2 + 2.0 * m.b * m.c * cos_alpha,
+        b2 - a2 - c2 + 2.0 * m.a * m.c * cos_beta,
+        c2 - a2 - b2 + 2.0 * m.a * m.b * cos_gamma,
+    )
 
 
 def verify_cosine_identity(m: TriangleMetrics) -> tuple[float, float, float]:
     """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic
     forms, at A, B and C; max side^2 is their scale."""
-    a2, b2, c2 = m.side_squares
-    return (
-        a2 - b2 - c2 + 2.0 * m.b * m.c * math.cos(m.alpha),
-        b2 - a2 - c2 + 2.0 * m.a * m.c * math.cos(m.beta),
-        c2 - a2 - b2 + 2.0 * m.a * m.b * math.cos(m.gamma),
-    )
+    return _identity_residuals(m, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))

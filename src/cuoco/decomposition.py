@@ -168,15 +168,17 @@ def panel_area_exact(pair: str, t: Triangle):
     return t._dots[_PAIR_VERTEX[pair]]
 
 
+def _trig_areas(m: TriangleMetrics, cos_alpha, cos_beta, cos_gamma) -> tuple:
+    """The pair areas R, S, T on the trigonometric route, given the angles' cosines."""
+    return m.a * m.b * cos_gamma, m.b * m.c * cos_alpha, m.a * m.c * cos_beta
+
+
 def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
     """Pair area on the trigonometric route: two sides times the included cosine."""
-    if pair == "R":
-        return m.a * m.b * math.cos(m.gamma)
-    if pair == "S":
-        return m.b * m.c * math.cos(m.alpha)
-    if pair == "T":
-        return m.a * m.c * math.cos(m.beta)
-    raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
+    if pair not in _PAIR_VERTEX:
+        raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
+    areas = _trig_areas(m, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
+    return areas[PAIR_CLASSES.index(pair)]
 
 
 def build(t: Triangle) -> CuocoDecomposition:
@@ -236,8 +238,8 @@ class SimilarityReport(_Record):
         self.scale = scale
 
 
-def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
-    _check_vertex(at_vertex)
+def _similarity(t: Triangle, at_vertex: str) -> tuple[float, float, float, float]:
+    """similarity_check's (ch, ck, residual, scale) at a vertex."""
     v = getattr(t, at_vertex)
     first, second = OPPOSITE_SIDE[at_vertex]  # P, Q in cyclic order
     foot_h, _ = t._feet[first]  # on line (v, q)
@@ -249,8 +251,12 @@ def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     ch = ((foot_h.x - vx) * vq.x + (foot_h.y - vy) * vq.y) / len_vq  # dot(foot_h - v, vq)
     ck = ((foot_k.x - vx) * vp.x + (foot_k.y - vy) * vp.y) / len_vp
     product = len_vp * len_vq  # the scale is max(1.0, product)
-    return SimilarityReport(at_vertex, ch, ck, len_vp * ck - len_vq * ch,
-                            product if product > 1.0 else 1.0)
+    return ch, ck, len_vp * ck - len_vq * ch, product if product > 1.0 else 1.0
+
+
+def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
+    _check_vertex(at_vertex)
+    return SimilarityReport(at_vertex, *_similarity(t, at_vertex))
 
 
 class DerivationStep(_Record):
@@ -286,7 +292,7 @@ def _chain(m: TriangleMetrics, quad_areas, s_pair) -> tuple[tuple, float]:
     a2, b2, c2 = m.side_squares
     r1, r2, s1, s2, t1, t2 = quad_areas
     values = (a2, r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * s_pair)
-    return values, _worst(abs(value - a2) for value in values)
+    return values, _worst([abs(value - a2) for value in values])
 
 
 def _trace(values, max_deviation: float) -> DerivationTrace:

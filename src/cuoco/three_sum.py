@@ -19,8 +19,8 @@ import math
 
 from .circles import CircumcircleData, IncircleData
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import (TOLERANCE, Classification, GeometryError, Triangle, _Frozen, _Record,
-                       _is_finite, _worst)
+from .geometry import (TOLERANCE, Classification, GeometryError, Triangle, TriangleMetrics,
+                       _Frozen, _Record, _is_finite, _worst)
 
 
 class ThreeSum(_Frozen):
@@ -29,15 +29,20 @@ class ThreeSum(_Frozen):
     __slots__ = _fields = ("L", "M", "N")
 
     def __init__(self, L: float, M: float, N: float) -> None:
-        try:  # a finite float sum means every term is finite
-            finite = math.isfinite(0.0 + L + M + N)
-        except OverflowError:  # 0.0 + an integer too large for a float
-            finite = False
-        if not finite:  # a bad term, or finite terms whose sum overflows
-            for value in (L, M, N):
-                if not _is_finite(value):
-                    raise GeometryError(f"system inputs must be finite, got {value!r}")
+        _check_terms(L, M, N)
         self._store(L, M, N)
+
+
+def _check_terms(L: float, M: float, N: float) -> None:
+    """GeometryError unless every right-hand side is finite."""
+    try:  # a finite float sum means every term is finite
+        finite = math.isfinite(0.0 + L + M + N)
+    except OverflowError:  # 0.0 + an integer too large for a float
+        finite = False
+    if not finite:  # a bad term, or finite terms whose sum overflows
+        for value in (L, M, N):
+            if not _is_finite(value):
+                raise GeometryError(f"system inputs must be finite, got {value!r}")
 
 
 class Solution(_Record):
@@ -50,20 +55,29 @@ class Solution(_Record):
         return (self.x, self.y, self.z)
 
 
-def solve(system: ThreeSum) -> Solution:
+def _solve(L: float, M: float, N: float) -> tuple[float, float, float]:
+    """solve(ThreeSum(L, M, N)) as (x, y, z), raising as those two would."""
+    _check_terms(L, M, N)
     # Halves first: halving is exact, so this is (L + M - N) / 2 bit for bit
     # unless a sum would overflow or a half is subnormal.
-    L, M, N = system.L / 2.0, system.M / 2.0, system.N / 2.0
+    L, M, N = L / 2.0, M / 2.0, N / 2.0
     x, y, z = (L + M) - N, (L + N) - M, (M + N) - L
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise GeometryError(f"the solution overflows a float: x={x}, y={y}, z={z}")
-    return Solution(x=x, y=y, z=z)
+    return x, y, z
+
+
+def solve(system: ThreeSum) -> Solution:
+    return Solution(*_solve(system.L, system.M, system.N))
+
+
+def _all_positive(L: float, M: float, N: float) -> bool:
+    return L < M + N and M < L + N and N < L + M
 
 
 def all_positive(system: ThreeSum) -> bool:
     """True when every component of the solution is strictly positive."""
-    L, M, N = system.L, system.M, system.N
-    return L < M + N and M < L + N and N < L + M
+    return _all_positive(system.L, system.M, system.N)
 
 
 class InterpretationReport(_Record):
@@ -96,38 +110,46 @@ class InterpretationReport(_Record):
         self.passed = passed
 
 
-def _report(kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, str],
-            measured: tuple, closed_form: tuple, scale: float, positive: bool | None,
-            classification: Classification, acute_iff_positive: bool | None,
-            verdict_flag: bool | None, tol: float) -> InterpretationReport:
-    """The body the three readings share. `measured` holds an (x, y, z) triple
-    per measurement, the first reported as `geometric`. The worst
-    |solution - value| over them and `closed_form`, a NaN kept, over `scale`
-    is `max_residual`; the reading passes when that is within `tol` and
-    `verdict_flag`, the flag its verdict reads, is not False."""
-    x, y, z = solution.x, solution.y, solution.z
-    (gx, gy, gz), (cx, cy, cz) = measured[0], closed_form
-    worst = _worst((abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz)))
-    for ox, oy, oz in measured[1:]:
-        worst = _worst((worst, abs(x - ox), abs(y - oy), abs(z - oz)))
-    max_residual = worst / scale
+def _deviation(solution: tuple, measured: tuple, closed_form: tuple, scale: float) -> float:
+    """The worst |solution - value| over the (x, y, z) triples of `measured`
+    and `closed_form`, a NaN kept, over `scale`."""
+    x, y, z = solution
+    deviations = []
+    for vx, vy, vz in (*measured, closed_form):
+        deviations += abs(x - vx), abs(y - vy), abs(z - vz)
+    return _worst(deviations) / scale
+
+
+def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, values: tuple,
+            classification: Classification, verdict_flag: bool | None,
+            tol: float) -> InterpretationReport:
+    """The report of a reading of the system `terms` from `values`, its (solution,
+    closed_form, all_positive, acute_iff_positive, max_residual), and `measured`, whose first
+    triple is `geometric`. It passes when max_residual <= tol and `verdict_flag` is not False."""
+    solution, (cx, cy, cz), positive, acute, max_residual = values
+    gx, gy, gz = measured[0]
     return InterpretationReport(
-        kind, system, solution, mapping, {"x": gx, "y": gy, "z": gz}, {"x": cx, "y": cy, "z": cz},
-        max_residual, positive, classification, acute_iff_positive,
+        kind, ThreeSum(*terms), Solution(*solution), mapping, {"x": gx, "y": gy, "z": gz},
+        {"x": cx, "y": cy, "z": cz}, max_residual, positive, classification, acute,
         max_residual <= tol and verdict_flag is not False)
+
+
+def _squares(m: TriangleMetrics, exact: tuple, trig: tuple) -> tuple:
+    """The squares reading's values (see _report) from the pair areas (R, T, S) by both routes."""
+    solution = _solve(*m.side_squares)
+    positive, cls = _all_positive(*m.side_squares), m.classification
+    acute = None if cls.kind == "right" else positive == cls.is_acute
+    return solution, trig, positive, acute, _deviation(solution, (exact,), trig, m.area_scale)
 
 
 def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
     m = t.metrics
-    system = ThreeSum(*m.side_squares)
-    positive, cls = all_positive(system), m.classification
-    acute = None if cls.kind == "right" else positive == cls.is_acute
-    return _report(
-        "squares", system, solve(system), {"x": "R", "y": "T", "z": "S"},
-        ((panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t)),),
-        (panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)),
-        m.area_scale, positive, cls, acute, verdict_flag=acute, tol=tol)
+    exact = (panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t))
+    values = _squares(m, exact,
+                      (panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)))
+    return _report("squares", m.side_squares, {"x": "R", "y": "T", "z": "S"}, (exact,), values,
+                   m.classification, values[3], tol)
 
 
 # Rounding budget on a tangent length, in units of u * max side with
@@ -140,6 +162,17 @@ def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationRepo
 SIDES_BUDGET = 8
 
 
+def _sides(m: TriangleMetrics, lengths: tuple) -> tuple:
+    """The sides reading's values (see _report) from the tangent lengths at C, B and A."""
+    a, b, c, s = m.a, m.b, m.c, m.s
+    solution = _solve(a, b, c)
+    closed = (s - c, s - b, s - a)
+    smallest = min(solution)
+    undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
+    return (solution, closed, None if undecided else smallest > 0, None,
+            _deviation(solution, (lengths,), closed, m.length_scale))
+
+
 def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = sides; the solution must be the incircle's tangent lengths.
 
@@ -149,19 +182,22 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     below, so a sign is decided only beyond the rounding budget
     SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
-    m = inc.triangle.metrics
-    a, b, c, s = m.a, m.b, m.c, m.s
-    system = ThreeSum(a, b, c)
-    sol = solve(system)
-    smallest = min(sol.x, sol.y, sol.z)
-    undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
-    positive = None if undecided else smallest > 0
-    lengths = inc.tangent_lengths
+    m, lengths = inc.triangle.metrics, inc.tangent_lengths
+    measured = (lengths["C"], lengths["B"], lengths["A"])
+    values = _sides(m, measured)
     return _report(
-        "sides", system, sol,
+        "sides", (m.a, m.b, m.c),
         {"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
-        ((lengths["C"], lengths["B"], lengths["A"]),), (s - c, s - b, s - a),
-        m.length_scale, positive, m.classification, None, verdict_flag=positive, tol=tol)
+        (measured,), values, m.classification, values[2], tol)
+
+
+def _angles(m: TriangleMetrics, splits: tuple) -> tuple:
+    """The angles reading's values (see _report) from two (x, y, z) triples of splits."""
+    solution = _solve(m.alpha, m.beta, m.gamma)
+    closed = (math.pi / 2.0 - m.gamma, math.pi / 2.0 - m.beta, math.pi / 2.0 - m.alpha)
+    positive, cls = _all_positive(m.alpha, m.beta, m.gamma), m.classification
+    acute = None if cls.kind == "right" else positive == cls.is_acute
+    return solution, closed, positive, acute, _deviation(solution, splits, closed, 1.0)
 
 
 def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -172,14 +208,11 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     side a. Residuals are absolute: angles are already order one.
     """
     m = circ.triangle.metrics
-    system = ThreeSum(m.alpha, m.beta, m.gamma)
-    positive, cls = all_positive(system), m.classification
-    acute = None if cls.kind == "right" else positive == cls.is_acute
     # Each component is realized twice; hold it against both measurements.
     at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
+    measured = ((at_a["B"], at_a["C"], at_b["C"]), (at_b["A"], at_c["A"], at_c["B"]))
+    values = _angles(m, measured)
     return _report(
-        "angles", system, solve(system),
+        "angles", (m.alpha, m.beta, m.gamma),
         {"x": "split over side c", "y": "split over side b", "z": "split over side a"},
-        ((at_a["B"], at_a["C"], at_b["C"]), (at_b["A"], at_c["A"], at_c["B"])),
-        (math.pi / 2.0 - m.gamma, math.pi / 2.0 - m.beta, math.pi / 2.0 - m.alpha),
-        1.0, positive, cls, acute, verdict_flag=acute, tol=tol)
+        measured, values, m.classification, values[3], tol)

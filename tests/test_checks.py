@@ -1,5 +1,5 @@
 """The catalogue, `cuoco.checks.rows`: one construction of each kind per
-triangle, and the circle checks far from the origin."""
+triangle, no report record built, and the circle checks far from the origin."""
 
 import hashlib
 import math
@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from cuoco import checks, circles
-from cuoco.cli import random_triangle
+from cuoco import checks, circles, decomposition, three_sum
+from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
 from cuoco.geometry import VERTICES, Point, Triangle, triangle_from_sides
 
@@ -17,16 +17,58 @@ AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sum
 
 
 def test_one_construction_per_triangle(monkeypatch):
+    # Each circle's values once, and neither builder.
     t = random_triangle(random.Random(11))
     calls = {}
-    for name in ("incircle", "circumcircle", "_circumcenter"):
+    for name in ("incircle", "circumcircle", "_incircle", "_circumcircle", "_circumcenter"):
         def counting(*args, _name=name, _original=getattr(circles, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
 
         monkeypatch.setattr(circles, name, counting)
-    list(checks.rows(t))
-    assert calls == {"incircle": 1, "circumcircle": 1, "_circumcenter": 1}
+    checks.rows(t)
+    assert calls == {"_incircle": 1, "_circumcircle": 1, "_circumcenter": 1}
+
+
+RECORD_TYPES = (circles.IncircleData, circles.CircumcircleData, three_sum.InterpretationReport,
+                three_sum.ThreeSum, three_sum.Solution, decomposition.SimilarityReport)
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Type name -> how many records of that type of RECORD_TYPES were built."""
+    counts = dict.fromkeys((cls.__name__ for cls in RECORD_TYPES), 0)
+    for cls in RECORD_TYPES:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_fuzz_and_verify_build_no_report_record(capsys, constructed):
+    # Both run the catalogue, which computes in plain floats.
+    assert main(["fuzz", "--count", "200"]) == 0
+    assert main(["verify", "--sides", "2,3,4"]) == 0
+    capsys.readouterr()
+    assert constructed == dict.fromkeys(constructed, 0)
+
+
+@pytest.mark.parametrize("reading, circle", [("squares", None), ("sides", "IncircleData"),
+                                             ("angles", "CircumcircleData")])
+def test_solve_and_the_library_still_build_them(capsys, constructed, reading, circle):
+    # The counting sees the builders: solve's own system and solution, then
+    # the reading's, with the circle it reads; similarity_check's report.
+    argv = ["solve", "--L", "4", "--M", "9", "--N", "16", "--interpret", reading, "--sides", "2,3,4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    decomposition.similarity_check(triangle_from_sides(2, 3, 4), "A")
+    expected = {**dict.fromkeys(constructed, 0), "ThreeSum": 2, "Solution": 2,
+                "InterpretationReport": 1, "SimilarityReport": 1}
+    if circle:
+        expected[circle] = 1
+    assert constructed == expected
 
 
 def test_translation_far_out_keeps_the_splits_passing():

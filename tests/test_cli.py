@@ -478,14 +478,14 @@ class TestFuzz:
         assert "--tol" in err
 
     def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
-        exact = cosine_law.euclid_defect
+        exact = cosine_law._defects
 
-        def corrupted(t, at_vertex):
-            defect, residual = exact(t, at_vertex)
+        def corrupted(t):
             m = t.metrics
-            return defect, residual + 1e-8 * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
+            shift = 1e-8 * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
+            return tuple((defect, residual + shift) for defect, residual in exact(t))
 
-        monkeypatch.setattr(cosine_law, "euclid_defect", corrupted)
+        monkeypatch.setattr(cosine_law, "_defects", corrupted)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
@@ -494,7 +494,7 @@ class TestFuzz:
         assert not any(entry["passed"] for entry in json.loads(out)["checks"]["euclid_defect"].values())
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr(cosine_law, "euclid_defect", lambda t, at_vertex: (1.0, math.nan))
+        monkeypatch.setattr(cosine_law, "_defects", lambda t: ((1.0, math.nan),) * 3)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -579,19 +579,20 @@ class TestCatalogue:
 
     @staticmethod
     def _edit_closed_form(monkeypatch, reading, edit):
-        """Make checks.rows see `reading`'s closed form passed through `edit`."""
+        """Make checks.rows see the closed form (x, y, z) that `reading`, a
+        reading's value function, returns passed through `edit`; its
+        max_residual stays as computed."""
         exact = getattr(three_sum, reading)
 
-        def edited(*args, **kwargs):
-            report = exact(*args, **kwargs)
-            report.closed_form = edit(report.closed_form)
-            return report
+        def edited(*args):
+            solution, closed, *rest = exact(*args)
+            return (solution, edit(closed), *rest)
 
         monkeypatch.setattr(three_sum, reading, edited)
 
     def test_shifted_closed_form_splits_fail_verify(self, capsys, monkeypatch):
-        self._edit_closed_form(monkeypatch, "interpret_angles",
-                               lambda closed: {x: value + 1e-6 for x, value in closed.items()})
+        self._edit_closed_form(monkeypatch, "_angles",
+                               lambda closed: tuple(value + 1e-6 for value in closed))
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 1
         report = json.loads(out)
@@ -599,9 +600,9 @@ class TestCatalogue:
         assert report["checks"]["vertex_splits"]["max_residual"] == pytest.approx(1e-6, rel=1e-3)
 
     def test_nan_in_a_folded_check_fails_verify(self, capsys, monkeypatch):
-        # "y" is the tangent length at B.
-        self._edit_closed_form(monkeypatch, "interpret_sides",
-                               lambda closed: {**closed, "y": math.nan})
+        # y is the tangent length at B.
+        self._edit_closed_form(monkeypatch, "_sides",
+                               lambda closed: (closed[0], math.nan, closed[2]))
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 1
         report = json.loads(out)
@@ -624,15 +625,14 @@ class TestCatalogue:
     def test_negative_tangent_length_fails_verify(self, capsys, monkeypatch):
         # A mutant solve that puts a y inside the rounding budget (only the
         # needle's tangent length at B is) twice the budget below zero.
-        exact = three_sum.solve
+        exact = three_sum._solve
 
-        def pushed(system):
-            sol = exact(system)
-            budget = three_sum.SIDES_BUDGET * 2.0**-53 * max(system.L, system.M, system.N)
-            y = -2 * budget if abs(sol.y) <= budget else sol.y
-            return three_sum.Solution(sol.x, y, sol.z)
+        def pushed(L, M, N):
+            x, y, z = exact(L, M, N)
+            budget = three_sum.SIDES_BUDGET * 2.0**-53 * max(L, M, N)
+            return x, -2 * budget if abs(y) <= budget else y, z
 
-        monkeypatch.setattr(three_sum, "solve", pushed)
+        monkeypatch.setattr(three_sum, "_solve", pushed)
         code, out, _ = run_cli(capsys, "verify", "--points=0,0,1,0,1e8,1")
         assert code == 1
         assert failed_checks(json.loads(out)) == ["sides_positivity"]

@@ -9,7 +9,6 @@ from cuoco.circles import circumcircle, incircle
 from cuoco.geometry import GeometryError, Point, Triangle, triangle_from_sides
 from cuoco.three_sum import (
     SIDES_BUDGET,
-    Solution,
     ThreeSum,
     all_positive,
     interpret_angles,
@@ -182,14 +181,13 @@ class TestInterpretSides:
         # A mutant solve that puts the needle's smallest tangent length
         # `times` the rounding budget below zero: beyond the budget the
         # reading fails, within it the sign stays undecided.
-        exact = three_sum.solve
+        exact = three_sum._solve
 
-        def pushed(system):
-            sol = exact(system)
-            budget = SIDES_BUDGET * 2.0**-53 * max(system.L, system.M, system.N)
-            return Solution(sol.x, -times * budget, sol.z)
+        def pushed(L, M, N):
+            x, _, z = exact(L, M, N)
+            return x, -times * SIDES_BUDGET * 2.0**-53 * max(L, M, N), z
 
-        monkeypatch.setattr(three_sum, "solve", pushed)
+        monkeypatch.setattr(three_sum, "_solve", pushed)
         report = interpret_sides(incircle(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))))
         assert report.all_positive is expected
         assert report.passed is (expected is None)
