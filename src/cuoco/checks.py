@@ -87,9 +87,9 @@ def rows(t: Triangle) -> list:
     # The readings' max_residual is already divided by their scales. Each
     # positivity record reads the flag its reading's verdict reads: the sign
     # of the sides reading, and acute_iff_positive of the other two.
-    for name, values, flag in (("squares", squares, squares[3]), ("sides", sides, sides[2]),
-                               ("angles", angles, angles[3])):
-        records.append((name + "_interpretation", None, values[4], 1.0, None))
+    for name, reading, flag in (("squares", squares, squares[3]), ("sides", sides, sides[2]),
+                                ("angles", angles, angles[3])):
+        records.append((name + "_interpretation", None, reading[4], 1.0, None))
         if flag is not None:
             records.append((name + "_positivity", None, 0.0 if flag else 1.0, 1.0, None))
 

@@ -123,9 +123,11 @@ def _deviation(solution: tuple, measured: tuple, closed_form: tuple, scale: floa
 def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, values: tuple,
             classification: Classification, verdict_flag: bool | None,
             tol: float) -> InterpretationReport:
-    """The report of a reading of the system `terms` from `values`, its (solution,
-    closed_form, all_positive, acute_iff_positive, max_residual), and `measured`, whose first
-    triple is `geometric`. It passes when max_residual <= tol and `verdict_flag` is not False."""
+    """A reading's report. `terms` are the system's right-hand sides, `values`
+    the reading's (solution, closed_form, all_positive, acute_iff_positive,
+    max_residual), and the first (x, y, z) triple of `measured` is `geometric`.
+    It passes when max_residual <= tol and `verdict_flag`, the flag its
+    verdict reads, is not False."""
     solution, (cx, cy, cz), positive, acute, max_residual = values
     gx, gy, gz = measured[0]
     return InterpretationReport(
