@@ -114,10 +114,11 @@ def _deviation(solution: tuple, measured: tuple, closed_form: tuple, scale: floa
     """The worst |solution - value| over the (x, y, z) triples of `measured`
     and `closed_form`, a NaN kept, over `scale`."""
     x, y, z = solution
-    deviations = []
-    for vx, vy, vz in (*measured, closed_form):
-        deviations += abs(x - vx), abs(y - vy), abs(z - vz)
-    return _worst(deviations) / scale
+    (gx, gy, gz), (cx, cy, cz) = measured[0], closed_form
+    worst = _worst((abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz)))
+    for ox, oy, oz in measured[1:]:
+        worst = _worst((worst, abs(x - ox), abs(y - oy), abs(z - oz)))
+    return worst / scale
 
 
 def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, values: tuple,
