@@ -114,7 +114,8 @@ def _circumcenter(t: Triangle) -> tuple[float, float, float, float]:
 
 def _circumcircle(t: Triangle) -> tuple:
     """circumcircle's values: centre x, y, radius, and the splits as the angles
-    reading's two (x, y, z) triples, at A, A, B toward B, C, C and at B, C, C toward A, A, B."""
+    reading's two (x, y, z) triples, near = (at A toward B, at A toward C, at B
+    toward C) and far = (at B toward A, at C toward A, at C toward B)."""
     x, y, ox, oy = _circumcenter(t)
     legs = t._legs
     (ab, ac), (bc, ba), (ca, cb) = legs["A"], legs["B"], legs["C"]
