@@ -48,7 +48,8 @@ def _check_centre(x, y, name: str) -> None:
 
 
 def _incircle(t: Triangle) -> tuple:
-    """incircle's values: centre x, y, radius, and tangent params, points (x, y) and lengths."""
+    """incircle's values: centre x, y, radius, the tangent params and points
+    (x, y) on sides a, b, c, and the tangent lengths at A, B, C."""
     m = t.metrics
     a, b, c = m.a, m.b, m.c
     A, B, C = t.A, t.B, t.C
