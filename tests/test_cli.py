@@ -725,6 +725,30 @@ def test_verify_outputs_match_pinned_digest(capsys):
     assert digest.hexdigest() == VERIFY_PIN_DIGEST
 
 
+# fuzz runs whose tolerance is below the sweep's worst residuals, so each stops
+# at a counterexample: at index 25 on angles_interpretation, 46 on similarity,
+# 305 and 0. Each report prints the counterexample's vertices as stored, after
+# the orientation swap.
+PINNED_COUNTEREXAMPLE_RUNS = [
+    ("--count", "2000", "--tol", "5e-15", "--seed", "1"),
+    ("--count", "2000", "--tol", "5e-15", "--seed", "2"),
+    ("--count", "2000", "--tol", "2e-14", "--seed", "1"),
+    ("--count", "50", "--tol", "1e-17", "--seed", "1"),
+]
+
+# SHA-256 of repr((exit code, stdout)) of `fuzz` on each of PINNED_COUNTEREXAMPLE_RUNS.
+COUNTEREXAMPLE_PIN_DIGEST = "37b6b09b8cfe6af8d913965c7deb0c55aee8f453c04542dad8839d138f03a8d3"
+
+
+def test_fuzz_counterexample_reports_match_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in PINNED_COUNTEREXAMPLE_RUNS:
+        code, out, _ = run_cli(capsys, "fuzz", *argv)
+        assert code == 1
+        digest.update(repr((code, out)).encode("utf-8"))
+    assert digest.hexdigest() == COUNTEREXAMPLE_PIN_DIGEST
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
