@@ -2,21 +2,22 @@
 
 `rows(t)` returns the list of `(check, item, residual, scale, detail)`
 records of one triangle, check by check in `NAMES` order (neighbouring
-checks about the same items interleave, item by item). A record passes
+checks about the same items interleave, item by item), from its frame;
+`fuzz` runs `_rows` on frames it makes no Triangle of. A record passes
 when |residual| / scale <= tol. `item` is the vertex, pair class or side a
 record is about, or None for a whole-triangle check. `detail` is the tuple
 of values `verify` prints for the record, or None for a check that
 `verify` reports, as `fuzz` reports every check, by its worst
 |residual| / scale.
 
-Each construction is computed once per triangle, in plain floats, by the
-value functions behind its public builder: the metrics, cos(alpha),
-cos(beta) and cos(gamma), the panel quad areas (read from the triangle's
-frame; the decomposition is never built), the pair areas by both routes,
-the incircle and the circumcircle, and the three readings (whose closed
-forms the tangent-length and split checks read). No report record is
-built. A record that folds several values takes their `_worst`, so a NaN
-among them is kept and fails.
+Each construction is computed once per triangle, in plain floats read from
+the frame (which holds the metrics, the legs' dots and the feet), by the
+value functions behind its public builder: cos(alpha), cos(beta) and
+cos(gamma), the panel quad areas (the decomposition is never built), the
+trigonometric pair areas, the incircle and the circumcircle, and the three
+readings (whose closed forms the tangent-length and split checks read). No
+report record is built. A record that folds several values takes their
+`_worst`, so a NaN among them is kept and fails.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from math import cos, sqrt
 
 from . import circles, cosine_law, decomposition, three_sum
-from .geometry import VERTICES, Triangle, _worst
+from .geometry import COORDS, DOTS, METRICS, VERTICES, Triangle, _worst
 
 NAMES = (
     "cosine_identity", "euclid_defect", "defect_sign", "pair_equivalence", "trig_vs_exact",
@@ -38,17 +39,20 @@ NAMES = (
 
 def rows(t: Triangle) -> list:
     """Every check's records for one triangle; see the module docstring."""
-    m = t.metrics
-    a2, b2, c2 = m.side_squares
-    alpha, beta, gamma = m.alpha, m.beta, m.gamma
-    # Rounding in the area identities grows with the largest squared side.
-    scale = m.area_scale
+    return _rows(t.frame)
+
+
+def _rows(f: tuple) -> list:
+    """Every check's records for the triangle of a frame."""
+    # Rounding in the area identities grows with the largest squared side: `scale`.
+    (_, _, _, alpha, beta, gamma, _, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
+     _) = f[METRICS]
     cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
 
-    r_a, r_b, r_c = residuals = cosine_law._identity_residuals(m, cos_alpha, cos_beta, cos_gamma)
+    r_a, r_b, r_c = residuals = cosine_law._identity_residuals(f, cos_alpha, cos_beta, cos_gamma)
     records = [("cosine_identity", None, _worst((abs(r_a), abs(r_b), abs(r_c))), max(a2, b2, c2),
                 (residuals,))]
-    for v, cos_v, pair in zip(VERTICES, m.cosines, cosine_law._defects(t)):
+    for v, cos_v, pair in zip(VERTICES, (cos_a, cos_b, cos_c), cosine_law._defects(f)):
         defect, residual = pair
         records.append(("euclid_defect", v, residual, scale, pair))
         # Tighter than RIGHT_ANGLE_BAND, which would skip more vertices.
@@ -56,14 +60,13 @@ def rows(t: Triangle) -> list:
             records.append(("defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0,
                             None))
 
-    quads = decomposition._finite_quad_areas(t)
+    quads = decomposition._finite_quad_areas(f)
     r1, r2, s1, s2, t1, t2 = quads
     # The pair areas R, S, T by both routes: the legs' dots and the trig forms.
-    dots = t._dots
-    R, S, T = dots["C"], dots["A"], dots["B"]
-    trig_r, trig_s, trig_t = decomposition._trig_areas(m, cos_alpha, cos_beta, cos_gamma)
+    S, T, R = f[DOTS]
+    trig_r, trig_s, trig_t = decomposition._trig_areas(f, cos_alpha, cos_beta, cos_gamma)
     # The squares reading's components are R, T, S.
-    squares = three_sum._squares(m, (R, T, S), (trig_r, trig_t, trig_s))
+    squares = three_sum._squares(f, (R, T, S), (trig_r, trig_t, trig_s))
     records += [
         ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
          quads),
@@ -74,16 +77,16 @@ def rows(t: Triangle) -> list:
          None),
     ]
     for v in VERTICES:
-        ch, ck, residual, similarity_scale = decomposition._similarity(t, v)
+        ch, ck, residual, similarity_scale = decomposition._similarity(f, v)
         records.append(("similarity", v, residual, similarity_scale, (ch, ck, residual)))
-    values, max_deviation = decomposition._chain(m, quads, S)
+    values, max_deviation = decomposition._chain(f, quads, S)
     records.append(("derivation", None, max_deviation, scale, (values, max_deviation)))
 
-    ox, oy, radius, (t_a, t_b, t_c), points, (length_a, length_b, length_c) = circles._incircle(t)
+    ox, oy, radius, (t_a, t_b, t_c), points, (length_a, length_b, length_c) = circles._incircle(f)
     # The sides reading's components are the tangent lengths at C, B, A.
-    sides = three_sum._sides(m, (length_c, length_b, length_a))
-    centre_x, centre_y, circumradius, near, far = circles._circumcircle(t)
-    angles = three_sum._angles(m, (near, far))
+    sides = three_sum._sides(f, (length_c, length_b, length_a))
+    centre_x, centre_y, circumradius, near, far = circles._circumcircle(f)
+    angles = three_sum._angles(f, (near, far))
     # The readings' max_residual is already divided by their scales. Each
     # positivity record reads the flag its reading's verdict reads: the sign
     # of the sides reading, and acute_iff_positive of the other two.
@@ -99,9 +102,10 @@ def rows(t: Triangle) -> list:
     (pax, pay), (pbx, pby), (pcx, pcy) = points
     dax, day, dbx, dby, dcx, dcy = ox - pax, oy - pay, ox - pbx, oy - pby, ox - pcx, oy - pcy
     radius_scale = max(1.0, radius)
-    A, B, C = t.A, t.B, t.C
-    ax, ay, bx, by = centre_x - A.x, centre_y - A.y, centre_x - B.x, centre_y - B.y
-    cx, cy = centre_x - C.x, centre_y - C.y
+    # Each vertex's offset from the circumcentre.
+    ax, ay, bx, by, cx, cy = f[COORDS]
+    ax, ay, bx, by = centre_x - ax, centre_y - ay, centre_x - bx, centre_y - by
+    cx, cy = centre_x - cx, centre_y - cy
     # The two splits at a vertex: each is pi/2 minus the angle at the far end
     # of its side, and they sum to the vertex's angle.
     split_x, split_y, split_z = angles[1]
@@ -109,7 +113,7 @@ def rows(t: Triangle) -> list:
     b_a, c_a, c_b = far
     records += [
         ("tangent_lengths", None,
-         _worst((abs(length_a - z), abs(length_b - y), abs(length_c - x))), m.length_scale, None),
+         _worst((abs(length_a - z), abs(length_b - y), abs(length_c - x))), length_scale, None),
         ("incircle_radius", "a", sqrt(dax * dax + day * day) - radius, radius_scale, None),
         ("tangent_inside", "a", _worst((-t_a, t_a - 1.0)), 1.0, None),
         ("incircle_radius", "b", sqrt(dbx * dbx + dby * dby) - radius, radius_scale, None),

@@ -1,9 +1,11 @@
 """Command line driver: verify, solve, figure, fuzz.
 
-`verify` and `fuzz` are shells over one catalogue, `checks.rows`, the list
-of every check's records for a triangle: `verify` prints every record of
-one triangle, `fuzz` folds the records of many random triangles into each
-check's worst |residual| / scale.
+`verify` and `fuzz` are shells over one catalogue, the list of every
+check's records for a triangle: `verify` prints every record of one
+triangle (`checks.rows`), `fuzz` folds the records of many random
+triangles into each check's worst |residual| / scale. `fuzz` draws six
+coordinates at a time and runs the catalogue on their frame
+(`checks._rows`); it makes a Triangle only to print a counterexample.
 
 Reports go to stdout as JSON (schema "cuoco-report/1", floats rounded to
 twelve decimals so identical inputs give byte-identical output);
@@ -20,17 +22,8 @@ import random
 import sys
 
 from . import checks, circles, cosine_law, decomposition, figures, three_sum
-from .geometry import (
-    TOLERANCE,
-    GeometryError,
-    Point,
-    Triangle,
-    VERTICES,
-    triangle_from_sides,
-    _point,
-    _Record,
-    _worst,
-)
+from .geometry import (SIDES, TOLERANCE, TWICE_AREA, VERTICES, GeometryError, Point, Triangle,
+                       triangle_from_sides, _frame, _Record, _worst)
 
 SCHEMA = "cuoco-report/1"
 
@@ -223,8 +216,8 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def random_triangle(rng: random.Random) -> Triangle:
-    """Rejection-sample a usable triangle with coordinates in [-10, 10].
+def _sample(rng: random.Random) -> tuple:
+    """The frame of a usable random triangle, coordinates in [-10, 10].
 
     Collinear triples are rejected outright; numerically thin ones (tiny
     area or side) are rejected as well, since residual checks at 1e-9
@@ -233,28 +226,32 @@ def random_triangle(rng: random.Random) -> Triangle:
     draw = rng.random
     while True:
         # rng.uniform(-10.0, 10.0) inlined, the same arithmetic, drawn x then
-        # y for A, B, C. Each is finite, so the points skip Point's check.
+        # y for A, B, C.
         try:
-            t = Triangle(_point(-10.0 + 20.0 * draw(), -10.0 + 20.0 * draw()),
-                         _point(-10.0 + 20.0 * draw(), -10.0 + 20.0 * draw()),
-                         _point(-10.0 + 20.0 * draw(), -10.0 + 20.0 * draw()))
+            f = _frame(-10.0 + 20.0 * draw(), -10.0 + 20.0 * draw(),
+                       -10.0 + 20.0 * draw(), -10.0 + 20.0 * draw(),
+                       -10.0 + 20.0 * draw(), -10.0 + 20.0 * draw())
         except GeometryError:
             continue
-        m = t.metrics
-        if abs(t.twice_area) < 1e-6 or min(m.a, m.b, m.c) < 1e-6:
+        if abs(f[TWICE_AREA]) < 1e-6 or min(f[SIDES]) < 1e-6:
             continue
-        return t
+        return f
+
+
+def random_triangle(rng: random.Random) -> Triangle:
+    """The Triangle of the next frame `fuzz` would draw from rng; see _sample."""
+    return Triangle._from_frame(_sample(rng))
 
 
 def run_fuzz(count: int, seed, tol: float) -> dict:
     rng = random.Random(seed)
     maxima: dict[str, float] = {}
-    # Looked up once per call, not per record; a patched checks.rows is seen.
-    setdefault, rows = maxima.setdefault, checks.rows
+    # Looked up once per call, not per record; a patched checks._rows is seen.
+    setdefault, rows = maxima.setdefault, checks._rows
     counterexample = None
     for index in range(count):
-        t = random_triangle(rng)
-        for name, _, residual, scale, _ in rows(t):
+        f = _sample(rng)
+        for name, _, residual, scale, _ in rows(f):
             value = abs(residual) / scale
             # A check's first record creates its entry, 0.0 included. As in
             # _worst, a NaN residual (the one value not equal to itself)
@@ -266,7 +263,7 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
                     "index": index,
                     "check": name,
                     "residual": value,
-                    "triangle": _triangle_json(t),
+                    "triangle": _triangle_json(Triangle._from_frame(f)),
                 }
         if counterexample is not None:
             break

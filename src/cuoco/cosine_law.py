@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (
-    VERTICES,
-    GeometryError,
-    Triangle,
-    TriangleMetrics,
-    _check_sides,
-    _check_vertex,
-)
+from .geometry import (DOTS, SIDE_SQUARES, SIDES, SQUARES, VERTICES, GeometryError, Triangle,
+                       TriangleMetrics, _check_sides, _check_vertex)
 
 
 class DomainError(GeometryError):
@@ -46,11 +40,11 @@ def cos_from_sides(a: float, b: float, c: float) -> float:
     return (a * a + b * b - c * c) / (2.0 * a * b)
 
 
-def _defects(t: Triangle) -> tuple:
-    """(defect, residual) at A, B and C; see euclid_defect."""
-    a2, b2, c2 = t._side_squares
-    dots = t._dots
-    at_a, at_b, at_c = 2 * dots["A"], 2 * dots["B"], 2 * dots["C"]
+def _defects(f: tuple) -> tuple:
+    """(defect, residual) at A, B and C of a frame; see euclid_defect."""
+    a2, b2, c2 = f[SQUARES]
+    dot_a, dot_b, dot_c = f[DOTS]
+    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
     # At V: the opposite side's square, minus the squares of V's two legs.
     return ((at_a, a2 - c2 - b2 + at_a), (at_b, b2 - a2 - c2 + at_b),
             (at_c, c2 - b2 - a2 + at_c))
@@ -67,20 +61,21 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     negation square alike, so which way a side runs does not matter.
     """
     _check_vertex(at_vertex)
-    return _defects(t)[VERTICES.index(at_vertex)]
+    return _defects(t.frame)[VERTICES.index(at_vertex)]
 
 
-def _identity_residuals(m: TriangleMetrics, cos_alpha, cos_beta, cos_gamma) -> tuple:
-    """verify_cosine_identity's residuals, given the angles' cosines."""
-    a2, b2, c2 = m.side_squares
+def _identity_residuals(f: tuple, cos_alpha, cos_beta, cos_gamma) -> tuple:
+    """verify_cosine_identity's residuals from a frame, given the angles' cosines."""
+    a, b, c = f[SIDES]
+    a2, b2, c2 = f[SIDE_SQUARES]
     return (
-        a2 - b2 - c2 + 2.0 * m.b * m.c * cos_alpha,
-        b2 - a2 - c2 + 2.0 * m.a * m.c * cos_beta,
-        c2 - a2 - b2 + 2.0 * m.a * m.b * cos_gamma,
+        a2 - b2 - c2 + 2.0 * b * c * cos_alpha,
+        b2 - a2 - c2 + 2.0 * a * c * cos_beta,
+        c2 - a2 - b2 + 2.0 * a * b * cos_gamma,
     )
 
 
 def verify_cosine_identity(m: TriangleMetrics) -> tuple[float, float, float]:
     """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic
     forms, at A, B and C; max side^2 is their scale."""
-    return _identity_residuals(m, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
+    return _identity_residuals(m.frame, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))

@@ -25,20 +25,11 @@ quad areas is a real check rather than an algebraic identity.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import itemgetter
 
-from .geometry import (
-    OPPOSITE_SIDE,
-    NonFiniteCoordinate,
-    Point,
-    Triangle,
-    TriangleMetrics,
-    cross,
-    _check_vertex,
-    _point,
-    _Record,
-    _worst,
-)
+from .geometry import (COORDS, DOTS, FEET, LEGS, SIDE_SQUARES, SIDES, VERTICES,
+                       NonFiniteCoordinate, Point, Triangle, TriangleMetrics, cross, _check_vertex,
+                       _point, _Record, _worst)
 
 PAIR_CLASSES = ("R", "S", "T")
 PANEL_LABELS = ("R1", "R2", "S1", "S2", "T1", "T2")
@@ -51,9 +42,6 @@ HOSTED_PANELS = {"a": ("T2", "R1"), "b": ("R2", "S1"), "c": ("S2", "T1")}
 
 # Pair class -> the vertex whose two legs' dot is its area.
 _PAIR_VERTEX = {"R": "C", "S": "A", "T": "B"}
-
-# Vertex V -> (|VP|, |VQ|) read from the metrics, (P, Q) = OPPOSITE_SIDE[V].
-_LEG_LENGTHS = {"A": attrgetter("c", "b"), "B": attrgetter("a", "c"), "C": attrgetter("b", "a")}
 
 
 class SquareOnSide(_Record):
@@ -109,8 +97,8 @@ def shoelace(points) -> float:
     return total / 2.0
 
 
-def _side_corners(t: Triangle) -> list[tuple]:
-    """The corners `build` places on each side, in SIDE_FRAMES order.
+def _side_corners(f: tuple) -> list[tuple]:
+    """The corners `build` places on each side, in SIDE_FRAMES order, from a frame.
 
     Each entry is (px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy):
     the side's endpoints p and q, the foot f of the altitude on its line,
@@ -120,25 +108,26 @@ def _side_corners(t: Triangle) -> list[tuple]:
     counterclockwise from the side, and the foot splits it into the panels
     (foot, p, p_out, foot_out) and (q, foot, foot_out, q_out).
     """
+    ax, ay, bx, by, cx, cy = f[COORDS]
+    _, _, acx, acy, _, _, bax, bay, _, _, cbx, cby = f[LEGS]
+    fax, fay, fbx, fby, fcx, fcy = f[FEET]
     corners = []
-    for first, second, opposite in SIDE_FRAMES.values():
-        p, q = getattr(t, first), getattr(t, second)
-        px, py, qx, qy = p.x, p.y, q.x, q.y
-        foot, _ = t._feet[opposite]
-        fx, fy = foot.x, foot.y
-        # The legs at q are (v - q, p - q); perp(p - q) = (-(p - q).y, (p - q).x).
-        side = t._legs[second][1]
-        nx, ny = -side.y, side.x
+    # p - q is the leg at q toward p: B - C, C - A and A - B.
+    for px, py, qx, qy, fx, fy, sx, sy in ((bx, by, cx, cy, fax, fay, cbx, cby),
+                                           (cx, cy, ax, ay, fbx, fby, acx, acy),
+                                           (ax, ay, bx, by, fcx, fcy, bax, bay)):
+        nx, ny = -sy, sx  # perp(p - q)
         corners.append((px, py, qx, qy, fx, fy,
                         px + nx, py + ny, qx + nx, qy + ny, fx + nx, fy + ny))
     return corners
 
 
-def _quad_areas(t: Triangle) -> list[float]:
-    """shoelace(panel.quad) for each panel of build(t), in PANEL_LABELS order:
-    the same corners, and the same terms summed alike, so bit for bit."""
+def _quad_areas(f: tuple) -> list[float]:
+    """shoelace(panel.quad) for each panel that build makes of a frame's
+    triangle, in PANEL_LABELS order: the same corners, and the same terms
+    summed alike, so bit for bit."""
     areas = []
-    for px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy in _side_corners(t):
+    for px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy in _side_corners(f):
         # (foot, p, p_out, foot_out), then (q, foot, foot_out, q_out)
         areas.append((0 + (fx * py - fy * px) + (px * poy - py * pox)
                       + (pox * foy - poy * fox) + (fox * fy - foy * fx)) / 2.0)
@@ -148,11 +137,11 @@ def _quad_areas(t: Triangle) -> list[float]:
     return areas[1:] + areas[:1]
 
 
-def _finite_quad_areas(t: Triangle) -> list[float]:
-    """_quad_areas(t), or NonFiniteCoordinate if they overflow: the quads sit
+def _finite_quad_areas(f: tuple) -> list[float]:
+    """_quad_areas(f), or NonFiniteCoordinate if they overflow: the quads sit
     in absolute coordinates, so their cross products can overflow where the
     triangle's own sizes do not."""
-    areas = _quad_areas(t)
+    areas = _quad_areas(f)
     if not math.isfinite(sum(areas)):
         raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
     return areas
@@ -165,19 +154,21 @@ def panel_area_exact(pair: str, t: Triangle):
     """
     if pair not in _PAIR_VERTEX:
         raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
-    return t._dots[_PAIR_VERTEX[pair]]
+    return t.frame[DOTS][VERTICES.index(_PAIR_VERTEX[pair])]
 
 
-def _trig_areas(m: TriangleMetrics, cos_alpha, cos_beta, cos_gamma) -> tuple:
-    """The pair areas R, S, T on the trigonometric route, given the angles' cosines."""
-    return m.a * m.b * cos_gamma, m.b * m.c * cos_alpha, m.a * m.c * cos_beta
+def _trig_areas(f: tuple, cos_alpha, cos_beta, cos_gamma) -> tuple:
+    """The pair areas R, S, T on the trigonometric route from a frame's
+    sides, given the angles' cosines."""
+    a, b, c = f[SIDES]
+    return a * b * cos_gamma, b * c * cos_alpha, a * c * cos_beta
 
 
 def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
     """Pair area on the trigonometric route: two sides times the included cosine."""
     if pair not in _PAIR_VERTEX:
         raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
-    areas = _trig_areas(m, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
+    areas = _trig_areas(m.frame, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
     return areas[PAIR_CLASSES.index(pair)]
 
 
@@ -185,28 +176,20 @@ def build(t: Triangle) -> CuocoDecomposition:
     """Construct the three exterior squares and the six altitude panels."""
     squares = []
     panels = []
-    for (side, (first, second, opposite)), corners in zip(SIDE_FRAMES.items(), _side_corners(t)):
-        p, q, (foot, _) = getattr(t, first), getattr(t, second), t._feet[opposite]
-        pox, poy, qox, qoy, fox, foy = corners[6:]
-        p_out, q_out, foot_out = _point(pox, poy), _point(qox, qoy), _point(fox, foy)
+    dots = dict(zip(VERTICES, t.frame[DOTS]))
+    for (side, (first, second, _)), corners in zip(SIDE_FRAMES.items(), _side_corners(t.frame)):
+        p, q = getattr(t, first), getattr(t, second)
+        fx, fy, pox, poy, qox, qoy, fox, foy = corners[4:]
+        foot, p_out = _point(fx, fy), _point(pox, poy)
+        q_out, foot_out = _point(qox, qoy), _point(fox, foy)
         squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
         first_label, second_label = HOSTED_PANELS[side]
-        panels.append(RectanglePanel(
-            label=first_label,
-            host=side,
-            signed_area=t._dots[first],
-            quad=(foot, p, p_out, foot_out),
-        ))
-        panels.append(RectanglePanel(
-            label=second_label,
-            host=side,
-            signed_area=t._dots[second],
-            quad=(q, foot, foot_out, q_out),
-        ))
+        panels.append(RectanglePanel(first_label, side, dots[first], (foot, p, p_out, foot_out)))
+        panels.append(RectanglePanel(second_label, side, dots[second], (q, foot, foot_out, q_out)))
     # Built as T2, R1, R2, S1, S2, T1; one place round is PANEL_LABELS order.
     panels = panels[1:] + panels[:1]
     # Each panel's signed area is its pair's panel_area_exact: the same
-    # stored dot of the same two legs.
+    # dot of the same two legs.
     r1, _, s1, _, t1, _ = panels
     return CuocoDecomposition(
         triangle=t,
@@ -238,25 +221,30 @@ class SimilarityReport(_Record):
         self.scale = scale
 
 
-def _similarity(t: Triangle, at_vertex: str) -> tuple[float, float, float, float]:
-    """similarity_check's (ch, ck, residual, scale) at a vertex."""
-    v = getattr(t, at_vertex)
-    first, second = OPPOSITE_SIDE[at_vertex]  # P, Q in cyclic order
-    foot_h, _ = t._feet[first]  # on line (v, q)
-    foot_k, _ = t._feet[second]  # on line (v, p)
-    vp, vq = t._legs[at_vertex]
-    # The same square roots of the same dots as norm(vp), norm(vq).
-    len_vp, len_vq = _LEG_LENGTHS[at_vertex](t.metrics)
-    vx, vy = v.x, v.y
-    ch = ((foot_h.x - vx) * vq.x + (foot_h.y - vy) * vq.y) / len_vq  # dot(foot_h - v, vq)
-    ck = ((foot_k.x - vx) * vp.x + (foot_k.y - vy) * vp.y) / len_vp
+# Vertex V -> the frame's values _similarity reads: V, the legs (P - V, Q - V),
+# the feet from P (on line VQ) and from Q (on line VP), |VP| and |VQ|, with
+# (P, Q) = OPPOSITE_SIDE[V] and v, p, q the three's indices.
+_SIMILARITY_READERS = {
+    name: itemgetter(COORDS.start + 2 * v, COORDS.start + 2 * v + 1,
+                     *range(LEGS.start + 4 * v, LEGS.start + 4 * v + 4), FEET.start + 2 * p,
+                     FEET.start + 2 * p + 1, FEET.start + 2 * q, FEET.start + 2 * q + 1,
+                     SIDES.start + q, SIDES.start + p)
+    for name, v, p, q in (("A", 0, 1, 2), ("B", 1, 2, 0), ("C", 2, 0, 1))}
+
+
+def _similarity(f: tuple, at_vertex: str) -> tuple[float, float, float, float]:
+    """similarity_check's (ch, ck, residual, scale) at a vertex, from a frame."""
+    # |VP| and |VQ| are the same square roots of the same dots as norm(vp), norm(vq).
+    vx, vy, vpx, vpy, vqx, vqy, hx, hy, kx, ky, len_vp, len_vq = _SIMILARITY_READERS[at_vertex](f)
+    ch = ((hx - vx) * vqx + (hy - vy) * vqy) / len_vq  # dot(foot_h - v, vq)
+    ck = ((kx - vx) * vpx + (ky - vy) * vpy) / len_vp
     product = len_vp * len_vq  # the scale is max(1.0, product)
     return ch, ck, len_vp * ck - len_vq * ch, product if product > 1.0 else 1.0
 
 
 def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     _check_vertex(at_vertex)
-    return SimilarityReport(at_vertex, *_similarity(t, at_vertex))
+    return SimilarityReport(at_vertex, *_similarity(t.frame, at_vertex))
 
 
 class DerivationStep(_Record):
@@ -286,10 +274,10 @@ _CHAIN = (
 )
 
 
-def _chain(m: TriangleMetrics, quad_areas, s_pair) -> tuple[tuple, float]:
-    """The values of the _CHAIN steps from the quad areas (in PANEL_LABELS
-    order) and the S pair area, and the worst |step - a^2|."""
-    a2, b2, c2 = m.side_squares
+def _chain(f: tuple, quad_areas, s_pair) -> tuple[tuple, float]:
+    """The values of the _CHAIN steps from a frame's metrics, the quad areas
+    (in PANEL_LABELS order) and the S pair area, and the worst |step - a^2|."""
+    a2, b2, c2 = f[SIDE_SQUARES]
     r1, r2, s1, s2, t1, t2 = quad_areas
     values = (a2, r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * s_pair)
     return values, _worst([abs(value - a2) for value in values])
@@ -309,4 +297,4 @@ def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     Intermediate steps use the constructed quads (the geometric route);
     the final form uses the certified S pair area.
     """
-    return _trace(*_chain(d.metrics, _quad_areas(d.triangle), d.pair_areas.S))
+    return _trace(*_chain(d.metrics.frame, _quad_areas(d.triangle.frame), d.pair_areas.S))

@@ -1,5 +1,11 @@
 """Planar primitives: points, triangles, and the measurements built on them.
 
+Every per-triangle value (legs, twice the area, squared sides, the legs'
+dots, altitude feet, metrics, classification) is computed in one place,
+`_frame`, from the six vertex coordinates, into one flat tuple laid out as
+the slices and indices below name. `Triangle` stores its frame; `fuzz` and
+the check catalogue read frames without building a Triangle.
+
 Coordinates keep the numeric type they arrive with. Integer input stays
 integer all the way through the dot-product identities, so those can be
 checked exactly; nothing in this module coerces to float except the
@@ -23,6 +29,19 @@ RIGHT_ANGLE_BAND = 1e-9
 # A check passes when |residual| / scale <= TOLERANCE, unless the caller
 # gives its own tolerance (`--tol`, a reading's `tol`).
 TOLERANCE = 1e-9
+
+# The frame's layout. First TriangleMetrics' values, in its order: a = |BC|,
+# b = |CA|, c = |AB|, the angles, s, the area, the side cosines, side_squares,
+# the area and length floors and the classification. Then, exact for exact
+# input: the vertices (ax, ay, ..., cy), counterclockwise; the legs leaving A,
+# B and C, (P - V, Q - V) with (P, Q) = OPPOSITE_SIDE[V], x then y; twice the
+# area; |BC|^2, |CA|^2, |AB|^2 as dots of the legs; the dots of the two legs
+# at A, B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y.
+SIDES, ANGLES, SEMIPERIMETER, AREA, COSINES = slice(0, 3), slice(3, 6), 6, 7, slice(8, 11)
+SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE, CLASSIFICATION = slice(11, 14), 14, 15, 16
+METRICS = slice(0, 17)
+COORDS, LEGS, TWICE_AREA, SQUARES = slice(17, 23), slice(23, 35), 35, slice(36, 39)
+DOTS, FOOT_PARAMS, FEET = slice(39, 42), slice(42, 45), slice(45, 51)
 
 
 class GeometryError(ValueError):
@@ -68,8 +87,9 @@ class _Record:
 
 class _Frozen(_Record):
     """An immutable _Record, hashed by its fields. Each subclass declares
-    `__slots__`, its fields followed by any values stored beside them, and
-    has no instance `__dict__`. Assignment raises, so constructors set the
+    `__slots__`, its fields followed by any values stored beside them (or,
+    for a view, the one value its fields are read from), and has no
+    instance `__dict__`. Assignment raises, so constructors set the
     slots through their descriptors (`_store`) or `object.__setattr__`;
     copy and pickle rebuild a value through its constructor."""
 
@@ -100,17 +120,17 @@ class _Frozen(_Record):
 class Point(_Frozen):
     """A point or vector. `Point(x, y)` checks that both are finite.
 
-    The per-triangle constructions (the triangle's legs and feet, the
-    circles, the panel corners) compute in local floats read once from the
-    stored points, and make a Point only for a value they store. Their
-    results match the point-arithmetic forms (`-`, `dot`, `cross`, `norm`)
-    bit for bit: the same operations, associated alike.
+    The per-triangle constructions (the legs and feet, the circles, the
+    panel corners) compute in local floats read from the triangle's frame,
+    and make a Point only for a value they return. Their results match the
+    point-arithmetic forms (`-`, `dot`, `cross`, `norm`) bit for bit: the
+    same operations, associated alike.
 
     Computed points, like the results of arithmetic on points, are built by
     `_point` without the finiteness check: their inputs were checked
     already, and the one way they can stop being finite, overflow, is
-    caught once per triangle by `Triangle` (and by the circle centres,
-    which mix in absolute coordinates).
+    caught once per triangle by `_frame` (and by the circle centres, which
+    mix in absolute coordinates).
     """
 
     __slots__ = _fields = ("x", "y")
@@ -171,62 +191,95 @@ class Triangle(_Frozen):
     so side names keep their meaning: a = |BC|, b = |CA|, c = |AB|, with
     alpha, beta, gamma the angles at A, B, C.
 
-    Construction is where finiteness is checked: twice the area and the
-    squared sides must be finite, so that no coordinate difference, dot or
-    cross product computed from the triangle later can overflow. The
-    squared sides must also be nonzero, since the feet and the cosines
-    divide by them. The legs' dots, the metrics and the feet are computed
-    here too: every reader needs them, and a Triangle never changes.
+    Construction computes the frame once (`_frame`, which raises on bad
+    input) and stores it beside the vertices, with twice the area and the
+    metrics, a view of the frame.
     """
 
     # Only the vertices are fields; the values stored beside them stay out
     # of repr, equality and hash.
     _fields = ("A", "B", "C")
-    # twice_area is positive; _side_squares is (a^2, b^2, c^2), each the dot
-    # of a side vector with itself.
-    __slots__ = _fields + ("twice_area", "_side_squares", "_legs", "_dots", "_feet", "metrics")
+    __slots__ = _fields + ("twice_area", "frame", "metrics")
 
     def __init__(self, A: Point, B: Point, C: Point) -> None:
-        ax, ay, bx, by, cx, cy = A.x, A.y, B.x, B.y, C.x, C.y
-        abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
-        doubled = abx * acy - aby * acx  # cross(B - A, C - A)
-        if doubled < 0:
-            B, C = C, B
-            bx, by, cx, cy = cx, cy, bx, by
-            abx, aby, acx, acy = acx, acy, abx, aby
-            doubled = -doubled  # exact: the cross product of the swapped sides
-        bcx, bcy, cax, cay = cx - bx, cy - by, ax - cx, ay - cy
-        bax, bay, cbx, cby = ax - bx, ay - by, bx - cx, by - cy
-        squares = (bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby)
-        # All four are nonnegative, so a finite sum means each is finite;
-        # only a sum that overflows needs each tested.
-        if (not _is_finite(doubled + squares[0] + squares[1] + squares[2])
-                and not all(map(_is_finite, (doubled, *squares)))):
-            raise NonFiniteCoordinate(
-                f"coordinates overflow: twice the area or a squared side of "
-                f"{A}, {B}, {C} is not finite"
-            )
-        if doubled == 0:
-            raise CollinearPoints(f"vertices are collinear: {A}, {B}, {C}")
-        if not all(squares):
-            raise GeometryError(f"a squared side of {A}, {B}, {C} underflows to zero")
-        # Vertex V -> (P - V, Q - V), the two sides leaving V, with
-        # (P, Q) = OPPOSITE_SIDE[V]. Every check reads its side vectors here.
-        legs = {"A": (_point(abx, aby), _point(acx, acy)),
-                "B": (_point(bcx, bcy), _point(bax, bay)),
-                "C": (_point(cax, cay), _point(cbx, cby))}
-        # Vertex V -> the dot of its two legs: half the Euclid defect at V,
-        # and the pair area S (at A), T (at B) or R (at C).
-        dot_a, dot_b, dot_c = abx * acx + aby * acy, bcx * bax + bcy * bay, cax * cbx + cay * cby
-        # Vertex V -> foot_of_altitude(self, V): the side opposite V runs
-        # from P along the leg (Q - P), and the foot's parameter is the dot
-        # at P over that side's square.
-        t_a, t_b, t_c = dot_b / squares[0], dot_c / squares[1], dot_a / squares[2]
-        feet = {"A": (_point(bx + t_a * bcx, by + t_a * bcy), t_a),
-                "B": (_point(cx + t_b * cax, cy + t_b * cay), t_b),
-                "C": (_point(ax + t_c * abx, ay + t_c * aby), t_c)}
-        self._store(A, B, C, doubled, squares, legs, {"A": dot_a, "B": dot_b, "C": dot_c}, feet)
-        object.__setattr__(self, "metrics", metrics(self))
+        self._keep(_frame(A.x, A.y, B.x, B.y, C.x, C.y))
+
+    @classmethod
+    def _from_frame(cls, f: tuple) -> "Triangle":
+        """The Triangle whose frame is f, without computing it again."""
+        t = object.__new__(cls)
+        t._keep(f)
+        return t
+
+    def _keep(self, f: tuple) -> None:
+        ax, ay, bx, by, cx, cy = f[COORDS]
+        self._store(_point(ax, ay), _point(bx, by), _point(cx, cy), f[TWICE_AREA], f,
+                    TriangleMetrics._view(f))
+
+
+def _frame(ax, ay, bx, by, cx, cy) -> tuple:
+    """The frame of the triangle with these vertices, clockwise ones re-labeled.
+
+    Twice the area and the squared sides must be finite, so that nothing
+    computed from the frame later can overflow, and the squared sides
+    nonzero, since the feet and the cosines divide by them.
+
+    Each angle is atan2(2 * area, dot) of the two legs leaving its vertex;
+    the arccosine of a side cosine near +-1 loses every digit of a small
+    angle on a needle-like triangle (W. Kahan, "Miscalculating Area and
+    Angles of a Needle-like Triangle", 2014).
+    """
+    abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
+    doubled = abx * acy - aby * acx  # cross(B - A, C - A)
+    if doubled < 0:
+        bx, by, cx, cy = cx, cy, bx, by
+        abx, aby, acx, acy = acx, acy, abx, aby
+        doubled = -doubled  # exact: the cross product of the swapped sides
+    bcx, bcy, cax, cay = cx - bx, cy - by, ax - cx, ay - cy
+    bax, bay, cbx, cby = ax - bx, ay - by, bx - cx, by - cy
+    # |BC|^2, |CA|^2, |AB|^2, each the dot of a leg with itself
+    sq_a, sq_b, sq_c = bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby
+    # All four are nonnegative, so a finite sum means each is finite;
+    # only a sum that overflows needs each tested.
+    if (not _is_finite(doubled + sq_a + sq_b + sq_c)
+            and not all(map(_is_finite, (doubled, sq_a, sq_b, sq_c)))):
+        raise NonFiniteCoordinate(
+            f"coordinates overflow: twice the area or a squared side of "
+            f"{_named(ax, ay, bx, by, cx, cy)} is not finite"
+        )
+    if doubled == 0:
+        raise CollinearPoints(f"vertices are collinear: {_named(ax, ay, bx, by, cx, cy)}")
+    if not (sq_a and sq_b and sq_c):
+        raise GeometryError(
+            f"a squared side of {_named(ax, ay, bx, by, cx, cy)} underflows to zero")
+    # The dot of the two legs at V: half the Euclid defect at V, and the
+    # pair area S (at A), T (at B) or R (at C).
+    dot_a, dot_b, dot_c = abx * acx + aby * acy, bcx * bax + bcy * bay, cax * cbx + cay * cby
+    # The side opposite V runs from P along the leg (Q - P), and the foot's
+    # parameter is the dot at P over that side's square.
+    t_a, t_b, t_c = dot_b / sq_a, dot_c / sq_b, dot_a / sq_c
+    a, b, c = math.sqrt(sq_a), math.sqrt(sq_b), math.sqrt(sq_c)
+    a2, b2, c2 = a * a, b * b, c * c
+    # The cosine at each vertex: (adjacent^2 + adjacent^2 - opposite^2)
+    # over twice the adjacent sides' product.
+    cosines = ((b2 + c2 - a2) / (2.0 * b * c), (a2 + c2 - b2) / (2.0 * a * c),
+               (a2 + b2 - c2) / (2.0 * a * b))
+    # The same squares again, as metrics built from their fields compute them.
+    (a2, b2, c2), area_scale, length_scale, classification = _beside(a, b, c, cosines)
+    cos_a, cos_b, cos_c = cosines
+    atan2 = math.atan2
+    return (a, b, c, atan2(doubled, dot_a), atan2(doubled, dot_b), atan2(doubled, dot_c),
+            (a + b + c) / 2.0, doubled / 2.0, cos_a, cos_b, cos_c, a2, b2, c2,
+            area_scale, length_scale, classification,
+            ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
+            doubled, sq_a, sq_b, sq_c, dot_a, dot_b, dot_c, t_a, t_b, t_c,
+            bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay,
+            ax + t_c * abx, ay + t_c * aby)
+
+
+def _named(ax, ay, bx, by, cx, cy) -> str:
+    """Three vertices as the error messages name them, as Points."""
+    return f"{_point(ax, ay)}, {_point(bx, by)}, {_point(cx, cy)}"
 
 
 def _is_finite(value) -> bool:
@@ -255,45 +308,47 @@ def _check_vertex(name: str) -> None:
 
 
 class TriangleMetrics(_Frozen):
+    """Side lengths, angles (radians), semiperimeter, area, side cosines, and
+    beside them the values of `_beside`: a view of a frame's first METRICS
+    values. Built from the fields (a copy, a pickle), the metrics compute
+    those values into a frame of their own."""
+
     _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
-    # Stored beside the fields, each computed here once per triangle:
-    # side_squares is (a * a, b * b, c * c), the squared lengths the checks
-    # compare areas with; area_scale and length_scale floor the residual
-    # scales of areas and of lengths at 1; classification is classify(self).
-    __slots__ = _fields + ("side_squares", "area_scale", "length_scale", "classification")
+    __slots__ = ("frame",)
+    # a, b, c and the angles lead the frame.
+    (a, b, c, alpha, beta, gamma, s, area, cosines, side_squares, area_scale, length_scale,
+     classification) = (property(lambda m, where=where: m.frame[where]) for where in (
+         0, 1, 2, 3, 4, 5, SEMIPERIMETER, AREA, COSINES, SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE,
+         CLASSIFICATION))
 
     def __init__(self, a: float, b: float, c: float, alpha: float, beta: float, gamma: float,
                  s: float, area: float, cosines: tuple[float, float, float]) -> None:
-        # cosines: the side cosines at A, B, C
-        squares = (a * a, b * b, c * c)
-        self._store(a, b, c, alpha, beta, gamma, s, area, cosines,
-                    squares, max(1.0, *squares), max(1.0, a, b, c))
-        object.__setattr__(self, "classification", classify(self))
+        squares, area_scale, length_scale, classification = _beside(a, b, c, cosines)
+        self._store((a, b, c, alpha, beta, gamma, s, area, *cosines, *squares, area_scale,
+                     length_scale, classification))
+
+    @classmethod
+    def _view(cls, f: tuple) -> "TriangleMetrics":
+        m = object.__new__(cls)
+        m._store(f)
+        return m
 
 
-def metrics(t: Triangle) -> TriangleMetrics:
-    """Side lengths, angles (radians), semiperimeter, area, side cosines.
-
-    Each angle is atan2(2 * area, dot) of the two side vectors leaving its
-    vertex; the dots are the pair areas S, T, R. The arccosine of a side
-    cosine near +-1 loses every digit of a small angle on a needle-like
-    triangle (W. Kahan, "Miscalculating Area and Angles of a Needle-like
-    Triangle", 2014); this form keeps them.
-    """
-    a, b, c = map(math.sqrt, t._side_squares)
-    twice_area = t.twice_area
-    dots = t._dots
-    a2, b2, c2 = a * a, b * b, c * c  # the side_squares TriangleMetrics stores
-    return TriangleMetrics(
-        a, b, c,
-        math.atan2(twice_area, dots["A"]), math.atan2(twice_area, dots["B"]),
-        math.atan2(twice_area, dots["C"]),
-        (a + b + c) / 2.0, twice_area / 2.0,
-        # The cosine at each vertex: (adjacent^2 + adjacent^2 - opposite^2)
-        # over twice the adjacent sides' product.
-        ((b2 + c2 - a2) / (2.0 * b * c), (a2 + c2 - b2) / (2.0 * a * c),
-         (a2 + b2 - c2) / (2.0 * a * b)),
-    )
+def _beside(a, b, c, cosines) -> tuple:
+    """(a * a, b * b, c * c), the area and length floors (the residual scales
+    of areas and lengths) and the classification by the smallest side cosine,
+    where |cos| <= RIGHT_ANGLE_BAND reads as right."""
+    squares = (a * a, b * b, c * c)
+    # min() over the vertices, the first of equal cosines
+    cos_a, cos_b, cos_c = cosines
+    vertex, smallest = "A", cos_a
+    if cos_b < smallest:
+        vertex, smallest = "B", cos_b
+    if cos_c < smallest:
+        vertex, smallest = "C", cos_c
+    classification = (_OBTUSE[vertex] if smallest < -RIGHT_ANGLE_BAND
+                      else _RIGHT[vertex] if smallest <= RIGHT_ANGLE_BAND else _ACUTE)
+    return squares, max(1.0, *squares), max(1.0, a, b, c), classification
 
 
 class Classification(_Frozen):
@@ -308,31 +363,11 @@ class Classification(_Frozen):
         return self.kind == "acute"
 
 
-# The seven answers classify gives, shared by every triangle: a
-# Classification is frozen, so no reader can change another's.
+# The seven classifications, shared by every triangle: a Classification is
+# frozen, so no reader can change another's.
 _ACUTE = Classification("acute")
 _RIGHT = {v: Classification("right", v) for v in VERTICES}
 _OBTUSE = {v: Classification("obtuse", v) for v in VERTICES}
-
-
-def classify(m: TriangleMetrics) -> Classification:
-    """Acute/right/obtuse by the smallest side cosine.
-
-    The band is on the cosine, not the angle: |cos| <= RIGHT_ANGLE_BAND
-    reads as right.
-    """
-    # min() over the vertices, the first of equal cosines
-    cos_a, cos_b, cos_c = m.cosines
-    vertex, smallest = "A", cos_a
-    if cos_b < smallest:
-        vertex, smallest = "B", cos_b
-    if cos_c < smallest:
-        vertex, smallest = "C", cos_c
-    if smallest < -RIGHT_ANGLE_BAND:
-        return _OBTUSE[vertex]
-    if smallest <= RIGHT_ANGLE_BAND:
-        return _RIGHT[vertex]
-    return _ACUTE
 
 
 def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
@@ -375,4 +410,6 @@ def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:
     beyond the segment, which happens exactly at an obtuse base angle.
     """
     _check_vertex(from_vertex)
-    return t._feet[from_vertex]
+    f, i = t.frame, VERTICES.index(from_vertex)
+    feet = f[FEET]
+    return _point(feet[2 * i], feet[2 * i + 1]), f[FOOT_PARAMS][i]

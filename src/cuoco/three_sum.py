@@ -19,7 +19,8 @@ import math
 
 from .circles import CircumcircleData, IncircleData
 from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import (TOLERANCE, Classification, GeometryError, Triangle, TriangleMetrics,
+from .geometry import (ANGLES, AREA_SCALE, CLASSIFICATION, LENGTH_SCALE, SEMIPERIMETER,
+                       SIDE_SQUARES, SIDES, TOLERANCE, Classification, GeometryError, Triangle,
                        _Frozen, _Record, _is_finite, _worst)
 
 
@@ -90,7 +91,7 @@ class InterpretationReport(_Record):
     `all_positive` is None when the sides reading cannot tell a tangent
     length's sign within rounding. `acute_iff_positive` records
     whether positivity agreed with the acute classification; None when
-    `classify` reads the triangle as right (a side cosine within
+    the triangle is classified right (a side cosine within
     `RIGHT_ANGLE_BAND` of zero) or when the question does not apply (side
     lengths are positive for every triangle).
     """
@@ -137,19 +138,20 @@ def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, v
         max_residual <= tol and verdict_flag is not False)
 
 
-def _squares(m: TriangleMetrics, exact: tuple, trig: tuple) -> tuple:
-    """The squares reading's values (see _report) from the pair areas (R, T, S) by both routes."""
-    solution = _solve(*m.side_squares)
-    positive, cls = _all_positive(*m.side_squares), m.classification
+def _squares(f: tuple, exact: tuple, trig: tuple) -> tuple:
+    """The squares reading's values (see _report) from a frame and the pair areas (R, T, S)."""
+    a2, b2, c2 = f[SIDE_SQUARES]
+    solution = _solve(a2, b2, c2)
+    positive, cls = _all_positive(a2, b2, c2), f[CLASSIFICATION]
     acute = None if cls.kind == "right" else positive == cls.is_acute
-    return solution, trig, positive, acute, _deviation(solution, (exact,), trig, m.area_scale)
+    return solution, trig, positive, acute, _deviation(solution, (exact,), trig, f[AREA_SCALE])
 
 
 def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
     m = t.metrics
     exact = (panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t))
-    values = _squares(m, exact,
+    values = _squares(t.frame, exact,
                       (panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)))
     return _report("squares", m.side_squares, {"x": "R", "y": "T", "z": "S"}, (exact,), values,
                    m.classification, values[3], tol)
@@ -165,15 +167,16 @@ def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationRepo
 SIDES_BUDGET = 8
 
 
-def _sides(m: TriangleMetrics, lengths: tuple) -> tuple:
-    """The sides reading's values (see _report) from the tangent lengths at C, B and A."""
-    a, b, c, s = m.a, m.b, m.c, m.s
+def _sides(f: tuple, lengths: tuple) -> tuple:
+    """The sides reading's values (see _report) from a frame and the tangent lengths at C, B, A."""
+    a, b, c = f[SIDES]
+    s = f[SEMIPERIMETER]
     solution = _solve(a, b, c)
     closed = (s - c, s - b, s - a)
     smallest = min(solution)
     undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
     return (solution, closed, None if undecided else smallest > 0, None,
-            _deviation(solution, (lengths,), closed, m.length_scale))
+            _deviation(solution, (lengths,), closed, f[LENGTH_SCALE]))
 
 
 def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -187,18 +190,19 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     """
     m, lengths = inc.triangle.metrics, inc.tangent_lengths
     measured = (lengths["C"], lengths["B"], lengths["A"])
-    values = _sides(m, measured)
+    values = _sides(inc.triangle.frame, measured)
     return _report(
         "sides", (m.a, m.b, m.c),
         {"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
         (measured,), values, m.classification, values[2], tol)
 
 
-def _angles(m: TriangleMetrics, splits: tuple) -> tuple:
-    """The angles reading's values (see _report) from two (x, y, z) triples of splits."""
-    solution = _solve(m.alpha, m.beta, m.gamma)
-    closed = (math.pi / 2.0 - m.gamma, math.pi / 2.0 - m.beta, math.pi / 2.0 - m.alpha)
-    positive, cls = _all_positive(m.alpha, m.beta, m.gamma), m.classification
+def _angles(f: tuple, splits: tuple) -> tuple:
+    """The angles reading's values (see _report) from a frame and two (x, y, z) split triples."""
+    alpha, beta, gamma = f[ANGLES]
+    solution = _solve(alpha, beta, gamma)
+    closed = (math.pi / 2.0 - gamma, math.pi / 2.0 - beta, math.pi / 2.0 - alpha)
+    positive, cls = _all_positive(alpha, beta, gamma), f[CLASSIFICATION]
     acute = None if cls.kind == "right" else positive == cls.is_acute
     return solution, closed, positive, acute, _deviation(solution, splits, closed, 1.0)
 
@@ -214,7 +218,7 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     # Each component is realized twice; hold it against both measurements.
     at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
     measured = ((at_a["B"], at_a["C"], at_b["C"]), (at_b["A"], at_c["A"], at_c["B"]))
-    values = _angles(m, measured)
+    values = _angles(circ.triangle.frame, measured)
     return _report(
         "angles", (m.alpha, m.beta, m.gamma),
         {"x": "split over side c", "y": "split over side b", "z": "split over side a"},

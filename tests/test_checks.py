@@ -11,7 +11,8 @@ import pytest
 from cuoco import checks, circles, decomposition, three_sum
 from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
-from cuoco.geometry import VERTICES, Point, Triangle, triangle_from_sides
+from cuoco.geometry import (DOTS, LEGS, SQUARES, VERTICES, Point, Triangle, foot_of_altitude,
+                            triangle_from_sides)
 
 AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sums", "derivation")
 
@@ -146,9 +147,10 @@ def test_rational_input_stays_exact():
     # exactly. A float constant in that arithmetic would turn them to float.
     t = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
                  Point(Fraction(-3, 4), Fraction(11, 3)))
-    exact = [t.twice_area, *t._side_squares, *t._dots.values()]
+    f = t.frame
+    exact = [t.twice_area, *f[LEGS], *f[SQUARES], *f[DOTS]]
     for v in VERTICES:
-        foot, tparam = t._feet[v]
+        foot, tparam = foot_of_altitude(t, v)
         exact += [foot.x, foot.y, tparam]
     assert all(type(value) is Fraction for value in exact), exact
     for v in VERTICES:

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -433,8 +435,8 @@ class TestFuzz:
     def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
         chain = decomposition._chain
 
-        def broken(m, quad_areas, s_pair):
-            values, _ = chain(m, quad_areas, s_pair)
+        def broken(f, quad_areas, s_pair):
+            values, _ = chain(f, quad_areas, s_pair)
             return values, math.nan
 
         monkeypatch.setattr(decomposition, "_chain", broken)
@@ -480,10 +482,10 @@ class TestFuzz:
     def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
         exact = cosine_law._defects
 
-        def corrupted(t):
-            m = t.metrics
-            shift = 1e-8 * max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
-            return tuple((defect, residual + shift) for defect, residual in exact(t))
+        def corrupted(f):
+            a, b, c = f[geometry.SIDES]
+            shift = 1e-8 * max(1.0, a * a, b * b, c * c)
+            return tuple((defect, residual + shift) for defect, residual in exact(f))
 
         monkeypatch.setattr(cosine_law, "_defects", corrupted)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
@@ -494,7 +496,7 @@ class TestFuzz:
         assert not any(entry["passed"] for entry in json.loads(out)["checks"]["euclid_defect"].values())
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr(cosine_law, "_defects", lambda t: ((1.0, math.nan),) * 3)
+        monkeypatch.setattr(cosine_law, "_defects", lambda f: ((1.0, math.nan),) * 3)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -518,16 +520,15 @@ class TestFuzz:
             assert math.isnan(_worst(values))
 
     def test_classifies_once_per_triangle(self, monkeypatch):
-        original = geometry.classify
+        # Each frame classifies its triangle once, in _beside.
+        original = geometry._beside
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (geometry, three_sum, cli):
-            if getattr(module, "classify", None) is original:
-                monkeypatch.setattr(module, "classify", counting)
+        monkeypatch.setattr(geometry, "_beside", counting)
         run_fuzz(50, 7, 1e-9)
         assert len(calls) == 50
 
@@ -536,8 +537,9 @@ class TestFuzz:
         # The quotients norm() gave: the metrics hold the same square roots.
         expected = {}
         for v in "ABC":
-            foot_h, _ = t._feet[geometry.OPPOSITE_SIDE[v][0]]
-            vq = t._legs[v][1]
+            p, q = geometry.OPPOSITE_SIDE[v]
+            foot_h, _ = geometry.foot_of_altitude(t, p)
+            vq = getattr(t, q) - getattr(t, v)  # the leg, bit for bit (see TestLegs)
             expected[v] = dot(foot_h - getattr(t, v), vq) / geometry.norm(vq)
 
         def no_norm(u):
@@ -548,9 +550,60 @@ class TestFuzz:
         for v in "ABC":
             assert decomposition.similarity_check(t, v).ch == expected[v]
 
-    def test_random_triangles_are_healthy(self):
-        import random
+    @staticmethod
+    def profile_fuzz(capsys, monkeypatch, counted, *argv):
+        """Run `fuzz` with argv: (exit code, calls of each function in
+        `counted`, name -> functions, and how many coordinates it drew)."""
+        names = {fn.__code__: name for name, fns in counted.items() for fn in fns}
+        calls = dict.fromkeys(counted, 0)
+        draws = []
 
+        class Counting(random.Random):
+            def random(self):
+                draws.append(None)
+                return super().random()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code]] += 1
+
+        monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=Counting))
+        sys.setprofile(profile)
+        try:
+            code = main(["fuzz", *argv])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        return code, calls, len(draws)
+
+    def test_builds_no_triangle_metrics_or_point(self, capsys, monkeypatch):
+        # Only a counterexample's report builds a Triangle, from its frame.
+        # Each type is built by __init__ or by a function that skips it.
+        counted = {"Triangle": [geometry.Triangle.__init__],
+                   "TriangleMetrics": [geometry.TriangleMetrics.__init__],
+                   "Point": [geometry.Point.__init__, geometry._point]}
+        for name, method in (("Triangle", "_from_frame"), ("TriangleMetrics", "_view")):
+            built_by = getattr(getattr(geometry, name), method, None)
+            if built_by is not None:
+                counted[name].append(built_by.__func__)
+        code, calls, _ = self.profile_fuzz(capsys, monkeypatch, counted, "--count", "200")
+        assert code == 0
+        assert calls == {"Triangle": 0, "TriangleMetrics": 0, "Point": 0}
+        code, calls, _ = self.profile_fuzz(capsys, monkeypatch, counted, "--count", "2000",
+                                           "--tol", "5e-15", "--seed", "1")
+        assert code == 1
+        assert calls["Triangle"] == 1
+
+    @pytest.mark.parametrize("argv", [("--count", "200"),
+                                      ("--count", "2000", "--tol", "5e-15", "--seed", "1")])
+    def test_one_frame_per_draw(self, capsys, monkeypatch, argv):
+        # Each six coordinates drawn, kept or rejected, make one frame.
+        code, calls, draws = self.profile_fuzz(capsys, monkeypatch, {"_frame": [geometry._frame]},
+                                               *argv)
+        assert code in (0, 1)
+        assert calls["_frame"] >= 26 and calls["_frame"] * 6 == draws
+
+    def test_random_triangles_are_healthy(self):
         rng = random.Random(3)
         for _ in range(200):
             t = random_triangle(rng)

@@ -267,7 +267,7 @@ class TestVerifyPairs:
 
     def test_overflowing_quad_areas_raise(self):
         with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
-            _finite_quad_areas(FAR_OUT)
+            _finite_quad_areas(FAR_OUT.frame)
         with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
             pair_equivalence_row(FAR_OUT)
 
@@ -277,7 +277,7 @@ def assert_frame_areas_are_the_figures(t):
     shoelace areas of the quads build(t) draws, bit for bit: hex() tells
     0.0 from -0.0."""
     drawn = [shoelace(panel.quad).hex() for panel in build(t).panels]
-    assert [area.hex() for area in _quad_areas(t)] == drawn
+    assert [area.hex() for area in _quad_areas(t.frame)] == drawn
 
 
 class TestFrameAreas:

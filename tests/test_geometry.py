@@ -14,6 +14,8 @@ from cuoco.geometry import (
     GeometryError,
     OPPOSITE_SIDE,
     CollinearPoints,
+    LEGS,
+    VERTICES,
     cross,
     distance,
     dot,
@@ -85,9 +87,17 @@ def _same_number(x, y) -> bool:
     return x == y and (not isinstance(x, float) or math.copysign(1.0, x) == math.copysign(1.0, y))
 
 
+def _legs(t) -> dict:
+    """Vertex V -> its two legs (P - V, Q - V) as Points, as t's frame holds them."""
+    legs = t.frame[LEGS]
+    return {v: (Point(*legs[4 * i:4 * i + 2]), Point(*legs[4 * i + 2:4 * i + 4]))
+            for i, v in enumerate(VERTICES)}
+
+
 def _assert_legs_are_vertex_differences(t):
+    stored_legs = _legs(t)
     for v, (p, q) in OPPOSITE_SIDE.items():
-        stored = t._legs[v]
+        stored = stored_legs[v]
         expected = (getattr(t, p) - getattr(t, v), getattr(t, q) - getattr(t, v))
         for leg, want in zip(stored, expected):
             assert _same_number(leg.x, want.x) and _same_number(leg.y, want.y), (v, leg, want)
@@ -104,7 +114,7 @@ SIGNED_ZERO_TRIANGLES = [
 
 
 class TestLegs:
-    """Triangle._legs[V] is (P - V, Q - V), computed by that very subtraction."""
+    """The frame's legs at V are (P - V, Q - V), computed by that very subtraction."""
 
     @settings(max_examples=200)
     @given(integer_triangles())
@@ -127,8 +137,9 @@ class TestLegs:
     def test_copy_and_pickle_keep_legs_bit_for_bit(self, t, round_trip):
         other = round_trip(t)
         assert other == t
+        legs, wanted = _legs(other), _legs(t)
         for v in OPPOSITE_SIDE:
-            for leg, want in zip(other._legs[v], t._legs[v]):
+            for leg, want in zip(legs[v], wanted[v]):
                 assert _same_number(leg.x, want.x) and _same_number(leg.y, want.y), (v, leg, want)
 
 
@@ -232,8 +243,9 @@ def assert_cosines_match_the_legs(t):
     m = t.metrics
     total = m.a * m.a + m.b * m.b + m.c * m.c
     adjacent = {"A": (m.c, m.b), "B": (m.a, m.c), "C": (m.b, m.a)}  # |VP|, |VQ|
+    legs = _legs(t)
     for vertex, cos_v in zip("ABC", m.cosines):
-        vp, vq = t._legs[vertex]
+        vp, vq = legs[vertex]
         reference = dot(vp, vq) / (math.sqrt(dot(vp, vp)) * math.sqrt(dot(vq, vq)))
         p, q = adjacent[vertex]
         assert abs(cos_v - reference) <= 16 * u * total / (p * q), (t, vertex)
@@ -252,7 +264,7 @@ class TestSideCosines:
 
 
 class TestClassify:
-    """`t.metrics.classification`, which `classify` computes with the metrics."""
+    """`t.metrics.classification`, which the frame computes with the metrics."""
 
     def test_right_triangle(self):
         result = triangle_from_sides(3.0, 4.0, 5.0).metrics.classification
