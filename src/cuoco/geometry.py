@@ -32,11 +32,12 @@ TOLERANCE = 1e-9
 
 # The frame's layout. First TriangleMetrics' values, in its order: a = |BC|,
 # b = |CA|, c = |AB|, the angles, s, the area, the side cosines, side_squares,
-# the area and length floors and the classification. Then, exact for exact
-# input: the vertices (ax, ay, ..., cy), counterclockwise; the legs leaving A,
-# B and C, (P - V, Q - V) with (P, Q) = OPPOSITE_SIDE[V], x then y; twice the
-# area; |BC|^2, |CA|^2, |AB|^2 as dots of the legs; the dots of the two legs
-# at A, B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y.
+# the area and length floors and the classification. Then the values from the
+# coordinates alone, exact for exact input (the last two for Fraction only):
+# the vertices (ax, ay, ..., cy), counterclockwise; the legs leaving A, B and
+# C, (P - V, Q - V) with (P, Q) = OPPOSITE_SIDE[V], x then y; twice the area;
+# |BC|^2, |CA|^2, |AB|^2 as dots of the legs; the dots of the two legs at A,
+# B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y.
 SIDES, ANGLES, SEMIPERIMETER, AREA, COSINES = slice(0, 3), slice(3, 6), 6, 7, slice(8, 11)
 SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE, CLASSIFICATION = slice(11, 14), 14, 15, 16
 METRICS = slice(0, 17)
