@@ -1,134 +1,169 @@
-"""The catalogue of checks: every invariant the package verifies, as rows.
+"""The catalogue of checks: every invariant the package verifies, in slots.
 
-`rows(t)` returns the list of `(check, item, residual, scale, detail)`
-records of one triangle, check by check in `NAMES` order (neighbouring
-checks about the same items interleave, item by item), from its frame;
-`fuzz` runs `_rows` on frames it makes no Triangle of. A record passes
-when |residual| / scale <= tol. `item` is the vertex, pair class or side a
-record is about, or None for a whole-triangle check. `detail` is the tuple
-of values `verify` prints for the record, or None for a check that
-`verify` reports, as `fuzz` reports every check, by its worst
-|residual| / scale.
+`_rows(f)` computes a triangle's checks from its frame into SLOTS fixed
+slots: the residuals, each slot's scale and the slots skipped (defect_sign
+near a right angle, a positivity check whose reading's flag is None). The
+one table, `RECORDS`, lists the records the slots make, in order, as
+(check, item, number of slots). `rows(t)` regroups them into `(check, item,
+residual, scale, detail)` records, check by check in `NAMES` order (checks
+about the same items interleave, item by item): a record of one slot keeps
+its residual, one of several takes the `_worst` of their absolute values,
+so a NaN is kept and fails. A record passes when |residual| / scale <= tol.
+`item` is the vertex, pair class or side it is about, or None; `detail` the
+values `verify` prints for it, or None where `verify` prints the check's
+worst |residual| / scale, as `fuzz` does for every check.
 
-Each construction is computed once per triangle, in plain floats read from
-the frame (which holds the metrics, the legs' dots and the feet), by the
-value functions behind its public builder: cos(alpha), cos(beta) and
-cos(gamma), the panel quad areas (the decomposition is never built), the
-trigonometric pair areas, the incircle and the circumcircle, and the three
-readings (whose closed forms the tangent-length and split checks read). No
-report record is built. A record that folds several values takes their
-`_worst`, so a NaN among them is kept and fails.
+`fuzz` folds by position (`cli.run_fuzz`): each slot's |residual| / scale,
+-1.0 when skipped, column by column over the triangles that pass; a check's
+worst is the largest of its `COLUMNS`. A triangle that fails, or holds a
+NaN, is folded record by record.
+
+Each construction is computed once per triangle, from the frame and the one
+kernel behind the builders, `geometry._constructions` (the decomposition and
+the circles are never built), beside the angles' cosines, the trigonometric
+pair areas and the three readings. No report record is built.
 """
 
 from __future__ import annotations
 
-from math import cos, sqrt
+from itertools import accumulate
+from math import cos, isfinite, sqrt
 
-from . import circles, cosine_law, decomposition, three_sum
-from .geometry import COORDS, DOTS, METRICS, VERTICES, Triangle, _worst
+from . import circles, cosine_law, decomposition, geometry, three_sum
+from .geometry import (CHAIN, CHAIN_DEVIATIONS, CIRCUMCIRCLE, COORDS, DEFECTS, DOTS, INCIRCLE,
+                       METRICS, QUAD_AREAS, SIMILARITY, VERTICES, NonFiniteCoordinate, Triangle,
+                       _worst)
 
-NAMES = (
-    "cosine_identity", "euclid_defect", "defect_sign", "pair_equivalence", "trig_vs_exact",
-    "square_sums", "similarity", "derivation",
-    "squares_interpretation", "squares_positivity", "sides_interpretation", "sides_positivity",
-    "angles_interpretation", "angles_positivity",
-    "tangent_lengths", "incircle_radius", "tangent_inside", "circumradius", "vertex_splits",
-    "split_sums",
+# (check, item, slots) of each record, in record order.
+RECORDS = (
+    ("cosine_identity", None, 3), ("euclid_defect", "A", 1), ("defect_sign", "A", 1),
+    ("euclid_defect", "B", 1), ("defect_sign", "B", 1), ("euclid_defect", "C", 1),
+    ("defect_sign", "C", 1), ("pair_equivalence", None, 3), ("trig_vs_exact", "R", 1),
+    ("trig_vs_exact", "S", 1), ("trig_vs_exact", "T", 1), ("square_sums", None, 3),
+    ("similarity", "A", 1), ("similarity", "B", 1), ("similarity", "C", 1),
+    ("derivation", None, 4), ("squares_interpretation", None, 1), ("squares_positivity", None, 1),
+    ("sides_interpretation", None, 1), ("sides_positivity", None, 1),
+    ("angles_interpretation", None, 1), ("angles_positivity", None, 1),
+    ("tangent_lengths", None, 3), ("incircle_radius", "a", 1), ("tangent_inside", "a", 1),
+    ("incircle_radius", "b", 1), ("tangent_inside", "b", 1), ("incircle_radius", "c", 1),
+    ("tangent_inside", "c", 1), ("circumradius", None, 3), ("vertex_splits", "A", 2),
+    ("split_sums", "A", 1), ("vertex_splits", "B", 2), ("split_sums", "B", 1),
+    ("vertex_splits", "C", 2), ("split_sums", "C", 1),
 )
+NAMES = tuple(dict.fromkeys(check for check, _, _ in RECORDS))
+
+# (check, item, first slot, end slot) of each record; each check's slots; the
+# slots a triangle can skip, defect_sign's at A, B, C and the positivity checks'.
+_ENDS = tuple(accumulate(count for _, _, count in RECORDS))
+_SPANS = tuple((check, item, end - count, end)
+               for (check, item, count), end in zip(RECORDS, _ENDS))
+SLOTS = _ENDS[-1]
+COLUMNS = {name: [slot for check, _, start, end in _SPANS if check == name
+                  for slot in range(start, end)] for name in NAMES}
+_SKIPPABLE = (*COLUMNS["defect_sign"], *(COLUMNS[name + "_positivity"][0]
+                                         for name in ("squares", "sides", "angles")))
 
 
 def rows(t: Triangle) -> list:
     """Every check's records for one triangle; see the module docstring."""
-    return _rows(t.frame)
+    f = t.frame
+    residuals, scales, skipped, k, trig_areas = _rows(f)
+    S, T, R = f[DOTS]
+    defects, similarity = k[DEFECTS], k[SIMILARITY]
+    details = {("cosine_identity", None): (tuple(residuals[:3]),),
+               ("pair_equivalence", None): list(k[QUAD_AREAS])}
+    for i, (v, pair, exact, trig) in enumerate(zip(VERTICES, "RST", (R, S, T), trig_areas)):
+        details["euclid_defect", v] = defects[2 * i:2 * i + 2]
+        details["trig_vs_exact", pair] = (exact, trig)
+        details["similarity", v] = similarity[4 * i:4 * i + 3]
+    return [(check, item, residual, scale,
+             (k[CHAIN], residual) if check == "derivation" else details.get((check, item)))
+            for check, item, residual, scale in _records(residuals, scales, skipped)]
 
 
-def _rows(f: tuple) -> list:
-    """Every check's records for the triangle of a frame."""
+def _records(residuals: list, scales: list, skipped: list) -> list:
+    """The (check, item, residual, scale) of each record a triangle's slots make."""
+    return [(check, item,
+             residuals[start] if stop == start + 1
+             else _worst([abs(residual) for residual in residuals[start:stop]]),
+             scales[start])
+            for check, item, start, stop in _SPANS if start not in skipped]
+
+
+def _rows(f: tuple) -> tuple:
+    """The slots of the triangle of a frame: (residuals, scales, skipped slots,
+    its constructions, the trigonometric pair areas R, S, T)."""
     # Rounding in the area identities grows with the largest squared side: `scale`.
     (_, _, _, alpha, beta, gamma, _, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
      _) = f[METRICS]
     cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
-
-    r_a, r_b, r_c = residuals = cosine_law._identity_residuals(f, cos_alpha, cos_beta, cos_gamma)
-    records = [("cosine_identity", None, _worst((abs(r_a), abs(r_b), abs(r_c))), max(a2, b2, c2),
-                (residuals,))]
-    for v, cos_v, pair in zip(VERTICES, (cos_a, cos_b, cos_c), cosine_law._defects(f)):
-        defect, residual = pair
-        records.append(("euclid_defect", v, residual, scale, pair))
-        # Tighter than RIGHT_ANGLE_BAND, which would skip more vertices.
-        if abs(cos_v) > 1e-12:
-            records.append(("defect_sign", v, 0.0 if (defect > 0) == (cos_v > 0) else 1.0, 1.0,
-                            None))
-
-    quads = decomposition._finite_quad_areas(f)
-    r1, r2, s1, s2, t1, t2 = quads
+    k = geometry._constructions(f)
+    r_a, r_b, r_c = cosine_law._identity_residuals(f, cos_alpha, cos_beta, cos_gamma)
+    at_a, defect_a, at_b, defect_b, at_c, defect_c = k[DEFECTS]
+    # The quads sit in absolute coordinates, where products overflow first.
+    r1, r2, s1, s2, t1, t2 = quads = k[QUAD_AREAS]
+    if not isfinite(sum(quads)):
+        raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
     # The pair areas R, S, T by both routes: the legs' dots and the trig forms.
     S, T, R = f[DOTS]
-    trig_r, trig_s, trig_t = decomposition._trig_areas(f, cos_alpha, cos_beta, cos_gamma)
+    trig = trig_r, trig_s, trig_t = decomposition._trig_areas(f, cos_alpha, cos_beta, cos_gamma)
     # The squares reading's components are R, T, S.
     squares = three_sum._squares(f, (R, T, S), (trig_r, trig_t, trig_s))
-    records += [
-        ("pair_equivalence", None, _worst((abs(r1 - r2), abs(s1 - s2), abs(t1 - t2))), scale,
-         quads),
-        ("trig_vs_exact", "R", R - trig_r, scale, (R, trig_r)),
-        ("trig_vs_exact", "S", S - trig_s, scale, (S, trig_s)),
-        ("trig_vs_exact", "T", T - trig_t, scale, (T, trig_t)),
-        ("square_sums", None, _worst((abs(R + T - a2), abs(R + S - b2), abs(S + T - c2))), scale,
-         None),
-    ]
-    for v in VERTICES:
-        ch, ck, residual, similarity_scale = decomposition._similarity(f, v)
-        records.append(("similarity", v, residual, similarity_scale, (ch, ck, residual)))
-    values, max_deviation = decomposition._chain(f, quads, S)
-    records.append(("derivation", None, max_deviation, scale, (values, max_deviation)))
-
-    ox, oy, radius, (t_a, t_b, t_c), points, (length_a, length_b, length_c) = circles._incircle(f)
+    _, _, similar_a, scale_a, _, _, similar_b, scale_b, _, _, similar_c, scale_c = k[SIMILARITY]
+    (ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, length_a, length_b,
+     length_c) = k[INCIRCLE]
+    circles._check_centre(ox, oy, "incentre")
     # The sides reading's components are the tangent lengths at C, B, A.
     sides = three_sum._sides(f, (length_c, length_b, length_a))
-    centre_x, centre_y, circumradius, near, far = circles._circumcircle(f)
-    angles = three_sum._angles(f, (near, far))
-    # The readings' max_residual is already divided by their scales. Each
-    # positivity record reads the flag its reading's verdict reads: the sign
-    # of the sides reading, and acute_iff_positive of the other two.
-    for name, reading, flag in (("squares", squares, squares[3]), ("sides", sides, sides[2]),
-                                ("angles", angles, angles[3])):
-        records.append((name + "_interpretation", None, reading[4], 1.0, None))
-        if flag is not None:
-            records.append((name + "_positivity", None, 0.0 if flag else 1.0, 1.0, None))
-
+    centre_x, centre_y, _, _, circumradius, a_b, a_c, b_c, b_a, c_a, c_b = k[CIRCUMCIRCLE]
+    circles._check_centre(centre_x, centre_y, "circumcentre")
+    angles = three_sum._angles(f, ((a_b, a_c, b_c), (b_a, c_a, c_b)))
     x, y, z = sides[1]
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
-    (pax, pay), (pbx, pby), (pcx, pcy) = points
     dax, day, dbx, dby, dcx, dcy = ox - pax, oy - pay, ox - pbx, oy - pby, ox - pcx, oy - pcy
-    radius_scale = max(1.0, radius)
+    radius_scale = radius if radius > 1.0 else 1.0
     # Each vertex's offset from the circumcentre.
     ax, ay, bx, by, cx, cy = f[COORDS]
     ax, ay, bx, by = centre_x - ax, centre_y - ay, centre_x - bx, centre_y - by
     cx, cy = centre_x - cx, centre_y - cy
+    circumradius_scale = circumradius if circumradius > 1.0 else 1.0
     # The two splits at a vertex: each is pi/2 minus the angle at the far end
     # of its side, and they sum to the vertex's angle.
     split_x, split_y, split_z = angles[1]
-    a_b, a_c, b_c = near
-    b_a, c_a, c_b = far
-    records += [
-        ("tangent_lengths", None,
-         _worst((abs(length_a - z), abs(length_b - y), abs(length_c - x))), length_scale, None),
-        ("incircle_radius", "a", sqrt(dax * dax + day * day) - radius, radius_scale, None),
-        ("tangent_inside", "a", _worst((-t_a, t_a - 1.0)), 1.0, None),
-        ("incircle_radius", "b", sqrt(dbx * dbx + dby * dby) - radius, radius_scale, None),
-        ("tangent_inside", "b", _worst((-t_b, t_b - 1.0)), 1.0, None),
-        ("incircle_radius", "c", sqrt(dcx * dcx + dcy * dcy) - radius, radius_scale, None),
-        ("tangent_inside", "c", _worst((-t_c, t_c - 1.0)), 1.0, None),
-        ("circumradius", None, _worst((abs(sqrt(ax * ax + ay * ay) - circumradius),
-                                       abs(sqrt(bx * bx + by * by) - circumradius),
-                                       abs(sqrt(cx * cx + cy * cy) - circumradius))),
-         max(1.0, circumradius), None),
-        ("vertex_splits", "A", _worst((abs(a_b - split_x), abs(a_c - split_y))), 1.0, None),
-        ("split_sums", "A", a_b + a_c - alpha, 1.0, None),
-        ("vertex_splits", "B", _worst((abs(b_c - split_z), abs(b_a - split_x))), 1.0, None),
-        ("split_sums", "B", b_c + b_a - beta, 1.0, None),
-        ("vertex_splits", "C", _worst((abs(c_a - split_y), abs(c_b - split_z))), 1.0, None),
-        ("split_sums", "C", c_a + c_b - gamma, 1.0, None),
+    # The readings' max_residual is already divided by their scales. Each
+    # positivity slot reads the flag its reading's verdict reads: the sign
+    # of the sides reading, and acute_iff_positive of the other two. A
+    # tangent point's slot is how far its param lies outside [0, 1].
+    residuals = [
+        r_a, r_b, r_c, defect_a, 0.0 if (at_a > 0) == (cos_a > 0) else 1.0,
+        defect_b, 0.0 if (at_b > 0) == (cos_b > 0) else 1.0,
+        defect_c, 0.0 if (at_c > 0) == (cos_c > 0) else 1.0,
+        r1 - r2, s1 - s2, t1 - t2, R - trig_r, S - trig_s, T - trig_t,
+        R + T - a2, R + S - b2, S + T - c2, similar_a, similar_b, similar_c,
+        *k[CHAIN_DEVIATIONS],
+        squares[4], 0.0 if squares[3] else 1.0, sides[4], 0.0 if sides[2] else 1.0,
+        angles[4], 0.0 if angles[3] else 1.0,
+        length_a - z, length_b - y, length_c - x,
+        sqrt(dax * dax + day * day) - radius,
+        -t_a if t_a < 0.0 else 0.0 if t_a <= 1.0 else t_a - 1.0,
+        sqrt(dbx * dbx + dby * dby) - radius,
+        -t_b if t_b < 0.0 else 0.0 if t_b <= 1.0 else t_b - 1.0,
+        sqrt(dcx * dcx + dcy * dcy) - radius,
+        -t_c if t_c < 0.0 else 0.0 if t_c <= 1.0 else t_c - 1.0,
+        sqrt(ax * ax + ay * ay) - circumradius, sqrt(bx * bx + by * by) - circumradius,
+        sqrt(cx * cx + cy * cy) - circumradius,
+        a_b - split_x, a_c - split_y, a_b + a_c - alpha,
+        b_c - split_z, b_a - split_x, b_c + b_a - beta,
+        c_a - split_y, c_b - split_z, c_a + c_b - gamma,
     ]
-    return records
+    # One scale per record, repeated over its slots.
+    scales = [*(max(a2, b2, c2),) * 3, *(scale, 1.0) * 3, *(scale,) * 9, scale_a, scale_b,
+              scale_c, *(scale,) * 4, *(1.0,) * 6, *(length_scale,) * 3,
+              *(radius_scale, 1.0) * 3, *(circumradius_scale,) * 3, *(1.0,) * 9]
+    # A defect's sign is read only beyond 1e-12 of a right angle, tighter than
+    # RIGHT_ANGLE_BAND, which would skip more vertices.
+    kept = (abs(cos_a) > 1e-12, abs(cos_b) > 1e-12, abs(cos_c) > 1e-12, squares[3] is not None,
+            sides[2] is not None, angles[3] is not None)
+    skipped = [] if all(kept) else [slot for slot, keep in zip(_SKIPPABLE, kept) if not keep]
+    return residuals, scales, skipped, k, trig

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (DOTS, SIDE_SQUARES, SIDES, SQUARES, VERTICES, GeometryError, Triangle,
-                       TriangleMetrics, _check_sides, _check_vertex)
+from .geometry import (DEFECTS, SIDE_SQUARES, SIDES, VERTICES, GeometryError, Triangle,
+                       TriangleMetrics, _check_sides, _check_vertex, _constructions)
 
 
 class DomainError(GeometryError):
@@ -40,16 +40,6 @@ def cos_from_sides(a: float, b: float, c: float) -> float:
     return (a * a + b * b - c * c) / (2.0 * a * b)
 
 
-def _defects(f: tuple) -> tuple:
-    """(defect, residual) at A, B and C of a frame; see euclid_defect."""
-    a2, b2, c2 = f[SQUARES]
-    dot_a, dot_b, dot_c = f[DOTS]
-    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
-    # At V: the opposite side's square, minus the squares of V's two legs.
-    return ((at_a, a2 - c2 - b2 + at_a), (at_b, b2 - a2 - c2 + at_b),
-            (at_c, c2 - b2 - a2 + at_c))
-
-
 def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     """Signed defect at a vertex and the residual of the classical identity.
 
@@ -61,7 +51,8 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     negation square alike, so which way a side runs does not matter.
     """
     _check_vertex(at_vertex)
-    return _defects(t.frame)[VERTICES.index(at_vertex)]
+    i = 2 * VERTICES.index(at_vertex)
+    return _constructions(t.frame)[DEFECTS][i:i + 2]
 
 
 def _identity_residuals(f: tuple, cos_alpha, cos_beta, cos_gamma) -> tuple:

@@ -25,10 +25,9 @@ quad areas is a real check rather than an algebraic identity.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
-from .geometry import (COORDS, DOTS, FEET, LEGS, SIDE_SQUARES, SIDES, VERTICES,
-                       NonFiniteCoordinate, Point, Triangle, TriangleMetrics, cross, _check_vertex,
+from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIDES, SIMILARITY, VERTICES,
+                       Point, Triangle, TriangleMetrics, cross, _check_vertex, _constructions,
                        _point, _Record, _worst)
 
 PAIR_CLASSES = ("R", "S", "T")
@@ -97,56 +96,6 @@ def shoelace(points) -> float:
     return total / 2.0
 
 
-def _side_corners(f: tuple) -> list[tuple]:
-    """The corners `build` places on each side, in SIDE_FRAMES order, from a frame.
-
-    Each entry is (px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy):
-    the side's endpoints p and q, the foot f of the altitude on its line,
-    and each of the three moved across the side by perp(p - q). That offset
-    points away from the triangle for a counterclockwise vertex order and
-    has the side's length, so (q, p, p_out, q_out) is the exterior square,
-    counterclockwise from the side, and the foot splits it into the panels
-    (foot, p, p_out, foot_out) and (q, foot, foot_out, q_out).
-    """
-    ax, ay, bx, by, cx, cy = f[COORDS]
-    _, _, acx, acy, _, _, bax, bay, _, _, cbx, cby = f[LEGS]
-    fax, fay, fbx, fby, fcx, fcy = f[FEET]
-    corners = []
-    # p - q is the leg at q toward p: B - C, C - A and A - B.
-    for px, py, qx, qy, fx, fy, sx, sy in ((bx, by, cx, cy, fax, fay, cbx, cby),
-                                           (cx, cy, ax, ay, fbx, fby, acx, acy),
-                                           (ax, ay, bx, by, fcx, fcy, bax, bay)):
-        nx, ny = -sy, sx  # perp(p - q)
-        corners.append((px, py, qx, qy, fx, fy,
-                        px + nx, py + ny, qx + nx, qy + ny, fx + nx, fy + ny))
-    return corners
-
-
-def _quad_areas(f: tuple) -> list[float]:
-    """shoelace(panel.quad) for each panel that build makes of a frame's
-    triangle, in PANEL_LABELS order: the same corners, and the same terms
-    summed alike, so bit for bit."""
-    areas = []
-    for px, py, qx, qy, fx, fy, pox, poy, qox, qoy, fox, foy in _side_corners(f):
-        # (foot, p, p_out, foot_out), then (q, foot, foot_out, q_out)
-        areas.append((0 + (fx * py - fy * px) + (px * poy - py * pox)
-                      + (pox * foy - poy * fox) + (fox * fy - foy * fx)) / 2.0)
-        areas.append((0 + (qx * fy - qy * fx) + (fx * foy - fy * fox)
-                      + (fox * qoy - foy * qox) + (qox * qy - qoy * qx)) / 2.0)
-    # Made as T2, R1, R2, S1, S2, T1; one place round is PANEL_LABELS order.
-    return areas[1:] + areas[:1]
-
-
-def _finite_quad_areas(f: tuple) -> list[float]:
-    """_quad_areas(f), or NonFiniteCoordinate if they overflow: the quads sit
-    in absolute coordinates, so their cross products can overflow where the
-    triangle's own sizes do not."""
-    areas = _quad_areas(f)
-    if not math.isfinite(sum(areas)):
-        raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
-    return areas
-
-
 def panel_area_exact(pair: str, t: Triangle):
     """Pair area straight from coordinates; integer in, integer out.
 
@@ -174,13 +123,13 @@ def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
 
 def build(t: Triangle) -> CuocoDecomposition:
     """Construct the three exterior squares and the six altitude panels."""
-    squares = []
-    panels = []
-    dots = dict(zip(VERTICES, t.frame[DOTS]))
-    for (side, (first, second, _)), corners in zip(SIDE_FRAMES.items(), _side_corners(t.frame)):
+    f = t.frame
+    squares, panels = [], []
+    dots, feet, corners = dict(zip(VERTICES, f[DOTS])), f[FEET], _constructions(f)[CORNERS]
+    for i, (side, (first, second, _)) in enumerate(SIDE_FRAMES.items()):
         p, q = getattr(t, first), getattr(t, second)
-        fx, fy, pox, poy, qox, qoy, fox, foy = corners[4:]
-        foot, p_out = _point(fx, fy), _point(pox, poy)
+        pox, poy, qox, qoy, fox, foy = corners[6 * i:6 * i + 6]
+        foot, p_out = _point(feet[2 * i], feet[2 * i + 1]), _point(pox, poy)
         q_out, foot_out = _point(qox, qoy), _point(fox, foy)
         squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
         first_label, second_label = HOSTED_PANELS[side]
@@ -191,13 +140,8 @@ def build(t: Triangle) -> CuocoDecomposition:
     # Each panel's signed area is its pair's panel_area_exact: the same
     # dot of the same two legs.
     r1, _, s1, _, t1, _ = panels
-    return CuocoDecomposition(
-        triangle=t,
-        metrics=t.metrics,
-        squares=tuple(squares),
-        panels=tuple(panels),
-        pair_areas=PairAreas(R=r1.signed_area, S=s1.signed_area, T=t1.signed_area),
-    )
+    return CuocoDecomposition(t, t.metrics, tuple(squares), tuple(panels),
+                              PairAreas(r1.signed_area, s1.signed_area, t1.signed_area))
 
 
 class SimilarityReport(_Record):
@@ -221,30 +165,10 @@ class SimilarityReport(_Record):
         self.scale = scale
 
 
-# Vertex V -> the frame's values _similarity reads: V, the legs (P - V, Q - V),
-# the feet from P (on line VQ) and from Q (on line VP), |VP| and |VQ|, with
-# (P, Q) = OPPOSITE_SIDE[V] and v, p, q the three's indices.
-_SIMILARITY_READERS = {
-    name: itemgetter(COORDS.start + 2 * v, COORDS.start + 2 * v + 1,
-                     *range(LEGS.start + 4 * v, LEGS.start + 4 * v + 4), FEET.start + 2 * p,
-                     FEET.start + 2 * p + 1, FEET.start + 2 * q, FEET.start + 2 * q + 1,
-                     SIDES.start + q, SIDES.start + p)
-    for name, v, p, q in (("A", 0, 1, 2), ("B", 1, 2, 0), ("C", 2, 0, 1))}
-
-
-def _similarity(f: tuple, at_vertex: str) -> tuple[float, float, float, float]:
-    """similarity_check's (ch, ck, residual, scale) at a vertex, from a frame."""
-    # |VP| and |VQ| are the same square roots of the same dots as norm(vp), norm(vq).
-    vx, vy, vpx, vpy, vqx, vqy, hx, hy, kx, ky, len_vp, len_vq = _SIMILARITY_READERS[at_vertex](f)
-    ch = ((hx - vx) * vqx + (hy - vy) * vqy) / len_vq  # dot(foot_h - v, vq)
-    ck = ((kx - vx) * vpx + (ky - vy) * vpy) / len_vp
-    product = len_vp * len_vq  # the scale is max(1.0, product)
-    return ch, ck, len_vp * ck - len_vq * ch, product if product > 1.0 else 1.0
-
-
 def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     _check_vertex(at_vertex)
-    return SimilarityReport(at_vertex, *_similarity(t.frame, at_vertex))
+    i = 4 * VERTICES.index(at_vertex)
+    return SimilarityReport(at_vertex, *_constructions(t.frame)[SIMILARITY][i:i + 4])
 
 
 class DerivationStep(_Record):
@@ -274,15 +198,6 @@ _CHAIN = (
 )
 
 
-def _chain(f: tuple, quad_areas, s_pair) -> tuple[tuple, float]:
-    """The values of the _CHAIN steps from a frame's metrics, the quad areas
-    (in PANEL_LABELS order) and the S pair area, and the worst |step - a^2|."""
-    a2, b2, c2 = f[SIDE_SQUARES]
-    r1, r2, s1, s2, t1, t2 = quad_areas
-    values = (a2, r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * s_pair)
-    return values, _worst([abs(value - a2) for value in values])
-
-
 def _trace(values, max_deviation: float) -> DerivationTrace:
     """The trace of the _CHAIN step values and their worst |step - a^2|."""
     steps = tuple(DerivationStep(expression, panels, value)
@@ -297,4 +212,5 @@ def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     Intermediate steps use the constructed quads (the geometric route);
     the final form uses the certified S pair area.
     """
-    return _trace(*_chain(d.metrics.frame, _quad_areas(d.triangle.frame), d.pair_areas.S))
+    k = _constructions(d.triangle.frame)
+    return _trace(k[CHAIN], _worst([abs(deviation) for deviation in k[CHAIN_DEVIATIONS]]))

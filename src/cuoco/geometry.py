@@ -278,6 +278,111 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
             ax + t_c * abx, ay + t_c * aby)
 
 
+# The constructions' layout: euclid_defect's (defect, residual) at A, B, C;
+# build's p_out, q_out and foot_out (x, y) across sides a, b, c; the quad areas
+# in PANEL_LABELS order; similarity_check's ch, ck, residual, scale at A, B, C;
+# the incircle's centre, radius, tangent params and points on a, b, c and
+# tangent lengths at A, B, C; the circumcircle's centre, offset from A, radius
+# and splits at A toward B and C, at B toward C and A, at C toward A and B; the
+# equal-area chain's five steps, then the last four minus the first, a^2.
+DEFECTS, CORNERS, QUAD_AREAS, SIMILARITY = slice(0, 6), slice(6, 24), slice(24, 30), slice(30, 42)
+INCIRCLE, CIRCUMCIRCLE, CHAIN, CHAIN_DEVIATIONS = (slice(42, 57), slice(57, 68), slice(68, 73),
+                                                   slice(73, 77))
+
+
+def _constructions(f: tuple) -> tuple:
+    """Every construction's values for the triangle of frame f, laid out as the
+    slices above name, for the builders and the catalogue. It never raises: the
+    quads and the incentre sit in absolute coordinates and can overflow where
+    the frame does not, and a circumcentre whose determinant underflows is
+    infinite. Each reader tests what it uses."""
+    (a, b, c, _, _, _, s, area, _, _, _, a2, b2, c2, _, _, _,
+     ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
+     _, sq_a, sq_b, sq_c, dot_a, dot_b, dot_c, _, _, _, fax, fay, fbx, fby, fcx, fcy) = f
+    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
+    # Side (p, q) with foot f moves out by perp(p - q), which points away from
+    # a counterclockwise triangle and has the side's length: (q, p, p_out,
+    # q_out) is its exterior square, split into the panels (foot, p, p_out,
+    # foot_out) and (q, foot, foot_out, q_out). p - q is the leg at q toward p.
+    nx, ny = -cby, cbx
+    apx, apy, aqx, aqy, afx, afy = bx + nx, by + ny, cx + nx, cy + ny, fax + nx, fay + ny
+    nx, ny = -acy, acx
+    bpx, bpy, bqx, bqy, bfx, bfy = cx + nx, cy + ny, ax + nx, ay + ny, fbx + nx, fby + ny
+    nx, ny = -bay, bax
+    cpx, cpy, cqx, cqy, cfx, cfy = ax + nx, ay + ny, bx + nx, by + ny, fcx + nx, fcy + ny
+    # Each quad's shoelace area, its terms summed alike, so bit for bit.
+    t2 = (0 + (fax * by - fay * bx) + (bx * apy - by * apx) + (apx * afy - apy * afx)
+          + (afx * fay - afy * fax)) / 2.0
+    r1 = (0 + (cx * fay - cy * fax) + (fax * afy - fay * afx) + (afx * aqy - afy * aqx)
+          + (aqx * cy - aqy * cx)) / 2.0
+    r2 = (0 + (fbx * cy - fby * cx) + (cx * bpy - cy * bpx) + (bpx * bfy - bpy * bfx)
+          + (bfx * fby - bfy * fbx)) / 2.0
+    s1 = (0 + (ax * fby - ay * fbx) + (fbx * bfy - fby * bfx) + (bfx * bqy - bfy * bqx)
+          + (bqx * ay - bqy * ax)) / 2.0
+    s2 = (0 + (fcx * ay - fcy * ax) + (ax * cpy - ay * cpx) + (cpx * cfy - cpy * cfx)
+          + (cfx * fcy - cfy * fcx)) / 2.0
+    t1 = (0 + (bx * fcy - by * fcx) + (fcx * cfy - fcy * cfx) + (cfx * cqy - cfy * cqx)
+          + (cqx * by - cqy * bx)) / 2.0
+    # At V with (P, Q) = OPPOSITE_SIDE[V]: ch = dot(foot from P - V, Q - V) / |VQ|,
+    # ck = dot(foot from Q - V, P - V) / |VP|, and |VP| ck - |VQ| ch vanishes.
+    ch_a = ((fbx - ax) * acx + (fby - ay) * acy) / b
+    ck_a = ((fcx - ax) * abx + (fcy - ay) * aby) / c
+    ch_b = ((fcx - bx) * bax + (fcy - by) * bay) / c
+    ck_b = ((fax - bx) * bcx + (fay - by) * bcy) / a
+    ch_c = ((fax - cx) * cbx + (fay - cy) * cby) / a
+    ck_c = ((fbx - cx) * cax + (fby - cy) * cay) / b
+    product_a, product_b, product_c = c * b, a * c, b * a
+    # The incentre, the side-weighted vertex average; side e from p has its
+    # tangent point at p + t e, t = dot(centre - p, e) / |e|^2.
+    weight = a + b + c
+    ox, oy = (a * ax + b * bx + c * cx) / weight, (a * ay + b * by + c * cy) / weight
+    t_a = ((ox - bx) * bcx + (oy - by) * bcy) / sq_a
+    t_b = ((ox - cx) * cax + (oy - cy) * cay) / sq_b
+    t_c = ((ox - ax) * abx + (oy - ay) * aby) / sq_c
+    pax, pay, pbx, pby = bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay
+    pcx, pcy = ax + t_c * abx, ay + t_c * aby
+    # Each vertex to the tangent point on the side toward the next vertex.
+    dax, day, dbx, dby, dcx, dcy = pcx - ax, pcy - ay, pax - bx, pay - by, pbx - cx, pby - cy
+    # The circumcentre's offset from A, in A's frame with the legs scaled by a
+    # power of two (exact) to a largest component near 1, where no product
+    # overflows or underflows; the determinant is the triangle's own cross
+    # product, zero only for a centre beyond the float range.
+    _, k = math.frexp(max(abs(abx), abs(aby), abs(acx), abs(acy)))
+    down, up = math.ldexp(1.0, -k), math.ldexp(1.0, k)
+    ubx, uby, ucx, ucy = abx * down, aby * down, acx * down, acy * down
+    d = 2.0 * (ubx * ucy - uby * ucx)
+    ub2, uc2 = ubx * ubx + uby * uby, ucx * ucx + ucy * ucy
+    if d:
+        qx, qy = (ucy * ub2 - uby * uc2) / d * up, (ubx * uc2 - ucx * ub2) / d * up
+    else:
+        qx = qy = math.inf
+    ex, ey = ax + qx, ay + qy
+    rx, ry = ex - ax, ey - ay
+    # B and C to the centre. The signed angle from u to w is atan2(cross(u, w),
+    # dot(u, w)): at v, from the leg toward the next vertex to the centre, and
+    # from the centre to the leg toward the previous one.
+    qbx, qby, qcx, qcy = qx - abx, qy - aby, qx - acx, qy - acy
+    atan2, sqrt = math.atan2, math.sqrt
+    # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2 S
+    step_1, step_2, step_3, step_4 = r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * dot_a
+    return (at_a, sq_a - sq_c - sq_b + at_a, at_b, sq_b - sq_a - sq_c + at_b, at_c,
+            sq_c - sq_b - sq_a + at_c, apx, apy, aqx, aqy, afx, afy, bpx, bpy, bqx, bqy, bfx, bfy,
+            cpx, cpy, cqx, cqy, cfx, cfy, r1, r2, s1, s2, t1, t2,
+            ch_a, ck_a, c * ck_a - b * ch_a, product_a if product_a > 1.0 else 1.0,
+            ch_b, ck_b, a * ck_b - c * ch_b, product_b if product_b > 1.0 else 1.0,
+            ch_c, ck_c, b * ck_c - a * ch_c, product_c if product_c > 1.0 else 1.0,
+            ox, oy, area / s, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy,
+            sqrt(dax * dax + day * day), sqrt(dbx * dbx + dby * dby), sqrt(dcx * dcx + dcy * dcy),
+            ex, ey, qx, qy, sqrt(rx * rx + ry * ry),
+            atan2(abx * qy - aby * qx, abx * qx + aby * qy),
+            atan2(qx * acy - qy * acx, qx * acx + qy * acy),
+            atan2(bcx * qby - bcy * qbx, bcx * qbx + bcy * qby),
+            atan2(qbx * bay - qby * bax, qbx * bax + qby * bay),
+            atan2(cax * qcy - cay * qcx, cax * qcx + cay * qcy),
+            atan2(qcx * cby - qcy * cbx, qcx * cbx + qcy * cby),
+            a2, step_1, step_2, step_3, step_4, step_1 - a2, step_2 - a2, step_3 - a2, step_4 - a2)
+
+
 def _named(ax, ay, bx, by, cx, cy) -> str:
     """Three vertices as the error messages name them, as Points."""
     return f"{_point(ax, ay)}, {_point(bx, by)}, {_point(cx, cy)}"

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuoco import checks, circles, decomposition, three_sum
+from cuoco import checks, circles, decomposition, geometry, three_sum
 from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
 from cuoco.geometry import (DOTS, LEGS, SQUARES, VERTICES, Point, Triangle, foot_of_altitude,
@@ -18,17 +18,18 @@ AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sum
 
 
 def test_one_construction_per_triangle(monkeypatch):
-    # Each circle's values once, and neither builder.
+    # The constructions once, and neither circle builder.
     t = random_triangle(random.Random(11))
     calls = {}
-    for name in ("incircle", "circumcircle", "_incircle", "_circumcircle", "_circumcenter"):
-        def counting(*args, _name=name, _original=getattr(circles, name)):
+    for module, name in ((circles, "incircle"), (circles, "circumcircle"),
+                         (geometry, "_constructions")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
 
-        monkeypatch.setattr(circles, name, counting)
+        monkeypatch.setattr(module, name, counting)
     checks.rows(t)
-    assert calls == {"_incircle": 1, "_circumcircle": 1, "_circumcenter": 1}
+    assert calls == {"_constructions": 1}
 
 
 RECORD_TYPES = (circles.IncircleData, circles.CircumcircleData, three_sum.InterpretationReport,

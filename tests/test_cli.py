@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cuoco
-from cuoco import checks, circles, cli, cosine_law, decomposition, figures, geometry, three_sum
+from cuoco import checks, circles, cli, decomposition, figures, geometry, three_sum
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
@@ -432,14 +432,22 @@ class TestFuzz:
         assert (derivation["residual"], derivation["max_deviation"]) == (
             trace.residual, trace.max_deviation)
 
+    @staticmethod
+    def edit_constructions(monkeypatch, where, edit):
+        """Make the catalogue see the constructions of each frame with the
+        values at `where`, a slice, passed through `edit`."""
+        exact = geometry._constructions
+
+        def edited(f):
+            k = list(exact(f))
+            k[where] = edit(f, k[where])
+            return tuple(k)
+
+        monkeypatch.setattr(geometry, "_constructions", edited)
+
     def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
-        chain = decomposition._chain
-
-        def broken(f, quad_areas, s_pair):
-            values, _ = chain(f, quad_areas, s_pair)
-            return values, math.nan
-
-        monkeypatch.setattr(decomposition, "_chain", broken)
+        self.edit_constructions(monkeypatch, geometry.CHAIN_DEVIATIONS,
+                                lambda f, deviations: [math.nan] * len(deviations))
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -480,14 +488,13 @@ class TestFuzz:
         assert "--tol" in err
 
     def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
-        exact = cosine_law._defects
-
-        def corrupted(f):
+        def corrupted(f, defects):
             a, b, c = f[geometry.SIDES]
             shift = 1e-8 * max(1.0, a * a, b * b, c * c)
-            return tuple((defect, residual + shift) for defect, residual in exact(f))
+            # (defect, residual) at A, B, C
+            return [value + shift if i % 2 else value for i, value in enumerate(defects)]
 
-        monkeypatch.setattr(cosine_law, "_defects", corrupted)
+        self.edit_constructions(monkeypatch, geometry.DEFECTS, corrupted)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
@@ -496,7 +503,7 @@ class TestFuzz:
         assert not any(entry["passed"] for entry in json.loads(out)["checks"]["euclid_defect"].values())
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr(cosine_law, "_defects", lambda f: ((1.0, math.nan),) * 3)
+        self.edit_constructions(monkeypatch, geometry.DEFECTS, lambda f, defects: [1.0, math.nan] * 3)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -611,6 +618,88 @@ class TestFuzz:
             for p in (t.A, t.B, t.C):
                 assert -10.0 <= p.x <= 10.0
                 assert -10.0 <= p.y <= 10.0
+
+
+def fold_records(count, seed, tol) -> tuple:
+    """The reference for run_fuzz: every record of checks.rows folded by check
+    name, as the fold before the slot layout did. Returns (check -> worst
+    |residual| / scale, counterexample)."""
+    rng = random.Random(seed)
+    maxima, counterexample = {}, None
+    for index in range(count):
+        t = Triangle._from_frame(cli._sample(rng))
+        for name, _, residual, scale, _ in checks.rows(t):
+            value = abs(residual) / scale
+            if value > maxima.setdefault(name, value) or value != value:
+                maxima[name] = value
+            if not value <= tol and counterexample is None:
+                counterexample = {"index": index, "check": name, "residual": value,
+                                  "triangle": cli._triangle_json(t)}
+        if counterexample is not None:
+            break
+    return maxima, counterexample
+
+
+class TestPositionalFold:
+    """run_fuzz folds passing triangles by slot, in batches, and a failing one
+    record by record; its report must be the record fold's, NaN included."""
+
+    @staticmethod
+    def assert_fold_matches(count, seed, tol):
+        report = run_fuzz(count, seed, tol)
+        maxima, counterexample = fold_records(count, seed, tol)
+        # repr() compares a NaN equal to a NaN.
+        assert repr(report["checks"]) == repr(
+            {name: {"max_residual": maxima[name], "passed": maxima[name] <= tol}
+             for name in sorted(maxima)})
+        assert repr(report["counterexample"]) == repr(counterexample)
+        assert report["passed"] is (counterexample is None)
+        return report
+
+    @pytest.mark.parametrize("batch", [7, cli._BATCH])
+    @pytest.mark.parametrize("tol", [1e-9, 5e-15, 1e-17])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_triangles(self, monkeypatch, seed, tol, batch):
+        # 250 triangles are more than two batches of either size.
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        report = self.assert_fold_matches(250, seed, tol)
+        if tol == 1e-17:
+            assert report["counterexample"]["index"] == 0
+
+    def test_skipped_slots_leave_their_checks_out(self, monkeypatch):
+        # Integer 3-4-5 triangles: the right angle skips its defect_sign slot
+        # and the squares and angles positivity slots, whose checks are then
+        # absent; the other two defect_sign slots are not skipped.
+        def right_triangle(rng):
+            x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+            return geometry._frame(x, y, x + 3, y, x, y + 4)
+
+        monkeypatch.setattr(cli, "_sample", right_triangle)
+        monkeypatch.setattr(cli, "_BATCH", 7)
+        report = self.assert_fold_matches(30, 0, 1e-9)
+        assert report["passed"] is True
+        assert sorted(report["checks"]) == sorted(
+            set(checks.NAMES) - {"squares_positivity", "angles_positivity"})
+
+    def test_nan_after_a_folded_batch(self, monkeypatch):
+        # The 12th triangle's last slot (split_sums at C) is NaN, after one
+        # batch of 7 has been folded by position.
+        rng = random.Random(3)
+        nan_frame = [cli._sample(rng) for _ in range(12)][-1]
+        exact = checks._rows
+
+        def nan_in_the_last_slot(f):
+            residuals, *rest = exact(f)
+            if f == nan_frame:
+                residuals[-1] = math.nan
+            return (residuals, *rest)
+
+        monkeypatch.setattr(checks, "_rows", nan_in_the_last_slot)
+        monkeypatch.setattr(cli, "_BATCH", 7)
+        report = self.assert_fold_matches(30, 3, 1e-9)
+        assert report["counterexample"]["index"] == 11
+        assert report["counterexample"]["check"] == "split_sums"
+        assert math.isnan(report["checks"]["split_sums"]["max_residual"])
 
 
 def failed_checks(report) -> list:

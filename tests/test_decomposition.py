@@ -7,8 +7,6 @@ from cuoco.decomposition import (
     HOSTED_PANELS,
     PANEL_LABELS,
     SIDE_FRAMES,
-    _finite_quad_areas,
-    _quad_areas,
     build,
     derive_cosine_theorem,
     panel_area_exact,
@@ -16,8 +14,13 @@ from cuoco.decomposition import (
     shoelace,
     similarity_check,
 )
-from cuoco.checks import rows
+from cuoco.checks import _rows, rows
+from cuoco.circles import circumcircle, incircle
+from cuoco.cosine_law import euclid_defect
+from cuoco.three_sum import interpret_squares
 from cuoco.geometry import (
+    QUAD_AREAS,
+    _constructions,
     cross,
     dot,
     foot_of_altitude,
@@ -266,8 +269,11 @@ class TestVerifyPairs:
             assert [area.hex() for area in quads] == [shoelace(p.quad).hex() for p in build(t).panels]
 
     def test_overflowing_quad_areas_raise(self):
+        # The constructions hold the quad areas as they come out; the
+        # catalogue refuses them.
+        assert not math.isfinite(sum(_constructions(FAR_OUT.frame)[QUAD_AREAS]))
         with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
-            _finite_quad_areas(FAR_OUT.frame)
+            _rows(FAR_OUT.frame)
         with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
             pair_equivalence_row(FAR_OUT)
 
@@ -277,7 +283,7 @@ def assert_frame_areas_are_the_figures(t):
     shoelace areas of the quads build(t) draws, bit for bit: hex() tells
     0.0 from -0.0."""
     drawn = [shoelace(panel.quad).hex() for panel in build(t).panels]
-    assert [area.hex() for area in _quad_areas(t.frame)] == drawn
+    assert [area.hex() for area in _constructions(t.frame)[QUAD_AREAS]] == drawn
 
 
 class TestFrameAreas:
@@ -359,3 +365,39 @@ class TestShoelace:
     def test_orientation_flips_sign(self):
         square = (Point(0, 1), Point(1, 1), Point(1, 0), Point(0, 0))
         assert shoelace(square) == pytest.approx(-1.0, rel=1e-15)
+
+
+# 8.9e153 from the origin along both axes: every squared side is finite, but
+# the panel quad areas, cross products of absolute corners, are not.
+OVERFLOWING_QUADS = Triangle(Point(0, 0), Point(8.9e153, 0), Point(0, 8.9e153))
+
+# Each public builder on OVERFLOWING_QUADS and FAR_OUT: None where it returns,
+# else the error it raises. Only the catalogue tests the quad areas, so no
+# builder fails on them; far out, only the incircle, whose centre's formula
+# multiplies absolute coordinates, fails.
+BUILDERS = {
+    "incircle": lambda t: incircle(t),
+    "circumcircle": lambda t: circumcircle(t),
+    "build": lambda t: build(t),
+    "derive_cosine_theorem": lambda t: derive_cosine_theorem(build(t)),
+    "similarity_check": lambda t: [similarity_check(t, v) for v in "ABC"],
+    "euclid_defect": lambda t: [euclid_defect(t, v) for v in "ABC"],
+    "interpret_squares": lambda t: interpret_squares(t),
+}
+BUILDER_ERRORS = [
+    *((OVERFLOWING_QUADS, name, None) for name in BUILDERS),
+    (FAR_OUT, "incircle", "the incentre is not finite"),
+    (FAR_OUT, "circumcircle", None),
+    (FAR_OUT, "build", None),
+]
+
+
+@pytest.mark.parametrize("t, name, error", BUILDER_ERRORS,
+                         ids=[f"{'far_out' if t is FAR_OUT else 'overflowing_quads'}-{name}"
+                              for t, name, _ in BUILDER_ERRORS])
+def test_each_builder_fails_only_on_its_own_construction(t, name, error):
+    if error is None:
+        BUILDERS[name](t)
+    else:
+        with pytest.raises(NonFiniteCoordinate, match=error):
+            BUILDERS[name](t)
