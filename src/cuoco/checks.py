@@ -85,7 +85,7 @@ def _records(residuals: list, scales: list, skipped: list) -> list:
     """The (check, item, residual, scale) of each record a triangle's slots make."""
     return [(check, item,
              residuals[start] if stop == start + 1
-             else _worst([abs(residual) for residual in residuals[start:stop]]),
+             else _worst(map(abs, residuals[start:stop])),
              scales[start])
             for check, item, start, stop in _SPANS if start not in skipped]
 

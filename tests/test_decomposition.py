@@ -37,6 +37,10 @@ from conftest import float_triangles, integer_triangles
 # products of absolute quad coordinates (about 1e320) are not.
 FAR_OUT = Triangle(Point(1e160, 0), Point(1.00000000000001e160, 0), Point(1e160, 1e150))
 
+# 8.9e153 from the origin along both axes: every squared side is finite, but
+# the panel quad areas, cross products of absolute corners, are not.
+OVERFLOWING_QUADS = Triangle(Point(0, 0), Point(8.9e153, 0), Point(0, 8.9e153))
+
 
 def point_in_convex_quad(pt, quad, slack):
     """True if pt lies inside (or within slack of) a counterclockwise quad."""
@@ -271,11 +275,12 @@ class TestVerifyPairs:
     def test_overflowing_quad_areas_raise(self):
         # The constructions hold the quad areas as they come out; the
         # catalogue refuses them.
-        assert not math.isfinite(sum(_constructions(FAR_OUT.frame)[QUAD_AREAS]))
-        with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
-            _rows(FAR_OUT.frame)
-        with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
-            pair_equivalence_row(FAR_OUT)
+        for t in (FAR_OUT, OVERFLOWING_QUADS):
+            assert not math.isfinite(sum(_constructions(t.frame)[QUAD_AREAS]))
+            with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
+                _rows(t.frame)
+            with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
+                pair_equivalence_row(t)
 
 
 def assert_frame_areas_are_the_figures(t):
@@ -365,11 +370,6 @@ class TestShoelace:
     def test_orientation_flips_sign(self):
         square = (Point(0, 1), Point(1, 1), Point(1, 0), Point(0, 0))
         assert shoelace(square) == pytest.approx(-1.0, rel=1e-15)
-
-
-# 8.9e153 from the origin along both axes: every squared side is finite, but
-# the panel quad areas, cross products of absolute corners, are not.
-OVERFLOWING_QUADS = Triangle(Point(0, 0), Point(8.9e153, 0), Point(0, 8.9e153))
 
 # Each public builder on OVERFLOWING_QUADS and FAR_OUT: None where it returns,
 # else the error it raises. Only the catalogue tests the quad areas, so no
