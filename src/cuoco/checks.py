@@ -30,9 +30,8 @@ from itertools import accumulate
 from math import cos, isfinite, sqrt
 
 from . import circles, cosine_law, decomposition, geometry, three_sum
-from .geometry import (CHAIN, CHAIN_DEVIATIONS, CIRCUMCIRCLE, COORDS, DEFECTS, DOTS, INCIRCLE,
-                       METRICS, QUAD_AREAS, SIMILARITY, VERTICES, NonFiniteCoordinate, Triangle,
-                       _worst)
+from .geometry import (CHAIN, DOTS, QUAD_AREAS, SIMILARITY, VERTICES, NonFiniteCoordinate,
+                       Triangle, _worst)
 
 # (check, item, slots) of each record, in record order.
 RECORDS = (
@@ -67,15 +66,14 @@ _SKIPPABLE = (*COLUMNS["defect_sign"], *(COLUMNS[name + "_positivity"][0]
 def rows(t: Triangle) -> list:
     """Every check's records for one triangle; see the module docstring."""
     f = t.frame
-    residuals, scales, skipped, k, trig_areas = _rows(f)
+    residuals, scales, skipped, k, trig_areas, defects = _rows(f)
     S, T, R = f[DOTS]
-    defects, similarity = k[DEFECTS], k[SIMILARITY]
     details = {("cosine_identity", None): (tuple(residuals[:3]),),
                ("pair_equivalence", None): list(k[QUAD_AREAS])}
     for i, (v, pair, exact, trig) in enumerate(zip(VERTICES, "RST", (R, S, T), trig_areas)):
         details["euclid_defect", v] = defects[2 * i:2 * i + 2]
         details["trig_vs_exact", pair] = (exact, trig)
-        details["similarity", v] = similarity[4 * i:4 * i + 3]
+        details["similarity", v] = k[SIMILARITY][4 * i:4 * i + 3]
     return [(check, item, residual, scale,
              (k[CHAIN], residual) if check == "derivation" else details.get((check, item)))
             for check, item, residual, scale in _records(residuals, scales, skipped)]
@@ -92,39 +90,40 @@ def _records(residuals: list, scales: list, skipped: list) -> list:
 
 def _rows(f: tuple) -> tuple:
     """The slots of the triangle of a frame: (residuals, scales, skipped slots,
-    its constructions, the trigonometric pair areas R, S, T)."""
+    its constructions, the trigonometric pair areas R, S, T, the defects)."""
     # Rounding in the area identities grows with the largest squared side: `scale`.
-    (_, _, _, alpha, beta, gamma, _, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
-     _) = f[METRICS]
+    (a, b, c, alpha, beta, gamma, s, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
+     classification, ax, ay, bx, by, cx, cy, _, _, _, _, _, _, _, _, _, _, _, _,
+     _, sq_a, sq_b, sq_c, S, T, R, _, _, _, _, _, _, _, _, _) = f
     cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
     k = geometry._constructions(f)
-    r_a, r_b, r_c = cosine_law._identity_residuals(f, cos_alpha, cos_beta, cos_gamma)
-    at_a, defect_a, at_b, defect_b, at_c, defect_c = k[DEFECTS]
+    (_, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, r1, r2, s1, s2, t1, t2,
+     _, _, similar_a, scale_a, _, _, similar_b, scale_b, _, _, similar_c, scale_c,
+     ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, length_a, length_b, length_c,
+     centre_x, centre_y, _, _, circumradius, a_b, a_c, b_c, b_a, c_a, c_b,
+     _, _, _, _, _, chain_1, chain_2, chain_3, chain_4) = k
+    r_a, r_b, r_c = cosine_law._identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta,
+                                                   cos_gamma)
+    defects = at_a, defect_a, at_b, defect_b, at_c, defect_c = cosine_law._defects(
+        sq_a, sq_b, sq_c, S, T, R)
     # The quads sit in absolute coordinates, where products overflow first.
-    r1, r2, s1, s2, t1, t2 = quads = k[QUAD_AREAS]
-    if not isfinite(sum(quads)):
+    if not isfinite(r1 + r2 + s1 + s2 + t1 + t2):
         raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
     # The pair areas R, S, T by both routes: the legs' dots and the trig forms.
-    S, T, R = f[DOTS]
-    trig = trig_r, trig_s, trig_t = decomposition._trig_areas(f, cos_alpha, cos_beta, cos_gamma)
-    # The squares reading's components are R, T, S.
-    squares = three_sum._squares(f, (R, T, S), (trig_r, trig_t, trig_s))
-    _, _, similar_a, scale_a, _, _, similar_b, scale_b, _, _, similar_c, scale_c = k[SIMILARITY]
-    (ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, length_a, length_b,
-     length_c) = k[INCIRCLE]
+    trig = trig_r, trig_s, trig_t = decomposition._trig_areas(a, b, c, cos_alpha, cos_beta,
+                                                              cos_gamma)
+    kind = classification.kind
+    squares = three_sum._squares(a2, b2, c2, kind, R, T, S, trig_r, trig_t, trig_s, scale)
     circles._check_centre(ox, oy, "incentre")
-    # The sides reading's components are the tangent lengths at C, B, A.
-    sides = three_sum._sides(f, (length_c, length_b, length_a))
-    centre_x, centre_y, _, _, circumradius, a_b, a_c, b_c, b_a, c_a, c_b = k[CIRCUMCIRCLE]
+    sides = three_sum._sides(a, b, c, s, length_c, length_b, length_a, length_scale)
     circles._check_centre(centre_x, centre_y, "circumcentre")
-    angles = three_sum._angles(f, ((a_b, a_c, b_c), (b_a, c_a, c_b)))
+    angles = three_sum._angles(alpha, beta, gamma, kind, a_b, a_c, b_c, b_a, c_a, c_b)
     x, y, z = sides[1]
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
     dax, day, dbx, dby, dcx, dcy = ox - pax, oy - pay, ox - pbx, oy - pby, ox - pcx, oy - pcy
     radius_scale = radius if radius > 1.0 else 1.0
     # Each vertex's offset from the circumcentre.
-    ax, ay, bx, by, cx, cy = f[COORDS]
     ax, ay, bx, by = centre_x - ax, centre_y - ay, centre_x - bx, centre_y - by
     cx, cy = centre_x - cx, centre_y - cy
     circumradius_scale = circumradius if circumradius > 1.0 else 1.0
@@ -141,7 +140,7 @@ def _rows(f: tuple) -> tuple:
         defect_c, 0.0 if (at_c > 0) == (cos_c > 0) else 1.0,
         r1 - r2, s1 - s2, t1 - t2, R - trig_r, S - trig_s, T - trig_t,
         R + T - a2, R + S - b2, S + T - c2, similar_a, similar_b, similar_c,
-        *k[CHAIN_DEVIATIONS],
+        chain_1, chain_2, chain_3, chain_4,
         squares[4], 0.0 if squares[3] else 1.0, sides[4], 0.0 if sides[2] else 1.0,
         angles[4], 0.0 if angles[3] else 1.0,
         length_a - z, length_b - y, length_c - x,
@@ -157,13 +156,16 @@ def _rows(f: tuple) -> tuple:
         b_c - split_z, b_a - split_x, b_c + b_a - beta,
         c_a - split_y, c_b - split_z, c_a + c_b - gamma,
     ]
-    # One scale per record, repeated over its slots.
-    scales = [*(max(a2, b2, c2),) * 3, *(scale, 1.0) * 3, *(scale,) * 9, scale_a, scale_b,
-              scale_c, *(scale,) * 4, *(1.0,) * 6, *(length_scale,) * 3,
-              *(radius_scale, 1.0) * 3, *(circumradius_scale,) * 3, *(1.0,) * 9]
+    # Each slot's scale, in the same order; the cosine identity's is max side^2.
+    square = max(a2, b2, c2)
+    scales = [square, square, square, scale, 1.0, scale, 1.0, scale, 1.0, scale, scale, scale,
+              scale, scale, scale, scale, scale, scale, scale_a, scale_b, scale_c, scale, scale,
+              scale, scale, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, length_scale, length_scale, length_scale,
+              radius_scale, 1.0, radius_scale, 1.0, radius_scale, 1.0, circumradius_scale,
+              circumradius_scale, circumradius_scale, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     # A defect's sign is read only beyond 1e-12 of a right angle, tighter than
     # RIGHT_ANGLE_BAND, which would skip more vertices.
     kept = (abs(cos_a) > 1e-12, abs(cos_b) > 1e-12, abs(cos_c) > 1e-12, squares[3] is not None,
             sides[2] is not None, angles[3] is not None)
     skipped = [] if all(kept) else [slot for slot, keep in zip(_SKIPPABLE, kept) if not keep]
-    return residuals, scales, skipped, k, trig
+    return residuals, scales, skipped, k, trig, defects

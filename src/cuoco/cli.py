@@ -260,7 +260,7 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
     counterexample = None
     for index in range(count):
         f = _sample(rng)
-        residuals, scales, skipped, _, _ = rows(f)
+        residuals, scales, skipped, _, _, _ = rows(f)
         values = list(map(truediv, map(abs, residuals), scales))
         for slot in skipped:
             values[slot] = -1.0

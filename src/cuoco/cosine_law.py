@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (DEFECTS, SIDE_SQUARES, SIDES, VERTICES, GeometryError, Triangle,
-                       TriangleMetrics, _check_sides, _check_vertex, _constructions)
+from .geometry import (DOTS, SQUARES, VERTICES, GeometryError, Triangle, TriangleMetrics,
+                       _check_sides, _check_vertex)
 
 
 class DomainError(GeometryError):
@@ -52,13 +52,18 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     """
     _check_vertex(at_vertex)
     i = 2 * VERTICES.index(at_vertex)
-    return _constructions(t.frame)[DEFECTS][i:i + 2]
+    return _defects(*t.frame[SQUARES], *t.frame[DOTS])[i:i + 2]
 
 
-def _identity_residuals(f: tuple, cos_alpha, cos_beta, cos_gamma) -> tuple:
-    """verify_cosine_identity's residuals from a frame, given the angles' cosines."""
-    a, b, c = f[SIDES]
-    a2, b2, c2 = f[SIDE_SQUARES]
+def _defects(sq_a, sq_b, sq_c, dot_a, dot_b, dot_c) -> tuple:
+    """euclid_defect's (defect, residual) at A, B and C, from the frame's exact values."""
+    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
+    return (at_a, sq_a - sq_c - sq_b + at_a, at_b, sq_b - sq_a - sq_c + at_b, at_c,
+            sq_c - sq_b - sq_a + at_c)
+
+
+def _identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta, cos_gamma) -> tuple:
+    """verify_cosine_identity's residuals from the sides, squares and cosines."""
     return (
         a2 - b2 - c2 + 2.0 * b * c * cos_alpha,
         b2 - a2 - c2 + 2.0 * a * c * cos_beta,
@@ -69,4 +74,5 @@ def _identity_residuals(f: tuple, cos_alpha, cos_beta, cos_gamma) -> tuple:
 def verify_cosine_identity(m: TriangleMetrics) -> tuple[float, float, float]:
     """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic
     forms, at A, B and C; max side^2 is their scale."""
-    return _identity_residuals(m.frame, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
+    return _identity_residuals(m.a, m.b, m.c, *m.side_squares, math.cos(m.alpha),
+                               math.cos(m.beta), math.cos(m.gamma))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIDES, SIMILARITY, VERTICES,
+from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIMILARITY, VERTICES,
                        Point, Triangle, TriangleMetrics, cross, _check_vertex, _constructions,
                        _point, _Record, _worst)
 
@@ -106,10 +106,9 @@ def panel_area_exact(pair: str, t: Triangle):
     return t.frame[DOTS][VERTICES.index(_PAIR_VERTEX[pair])]
 
 
-def _trig_areas(f: tuple, cos_alpha, cos_beta, cos_gamma) -> tuple:
-    """The pair areas R, S, T on the trigonometric route from a frame's
-    sides, given the angles' cosines."""
-    a, b, c = f[SIDES]
+def _trig_areas(a, b, c, cos_alpha, cos_beta, cos_gamma) -> tuple:
+    """The pair areas R, S, T on the trigonometric route from the sides and
+    the angles' cosines."""
     return a * b * cos_gamma, b * c * cos_alpha, a * c * cos_beta
 
 
@@ -117,7 +116,7 @@ def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
     """Pair area on the trigonometric route: two sides times the included cosine."""
     if pair not in _PAIR_VERTEX:
         raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
-    areas = _trig_areas(m.frame, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
+    areas = _trig_areas(m.a, m.b, m.c, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
     return areas[PAIR_CLASSES.index(pair)]
 
 

@@ -40,7 +40,6 @@ TOLERANCE = 1e-9
 # B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y.
 SIDES, ANGLES, SEMIPERIMETER, AREA, COSINES = slice(0, 3), slice(3, 6), 6, 7, slice(8, 11)
 SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE, CLASSIFICATION = slice(11, 14), 14, 15, 16
-METRICS = slice(0, 17)
 COORDS, LEGS, TWICE_AREA, SQUARES = slice(17, 23), slice(23, 35), 35, slice(36, 39)
 DOTS, FOOT_PARAMS, FEET = slice(39, 42), slice(42, 45), slice(45, 51)
 
@@ -278,16 +277,16 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
             ax + t_c * abx, ay + t_c * aby)
 
 
-# The constructions' layout: euclid_defect's (defect, residual) at A, B, C;
-# build's p_out, q_out and foot_out (x, y) across sides a, b, c; the quad areas
-# in PANEL_LABELS order; similarity_check's ch, ck, residual, scale at A, B, C;
-# the incircle's centre, radius, tangent params and points on a, b, c and
-# tangent lengths at A, B, C; the circumcircle's centre, offset from A, radius
-# and splits at A toward B and C, at B toward C and A, at C toward A and B; the
-# equal-area chain's five steps, then the last four minus the first, a^2.
-DEFECTS, CORNERS, QUAD_AREAS, SIMILARITY = slice(0, 6), slice(6, 24), slice(24, 30), slice(30, 42)
-INCIRCLE, CIRCUMCIRCLE, CHAIN, CHAIN_DEVIATIONS = (slice(42, 57), slice(57, 68), slice(68, 73),
-                                                   slice(73, 77))
+# The constructions' layout: build's p_out, q_out and foot_out (x, y) across
+# sides a, b, c; the quad areas in PANEL_LABELS order; similarity_check's ch,
+# ck, residual, scale at A, B, C; the incircle's centre, radius, tangent params
+# and points on a, b, c and tangent lengths at A, B, C; the circumcircle's
+# centre, offset from A, radius and splits at A toward B and C, at B toward C
+# and A, at C toward A and B; the equal-area chain's five steps, then the last
+# four minus the first, a^2.
+CORNERS, QUAD_AREAS, SIMILARITY = slice(0, 18), slice(18, 24), slice(24, 36)
+INCIRCLE, CIRCUMCIRCLE, CHAIN, CHAIN_DEVIATIONS = (slice(36, 51), slice(51, 62), slice(62, 67),
+                                                   slice(67, 71))
 
 
 def _constructions(f: tuple) -> tuple:
@@ -298,8 +297,7 @@ def _constructions(f: tuple) -> tuple:
     infinite. Each reader tests what it uses."""
     (a, b, c, _, _, _, s, area, _, _, _, a2, b2, c2, _, _, _,
      ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
-     _, sq_a, sq_b, sq_c, dot_a, dot_b, dot_c, _, _, _, fax, fay, fbx, fby, fcx, fcy) = f
-    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
+     _, sq_a, sq_b, sq_c, dot_a, _, _, _, _, _, fax, fay, fbx, fby, fcx, fcy) = f
     # Side (p, q) with foot f moves out by perp(p - q), which points away from
     # a counterclockwise triangle and has the side's length: (q, p, p_out,
     # q_out) is its exterior square, split into the panels (foot, p, p_out,
@@ -365,8 +363,7 @@ def _constructions(f: tuple) -> tuple:
     atan2, sqrt = math.atan2, math.sqrt
     # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2 S
     step_1, step_2, step_3, step_4 = r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * dot_a
-    return (at_a, sq_a - sq_c - sq_b + at_a, at_b, sq_b - sq_a - sq_c + at_b, at_c,
-            sq_c - sq_b - sq_a + at_c, apx, apy, aqx, aqy, afx, afy, bpx, bpy, bqx, bqy, bfx, bfy,
+    return (apx, apy, aqx, aqy, afx, afy, bpx, bpy, bqx, bqy, bfx, bfy,
             cpx, cpy, cqx, cqy, cfx, cfy, r1, r2, s1, s2, t1, t2,
             ch_a, ck_a, c * ck_a - b * ch_a, product_a if product_a > 1.0 else 1.0,
             ch_b, ck_b, a * ck_b - c * ch_b, product_b if product_b > 1.0 else 1.0,
@@ -415,7 +412,7 @@ def _check_vertex(name: str) -> None:
 
 class TriangleMetrics(_Frozen):
     """Side lengths, angles (radians), semiperimeter, area, side cosines, and
-    beside them the values of `_beside`: a view of a frame's first METRICS
+    beside them the values of `_beside`: a view of a frame's first 17
     values. Built from the fields (a copy, a pickle), the metrics compute
     those values into a frame of their own."""
 
@@ -463,10 +460,6 @@ class Classification(_Frozen):
     def __init__(self, kind: str, vertex: str | None = None) -> None:
         # kind: "acute" | "right" | "obtuse"; vertex: set for right and obtuse
         self._store(kind, vertex)
-
-    @property
-    def is_acute(self) -> bool:
-        return self.kind == "acute"
 
 
 # The seven classifications, shared by every triangle: a Classification is

@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 
 from .circles import CircumcircleData, IncircleData
-from .decomposition import panel_area_exact, panel_area_trig
-from .geometry import (ANGLES, AREA_SCALE, CLASSIFICATION, LENGTH_SCALE, SEMIPERIMETER,
-                       SIDE_SQUARES, SIDES, TOLERANCE, Classification, GeometryError, Triangle,
-                       _Frozen, _Record, _is_finite, _worst)
+from .decomposition import panel_area_exact, _trig_areas
+from .geometry import (ANGLES, CLASSIFICATION, LENGTH_SCALE, SEMIPERIMETER, SIDES, TOLERANCE,
+                       Classification, GeometryError, Triangle, _Frozen, _Record, _is_finite)
 
 
 class ThreeSum(_Frozen):
@@ -35,15 +34,10 @@ class ThreeSum(_Frozen):
 
 
 def _check_terms(L: float, M: float, N: float) -> None:
-    """GeometryError unless every right-hand side is finite."""
-    try:  # a finite float sum means every term is finite
-        finite = math.isfinite(0.0 + L + M + N)
-    except OverflowError:  # 0.0 + an integer too large for a float
-        finite = False
-    if not finite:  # a bad term, or finite terms whose sum overflows
-        for value in (L, M, N):
-            if not _is_finite(value):
-                raise GeometryError(f"system inputs must be finite, got {value!r}")
+    """GeometryError naming the first right-hand side that is not finite."""
+    for value in (L, M, N):
+        if not _is_finite(value):
+            raise GeometryError(f"system inputs must be finite, got {value!r}")
 
 
 class Solution(_Record):
@@ -58,12 +52,17 @@ class Solution(_Record):
 
 def _solve(L: float, M: float, N: float) -> tuple[float, float, float]:
     """solve(ThreeSum(L, M, N)) as (x, y, z), raising as those two would."""
-    _check_terms(L, M, N)
-    # Halves first: halving is exact, so this is (L + M - N) / 2 bit for bit
-    # unless a sum would overflow or a half is subnormal.
-    L, M, N = L / 2.0, M / 2.0, N / 2.0
-    x, y, z = (L + M) - N, (L + N) - M, (M + N) - L
+    try:
+        # Halves first: halving is exact, so this is (L + M - N) / 2 bit for
+        # bit unless a sum would overflow or a half is subnormal.
+        half_l, half_m, half_n = L / 2.0, M / 2.0, N / 2.0
+    except OverflowError:  # an integer too large for a float
+        half_l = half_m = half_n = math.nan
+    x, y, z = (half_l + half_m) - half_n, (half_l + half_n) - half_m, (half_m + half_n) - half_l
+    # Each component sums all three terms, so a bad term leaves none finite;
+    # only then are the terms tested, to name it before an overflow.
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        _check_terms(L, M, N)
         raise GeometryError(f"the solution overflows a float: x={x}, y={y}, z={z}")
     return x, y, z
 
@@ -72,13 +71,10 @@ def solve(system: ThreeSum) -> Solution:
     return Solution(*_solve(system.L, system.M, system.N))
 
 
-def _all_positive(L: float, M: float, N: float) -> bool:
-    return L < M + N and M < L + N and N < L + M
-
-
 def all_positive(system: ThreeSum) -> bool:
     """True when every component of the solution is strictly positive."""
-    return _all_positive(system.L, system.M, system.N)
+    L, M, N = system.L, system.M, system.N
+    return L < M + N and M < L + N and N < L + M
 
 
 class InterpretationReport(_Record):
@@ -111,17 +107,6 @@ class InterpretationReport(_Record):
         self.passed = passed
 
 
-def _deviation(solution: tuple, measured: tuple, closed_form: tuple, scale: float) -> float:
-    """The worst |solution - value| over the (x, y, z) triples of `measured`
-    and `closed_form`, a NaN kept, over `scale`."""
-    x, y, z = solution
-    (gx, gy, gz), (cx, cy, cz) = measured[0], closed_form
-    worst = _worst((abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz)))
-    for ox, oy, oz in measured[1:]:
-        worst = _worst((worst, abs(x - ox), abs(y - oy), abs(z - oz)))
-    return worst / scale
-
-
 def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, values: tuple,
             classification: Classification, verdict_flag: bool | None,
             tol: float) -> InterpretationReport:
@@ -138,21 +123,29 @@ def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, v
         max_residual <= tol and verdict_flag is not False)
 
 
-def _squares(f: tuple, exact: tuple, trig: tuple) -> tuple:
-    """The squares reading's values (see _report) from a frame and the pair areas (R, T, S)."""
-    a2, b2, c2 = f[SIDE_SQUARES]
-    solution = _solve(a2, b2, c2)
-    positive, cls = _all_positive(a2, b2, c2), f[CLASSIFICATION]
-    acute = None if cls.kind == "right" else positive == cls.is_acute
-    return solution, trig, positive, acute, _deviation(solution, (exact,), trig, f[AREA_SCALE])
+def _squares(a2, b2, c2, kind: str, gx, gy, gz, cx, cy, cz, scale) -> tuple:
+    """The squares reading's values (see _report) from the squared sides, the kind
+    of triangle, the pair areas (R, T, S) by the dots and by trig, and the area scale."""
+    x, y, z = solution = _solve(a2, b2, c2)
+    positive = a2 < b2 + c2 and b2 < a2 + c2 and c2 < a2 + b2
+    # The worst deviation, a NaN kept: max() can drop a NaN, a sum of
+    # nonnegative terms cannot.
+    deviations = (abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz))
+    total = sum(deviations)
+    return (solution, (cx, cy, cz), positive,
+            None if kind == "right" else positive == (kind == "acute"),
+            (max(deviations) if total == total else total) / scale)
 
 
 def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
     """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
     m = t.metrics
     exact = (panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t))
-    values = _squares(t.frame, exact,
-                      (panel_area_trig("R", m), panel_area_trig("T", m), panel_area_trig("S", m)))
+    # panel_area_trig's values, each of its three cosines taken once.
+    trig_r, trig_s, trig_t = _trig_areas(m.a, m.b, m.c, math.cos(m.alpha), math.cos(m.beta),
+                                         math.cos(m.gamma))
+    values = _squares(*m.side_squares, m.classification.kind, *exact, trig_r, trig_t, trig_s,
+                      m.area_scale)
     return _report("squares", m.side_squares, {"x": "R", "y": "T", "z": "S"}, (exact,), values,
                    m.classification, values[3], tol)
 
@@ -167,16 +160,17 @@ def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationRepo
 SIDES_BUDGET = 8
 
 
-def _sides(f: tuple, lengths: tuple) -> tuple:
-    """The sides reading's values (see _report) from a frame and the tangent lengths at C, B, A."""
-    a, b, c = f[SIDES]
-    s = f[SEMIPERIMETER]
-    solution = _solve(a, b, c)
-    closed = (s - c, s - b, s - a)
+def _sides(a, b, c, s, gx, gy, gz, scale) -> tuple:
+    """The sides reading's values (see _report) from the sides, the
+    semiperimeter, the tangent lengths at C, B, A and the length scale."""
+    x, y, z = solution = _solve(a, b, c)
+    cx, cy, cz = s - c, s - b, s - a
     smallest = min(solution)
     undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
-    return (solution, closed, None if undecided else smallest > 0, None,
-            _deviation(solution, (lengths,), closed, f[LENGTH_SCALE]))
+    deviations = (abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz))
+    total = sum(deviations)  # a NaN kept, as in _squares
+    return (solution, (cx, cy, cz), None if undecided else smallest > 0, None,
+            (max(deviations) if total == total else total) / scale)
 
 
 def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -188,23 +182,28 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     below, so a sign is decided only beyond the rounding budget
     SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
-    m, lengths = inc.triangle.metrics, inc.tangent_lengths
+    f, lengths = inc.triangle.frame, inc.tangent_lengths
     measured = (lengths["C"], lengths["B"], lengths["A"])
-    values = _sides(inc.triangle.frame, measured)
+    values = _sides(*f[SIDES], f[SEMIPERIMETER], *measured, f[LENGTH_SCALE])
     return _report(
-        "sides", (m.a, m.b, m.c),
+        "sides", f[SIDES],
         {"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
-        (measured,), values, m.classification, values[2], tol)
+        (measured,), values, f[CLASSIFICATION], values[2], tol)
 
 
-def _angles(f: tuple, splits: tuple) -> tuple:
-    """The angles reading's values (see _report) from a frame and two (x, y, z) split triples."""
-    alpha, beta, gamma = f[ANGLES]
-    solution = _solve(alpha, beta, gamma)
-    closed = (math.pi / 2.0 - gamma, math.pi / 2.0 - beta, math.pi / 2.0 - alpha)
-    positive, cls = _all_positive(alpha, beta, gamma), f[CLASSIFICATION]
-    acute = None if cls.kind == "right" else positive == cls.is_acute
-    return solution, closed, positive, acute, _deviation(solution, splits, closed, 1.0)
+def _angles(alpha, beta, gamma, kind: str, gx, gy, gz, hx, hy, hz) -> tuple:
+    """The angles reading's values (see _report) from the angles, the kind of
+    triangle and two (x, y, z) split triples; the deviation is absolute."""
+    x, y, z = solution = _solve(alpha, beta, gamma)
+    half_pi = math.pi / 2.0
+    cx, cy, cz = half_pi - gamma, half_pi - beta, half_pi - alpha
+    positive = alpha < beta + gamma and beta < alpha + gamma and gamma < alpha + beta
+    deviations = (abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz),
+                  abs(x - hx), abs(y - hy), abs(z - hz))
+    total = sum(deviations)  # a NaN kept, as in _squares
+    return (solution, (cx, cy, cz), positive,
+            None if kind == "right" else positive == (kind == "acute"),
+            max(deviations) if total == total else total)
 
 
 def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -218,7 +217,8 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     # Each component is realized twice; hold it against both measurements.
     at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
     measured = ((at_a["B"], at_a["C"], at_b["C"]), (at_b["A"], at_c["A"], at_c["B"]))
-    values = _angles(circ.triangle.frame, measured)
+    values = _angles(*circ.triangle.frame[ANGLES], m.classification.kind, *measured[0],
+                     *measured[1])
     return _report(
         "angles", (m.alpha, m.beta, m.gamma),
         {"x": "split over side c", "y": "split over side b", "z": "split over side a"},

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import cuoco
-from cuoco import checks, circles, cli, decomposition, figures, geometry, three_sum
+from cuoco import (checks, circles, cli, cosine_law, decomposition, figures, geometry,
+                   three_sum)
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
@@ -223,6 +224,25 @@ class TestFigure:
         )
         assert code == 0
         assert json.loads(out)["report"] == {"vertex": "B", "defect": 18.0}
+
+    def test_defect_figure_computes_the_constructions_once(self, capsys, monkeypatch, tmp_path):
+        # The receipt's defect reads the frame; only the drawing's build
+        # reads the constructions kernel, wherever a module holds it.
+        calls = []
+        kernel = geometry._constructions
+
+        def counting(f):
+            calls.append(f)
+            return kernel(f)
+
+        for module in (geometry, cosine_law, decomposition, circles, figures, cli):
+            if vars(module).get("_constructions") is kernel:
+                monkeypatch.setattr(module, "_constructions", counting)
+        code, out, _ = run_cli(capsys, "figure", "--kind", "euclid_defect", "--sides", "2,3,4",
+                               "--out", str(tmp_path / "d.svg"))
+        assert code == 0
+        assert json.loads(out)["report"] == {"vertex": "B", "defect": 11.0}
+        assert len(calls) == 1
 
     def test_file_content_deterministic(self, capsys, tmp_path):
         first = tmp_path / "one.svg"
@@ -445,6 +465,17 @@ class TestFuzz:
 
         monkeypatch.setattr(geometry, "_constructions", edited)
 
+    @staticmethod
+    def edit_defects(monkeypatch, edit):
+        """Make the catalogue see each frame's Euclid defects, (defect,
+        residual) at A, B, C, passed through `edit` with the squared sides."""
+        exact = cosine_law._defects
+
+        def edited(sq_a, sq_b, sq_c, *dots):
+            return tuple(edit((sq_a, sq_b, sq_c), exact(sq_a, sq_b, sq_c, *dots)))
+
+        monkeypatch.setattr(cosine_law, "_defects", edited)
+
     def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
         self.edit_constructions(monkeypatch, geometry.CHAIN_DEVIATIONS,
                                 lambda f, deviations: [math.nan] * len(deviations))
@@ -488,13 +519,12 @@ class TestFuzz:
         assert "--tol" in err
 
     def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
-        def corrupted(f, defects):
-            a, b, c = f[geometry.SIDES]
-            shift = 1e-8 * max(1.0, a * a, b * b, c * c)
+        def corrupted(squares, defects):
+            shift = 1e-8 * max(1.0, *squares)
             # (defect, residual) at A, B, C
             return [value + shift if i % 2 else value for i, value in enumerate(defects)]
 
-        self.edit_constructions(monkeypatch, geometry.DEFECTS, corrupted)
+        self.edit_defects(monkeypatch, corrupted)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
@@ -503,7 +533,7 @@ class TestFuzz:
         assert not any(entry["passed"] for entry in json.loads(out)["checks"]["euclid_defect"].values())
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
-        self.edit_constructions(monkeypatch, geometry.DEFECTS, lambda f, defects: [1.0, math.nan] * 3)
+        self.edit_defects(monkeypatch, lambda squares, defects: [1.0, math.nan] * 3)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)

@@ -4,9 +4,12 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuoco import three_sum
+from cuoco import cli, geometry, three_sum
 from cuoco.circles import circumcircle, incircle
-from cuoco.geometry import SEMIPERIMETER, GeometryError, Point, Triangle, triangle_from_sides
+from cuoco.decomposition import _trig_areas, panel_area_trig
+from cuoco.geometry import (ANGLES, AREA_SCALE, CIRCUMCIRCLE, CLASSIFICATION, DOTS, INCIRCLE,
+                            LENGTH_SCALE, SEMIPERIMETER, SIDE_SQUARES, SIDES, GeometryError, Point,
+                            Triangle, _is_finite, _worst, triangle_from_sides)
 from cuoco.three_sum import (
     SIDES_BUDGET,
     ThreeSum,
@@ -140,6 +143,17 @@ class TestInterpretSquares:
         assert report.acute_iff_positive is None
         assert report.passed
 
+    def test_three_cosines_for_the_trig_pair_areas(self, monkeypatch):
+        # One cosine per angle, and the trig pair areas panel_area_trig gives.
+        t = triangle_from_sides(2.0, 3.0, 4.0)
+        m = t.metrics
+        trig = [panel_area_trig(pair, m).hex() for pair in "RTS"]
+        calls, cos = [], math.cos
+        monkeypatch.setattr(math, "cos", lambda angle: calls.append(angle) or cos(angle))
+        report = interpret_squares(t)
+        assert sorted(calls) == sorted((m.alpha, m.beta, m.gamma))
+        assert [value.hex() for value in report.closed_form.values()] == trig
+
     def test_system_is_squared_sides(self):
         report = interpret_squares(triangle_from_sides(2.0, 3.0, 4.0))
         assert (report.system.L, report.system.M, report.system.N) == pytest.approx((4.0, 9.0, 16.0), rel=1e-12)
@@ -263,9 +277,14 @@ class TestReadingsKeepANaN:
     @pytest.mark.parametrize("route", ["panel_area_exact", "panel_area_trig"])
     @pytest.mark.parametrize("pair", ["R", "T", "S"])
     def test_squares(self, monkeypatch, route, pair):
-        exact = getattr(three_sum, route)
-        monkeypatch.setattr(three_sum, route,
-                            lambda p, arg: math.nan if p == pair else exact(p, arg))
+        if route == "panel_area_exact":
+            exact = three_sum.panel_area_exact
+            monkeypatch.setattr(three_sum, route,
+                                lambda p, arg: math.nan if p == pair else exact(p, arg))
+        else:  # the reading takes panel_area_trig's values at once, as R, S, T
+            trig, where = three_sum._trig_areas, "RST".index(pair)
+            monkeypatch.setattr(three_sum, "_trig_areas", lambda *args: tuple(
+                math.nan if i == where else area for i, area in enumerate(trig(*args))))
         self.assert_nan_fails(interpret_squares(triangle_from_sides(2.0, 3.0, 4.0)))
 
     @pytest.mark.parametrize("vertex", ["A", "B", "C"])
@@ -288,3 +307,127 @@ class TestReadingsKeepANaN:
         circ = circumcircle(triangle_from_sides(2.0, 3.0, 4.0))
         circ.splits = {**circ.splits, at: {**circ.splits[at], toward: math.nan}}
         self.assert_nan_fails(interpret_angles(circ))
+
+
+# The readings as they were composed from helpers: _check_terms' one-sum fast
+# path, _solve, _all_positive and _deviation folding with _worst. The flat
+# readings must give the same five values, or raise the same error.
+def composed_check_terms(L, M, N):
+    try:
+        finite = math.isfinite(0.0 + L + M + N)
+    except OverflowError:
+        finite = False
+    if not finite:
+        for value in (L, M, N):
+            if not _is_finite(value):
+                raise GeometryError(f"system inputs must be finite, got {value!r}")
+
+
+def composed_solve(L, M, N):
+    composed_check_terms(L, M, N)
+    L, M, N = L / 2.0, M / 2.0, N / 2.0
+    x, y, z = (L + M) - N, (L + N) - M, (M + N) - L
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise GeometryError(f"the solution overflows a float: x={x}, y={y}, z={z}")
+    return x, y, z
+
+
+def composed_all_positive(L, M, N):
+    return L < M + N and M < L + N and N < L + M
+
+
+def composed_deviation(solution, measured, closed_form, scale):
+    x, y, z = solution
+    (gx, gy, gz), (cx, cy, cz) = measured[0], closed_form
+    worst = _worst((abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz)))
+    for ox, oy, oz in measured[1:]:
+        worst = _worst((worst, abs(x - ox), abs(y - oy), abs(z - oz)))
+    return worst / scale
+
+
+def composed_squares(a2, b2, c2, kind, gx, gy, gz, cx, cy, cz, scale):
+    solution = composed_solve(a2, b2, c2)
+    positive = composed_all_positive(a2, b2, c2)
+    acute = None if kind == "right" else positive == (kind == "acute")
+    return (solution, (cx, cy, cz), positive, acute,
+            composed_deviation(solution, ((gx, gy, gz),), (cx, cy, cz), scale))
+
+
+def composed_sides(a, b, c, s, gx, gy, gz, scale):
+    solution = composed_solve(a, b, c)
+    closed = (s - c, s - b, s - a)
+    smallest = min(solution)
+    undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
+    return (solution, closed, None if undecided else smallest > 0, None,
+            composed_deviation(solution, ((gx, gy, gz),), closed, scale))
+
+
+def composed_angles(alpha, beta, gamma, kind, gx, gy, gz, hx, hy, hz):
+    solution = composed_solve(alpha, beta, gamma)
+    closed = (math.pi / 2.0 - gamma, math.pi / 2.0 - beta, math.pi / 2.0 - alpha)
+    positive = composed_all_positive(alpha, beta, gamma)
+    acute = None if kind == "right" else positive == (kind == "acute")
+    return (solution, closed, positive, acute,
+            composed_deviation(solution, ((gx, gy, gz), (hx, hy, hz)), closed, 1.0))
+
+
+READINGS = {"_squares": composed_squares, "_sides": composed_sides, "_angles": composed_angles}
+
+
+def reading_args(f):
+    """Each reading's arguments for a frame, as the catalogue passes them."""
+    k = geometry._constructions(f)
+    S, T, R = f[DOTS]
+    trig_r, trig_s, trig_t = _trig_areas(*f[SIDES], *map(math.cos, f[ANGLES]))
+    length_a, length_b, length_c = k[INCIRCLE][12:15]
+    kind = f[CLASSIFICATION].kind
+    return {"_squares": (*f[SIDE_SQUARES], kind, R, T, S, trig_r, trig_t, trig_s, f[AREA_SCALE]),
+            "_sides": (*f[SIDES], f[SEMIPERIMETER], length_c, length_b, length_a,
+                       f[LENGTH_SCALE]),
+            "_angles": (*f[ANGLES], kind, *k[CIRCUMCIRCLE][5:11])}
+
+
+def outcome(reading, args):
+    """A reading's five values by repr, or the type and message it raises."""
+    try:
+        return repr(reading(*args))
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+class TestFlatReadingsMatchTheComposition:
+    @staticmethod
+    def assert_match(f_args):
+        for name, args in f_args.items():
+            assert outcome(getattr(three_sum, name), args) == outcome(READINGS[name], args), (
+                name, args)
+
+    def test_fuzz_frames(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            self.assert_match(reading_args(cli._sample(rng)))
+
+    @pytest.mark.parametrize("t", [Triangle(Point(0, 0), Point(4, 0), Point(4, 3)),
+                                   Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))],
+                             ids=["3-4-5", "needle"])
+    def test_right_triangle_and_needle(self, t):
+        self.assert_match(reading_args(t.frame))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sides", [(2.0, 3.0, 4.0), (6.0, 7.0, 8.0)])
+    def test_non_finite_value_in_each_position(self, sides, value):
+        # Every float argument in turn: the system's terms (which raise), each
+        # measured and closed-form value, and the scale.
+        for name, args in reading_args(triangle_from_sides(*sides).frame).items():
+            for i, arg in enumerate(args):
+                if isinstance(arg, float):
+                    self.assert_match({name: (*args[:i], value, *args[i + 1:])})
+
+    @pytest.mark.parametrize("terms", [
+        (3.0, 4.0, 5.0), (3, 4, 5), (10**400, 1, 1), (1.0, -10**400, 2.0), (10**400, -10**400, 1),
+        (math.nan, 10**400, 1), (math.inf, -math.inf, 1), (1.0, 2.0, math.nan),
+        (1e308, 1e308, 1e308), (1e308, 1e308, -1e308), (1.7e308, 1.7e308, -1.7e308),
+        (5e-324, 5e-324, 5e-324),
+    ])
+    def test_solve(self, terms):
+        assert outcome(three_sum._solve, terms) == outcome(composed_solve, terms)
