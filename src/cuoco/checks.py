@@ -20,8 +20,8 @@ NaN, is folded record by record.
 
 Each construction is computed once per triangle, from the frame and the one
 kernel behind the builders, `geometry._constructions` (the decomposition and
-the circles are never built), beside the angles' cosines, the trigonometric
-pair areas and the three readings. No report record is built.
+the circles are never built), beside the angles' cosines, the Euclid defects,
+the trigonometric pair areas and the three readings. No report record is built.
 """
 
 from __future__ import annotations
