@@ -62,10 +62,26 @@ from .circles import (
     circumcircle,
     incircle,
 )
-from .figures import (KINDS as FIGURE_KINDS, FigureSpec, KindMismatch,
-                      construction as figure_construction, render)
 
 __version__ = "0.1.0"
+
+# Exported name -> its name in `figures`, which is imported on first use:
+# only drawing needs it (PEP 562).
+_FIGURE_EXPORTS = {
+    "FIGURE_KINDS": "KINDS",
+    "FigureSpec": "FigureSpec",
+    "KindMismatch": "KindMismatch",
+    "figure_construction": "construction",
+    "render": "render",
+}
+
+
+def __getattr__(name: str):
+    if name in _FIGURE_EXPORTS:
+        from . import figures
+
+        return getattr(figures, _FIGURE_EXPORTS[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Classification",

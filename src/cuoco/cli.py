@@ -7,22 +7,29 @@ triangles into each check's worst |residual| / scale. `fuzz` draws six
 coordinates at a time and runs the catalogue on their frame
 (`checks._rows`); it makes a Triangle only to print a counterexample.
 
+The shell stays thin: a command line that names a command is parsed by
+that command's parser alone, and the full parser tree (`build_parser`)
+is built only for help, errors and a missing or unknown command, so
+every usage line and message reads as from the full tree. `figures` is
+imported only to draw.
+
 Reports go to stdout as JSON (schema "cuoco-report/1", floats rounded to
-twelve decimals so identical inputs give byte-identical output);
-diagnostics go to stderr. Exit codes: 0 all checks passed, 1 a
-verification check failed, 2 invalid usage or input.
+twelve decimals so identical inputs give byte-identical output), written
+in one pass by `_json`; diagnostics go to stderr. Exit codes: 0 all
+checks passed, 1 a verification check failed, 2 invalid usage or input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
 import sys
 from operator import truediv
 
-from . import checks, circles, cosine_law, decomposition, figures, three_sum
+from . import checks, circles, cosine_law, decomposition, three_sum
 from .geometry import (SIDES, TOLERANCE, TWICE_AREA, VERTICES, GeometryError, Point, Triangle,
                        triangle_from_sides, _frame, _Record, _worst)
 
@@ -67,22 +74,61 @@ def _triangle_from_args(args) -> Triangle:
     raise InputError("a triangle is required: pass --sides a,b,c or --points x1,y1,x2,y2,x3,y3")
 
 
-def _rounded(obj):
-    if isinstance(obj, bool):
-        return obj
+def _fields(record: _Record) -> dict:
+    """A record as its fields, in field order."""
+    return {name: getattr(record, name) for name in record._fields}
+
+
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, out: list, newline: str) -> None:
+    """Append obj to out as `json.dumps(obj, indent=2)` writes it, after
+    rounding each float to twelve decimals and turning each _Record into
+    its fields; `newline` is the line break and indent of obj's level."""
     if isinstance(obj, float):
-        return round(obj, 12)
-    if isinstance(obj, dict):
-        return {key: _rounded(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(value) for value in obj]
-    if isinstance(obj, _Record):  # a record prints as its fields, in order
-        return {name: _rounded(getattr(obj, name)) for name in obj._fields}
-    return obj
+        x = round(obj, 12)
+        out.append(float.__repr__(x) if x - x == 0.0
+                   else "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity")
+    elif isinstance(obj, str):
+        out.append(_ENCODE(obj))
+    elif isinstance(obj, (dict, _Record)):
+        items = (obj if isinstance(obj, dict) else _fields(obj)).items()
+        if not items:
+            out.append("{}")
+            return
+        inner, head = newline + "  ", "{"
+        for key, value in items:  # every key is a str
+            out.append(f"{head}{inner}{_ENCODE(key)}: ")
+            _json(value, out, inner)
+            head = ","
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, head = newline + "  ", "["
+        for value in obj:
+            out.append(head + inner)
+            _json(value, out, inner)
+            head = ","
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(_rounded(report), indent=2))
+    out = []
+    _json(report, out, "\n")
+    print("".join(out))
 
 
 def _point_json(p: Point) -> list:
@@ -107,7 +153,7 @@ _VERIFY_ENTRIES = {
     "trig_vs_exact": lambda exact, trig: {"exact": exact, "trig": trig},
     "similarity": lambda ch, ck, residual: {"ch": ch, "ck": ck, "residual": residual},
     # The trace as derive_cosine_theorem returns it, printed as its fields.
-    "derivation": lambda *detail: _rounded(decomposition._trace(*detail)),
+    "derivation": lambda *detail: _fields(decomposition._trace(*detail)),
 }
 
 
@@ -196,6 +242,8 @@ _RECEIPTS = {
 
 
 def cmd_figure(args) -> int:
+    from . import figures  # only drawing needs it
+
     t = _triangle_from_args(args)
     spec = figures.FigureSpec(kind=args.kind, labels=not args.no_labels, precision=args.precision)
     data = figures.construction(args.kind, t)
@@ -350,6 +398,8 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
 
 
 def _figure_args(p: argparse.ArgumentParser) -> None:
+    from . import figures
+
     _add_triangle_args(p)
     p.add_argument("--kind", choices=figures.KINDS, required=True)
     p.add_argument("--out", required=True)
@@ -372,30 +422,58 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser with only the subparser `argv[0]` names (one
-    costs more than most requests), or all four when it names none, so help
-    and errors list every command. The explicit usage and subparser `prog`
-    keep each usage line as the full tree prints it.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree, every command's subparser under `cuoco`: the
+    one that prints help and errors."""
     parser = argparse.ArgumentParser(
         prog="cuoco",
-        usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
         description="Verify the law of cosines constructively and draw the figures behind it.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, prog="cuoco")
-    names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
-    for name in names:
-        help_text, add_arguments, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+class _Unparsed(Exception):
+    """A command line that the full tree must parse, to print its error."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's arguments, without -h: it parses a command line that
+    is all its own, and leaves all else to the full tree."""
+
+    def __init__(self, name: str) -> None:
+        # It never prints, so its formatter needs no terminal width; probing
+        # one on each add_argument costs a third of the parse.
+        super().__init__(prog=f"cuoco {name}", add_help=False,
+                         formatter_class=functools.partial(argparse.HelpFormatter, width=80))
+        COMMANDS[name][1](self)
+
+    def error(self, message):
+        raise _Unparsed(message)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full tree parses from argv, built with the full
+    tree only for help, errors and a missing or unknown command (building
+    it costs more than most requests)."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            args, extras = _CommandParser(argv[0]).parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        except _Unparsed:
+            extras = True
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

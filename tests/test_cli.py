@@ -19,6 +19,7 @@ from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
 from conftest import circumcentre_budget
+from test_reports import PINNED_REPORTS
 
 
 DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
@@ -32,6 +33,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def written(report) -> str:
+    """The text `cli._emit` prints for report, without the final newline."""
+    out = []
+    cli._json(report, out, "\n")
+    return "".join(out)
 
 
 class TestVerify:
@@ -178,7 +186,7 @@ class TestSolve:
     def test_records_print_as_their_fields(self):
         # Nested records become objects keyed by their fields, in field order.
         report = three_sum.interpret_squares(triangle_from_sides(3, 4, 5))
-        printed = cli._rounded(report)
+        printed = json.loads(written(report))
         assert list(printed) == list(type(report)._fields)
         assert printed["system"] == {"L": 9.0, "M": 16.0, "N": 25.0}
         assert list(printed["solution"]) == ["x", "y", "z"]
@@ -946,13 +954,36 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_verify_does_not_import_figures(self):
+        # Only drawing needs cuoco.figures; -X importtime lists every module
+        # the process imports.
+        package_root = Path(cuoco.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cuoco.cli", "verify", "--sides", "2,3,4"],
+            env=dict(os.environ, PYTHONPATH=str(package_root)),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
+        assert "cuoco.checks" in imported
+        assert "cuoco.figures" not in imported
+
+    def test_figure_exports_are_the_figures_names(self):
+        exported = (cuoco.FIGURE_KINDS, cuoco.FigureSpec, cuoco.KindMismatch,
+                    cuoco.figure_construction, cuoco.render)
+        assert exported == (figures.KINDS, figures.FigureSpec, figures.KindMismatch,
+                            figures.construction, figures.render)
+        with pytest.raises(AttributeError, match="no attribute 'figure_kinds'"):
+            cuoco.figure_kinds
+
 
 NAMES = ("verify", "solve", "figure", "fuzz")
 
 
 class TestParser:
-    """Each command line builds the top-level parser and only its own
-    subparser; help, errors and usage lines read as from the full tree."""
+    """A command line that names a command is parsed by that command's
+    parser alone; help, errors and usage lines come from the full tree."""
 
     @staticmethod
     def built_parsers(monkeypatch) -> list:
@@ -969,7 +1000,7 @@ class TestParser:
     def test_a_command_builds_only_its_own_subparser(self, capsys, monkeypatch):
         built = self.built_parsers(monkeypatch)
         assert run_cli(capsys, "verify", "--sides", "3,4,5")[0] == 0
-        assert len(built) == 2
+        assert len(built) == 1
 
     def test_help_builds_every_subparser(self, capsys, monkeypatch):
         built = self.built_parsers(monkeypatch)
@@ -1011,16 +1042,34 @@ class TestParser:
         ("fuzz", "--count", "x"),
         ("verify", "--bogus"),
         ("verify", "--sides", "3,4,5", "extra"),
+        ("verify", "--si", "3,4,5"),
+        ("figure", "--no", "--kind", "incircle", "--sides=3,4,5", "--out", "x.svg"),
+        ("verify", "--sides=3,4,5", "--tol=nan"),
+        ("verify", "--sides", "-h"),
+        ("verify", "--he"),
+        ("figure", "-h"),
+        ("verify", "--sides", "3,4,5", "--"),
+        ("verify", "--", "--sides", "3,4,5"),
+        ("verify", "--sides", "3,4,5", "--", "x"),
+        ("solve", "--L", "-1", "--M", "-2", "--N", "-3"),
+        ("verify",),
+        ("--", "verify"),
     ], ids=lambda argv: " ".join(argv))
-    def test_one_subparser_parses_as_the_full_tree(self, capsys, argv):
-        def parse(parser):
+    def test_one_subparser_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
+        def parse(path):
             try:
-                result = vars(parser.parse_args(list(argv)))
+                result = vars(path(list(argv)))
             except SystemExit as exc:
                 result = exc.code
             return result, capsys.readouterr()
 
-        assert parse(cli.build_parser(list(argv))) == parse(cli.build_parser([]))
+        full_tree = cli.build_parser
+        expected = parse(lambda argv: full_tree().parse_args(argv))
+        trees = []
+        monkeypatch.setattr(cli, "build_parser", lambda: trees.append(1) or full_tree())
+        assert parse(cli._parse) == expected
+        # The full tree is built only to print help or an error.
+        assert len(trees) == (1 if isinstance(expected[0], int) else 0)
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         # The `cuoco` console script calls main() with no arguments.
@@ -1028,3 +1077,85 @@ class TestParser:
         code = main()
         assert code == 0
         assert json.loads(capsys.readouterr().out)["classification"]["kind"] == "right"
+
+
+def rounded(obj):
+    """The rounding pass `cli._emit` made before the one-pass writer: the
+    reference that `json.dumps(rounded(report), indent=2)` completes."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return round(obj, 12)
+    if isinstance(obj, dict):
+        return {key: rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rounded(value) for value in obj]
+    if isinstance(obj, geometry._Record):  # a record prints as its fields, in order
+        return {name: rounded(getattr(obj, name)) for name in obj._fields}
+    return obj
+
+
+class TestReportWriter:
+    """`cli._json` writes the bytes of `json.dumps(rounded(report), indent=2)`."""
+
+    @staticmethod
+    def assert_written_as_reference(report):
+        assert written(report) == json.dumps(rounded(report), indent=2)
+
+    @staticmethod
+    def emitted(monkeypatch, *argv) -> list:
+        """The reports `main(argv)` hands to `_emit`."""
+        reports = []
+        monkeypatch.setattr(cli, "_emit", reports.append)
+        main(list(argv))
+        return reports
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in PINNED_REPORTS])
+    def test_pinned_reports(self, monkeypatch, argv):
+        [report] = self.emitted(monkeypatch, *argv)
+        self.assert_written_as_reference(report)
+
+    @pytest.mark.parametrize("triangle", PINNED_VERIFY_INPUTS)
+    def test_verify_on_hard_inputs(self, monkeypatch, triangle):
+        for report in self.emitted(monkeypatch, "verify", triangle):  # none when refused
+            self.assert_written_as_reference(report)
+
+    def test_fuzz_reports(self):
+        # Some tolerances stop each run at a counterexample, which prints a triangle.
+        tolerances = (1e-9, 5e-15, 1e-17, 0.0)
+        for seed in range(2000):
+            self.assert_written_as_reference(run_fuzz(3, seed, tolerances[seed % 4]))
+
+    def test_figure_and_solve_reports(self, monkeypatch, tmp_path):
+        for kind in figures.KINDS:
+            for report in self.emitted(monkeypatch, "figure", "--kind", kind, "--sides", "2,3,4",
+                                       "--out", str(tmp_path / "f.svg")):
+                self.assert_written_as_reference(report)
+        for reading in ("squares", "sides", "angles"):
+            for report in self.emitted(monkeypatch, "solve", "--L", "4", "--M", "9", "--N", "16",
+                                       "--interpret", reading, "--sides", "2,3,4"):
+                self.assert_written_as_reference(report)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 4e-13, -4e-13, 5e-324, 1.7976931348623157e308,
+        0.1 + 0.2, 123456.78901234567, -2.5e-7, 1e22, 10 ** 400, -(10 ** 400), 0, -7, True, False,
+        None, "", "plain", 'quote " and \\ backslash', "control \x00\x01\x1f\n\t\x7f",
+        "non-ASCII é ☃ \U0001f600 \ud800", [], (), {}, [[]], [{}], {"": []},
+        [True, 1, 1.0, None, "1"], (1.5, (2.5, ()), [3.5]),
+        {"a": {"b": {"c": [math.nan, {"d": ()}]}}, "eé\"\\": -0.0},
+    ], ids=repr)
+    def test_values(self, value):
+        self.assert_written_as_reference(value)
+        self.assert_written_as_reference({"key": value, "list": [value, [value]]})
+
+    def test_nested_records(self):
+        t = triangle_from_sides(2, 3, 4)
+        trace = decomposition.derive_cosine_theorem(decomposition.build(t))
+        reading = three_sum.interpret_angles(circles.circumcircle(t), 1e-9)
+        for record in (trace, reading, t.metrics, t, circles.incircle(t)):
+            self.assert_written_as_reference(record)
+            self.assert_written_as_reference({"records": [record, (record,)], "empty": {}})
+
+    def test_only_json_values(self):
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            written({"x": [Fraction(1, 3)]})

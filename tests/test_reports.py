@@ -14,7 +14,8 @@ from cuoco.cli import main
 REPORTS = Path(__file__).resolve().parent / "reports"
 
 
-@pytest.mark.parametrize("argv, name", [
+# (argv, the file in tests/reports/ that holds its stdout)
+PINNED_REPORTS = [
     (("verify", "--sides", "2,3,4"), "verify_sides_2_3_4.json"),
     (("verify", "--points", "3,4,0,0,3,0"), "verify_points_3_4_0_0_3_0.json"),
     (("fuzz", "--count", "20", "--seed", "7"), "fuzz_count_20_seed_7.json"),
@@ -36,7 +37,10 @@ REPORTS = Path(__file__).resolve().parent / "reports"
     (("solve", "--L", "1", "--M", "1", "--N", "1", "--interpret", "angles",
       "--points=0.3,0.1,1.7,0.2,0.4,2.9"),
      "solve_angles_1_1_1_points_acute_float.json"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, name", PINNED_REPORTS)
 def test_report_matches_pinned_text(capsys, argv, name):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == (REPORTS / name).read_text(encoding="utf-8")
