@@ -83,6 +83,7 @@ def __getattr__(name: str):
         return getattr(figures, _FIGURE_EXPORTS[name])
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 __all__ = [
     "Classification",
     "CollinearPoints",

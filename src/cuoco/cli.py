@@ -445,7 +445,7 @@ class _CommandParser(argparse.ArgumentParser):
 
     def __init__(self, name: str) -> None:
         # It never prints, so its formatter needs no terminal width; probing
-        # one on each add_argument costs a third of the parse.
+        # one on each add_argument costs about a fifth of the parse.
         super().__init__(prog=f"cuoco {name}", add_help=False,
                          formatter_class=functools.partial(argparse.HelpFormatter, width=80))
         COMMANDS[name][1](self)
@@ -455,9 +455,10 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace the full tree parses from argv, built with the full
-    tree only for help, errors and a missing or unknown command (building
-    it costs more than most requests)."""
+    """The namespace the full tree parses from argv. A command line that
+    its command's parser takes whole is parsed by that parser alone; the
+    full tree, which costs more to build than most requests, is built for
+    the rest: help, errors, extra arguments, a missing or unknown command."""
     if argv and argv[0] in COMMANDS:
         try:
             args, extras = _CommandParser(argv[0]).parse_known_args(
