@@ -12,10 +12,10 @@ from cuoco import (
     build_decomposition,
     derive_cosine_theorem,
     euclid_defect,
+    shoelace,
     similarity_check,
     triangle_from_sides,
 )
-from cuoco.checks import rows
 
 t = triangle_from_sides(2.0, 3.0, 4.0)  # obtuse at C
 d = build_decomposition(t)
@@ -32,12 +32,12 @@ print("pair areas: R =", d.pair_areas.R, " S =", d.pair_areas.S, " T =", d.pair_
 # --- Checking the pairing -------------------------------------------------
 # The check catalogue compares the two constructed quadrilaterals of each
 # pair by the shoelace formula; it does not reuse the algebra that built
-# them. Each record comes with the scale its residual is measured against.
-for check, item, residual, scale, detail in rows(t):
-    if check == "pair_equivalence":
-        for pair, first, second in zip("RST", detail[::2], detail[1::2]):
-            print(f"pair {pair}: {pair}1 vs {pair}2, delta = {abs(first - second):.3e}")
-        print("pairs equivalent:", residual <= 1e-9 * scale)
+# them. The residual is measured against the largest squared side.
+quads = [shoelace(panel.quad) for panel in d.panels]  # R1, R2, S1, S2, T1, T2
+for pair, first, second in zip("RST", quads[::2], quads[1::2]):
+    print(f"pair {pair}: {pair}1 vs {pair}2, delta = {abs(first - second):.3e}")
+worst = max(abs(first - second) for first, second in zip(quads[::2], quads[1::2]))
+print("pairs equivalent:", worst <= 1e-9 * d.metrics.area_scale)
 
 # --- Walking the chain ----------------------------------------------------
 # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2S.

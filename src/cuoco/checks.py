@@ -4,19 +4,16 @@
 slots: the residuals, each slot's scale and the slots skipped (defect_sign
 near a right angle, a positivity check whose reading's flag is None). The
 one table, `RECORDS`, lists the records the slots make, in order, as
-(check, item, number of slots). `rows(t)` regroups them into `(check, item,
-residual, scale, detail)` records, check by check in `NAMES` order (checks
-about the same items interleave, item by item): a record of one slot keeps
-its residual, one of several takes the `_worst` of their absolute values,
-so a NaN is kept and fails. A record passes when |residual| / scale <= tol.
-`item` is the vertex, pair class or side it is about, or None; `detail` the
-values `verify` prints for it, or None where `verify` prints the check's
-worst |residual| / scale, as `fuzz` does for every check.
+(check, item, number of slots); `item` is the vertex, pair class or side a
+record is about, or None.
 
-`fuzz` folds by position (`cli.run_fuzz`): each slot's |residual| / scale,
--1.0 when skipped, column by column over the triangles that pass; a check's
-worst is the largest of its `COLUMNS`. A triangle that fails, or holds a
-NaN, is folded record by record.
+`verify` and `fuzz` turn each triangle into one vector, a slot's
+|residual| / scale, and merge the vectors of many triangles by position
+(`cli.run_fuzz`), keeping a NaN. `entries` turns the merged vector and the
+skip counts into every check's entry, in `NAMES` order (checks about the
+same items interleave in `RECORDS`, item by item): a record of several
+slots takes the largest of them, and a check reports its worst record. A
+record passes when |residual| / scale <= tol, so a NaN fails.
 
 Each construction is computed once per triangle, from the frame and the one
 kernel behind the builders, `geometry._constructions` (the decomposition and
@@ -30,8 +27,7 @@ from itertools import accumulate
 from math import cos, isfinite, sqrt
 
 from . import circles, cosine_law, decomposition, geometry, three_sum
-from .geometry import (CHAIN, DOTS, QUAD_AREAS, SIMILARITY, VERTICES, NonFiniteCoordinate,
-                       Triangle, _worst)
+from .geometry import NonFiniteCoordinate, _worst
 
 # (check, item, slots) of each record, in record order.
 RECORDS = (
@@ -51,41 +47,44 @@ RECORDS = (
 )
 NAMES = tuple(dict.fromkeys(check for check, _, _ in RECORDS))
 
-# (check, item, first slot, end slot) of each record; each check's slots; the
-# slots a triangle can skip, defect_sign's at A, B, C and the positivity checks'.
+# (check, item, first slot, end slot) of each record; each slot's record; each
+# check's (item, first slot, end slot) and slots; the slots a triangle can
+# skip, defect_sign's at A, B, C and the positivity checks'.
 _ENDS = tuple(accumulate(count for _, _, count in RECORDS))
 _SPANS = tuple((check, item, end - count, end)
                for (check, item, count), end in zip(RECORDS, _ENDS))
 SLOTS = _ENDS[-1]
-COLUMNS = {name: [slot for check, _, start, end in _SPANS if check == name
-                  for slot in range(start, end)] for name in NAMES}
+OWNERS = tuple(span for span in _SPANS for _ in range(span[2], span[3]))
+_RECORDS_OF = {name: [span[1:] for span in _SPANS if span[0] == name] for name in NAMES}
+COLUMNS = {name: [slot for _, start, end in spans for slot in range(start, end)]
+           for name, spans in _RECORDS_OF.items()}
 _SKIPPABLE = (*COLUMNS["defect_sign"], *(COLUMNS[name + "_positivity"][0]
                                          for name in ("squares", "sides", "angles")))
 
 
-def rows(t: Triangle) -> list:
-    """Every check's records for one triangle; see the module docstring."""
-    f = t.frame
-    residuals, scales, skipped, k, trig_areas, defects = _rows(f)
-    S, T, R = f[DOTS]
-    details = {("cosine_identity", None): (tuple(residuals[:3]),),
-               ("pair_equivalence", None): list(k[QUAD_AREAS])}
-    for i, (v, pair, exact, trig) in enumerate(zip(VERTICES, "RST", (R, S, T), trig_areas)):
-        details["euclid_defect", v] = defects[2 * i:2 * i + 2]
-        details["trig_vs_exact", pair] = (exact, trig)
-        details["similarity", v] = k[SIMILARITY][4 * i:4 * i + 3]
-    return [(check, item, residual, scale,
-             (k[CHAIN], residual) if check == "derivation" else details.get((check, item)))
-            for check, item, residual, scale in _records(residuals, scales, skipped)]
-
-
-def _records(residuals: list, scales: list, skipped: list) -> list:
-    """The (check, item, residual, scale) of each record a triangle's slots make."""
-    return [(check, item,
-             residuals[start] if stop == start + 1
-             else _worst(map(abs, residuals[start:stop])),
-             scales[start])
-            for check, item, start, stop in _SPANS if start not in skipped]
+def entries(worst, skips, count: int, tol: float) -> dict:
+    """Every check's entry, in NAMES order, over `count` triangles: `worst`
+    holds each slot's largest |residual| / scale (not read for a slot that
+    every triangle skipped), and `skips[slot]` how many skipped it. An entry is {evaluated, skipped, max_residual,
+    worst_item, passed}: the records evaluated and skipped, the worst record's
+    value and item (the first of equal ones, or the first NaN), and whether
+    it passed. A check skipped on every record has no worst and passes."""
+    report = {}
+    for name, spans in _RECORDS_OF.items():
+        evaluated = skipped = 0
+        value = item = None
+        for record_item, start, end in spans:
+            misses = skips[start]  # only a one-slot record skips
+            skipped += misses
+            if misses == count:
+                continue
+            evaluated += count - misses
+            record = _worst(worst[start:end])
+            if value is None or value == value and not record <= value:  # a NaN stays
+                value, item = record, record_item
+        report[name] = {"evaluated": evaluated, "skipped": skipped, "max_residual": value,
+                        "worst_item": item, "passed": value is None or value <= tol}
+    return report
 
 
 def _rows(f: tuple) -> tuple:

@@ -1,22 +1,22 @@
 """Command line driver: verify, solve, figure, fuzz.
 
-`verify` and `fuzz` are shells over one catalogue, the list of every
-check's records for a triangle: `verify` prints every record of one
-triangle (`checks.rows`), `fuzz` folds the records of many random
-triangles into each check's worst |residual| / scale. `fuzz` draws six
-coordinates at a time and runs the catalogue on their frame
-(`checks._rows`); it makes a Triangle only to print a counterexample.
+`verify` and `fuzz` are shells over one catalogue, `cuoco.checks`: each
+turns a triangle into one vector, every slot's |residual| / scale, and
+`checks.entries` turns it into every check's entry. `fuzz` merges the
+vectors of many random triangles by position; it runs the catalogue on
+frames of six drawn coordinates and makes a Triangle only to print a
+counterexample. `verify` prints its vector and the constructions it read.
 
-The shell stays thin: a command line that names a command is parsed by
-that command's parser alone, and the full parser tree (`build_parser`)
-is built only for help, errors and a missing or unknown command, so
-every usage line and message reads as from the full tree. `figures` is
-imported only to draw.
+A command line that names a command is parsed by that command's parser
+alone; the full parser tree (`build_parser`) is built only for help,
+errors and a missing or unknown command, so every usage line and message
+reads as from the full tree. `figures` is imported only to draw.
 
-Reports go to stdout as JSON (schema "cuoco-report/1", floats rounded to
-twelve decimals so identical inputs give byte-identical output), written
-in one pass by `_json`; diagnostics go to stderr. Exit codes: 0 all
-checks passed, 1 a verification check failed, 2 invalid usage or input.
+Each command returns its report and exit code; `main` prints the report
+as one line of JSON (schema "cuoco-report/2"), records as their fields and
+floats by `repr`, so each value reads back bit for bit. Diagnostics go to
+stderr. Exit codes: 0 all checks passed, 1 a verification check failed,
+2 invalid usage or input.
 """
 
 from __future__ import annotations
@@ -25,15 +25,18 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
+from collections import Counter
 from operator import truediv
 
 from . import checks, circles, cosine_law, decomposition, three_sum
-from .geometry import (SIDES, TOLERANCE, TWICE_AREA, VERTICES, GeometryError, Point, Triangle,
+from .geometry import (CHAIN, CIRCUMCIRCLE, DOTS, INCIRCLE, QUAD_AREAS, SIDES, SIMILARITY,
+                       TOLERANCE, TWICE_AREA, VERTICES, GeometryError, Point, Triangle,
                        triangle_from_sides, _frame, _Record, _worst)
 
-SCHEMA = "cuoco-report/1"
+SCHEMA = "cuoco-report/2"
 
 
 class InputError(Exception):
@@ -66,69 +69,15 @@ def _triangle_from_args(args) -> Triangle:
         return triangle_from_sides(a, b, c)
     if getattr(args, "points", None):
         coords = _parse_csv(args.points, 6, "--points")
-        return Triangle(
-            A=Point(coords[0], coords[1]),
-            B=Point(coords[2], coords[3]),
-            C=Point(coords[4], coords[5]),
-        )
+        return Triangle(*(Point(*coords[i:i + 2]) for i in (0, 2, 4)))
     raise InputError("a triangle is required: pass --sides a,b,c or --points x1,y1,x2,y2,x3,y3")
 
 
 def _fields(record: _Record) -> dict:
-    """A record as its fields, in field order."""
+    """A record as its fields, in field order: how a report prints it."""
+    if not isinstance(record, _Record):
+        raise TypeError(f"Object of type {type(record).__name__} is not JSON serializable")
     return {name: getattr(record, name) for name in record._fields}
-
-
-_ENCODE = json.encoder.encode_basestring_ascii
-
-
-def _json(obj, out: list, newline: str) -> None:
-    """Append obj to out as `json.dumps(obj, indent=2)` writes it, after
-    rounding each float to twelve decimals and turning each _Record into
-    its fields; `newline` is the line break and indent of obj's level."""
-    if isinstance(obj, float):
-        x = round(obj, 12)
-        out.append(float.__repr__(x) if x - x == 0.0
-                   else "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity")
-    elif isinstance(obj, str):
-        out.append(_ENCODE(obj))
-    elif isinstance(obj, (dict, _Record)):
-        items = (obj if isinstance(obj, dict) else _fields(obj)).items()
-        if not items:
-            out.append("{}")
-            return
-        inner, head = newline + "  ", "{"
-        for key, value in items:  # every key is a str
-            out.append(f"{head}{inner}{_ENCODE(key)}: ")
-            _json(value, out, inner)
-            head = ","
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner, head = newline + "  ", "["
-        for value in obj:
-            out.append(head + inner)
-            _json(value, out, inner)
-            head = ","
-        out.append(newline + "]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _emit(report: dict) -> None:
-    out = []
-    _json(report, out, "\n")
-    print("".join(out))
 
 
 def _point_json(p: Point) -> list:
@@ -139,60 +88,32 @@ def _triangle_json(t: Triangle) -> dict:
     return {name: _point_json(getattr(t, name)) for name in VERTICES}
 
 
-def _pairs_entry(*quads) -> dict:
-    pairs = zip(decomposition.PAIR_CLASSES, quads[::2], quads[1::2])
-    return {"pairs": {pair: {"first": first, "second": second, "delta": abs(first - second)}
-                      for pair, first, second in pairs}}
-
-
-# Check -> verify's entry for one record, from the record's detail tuple.
-_VERIFY_ENTRIES = {
-    "cosine_identity": lambda residuals: {"residuals": residuals},
-    "euclid_defect": lambda defect, residual: {"defect": defect, "residual": residual},
-    "pair_equivalence": _pairs_entry,
-    "trig_vs_exact": lambda exact, trig: {"exact": exact, "trig": trig},
-    "similarity": lambda ch, ck, residual: {"ch": ch, "ck": ck, "residual": residual},
-    # The trace as derive_cosine_theorem returns it, printed as its fields.
-    "derivation": lambda *detail: _fields(decomposition._trace(*detail)),
-}
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     t = _triangle_from_args(args)
-    tol = args.tol
     m = t.metrics
-    entries, folded = {}, {}
-    passed = True
-    for check, item, residual, scale, detail in checks.rows(t):
-        if detail is None:  # one entry per check, filled in below
-            entries.setdefault(check, None)
-            folded.setdefault(check, []).append(abs(residual) / scale)
-            continue
-        entry = {**_VERIFY_ENTRIES[check](*detail), "passed": abs(residual) / scale <= tol}
-        passed = passed and entry["passed"]
-        if item is None:
-            entries[check] = entry
-        else:
-            entries.setdefault(check, {})[item] = entry
-    for check, values in folded.items():
-        # The worst |residual| / scale, as fuzz reports it; a NaN fails.
-        worst = _worst(values)
-        entries[check] = {"max_residual": worst, "passed": worst <= tol}
-        passed = passed and worst <= tol
-    _emit({
+    residuals, scales, skipped, k, trig, defects = checks._rows(t.frame)
+    values = [None if slot in skipped else abs(residual) / scale
+              for slot, (residual, scale) in enumerate(zip(residuals, scales))]
+    entries = checks.entries(values, Counter(skipped), 1, args.tol)
+    passed = all(entry["passed"] for entry in entries.values())
+    S, T, R = t.frame[DOTS]
+    return {
         "schema": SCHEMA,
         "command": "verify",
         "triangle": _triangle_json(t),
         "sides": {"a": m.a, "b": m.b, "c": m.c},
         "angles": {"alpha": m.alpha, "beta": m.beta, "gamma": m.gamma},
         "classification": m.classification,
-        "tol": tol,
-        # The exact pair areas, as the trig_vs_exact rows hold them.
-        "pair_areas": [entries["trig_vs_exact"][p]["exact"] for p in decomposition.PAIR_CLASSES],
+        "tol": args.tol,
+        "pair_areas": [R, S, T],  # the legs' dots, the exact route
         "checks": entries,
+        "values": values,
+        # The kernel's slices, laid out as cuoco.geometry says, and the rest the checks read.
+        "constructions": {"quad_areas": k[QUAD_AREAS], "similarity": k[SIMILARITY],
+                          "incircle": k[INCIRCLE], "circumcircle": k[CIRCUMCIRCLE],
+                          "chain": k[CHAIN], "trig_pair_areas": trig, "euclid_defects": defects},
         "passed": passed,
-    })
-    return 0 if passed else 1
+    }, 0 if passed else 1
 
 
 # solve --interpret: each reading takes the construction it reads from the triangle.
@@ -203,7 +124,7 @@ _READINGS = {
 }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple:
     values = [args.L, args.M, args.N]
     if args.degrees:
         values = [math.radians(v) for v in values]
@@ -224,8 +145,7 @@ def cmd_solve(args) -> int:
     elif getattr(args, "sides", None) or getattr(args, "points", None):
         raise InputError("triangle input is only used together with --interpret")
     report["passed"] = passed
-    _emit(report)
-    return 0 if passed else 1
+    return report, 0 if passed else 1
 
 
 # Construction type -> the headline numbers `figure` prints beside the file.
@@ -241,7 +161,7 @@ _RECEIPTS = {
 }
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> tuple:
     from . import figures  # only drawing needs it
 
     t = _triangle_from_args(args)
@@ -254,15 +174,14 @@ def cmd_figure(args) -> int:
             handle.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc
-    _emit({
+    return {
         "schema": SCHEMA,
         "command": "figure",
         "kind": args.kind,
         "out": args.out,
         "bytes": len(text.encode("utf-8")),
         "report": receipt,
-    })
-    return 0
+    }, 0
 
 
 def _sample(rng: random.Random) -> tuple:
@@ -301,17 +220,19 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
     # Looked up once per call, not per triangle; a patched checks._rows is seen.
     rows = checks._rows
     # Each slot's worst |residual| / scale over the triangles that passed,
-    # -1.0 while it was skipped in all of them.
+    # -1.0 while it was skipped in all of them, and how many skipped it.
     worst = [-1.0] * checks.SLOTS
+    skips = Counter()
     batch = []
-    maxima: dict[str, float] = {}
     counterexample = None
+    checked = count
     for index in range(count):
         f = _sample(rng)
         residuals, scales, skipped, _, _, _ = rows(f)
         values = list(map(truediv, map(abs, residuals), scales))
         for slot in skipped:
             values[slot] = -1.0
+            skips[slot] += 1
         total = sum(values)
         # Every value passes and none is NaN (max() can drop a NaN; a sum keeps it).
         if max(values) <= tol and total == total:
@@ -320,38 +241,32 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
                 worst = list(map(max, worst, *batch))
                 batch = []
             continue
-        # The triangle that fails, folded record by record. A check's first
-        # record creates its entry; as in _worst, a NaN residual (the one value
-        # not equal to itself) is kept as the maximum, and `not <=` fails it.
-        for name, _, residual, scale in checks._records(residuals, scales, skipped):
-            value = abs(residual) / scale
-            if value > maxima.setdefault(name, value) or value != value:
-                maxima[name] = value
-            if not value <= tol and counterexample is None:
-                counterexample = {"index": index, "check": name, "residual": value,
-                                  "triangle": _triangle_json(Triangle._from_frame(f))}
-        if counterexample is not None:
-            break
+        # The triangle that fails, merged by a max that keeps a NaN (the one
+        # value not equal to itself); the record of its first failing slot
+        # is the counterexample.
+        worst = [value if not value <= kept else kept for kept, value in zip(worst, values)]
+        first = next(slot for slot, value in enumerate(values) if not value <= tol)
+        check, item, start, end = checks.OWNERS[first]
+        counterexample = {"index": index, "check": check, "item": item,
+                          "residual": _worst(values[start:end]),
+                          "triangle": _triangle_json(Triangle._from_frame(f))}
+        checked = index + 1
+        break
     if batch:
-        worst = list(map(max, worst, *batch))
-    for name, slots in checks.COLUMNS.items():
-        column = max([worst[slot] for slot in slots])
-        if column > maxima.get(name, -1.0):  # a NaN stays
-            maxima[name] = column
+        worst = list(map(max, worst, *batch))  # a NaN in worst comes first and stays
     return {
         "schema": SCHEMA,
         "command": "fuzz",
         "count": count,
         "seed": str(seed),
         "tol": tol,
-        "checks": {name: {"max_residual": maxima[name], "passed": maxima[name] <= tol}
-                   for name in sorted(maxima)},
+        "checks": checks.entries(worst, skips, checked, tol),
         "counterexample": counterexample,
         "passed": counterexample is None,
     }
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> tuple:
     if args.count <= 0:
         raise InputError(f"--count must be positive, got {args.count}")
     seed = args.seed
@@ -360,8 +275,7 @@ def cmd_fuzz(args) -> int:
     except ValueError:
         pass  # strings are valid seeds
     report = run_fuzz(args.count, seed, args.tol)
-    _emit(report)
-    return 0 if report["passed"] else 1
+    return report, 0 if report["passed"] else 1
 
 
 def _tolerance(text: str) -> float:
@@ -386,9 +300,8 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 
 
 def _solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L", type=float, required=True)
-    p.add_argument("--M", type=float, required=True)
-    p.add_argument("--N", type=float, required=True)
+    for name in ("--L", "--M", "--N"):
+        p.add_argument(name, type=float, required=True)
     p.add_argument("--degrees", action="store_true",
                    help="treat L, M, N as degrees and convert to radians")
     p.add_argument("--interpret", choices=tuple(_READINGS),
@@ -478,10 +391,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return COMMANDS[args.command][2](args)
+        report, code = COMMANDS[args.command][2](args)
     except (InputError, GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(json.dumps(report, default=_fields), flush=True)  # a closed pipe raises here
+    except BrokenPipeError:
+        # As Python's `signal` docs advise: point stdout at devnull, so the
+        # flush at exit does not raise again, and keep the command's code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -197,14 +197,6 @@ _CHAIN = (
 )
 
 
-def _trace(values, max_deviation: float) -> DerivationTrace:
-    """The trace of the _CHAIN step values and their worst |step - a^2|."""
-    steps = tuple(DerivationStep(expression, panels, value)
-                  for (expression, panels), value in zip(_CHAIN, values))
-    residual = values[0] - values[-1]
-    return DerivationTrace(steps=steps, residual=residual, max_deviation=max_deviation)
-
-
 def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     """Walk the equal-area chain from a^2 down to b^2 + c^2 - 2*S.
 
@@ -212,4 +204,8 @@ def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     the final form uses the certified S pair area.
     """
     k = _constructions(d.triangle.frame)
-    return _trace(k[CHAIN], _worst([abs(deviation) for deviation in k[CHAIN_DEVIATIONS]]))
+    values = k[CHAIN]
+    steps = tuple(DerivationStep(expression, panels, value)
+                  for (expression, panels), value in zip(_CHAIN, values))
+    return DerivationTrace(steps=steps, residual=values[0] - values[-1],
+                           max_deviation=_worst([abs(deviation) for deviation in k[CHAIN_DEVIATIONS]]))

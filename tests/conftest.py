@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import assume, strategies as st
 
+from cuoco import checks
 from cuoco.cli import random_triangle
-from cuoco.geometry import Point, Triangle, cross
+from cuoco.geometry import Point, Triangle, cross, _worst
 
 SAMPLE_SEED = 42
 
@@ -81,9 +82,31 @@ def eliminate(L, M, N):
 
 @st.composite
 def side_triples(draw):
+    """Sides in [0.5, 100] that beat the triangle inequality by a margin of
+    1e-6 times the longest. c is drawn strictly inside that margin of
+    |a - b| and a + b (a margin at least the drawn triple's), so the assume
+    drops only a triple whose float sums round onto the boundary."""
     a = draw(st.floats(0.5, 100.0))
     b = draw(st.floats(0.5, 100.0))
-    c = draw(st.floats(0.5, 100.0))
+    margin = 1e-6 * max(a, b, min(a + b, 100.0))
+    c = draw(st.floats(max(abs(a - b) + margin, 0.5), min(a + b - margin, 100.0),
+                       exclude_min=True, exclude_max=True))
     margin = 1e-6 * max(a, b, c)
     assume(a + b > c + margin and a + c > b + margin and b + c > a + margin)
     return a, b, c
+
+
+def records(f) -> list:
+    """(check, item, residual, scale) of each record the slots of frame f
+    make, skipped ones left out: `checks._rows` regrouped record by record
+    by `checks.RECORDS`, a record of several slots taking the largest of
+    their |residual|s (a NaN kept)."""
+    residuals, scales, skipped = checks._rows(f)[:3]
+    found, start = [], 0
+    for check, item, count in checks.RECORDS:
+        if start not in skipped:
+            residual = (residuals[start] if count == 1
+                        else _worst(map(abs, residuals[start:start + count])))
+            found.append((check, item, residual, scales[start]))
+        start += count
+    return found

@@ -1,4 +1,4 @@
-"""The catalogue, `cuoco.checks.rows`: one construction of each kind per
+"""The catalogue, `cuoco.checks._rows`: one construction of each kind per
 triangle, no report record built, and the circle checks far from the origin."""
 
 import hashlib
@@ -14,6 +14,8 @@ from cuoco.cosine_law import euclid_defect
 from cuoco.geometry import (DOTS, LEGS, SQUARES, VERTICES, Point, Triangle, foot_of_altitude,
                             triangle_from_sides)
 
+from conftest import records
+
 AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sums", "derivation")
 
 
@@ -28,7 +30,7 @@ def test_one_construction_per_triangle(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
-    checks.rows(t)
+    checks._rows(t.frame)
     assert calls == {"_constructions": 1}
 
 
@@ -85,7 +87,7 @@ def test_translation_far_out_keeps_the_splits_passing():
         offset = Point(distance * math.cos(turn), distance * math.sin(turn))
         far = Triangle(t.A + offset, t.B + offset, t.C + offset)
         for triangle in (t, far):
-            for check, item, residual, scale, _ in checks.rows(triangle):
+            for check, item, residual, scale in records(triangle.frame):
                 if check in ("angles_interpretation", "vertex_splits"):
                     assert abs(residual) <= 1e-9 * scale, (triangle, check, item, residual)
 
@@ -100,7 +102,7 @@ def test_area_and_length_records_carry_one_scale(sides, floored):
     length_scale = max(1.0, m.a, m.b, m.c)
     assert (area_scale == length_scale == 1.0) == floored
     seen = set()
-    for check, item, _, scale, _ in checks.rows(t):
+    for check, item, _, scale in records(t.frame):
         if check in AREA_SCALED:
             assert scale == area_scale, (check, item)
         elif check == "tangent_lengths":
@@ -128,16 +130,16 @@ def _pinned_triangles():
 
 
 # SHA-256 of repr((check, item, residual, scale)) over every record of
-# checks.rows for the triangles of _pinned_triangles. The report pins round
-# to 12 decimals and fuzz reports keep only each check's worst, so neither
-# sees a residual change in its last bit; this does.
+# the catalogue (conftest.records) for the triangles of _pinned_triangles.
+# The reports print |residual| / scale, and fuzz reports only each check's
+# worst, so neither sees every residual's sign and last bit; this does.
 RECORDS_DIGEST = "e3a9a8bd131aa32d09f4f21d8883af49b223d9a7920d0b1a9f7907e4741a00e1"
 
 
 def test_records_match_pinned_digest():
     digest = hashlib.sha256()
     for t in _pinned_triangles():
-        for check, item, residual, scale, _ in checks.rows(t):
+        for check, item, residual, scale in records(t.frame):
             digest.update(repr((check, item, residual, scale)).encode("utf-8"))
     assert digest.hexdigest() == RECORDS_DIGEST
 
@@ -158,4 +160,4 @@ def test_rational_input_stays_exact():
         defect, residual = euclid_defect(t, v)
         assert type(defect) is Fraction and residual == 0 and type(residual) is Fraction
     # The whole catalogue runs; its last record is the split sum at C.
-    assert list(checks.rows(t))[-1][:2] == ("split_sums", "C")
+    assert records(t.frame)[-1][:2] == ("split_sums", "C")

@@ -18,7 +18,7 @@ from cuoco import (checks, circles, cli, cosine_law, decomposition, figures, geo
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
-from conftest import circumcentre_budget
+from conftest import circumcentre_budget, records
 from test_reports import PINNED_REPORTS
 
 
@@ -36,10 +36,8 @@ def run_cli(capsys, *argv):
 
 
 def written(report) -> str:
-    """The text `cli._emit` prints for report, without the final newline."""
-    out = []
-    cli._json(report, out, "\n")
-    return "".join(out)
+    """The text `main` prints for report, without the final newline."""
+    return json.dumps(report, default=cli._fields)
 
 
 class TestVerify:
@@ -47,7 +45,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "cuoco-report/1"
+        assert report["schema"] == "cuoco-report/2"
         assert report["classification"] == {"kind": "obtuse", "vertex": "C"}
         assert report["pair_areas"] == [-1.5, 10.5, 5.5]
         assert report["passed"] is True
@@ -203,7 +201,7 @@ class TestFigure:
         text = out_file.read_text()
         assert text.startswith("<svg")
         receipt = json.loads(out)
-        assert receipt["schema"] == "cuoco-report/1"
+        assert receipt["schema"] == "cuoco-report/2"
         assert receipt["report"] == {"pair_areas": [-1.5, 10.5, 5.5]}
 
     def test_incircle_receipt_reports_tangent_lengths(self, capsys, tmp_path):
@@ -265,9 +263,10 @@ class TestFigure:
         "cuoco": {"pair_areas": [-1.5, 10.5, 5.5]},
         "cuoco_pairs": {"pair_areas": [-1.5, 10.5, 5.5]},
         "cuoco_obtuse": {"pair_areas": [-1.5, 10.5, 5.5]},
-        "incircle": {"center": [1.5, 0.645497224368], "radius": 0.645497224368,
-                     "tangent_lengths": {"A": 2.5, "B": 1.5, "C": 0.5}},
-        "circumcircle": {"center": [1.0, 1.80739222823], "radius": 2.065591117977},
+        "incircle": {"center": [1.5, 0.6454972243679028], "radius": 0.6454972243679028,
+                     "tangent_lengths": {"A": 2.5, "B": 1.5, "C": 0.49999999999999983}},
+        "circumcircle": {"center": [0.9999999999999998, 1.8073922282301278],
+                         "radius": 2.0655911179772892},
     }
 
     def test_every_kind_renders(self, capsys, tmp_path):
@@ -451,14 +450,8 @@ class TestFuzz:
         report = json.loads(out)
         areas = built.pair_areas
         assert report["pair_areas"] == [areas.R, areas.S, areas.T] == [-1.5, 10.5, 5.5]
-        derivation = report["checks"]["derivation"]
-        assert derivation["passed"] is True
-        assert derivation["steps"] == [
-            {"expression": step.expression, "panels": list(step.panels), "value": step.value}
-            for step in trace.steps
-        ]
-        assert (derivation["residual"], derivation["max_deviation"]) == (
-            trace.residual, trace.max_deviation)
+        assert report["checks"]["derivation"]["passed"] is True
+        assert report["constructions"]["chain"] == [step.value for step in trace.steps]
 
     @staticmethod
     def edit_constructions(monkeypatch, where, edit):
@@ -538,7 +531,9 @@ class TestFuzz:
         assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
         assert code == 1
-        assert not any(entry["passed"] for entry in json.loads(out)["checks"]["euclid_defect"].values())
+        report = json.loads(out)
+        assert report["checks"]["euclid_defect"]["passed"] is False
+        assert all(report["values"][slot] > 1e-9 for slot in checks.COLUMNS["euclid_defect"])
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
         self.edit_defects(monkeypatch, lambda squares, defects: [1.0, math.nan] * 3)
@@ -658,38 +653,54 @@ class TestFuzz:
                 assert -10.0 <= p.y <= 10.0
 
 
-def fold_records(count, seed, tol) -> tuple:
-    """The reference for run_fuzz: every record of checks.rows folded by check
-    name, as the fold before the slot layout did. Returns (check -> worst
-    |residual| / scale, counterexample)."""
-    rng = random.Random(seed)
-    maxima, counterexample = {}, None
+def fold_records(count, seed, tol, sample=None) -> tuple:
+    """The reference for run_fuzz: each triangle's records, regrouped from
+    checks._rows by RECORDS (conftest.records), folded record by record, as
+    the fold before the slot layout did. Returns (each check's entry, in
+    NAMES order, counterexample). `sample` draws each frame, cli._sample
+    if None."""
+    rng, sample = random.Random(seed), sample or cli._sample
+    maxima, evaluated, counterexample, checked = {}, {}, None, 0
     for index in range(count):
-        t = Triangle._from_frame(cli._sample(rng))
-        for name, _, residual, scale, _ in checks.rows(t):
+        f = sample(rng)
+        checked += 1
+        for check, item, residual, scale in records(f):
             value = abs(residual) / scale
-            if value > maxima.setdefault(name, value) or value != value:
-                maxima[name] = value
+            # A record's first value creates its maximum; a NaN, once in, stays.
+            if value > maxima.setdefault((check, item), value) or value != value:
+                maxima[check, item] = value
+            evaluated[check, item] = evaluated.get((check, item), 0) + 1
             if not value <= tol and counterexample is None:
-                counterexample = {"index": index, "check": name, "residual": value,
-                                  "triangle": cli._triangle_json(t)}
+                counterexample = {"index": index, "check": check, "item": item, "residual": value,
+                                  "triangle": cli._triangle_json(Triangle._from_frame(f))}
         if counterexample is not None:
             break
-    return maxima, counterexample
+    entries = {}
+    for name in checks.NAMES:
+        keys = [(check, item) for check, item, _ in checks.RECORDS if check == name]
+        seen = [(maxima[key], key[1]) for key in keys if key in maxima]
+        nans = [pair for pair in seen if pair[0] != pair[0]]
+        # max() returns the first of equal values, in record order.
+        value, item = nans[0] if nans else max(seen, key=lambda pair: pair[0], default=(None, None))
+        done = sum(evaluated.get(key, 0) for key in keys)
+        entries[name] = {"evaluated": done, "skipped": len(keys) * checked - done,
+                         "max_residual": value, "worst_item": item,
+                         "passed": value is None or value <= tol}
+    return entries, counterexample
 
 
 class TestPositionalFold:
-    """run_fuzz folds passing triangles by slot, in batches, and a failing one
-    record by record; its report must be the record fold's, NaN included."""
+    """run_fuzz merges each triangle's slot vector by position, passing ones
+    in batches and a failing one by a NaN-keeping max, and checks.entries
+    regroups the merged vector; its report must be the record fold's, NaN
+    included."""
 
     @staticmethod
     def assert_fold_matches(count, seed, tol):
         report = run_fuzz(count, seed, tol)
-        maxima, counterexample = fold_records(count, seed, tol)
+        entries, counterexample = fold_records(count, seed, tol)
         # repr() compares a NaN equal to a NaN.
-        assert repr(report["checks"]) == repr(
-            {name: {"max_residual": maxima[name], "passed": maxima[name] <= tol}
-             for name in sorted(maxima)})
+        assert repr(report["checks"]) == repr(entries)
         assert repr(report["counterexample"]) == repr(counterexample)
         assert report["passed"] is (counterexample is None)
         return report
@@ -704,10 +715,10 @@ class TestPositionalFold:
         if tol == 1e-17:
             assert report["counterexample"]["index"] == 0
 
-    def test_skipped_slots_leave_their_checks_out(self, monkeypatch):
+    def test_skipped_slots_are_counted(self, monkeypatch):
         # Integer 3-4-5 triangles: the right angle skips its defect_sign slot
-        # and the squares and angles positivity slots, whose checks are then
-        # absent; the other two defect_sign slots are not skipped.
+        # and the squares and angles positivity slots, which are then
+        # skipped on every triangle; the other two defect_sign slots are not.
         def right_triangle(rng):
             x, y = rng.randint(-9, 9), rng.randint(-9, 9)
             return geometry._frame(x, y, x + 3, y, x, y + 4)
@@ -716,8 +727,12 @@ class TestPositionalFold:
         monkeypatch.setattr(cli, "_BATCH", 7)
         report = self.assert_fold_matches(30, 0, 1e-9)
         assert report["passed"] is True
-        assert sorted(report["checks"]) == sorted(
-            set(checks.NAMES) - {"squares_positivity", "angles_positivity"})
+        entries = report["checks"]
+        assert list(entries) == list(checks.NAMES)
+        for name in ("squares_positivity", "angles_positivity"):
+            assert entries[name] == {"evaluated": 0, "skipped": 30, "max_residual": None,
+                                     "worst_item": None, "passed": True}
+        assert (entries["defect_sign"]["evaluated"], entries["defect_sign"]["skipped"]) == (60, 30)
 
     def test_nan_after_a_folded_batch(self, monkeypatch):
         # The 12th triangle's last slot (split_sums at C) is NaN, after one
@@ -741,25 +756,24 @@ class TestPositionalFold:
 
 
 def failed_checks(report) -> list:
-    """The checks of a verify report with a failed entry, in report order."""
-    return [name for name, entry in report["checks"].items()
-            if not (entry["passed"] if "passed" in entry
-                    else all(item["passed"] for item in entry.values()))]
+    """The checks of a report whose entry failed, in report order."""
+    return [name for name, entry in report["checks"].items() if not entry["passed"]]
 
 
 class TestCatalogue:
     """`verify` and `fuzz` run the same rows of `cuoco.checks`."""
 
     def test_verify_and_fuzz_name_the_same_checks(self, capsys):
-        # Obtuse and scalene, so that no check skips all of its records.
-        _, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
-        assert list(json.loads(out)["checks"]) == list(checks.NAMES)
+        # A right triangle too, where checks skip all of their records.
+        for sides in ("2,3,4", "3,4,5"):
+            _, out, _ = run_cli(capsys, "verify", "--sides", sides)
+            assert list(json.loads(out)["checks"]) == list(checks.NAMES)
         _, out, _ = run_cli(capsys, "fuzz", "--count", "50", "--seed", "7")
-        assert sorted(json.loads(out)["checks"]) == sorted(checks.NAMES)
+        assert list(json.loads(out)["checks"]) == list(checks.NAMES)
 
     @staticmethod
     def _edit_closed_form(monkeypatch, reading, edit):
-        """Make checks.rows see the closed form (x, y, z) that `reading`, a
+        """Make the catalogue see the closed form (x, y, z) that `reading`, a
         reading's value function, returns passed through `edit`; its
         max_residual stays as computed."""
         exact = getattr(three_sum, reading)
@@ -800,7 +814,8 @@ class TestCatalogue:
         assert interpretation["all_positive"] is None and interpretation["passed"] is True
         code, out, _ = run_cli(capsys, "verify", needle)
         assert code == 0
-        assert "sides_positivity" not in json.loads(out)["checks"]
+        assert json.loads(out)["checks"]["sides_positivity"] == {
+            "evaluated": 0, "skipped": 1, "max_residual": None, "worst_item": None, "passed": True}
 
     def test_negative_tangent_length_fails_verify(self, capsys, monkeypatch):
         # A mutant solve that puts a y inside the rounding budget (only the
@@ -820,21 +835,156 @@ class TestCatalogue:
 
     def test_per_record_verdict_divides_by_the_scale(self, capsys, monkeypatch):
         # At this pair |r| <= tol * scale is False but |r| / scale <= tol is
-        # True; a per-record entry judges by the second, as the folded
-        # entries and fuzz do.
+        # True; verify judges by the second, as fuzz does.
         r, scale, tol = 1.4130532120301893e-07, 141.3053212030189, 1e-9
-        rows = checks.rows
+        assert not abs(r) <= tol * scale
+        rows = checks._rows
+        [slot] = [start for check, item, start, _ in checks.OWNERS
+                  if (check, item) == ("euclid_defect", "A")]
 
-        def edited(t):
-            for check, item, residual, record_scale, detail in rows(t):
-                if check == "euclid_defect" and item == "A":
-                    residual, record_scale, detail = r, scale, (detail[0], r)
-                yield check, item, residual, record_scale, detail
+        def edited(f):
+            residuals, scales, *rest = rows(f)
+            residuals[slot], scales[slot] = r, scale
+            return (residuals, scales, *rest)
 
-        monkeypatch.setattr(checks, "rows", edited)
+        monkeypatch.setattr(checks, "_rows", edited)
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4", "--tol", str(tol))
         assert code == 0
-        assert json.loads(out)["checks"]["euclid_defect"]["A"]["passed"] is (abs(r) / scale <= tol)
+        entry = json.loads(out)["checks"]["euclid_defect"]
+        assert (entry["max_residual"], entry["worst_item"]) == (abs(r) / scale, "A")
+        assert entry["passed"] is (abs(r) / scale <= tol) is True
+
+
+class TestEntries:
+    """Every check's entry, in both reports: each check in NAMES order, each
+    record evaluated or skipped, and the worst printed as the fold gives it."""
+
+    @staticmethod
+    def per_triangle(name) -> int:
+        return sum(1 for check, _, _ in checks.RECORDS if check == name)
+
+    @pytest.mark.parametrize("argv, triangles", [(("verify", "--sides", "3,4,5"), 1),
+                                                 (("fuzz", "--count", "200", "--seed", "7"), 200)])
+    def test_every_record_is_evaluated_or_skipped(self, capsys, argv, triangles):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        entries = json.loads(out)["checks"]
+        assert list(entries) == list(checks.NAMES)
+        for name, entry in entries.items():
+            assert list(entry) == ["evaluated", "skipped", "max_residual", "worst_item", "passed"]
+            assert entry["evaluated"] + entry["skipped"] == self.per_triangle(name) * triangles
+        if argv[0] == "verify":  # right at C: its defect sign and two positivity checks skip
+            skipping = {"defect_sign": 1, "squares_positivity": 1, "angles_positivity": 1}
+            assert {name: entry["skipped"] for name, entry in entries.items()
+                    if entry["skipped"]} == skipping
+
+    def test_check_skipped_on_every_record_prints_null_and_passes(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--sides", "3,4,5")
+        for name in ("squares_positivity", "angles_positivity"):
+            assert (f'"{name}": {{"evaluated": 0, "skipped": 1, "max_residual": null, '
+                    '"worst_item": null, "passed": true}') in out
+
+    @pytest.mark.parametrize("argv", [("verify", "--sides", "2,3,4"),
+                                      ("verify", "--points=0.3,0.1,1.7,0.2,0.4,2.9"),
+                                      ("fuzz", "--count", "200", "--seed", "7")])
+    def test_printed_worst_is_the_fold_value(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        printed = {name: entry["max_residual"] for name, entry in json.loads(out)["checks"].items()}
+        if argv[0] == "fuzz":
+            entries, _ = fold_records(200, 7, geometry.TOLERANCE)
+        else:
+            t = cli._triangle_from_args(cli._parse(list(argv)))
+            entries, _ = fold_records(1, 0, geometry.TOLERANCE, sample=lambda rng: t.frame)
+        expected = {name: entry["max_residual"] for name, entry in entries.items()}
+        assert printed == expected
+        # Residuals below 5e-13 print as they are, not as 0.
+        assert any(0.0 < value < 5e-13 for value in printed.values())
+
+    def test_tiny_pair_areas_print_nonzero(self, capsys, tmp_path):
+        # An equilateral triangle of side 1e-7 has pair areas of 5e-15 each.
+        code, out, _ = run_cli(capsys, "figure", "--kind", "cuoco", "--sides", "1e-7,1e-7,1e-7",
+                               "--precision", "12", "--out", str(tmp_path / "f.svg"))
+        assert code == 0
+        areas = json.loads(out)["report"]["pair_areas"]
+        built = decomposition.build(triangle_from_sides(1e-7, 1e-7, 1e-7)).pair_areas
+        assert areas == [built.R, built.S, built.T]
+        assert len(areas) == 3 and all(area > 0 for area in areas)
+
+
+def recovered(report) -> dict:
+    """Every value a cuoco-report/1 verify report printed for its checks,
+    from a cuoco-report/2 one, keyed as /1 nested them."""
+    sides, angles = report["sides"], report["angles"]
+    k, values, tol = report["constructions"], report["values"], report["tol"]
+    a, b, c = sides["a"], sides["b"], sides["c"]
+    cosines = [math.cos(angles[name]) for name in ("alpha", "beta", "gamma")]
+    chain = k["chain"]
+    quads = k["quad_areas"]
+    return {
+        "cosine_identity": [a * a - b * b - c * c + 2.0 * b * c * cosines[0],
+                            b * b - a * a - c * c + 2.0 * a * c * cosines[1],
+                            c * c - a * a - b * b + 2.0 * a * b * cosines[2]],
+        "euclid_defect": {v: k["euclid_defects"][2 * i:2 * i + 2] for i, v in enumerate("ABC")},
+        "pairs": {p: [quads[2 * i], quads[2 * i + 1], abs(quads[2 * i] - quads[2 * i + 1])]
+                  for i, p in enumerate("RST")},
+        "trig_vs_exact": {p: [report["pair_areas"][i], k["trig_pair_areas"][i]]
+                          for i, p in enumerate("RST")},
+        "similarity": {v: k["similarity"][4 * i:4 * i + 3] for i, v in enumerate("ABC")},
+        "derivation": [chain, chain[0] - chain[-1], _worst([abs(step - chain[0])
+                                                          for step in chain[1:]])],
+        # Each record's verdict, from its slots' |residual| / scale.
+        "passed": {(check, item): _worst(values[start:end]) <= tol
+                   for check, item, start, end in checks.OWNERS if values[start] is not None},
+    }
+
+
+def built(t) -> dict:
+    """The same values from the public builders."""
+    d = decomposition.build(t)
+    quads = [decomposition.shoelace(panel.quad) for panel in d.panels]
+    trace = decomposition.derive_cosine_theorem(d)
+    return {
+        "cosine_identity": list(cosine_law.verify_cosine_identity(t.metrics)),
+        "euclid_defect": {v: list(cosine_law.euclid_defect(t, v)) for v in "ABC"},
+        "pairs": {p: [quads[2 * i], quads[2 * i + 1], abs(quads[2 * i] - quads[2 * i + 1])]
+                  for i, p in enumerate("RST")},
+        "trig_vs_exact": {p: [decomposition.panel_area_exact(p, t),
+                              decomposition.panel_area_trig(p, t.metrics)] for p in "RST"},
+        "similarity": {v: [report.ch, report.ck, report.residual] for v, report in
+                       ((v, decomposition.similarity_check(t, v)) for v in "ABC")},
+        "derivation": [[step.value for step in trace.steps], trace.residual, trace.max_deviation],
+    }
+
+
+def test_version_1_verify_values_are_recovered_bit_for_bit(capsys):
+    """No value a /1 verify report printed is lost: each is read or computed
+    back from the /2 report, equal in repr (so -0.0 and NaN too) to what the
+    public builders give, and both circles print as incircle and
+    circumcircle build them."""
+    argvs = [argv for argv, _ in PINNED_REPORTS if argv[0] == "verify"]
+    argvs += [("verify", triangle) for triangle in PINNED_VERIFY_INPUTS]
+    reports = 0
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        if code == 2:
+            continue
+        report = json.loads(out)
+        t = cli._triangle_from_args(cli._parse(list(argv)))
+        values = recovered(report)
+        passed = values.pop("passed")
+        assert repr(values) == repr(built(t)), argv
+        assert all(passed.values()) is (code == 0)
+        inc, circ = circles.incircle(t), circles.circumcircle(t)
+        assert repr(report["constructions"]["incircle"]) == repr([
+            inc.center.x, inc.center.y, inc.radius, *inc.tangent_params.values(),
+            *(coordinate for point in inc.tangent_points.values() for coordinate in (point.x, point.y)),
+            *inc.tangent_lengths.values()])
+        circle = report["constructions"]["circumcircle"]
+        splits = [circ.splits[v][w] for v, w in ("AB", "AC", "BC", "BA", "CA", "CB")]
+        assert repr([circle[0], circle[1], circle[4], *circle[5:]]) == repr(
+            [circ.center.x, circ.center.y, circ.radius, *splits])
+        reports += 1
+    assert reports >= 15
 
 
 # Far out, tiny, huge, needle and near-collinear triangles on which some
@@ -884,10 +1034,10 @@ PINNED_VERIFY_INPUTS = [
 ]
 
 # SHA-256 of repr((exit code, stdout, stderr)) of `verify` on each of
-# PINNED_VERIFY_INPUTS, then of repr(record) for every record of
-# checks.rows on the Fraction triangle of test_rational_input_stays_exact,
-# which `verify` cannot take.
-VERIFY_PIN_DIGEST = "194f941b6e30b9f2937593f01987f9f2036ce83d882adae22f4a80e8cd702a4d"
+# PINNED_VERIFY_INPUTS, then of repr(checks._rows(f)), every slot and
+# construction `verify` prints, for the frame of the Fraction triangle of
+# test_rational_input_stays_exact, which `verify` cannot take.
+VERIFY_PIN_DIGEST = "c301c893529f1fb236322f6ec504bd0cc1827757c4cf907494a9a20b49e7e9e7"
 
 
 def test_verify_outputs_match_pinned_digest(capsys):
@@ -900,8 +1050,7 @@ def test_verify_outputs_match_pinned_digest(capsys):
         digest.update(repr(run_cli(capsys, "verify", triangle)).encode("utf-8"))
     t = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
                  Point(Fraction(-3, 4), Fraction(11, 3)))
-    for record in checks.rows(t):
-        digest.update(repr(record).encode("utf-8"))
+    digest.update(repr(checks._rows(t.frame)).encode("utf-8"))
     assert digest.hexdigest() == VERIFY_PIN_DIGEST
 
 
@@ -917,7 +1066,7 @@ PINNED_COUNTEREXAMPLE_RUNS = [
 ]
 
 # SHA-256 of repr((exit code, stdout)) of `fuzz` on each of PINNED_COUNTEREXAMPLE_RUNS.
-COUNTEREXAMPLE_PIN_DIGEST = "37b6b09b8cfe6af8d913965c7deb0c55aee8f453c04542dad8839d138f03a8d3"
+COUNTEREXAMPLE_PIN_DIGEST = "0725dbde5dc7276a4e4be9806e20f846e16a793b77533fa62cdb3e650928f8ec"
 
 
 def test_fuzz_counterexample_reports_match_pinned_digest(capsys):
@@ -939,6 +1088,23 @@ class TestEntryPoint:
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["classification"]["kind"] == "right"
+
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--sides", "2,3,4"), 0),
+        (("fuzz", "--count", "50", "--tol", "1e-17", "--seed", "1"), 1),
+    ])
+    def test_closed_pipe_keeps_the_exit_code(self, argv, code):
+        # As `cuoco verify --sides 2,3,4 | true`, but the reader is surely
+        # gone before the report is written: its end is closed first.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "cuoco.cli", *argv], stdout=write,
+                                    stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert result.stderr == ""  # no traceback
+        assert result.returncode == code
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # Start-up cost: `dataclasses` imports `inspect`, `ast`, `dis` and
@@ -1079,45 +1245,48 @@ class TestParser:
         assert json.loads(capsys.readouterr().out)["classification"]["kind"] == "right"
 
 
-def rounded(obj):
-    """The rounding pass `cli._emit` made before the one-pass writer: the
-    reference that `json.dumps(rounded(report), indent=2)` completes."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return round(obj, 12)
+def plain(obj):
+    """What a report holds, as JSON reads it back: each record as its fields,
+    in order, each tuple as a list, every float and int as it is."""
     if isinstance(obj, dict):
-        return {key: rounded(value) for key, value in obj.items()}
+        return {key: plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [rounded(value) for value in obj]
-    if isinstance(obj, geometry._Record):  # a record prints as its fields, in order
-        return {name: rounded(getattr(obj, name)) for name in obj._fields}
+        return [plain(value) for value in obj]
+    if isinstance(obj, geometry._Record):
+        return {name: plain(getattr(obj, name)) for name in obj._fields}
     return obj
 
 
+def emitted(*argv) -> list:
+    """The reports the command of argv returns for `main` to print."""
+    args = cli._parse(list(argv))
+    try:
+        return [cli.COMMANDS[args.command][2](args)[0]]
+    except (cli.InputError, geometry.GeometryError, ValueError):
+        return []  # refused: main prints no report
+
+
 class TestReportWriter:
-    """`cli._json` writes the bytes of `json.dumps(rounded(report), indent=2)`."""
+    """A report prints as `json.dumps(report, default=_fields)`, one line,
+    and reads back as the values it holds, bit for bit: floats by repr, so
+    no nonzero value prints as 0, and a NaN as NaN."""
 
     @staticmethod
     def assert_written_as_reference(report):
-        assert written(report) == json.dumps(rounded(report), indent=2)
-
-    @staticmethod
-    def emitted(monkeypatch, *argv) -> list:
-        """The reports `main(argv)` hands to `_emit`."""
-        reports = []
-        monkeypatch.setattr(cli, "_emit", reports.append)
-        main(list(argv))
-        return reports
+        text = written(report)
+        assert "\n" not in text
+        # repr() tells 0.0 from -0.0 and compares a NaN equal to a NaN.
+        assert repr(json.loads(text)) == repr(plain(report))
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in PINNED_REPORTS])
-    def test_pinned_reports(self, monkeypatch, argv):
-        [report] = self.emitted(monkeypatch, *argv)
+    def test_pinned_reports(self, capsys, argv):
+        [report] = emitted(*argv)
         self.assert_written_as_reference(report)
+        assert run_cli(capsys, *argv)[1] == written(report) + "\n"
 
     @pytest.mark.parametrize("triangle", PINNED_VERIFY_INPUTS)
-    def test_verify_on_hard_inputs(self, monkeypatch, triangle):
-        for report in self.emitted(monkeypatch, "verify", triangle):  # none when refused
+    def test_verify_on_hard_inputs(self, triangle):
+        for report in emitted("verify", triangle):  # none when refused
             self.assert_written_as_reference(report)
 
     def test_fuzz_reports(self):
@@ -1126,14 +1295,14 @@ class TestReportWriter:
         for seed in range(2000):
             self.assert_written_as_reference(run_fuzz(3, seed, tolerances[seed % 4]))
 
-    def test_figure_and_solve_reports(self, monkeypatch, tmp_path):
+    def test_figure_and_solve_reports(self, tmp_path):
         for kind in figures.KINDS:
-            for report in self.emitted(monkeypatch, "figure", "--kind", kind, "--sides", "2,3,4",
-                                       "--out", str(tmp_path / "f.svg")):
+            for report in emitted("figure", "--kind", kind, "--sides", "2,3,4",
+                                  "--out", str(tmp_path / "f.svg")):
                 self.assert_written_as_reference(report)
         for reading in ("squares", "sides", "angles"):
-            for report in self.emitted(monkeypatch, "solve", "--L", "4", "--M", "9", "--N", "16",
-                                       "--interpret", reading, "--sides", "2,3,4"):
+            for report in emitted("solve", "--L", "4", "--M", "9", "--N", "16",
+                                  "--interpret", reading, "--sides", "2,3,4"):
                 self.assert_written_as_reference(report)
 
     @pytest.mark.parametrize("value", [

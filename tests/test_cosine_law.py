@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuoco.checks import rows
+from cuoco.checks import _rows
 from cuoco.cosine_law import (
     DomainError,
     cos_from_sides,
@@ -20,7 +20,7 @@ from cuoco.geometry import (
     TriangleInequalityViolated,
 )
 
-from conftest import integer_triangles, side_triples
+from conftest import integer_triangles, records, side_triples
 
 
 class TestThirdSide:
@@ -183,8 +183,9 @@ class TestVerifyCosineIdentity:
         # The catalogue's cosine_identity record: its scale is max side^2,
         # with no floor, and its residual the worst of the three.
         t = triangle_from_sides(3.0, 4.0, 5.0)
-        record = next(row for row in rows(t) if row[0] == "cosine_identity")
-        _, _, residual, scale, (residuals,) = record
+        record = next(row for row in records(t.frame) if row[0] == "cosine_identity")
+        _, _, residual, scale = record
+        residuals = tuple(_rows(t.frame)[0][:3])
         assert scale == pytest.approx(25.0, rel=1e-12)
         assert residuals == verify_cosine_identity(t.metrics)
         assert residual == max(abs(r) for r in residuals) <= 1e-9 * scale

@@ -14,7 +14,7 @@ from cuoco.decomposition import (
     shoelace,
     similarity_check,
 )
-from cuoco.checks import _rows, rows
+from cuoco.checks import _rows
 from cuoco.circles import circumcircle, incircle
 from cuoco.cosine_law import euclid_defect
 from cuoco.three_sum import interpret_squares
@@ -30,7 +30,7 @@ from cuoco.geometry import (
     triangle_from_sides,
 )
 
-from conftest import float_triangles, integer_triangles
+from conftest import float_triangles, integer_triangles, records
 
 
 # Far from the origin: the triangle's own sizes are finite, but the cross
@@ -62,10 +62,11 @@ def by_label(d):
 
 
 def pair_equivalence_row(t):
-    """The catalogue's pair_equivalence record: (residual, scale, quad areas)."""
-    for check, _, residual, scale, detail in rows(t):
+    """The catalogue's pair_equivalence record: (residual, scale, quad areas
+    as verify prints them)."""
+    for check, _, residual, scale in records(t.frame):
         if check == "pair_equivalence":
-            return residual, scale, detail
+            return residual, scale, list(_rows(t.frame)[3][QUAD_AREAS])
 
 
 class TestBuild:
