@@ -8,9 +8,9 @@ frames of six drawn coordinates and makes a Triangle only to print a
 counterexample. `verify` prints its vector and the constructions it read.
 
 A command line that names a command is parsed by that command's parser
-alone; the full parser tree (`build_parser`) is built only for help,
-errors and a missing or unknown command, so every usage line and message
-reads as from the full tree. `figures` is imported only to draw.
+alone, built once per process; a fresh full tree (`build_parser`) parses
+help, errors and a missing or unknown command, so every usage line and
+message reads as from the full tree. `figures` is imported only to draw.
 
 Each command returns its report and exit code; `main` prints the report
 as one line of JSON (schema "cuoco-report/2"), records as their fields and
@@ -62,15 +62,14 @@ def _parse_csv(text: str, expected: int, what: str) -> list:
 
 
 def _triangle_from_args(args) -> Triangle:
-    if getattr(args, "sides", None) and getattr(args, "points", None):
+    if args.sides is not None and args.points is not None:
         raise InputError("give either --sides or --points, not both")
-    if getattr(args, "sides", None):
-        a, b, c = _parse_csv(args.sides, 3, "--sides")
-        return triangle_from_sides(a, b, c)
-    if getattr(args, "points", None):
-        coords = _parse_csv(args.points, 6, "--points")
-        return Triangle(*(Point(*coords[i:i + 2]) for i in (0, 2, 4)))
-    raise InputError("a triangle is required: pass --sides a,b,c or --points x1,y1,x2,y2,x3,y3")
+    if args.sides is not None:
+        return triangle_from_sides(*_parse_csv(args.sides, 3, "--sides"))
+    if args.points is None:
+        raise InputError("a triangle is required: pass --sides a,b,c or --points x1,y1,x2,y2,x3,y3")
+    coords = _parse_csv(args.points, 6, "--points")
+    return Triangle(*(Point(*coords[i:i + 2]) for i in (0, 2, 4)))
 
 
 def _fields(record: _Record) -> dict:
@@ -125,10 +124,8 @@ _READINGS = {
 
 
 def cmd_solve(args) -> tuple:
-    values = [args.L, args.M, args.N]
-    if args.degrees:
-        values = [math.radians(v) for v in values]
-    system = three_sum.ThreeSum(*values)
+    values = (args.L, args.M, args.N)
+    system = three_sum.ThreeSum(*(map(math.radians, values) if args.degrees else values))
     report = {
         "schema": SCHEMA,
         "command": "solve",
@@ -142,7 +139,7 @@ def cmd_solve(args) -> tuple:
         interpretation = _READINGS[args.interpret](_triangle_from_args(args), args.tol)
         report["interpretation"] = interpretation
         passed = interpretation.passed
-    elif getattr(args, "sides", None) or getattr(args, "points", None):
+    elif args.sides is not None or args.points is not None:
         raise InputError("triangle input is only used together with --interpret")
     report["passed"] = passed
     return report, 0 if passed else 1
@@ -234,8 +231,9 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
             values[slot] = -1.0
             skips[slot] += 1
         total = sum(values)
-        # Every value passes and none is NaN (max() can drop a NaN; a sum keeps it).
-        if max(values) <= tol and total == total:
+        # Every value passes and none is NaN (max() can drop a NaN; a sum keeps
+        # it). Without skips, a sum <= tol says so: each value is >= 0 or NaN.
+        if total <= tol and not skipped or max(values) <= tol and total == total:
             batch.append(values)
             if len(batch) == _BATCH:
                 worst = list(map(max, worst, *batch))
@@ -269,11 +267,10 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
 def cmd_fuzz(args) -> tuple:
     if args.count <= 0:
         raise InputError(f"--count must be positive, got {args.count}")
-    seed = args.seed
     try:
-        seed = int(seed)
+        seed = int(args.seed)
     except ValueError:
-        pass  # strings are valid seeds
+        seed = args.seed  # strings are valid seeds
     report = run_fuzz(args.count, seed, args.tol)
     return report, 0 if report["passed"] else 1
 
@@ -348,35 +345,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Unparsed(Exception):
-    """A command line that the full tree must parse, to print its error."""
-
-
 class _CommandParser(argparse.ArgumentParser):
-    """One command's arguments, without -h: it parses a command line that
-    is all its own, and leaves all else to the full tree."""
-
-    def __init__(self, name: str) -> None:
-        # It never prints, so its formatter needs no terminal width; probing
-        # one on each add_argument costs about a fifth of the parse.
-        super().__init__(prog=f"cuoco {name}", add_help=False,
-                         formatter_class=functools.partial(argparse.HelpFormatter, width=80))
-        COMMANDS[name][1](self)
+    """A parser that never prints: it raises each error for the full tree to print."""
 
     def error(self, message):
-        raise _Unparsed(message)
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _command_parser(name: str) -> _CommandParser:
+    """One command's arguments, without -h, built once per process: parsing
+    writes only to the namespace it is given, and every default is immutable."""
+    parser = _CommandParser(prog=f"cuoco {name}", add_help=False)
+    COMMANDS[name][1](parser)
+    return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace the full tree parses from argv. A command line that
-    its command's parser takes whole is parsed by that parser alone; the
-    full tree, which costs more to build than most requests, is built for
-    the rest: help, errors, extra arguments, a missing or unknown command."""
+    its command's parser takes whole is parsed by that parser alone; a fresh
+    full tree parses help, errors, extra arguments and any other command."""
     if argv and argv[0] in COMMANDS:
         try:
-            args, extras = _CommandParser(argv[0]).parse_known_args(
+            args, extras = _command_parser(argv[0]).parse_known_args(
                 argv[1:], argparse.Namespace(command=argv[0]))
-        except _Unparsed:
+        except argparse.ArgumentError:
             extras = True
         if not extras:
             return args
@@ -384,10 +377,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _parse(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cuoco
 from cuoco import (checks, circles, cli, cosine_law, decomposition, figures, geometry,
@@ -77,6 +78,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--sides", "2,3,4", "--points", "0,0,1,0,0,1")
         assert code == 2
         assert err != ""
+
+    # An empty --sides= or --points= is an option given, not one left out.
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--sides=", "--points=0,0,4,0,0,3"), "give either --sides or --points, not both"),
+        (("figure", "--kind", "cuoco", "--sides=", "--points=0,0,4,0,0,3", "--out", "x.svg"),
+         "give either --sides or --points, not both"),
+        (("solve", "--L", "1", "--M", "2", "--N", "3", "--points="),
+         "triangle input is only used together with --interpret"),
+        (("verify", "--sides="), "--sides needs 3 comma-separated numbers, got ''"),
+        (("verify", "--points="), "--points needs 6 comma-separated numbers, got ''"),
+    ], ids=["verify both", "figure both", "solve points", "verify sides", "verify points"])
+    def test_empty_triangle_option_is_read(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("triangle", [
         "--points=1e200,0,0,1e200,0,0",
@@ -734,6 +750,33 @@ class TestPositionalFold:
                                      "worst_item": None, "passed": True}
         assert (entries["defect_sign"]["evaluated"], entries["defect_sign"]["skipped"]) == (60, 30)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sum_first_pass_test_keeps_the_verdict(self, data):
+        # With no slot skipped, run_fuzz passes a triangle whose values sum to
+        # at most tol before it takes their max: every value is >= 0 or NaN,
+        # and a rounded sum of those is >= each of them. The verdict must be
+        # the max-and-NaN test's on any vector and tolerance.
+        tol = data.draw(st.sampled_from([0.0, 5e-324, 1e-9, 1.0, 1.7e308])
+                        | st.floats(0.0, 1e300), label="tol")
+        special = st.sampled_from([math.nan, math.inf, -math.inf, tol, -tol, 2.0 * tol,
+                                   math.nextafter(tol, math.inf), 5e-324, 2.2250738585072014e-308,
+                                   -1.0, 1.7e308])
+        residuals = data.draw(st.lists(st.floats(-tol, tol), min_size=checks.SLOTS,
+                                       max_size=checks.SLOTS), label="residuals")
+        for slot in data.draw(st.sets(st.integers(0, checks.SLOTS - 1), max_size=3)):
+            residuals[slot] = data.draw(special)
+        skipped = sorted(data.draw(st.sets(st.integers(0, checks.SLOTS - 1), max_size=3),
+                                   label="skipped"))
+        # Scale 1: each value is |residual|, and a skipped slot's is -1.0.
+        values = [-1.0 if slot in skipped else abs(r) for slot, r in enumerate(residuals)]
+        total = sum(values)
+        verdict = max(values) <= tol and total == total
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checks, "_rows", lambda f: (
+                residuals, [1.0] * checks.SLOTS, skipped, None, None, None))
+            assert run_fuzz(1, 0, tol)["passed"] is verdict
+
     def test_nan_after_a_folded_batch(self, monkeypatch):
         # The 12th triangle's last slot (split_sums at C) is NaN, after one
         # batch of 7 has been folded by position.
@@ -1146,6 +1189,33 @@ class TestEntryPoint:
 
 NAMES = ("verify", "solve", "figure", "fuzz")
 
+# Command lines the one-command parser takes whole, and ones it leaves to
+# the full tree: help, unknown and extra arguments, bad values.
+PARSER_ARGVS = [
+    ("verify", "--sides", "3,4,5", "--tol", "1e-6"),
+    ("solve", "--L", "1", "--M", "2", "--N", "3", "--degrees", "--interpret", "sides"),
+    ("figure", "--kind", "cuoco", "--points=0,0,4,0,1,3", "--out", "x.svg", "--no-labels"),
+    ("fuzz", "--count", "5", "--seed", "s"),
+    ("verify", "--help"),
+    ("solve", "--L", "1"),
+    ("figure", "--kind", "nope"),
+    ("fuzz", "--count", "x"),
+    ("verify", "--bogus"),
+    ("verify", "--sides", "3,4,5", "extra"),
+    ("verify", "--si", "3,4,5"),
+    ("figure", "--no", "--kind", "incircle", "--sides=3,4,5", "--out", "x.svg"),
+    ("verify", "--sides=3,4,5", "--tol=nan"),
+    ("verify", "--sides", "-h"),
+    ("verify", "--he"),
+    ("figure", "-h"),
+    ("verify", "--sides", "3,4,5", "--"),
+    ("verify", "--", "--sides", "3,4,5"),
+    ("verify", "--sides", "3,4,5", "--", "x"),
+    ("solve", "--L", "-1", "--M", "-2", "--N", "-3"),
+    ("verify",),
+    ("--", "verify"),
+]
+
 
 class TestParser:
     """A command line that names a command is parsed by that command's
@@ -1164,9 +1234,17 @@ class TestParser:
         return built
 
     def test_a_command_builds_only_its_own_subparser(self, capsys, monkeypatch):
+        cli._command_parser.cache_clear()
         built = self.built_parsers(monkeypatch)
         assert run_cli(capsys, "verify", "--sides", "3,4,5")[0] == 0
         assert len(built) == 1
+        # A later request of the same command reuses that parser.
+        assert run_cli(capsys, "verify", "--points=0,0,4,0,0,3")[0] == 0
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_tree(self):
+        # A caller may change the tree it gets back.
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_help_builds_every_subparser(self, capsys, monkeypatch):
         built = self.built_parsers(monkeypatch)
@@ -1197,45 +1275,35 @@ class TestParser:
         assert code == 0
         assert out.startswith(f"usage: cuoco {name} ")
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--sides", "3,4,5", "--tol", "1e-6"),
-        ("solve", "--L", "1", "--M", "2", "--N", "3", "--degrees", "--interpret", "sides"),
-        ("figure", "--kind", "cuoco", "--points=0,0,4,0,1,3", "--out", "x.svg", "--no-labels"),
-        ("fuzz", "--count", "5", "--seed", "s"),
-        ("verify", "--help"),
-        ("solve", "--L", "1"),
-        ("figure", "--kind", "nope"),
-        ("fuzz", "--count", "x"),
-        ("verify", "--bogus"),
-        ("verify", "--sides", "3,4,5", "extra"),
-        ("verify", "--si", "3,4,5"),
-        ("figure", "--no", "--kind", "incircle", "--sides=3,4,5", "--out", "x.svg"),
-        ("verify", "--sides=3,4,5", "--tol=nan"),
-        ("verify", "--sides", "-h"),
-        ("verify", "--he"),
-        ("figure", "-h"),
-        ("verify", "--sides", "3,4,5", "--"),
-        ("verify", "--", "--sides", "3,4,5"),
-        ("verify", "--sides", "3,4,5", "--", "x"),
-        ("solve", "--L", "-1", "--M", "-2", "--N", "-3"),
-        ("verify",),
-        ("--", "verify"),
-    ], ids=lambda argv: " ".join(argv))
-    def test_one_subparser_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
-        def parse(path):
-            try:
-                result = vars(path(list(argv)))
-            except SystemExit as exc:
-                result = exc.code
-            return result, capsys.readouterr()
+    @staticmethod
+    def parsed(capsys, parse, argv) -> tuple:
+        """What parse makes of argv: the namespace's fields or the exit
+        code, and what it printed."""
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv))
+    def test_one_subparser_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
         full_tree = cli.build_parser
-        expected = parse(lambda argv: full_tree().parse_args(argv))
+        expected = self.parsed(capsys, lambda argv: full_tree().parse_args(argv), argv)
         trees = []
         monkeypatch.setattr(cli, "build_parser", lambda: trees.append(1) or full_tree())
-        assert parse(cli._parse) == expected
+        assert self.parsed(capsys, cli._parse, argv) == expected
         # The full tree is built only to print help or an error.
         assert len(trees) == (1 if isinstance(expected[0], int) else 0)
+
+    def test_a_reused_parser_parses_as_a_fresh_full_tree(self, capsys):
+        # Every line through one set of command parsers, in order and then
+        # reversed, so each parser reads lines after ones it refused part-way
+        # (a bad type, a missing required option) and after ones it took.
+        cli._command_parser.cache_clear()
+        for argv in PARSER_ARGVS + PARSER_ARGVS[::-1]:
+            expected = self.parsed(capsys, lambda argv: cli.build_parser().parse_args(argv), argv)
+            assert self.parsed(capsys, cli._parse, argv) == expected, argv
+        assert cli._command_parser.cache_info().misses == len(NAMES)
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         # The `cuoco` console script calls main() with no arguments.
