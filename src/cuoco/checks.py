@@ -15,10 +15,9 @@ same items interleave in `RECORDS`, item by item): a record of several
 slots takes the largest of them, and a check reports its worst record. A
 record passes when |residual| / scale <= tol, so a NaN fails.
 
-Each construction is computed once per triangle, from the frame and the one
-kernel behind the builders, `geometry._constructions` (the decomposition and
-the circles are never built), beside the angles' cosines, the Euclid defects,
-the trigonometric pair areas and the three readings. No report record is built.
+Every construction and Euclid defect is read from the triangle's one frame,
+of which the builders are views (no decomposition, circle or report record is
+built), beside the angles' cosines, the trig pair areas and the three readings.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import cos, isfinite, sqrt
 
-from . import circles, cosine_law, decomposition, geometry, three_sum
+from . import circles, cosine_law, decomposition, three_sum
 from .geometry import NonFiniteCoordinate, _worst
 
 # (check, item, slots) of each record, in record order.
@@ -89,22 +88,20 @@ def entries(worst, skips, count: int, tol: float) -> dict:
 
 def _rows(f: tuple) -> tuple:
     """The slots of the triangle of a frame: (residuals, scales, skipped slots,
-    its constructions, the trigonometric pair areas R, S, T, the defects)."""
+    the trigonometric pair areas R, S, T)."""
     # Rounding in the area identities grows with the largest squared side: `scale`.
     (a, b, c, alpha, beta, gamma, s, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
      classification, ax, ay, bx, by, cx, cy, _, _, _, _, _, _, _, _, _, _, _, _,
-     _, sq_a, sq_b, sq_c, S, T, R, _, _, _, _, _, _, _, _, _) = f
-    cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
-    k = geometry._constructions(f)
-    (_, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, r1, r2, s1, s2, t1, t2,
+     _, _, _, _, S, T, R, _, _, _, _, _, _, _, _, _,
+     at_a, defect_a, at_b, defect_b, at_c, defect_c,
+     _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, r1, r2, s1, s2, t1, t2,
      _, _, similar_a, scale_a, _, _, similar_b, scale_b, _, _, similar_c, scale_c,
      ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, length_a, length_b, length_c,
      centre_x, centre_y, _, _, circumradius, a_b, a_c, b_c, b_a, c_a, c_b,
-     _, _, _, _, _, chain_1, chain_2, chain_3, chain_4) = k
+     _, _, _, _, _, chain_1, chain_2, chain_3, chain_4) = f
+    cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
     r_a, r_b, r_c = cosine_law._identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta,
                                                    cos_gamma)
-    defects = at_a, defect_a, at_b, defect_b, at_c, defect_c = cosine_law._defects(
-        sq_a, sq_b, sq_c, S, T, R)
     # The quads sit in absolute coordinates, where products overflow first.
     if not isfinite(r1 + r2 + s1 + s2 + t1 + t2):
         raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
@@ -167,4 +164,4 @@ def _rows(f: tuple) -> tuple:
     kept = (abs(cos_a) > 1e-12, abs(cos_b) > 1e-12, abs(cos_c) > 1e-12, squares[3] is not None,
             sides[2] is not None, angles[3] is not None)
     skipped = [] if all(kept) else [slot for slot, keep in zip(_SKIPPABLE, kept) if not keep]
-    return residuals, scales, skipped, k, trig, defects
+    return residuals, scales, skipped, trig

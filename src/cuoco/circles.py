@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (CIRCUMCIRCLE, INCIRCLE, NonFiniteCoordinate, Point, Triangle,
-                       _constructions, _point, _Record)
+from .geometry import CIRCUMCIRCLE, INCIRCLE, NonFiniteCoordinate, Point, Triangle, _point, _Record
 
 # Side id -> its endpoints in cyclic order.
 SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
@@ -59,7 +58,7 @@ def incircle(t: Triangle) -> IncircleData:
     equal, which callers test).
     """
     (ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, at_a, at_b,
-     at_c) = _constructions(t.frame)[INCIRCLE]
+     at_c) = t.frame[INCIRCLE]
     _check_centre(ox, oy, "incentre")
     return IncircleData(t, _point(ox, oy), radius,
                         {"a": _point(pax, pay), "b": _point(pbx, pby), "c": _point(pcx, pcy)},
@@ -79,7 +78,7 @@ def circumcircle(t: Triangle) -> CircumcircleData:
     A and the legs at A, never as centre - v: far from the origin the
     centre's coordinates round to a grid as coarse as the triangle itself.
     """
-    x, y, _, _, radius, a_b, a_c, b_c, b_a, c_a, c_b = _constructions(t.frame)[CIRCUMCIRCLE]
+    x, y, _, _, radius, a_b, a_c, b_c, b_a, c_a, c_b = t.frame[CIRCUMCIRCLE]
     _check_centre(x, y, "circumcentre")
     splits = {"A": {"B": a_b, "C": a_c}, "B": {"C": b_c, "A": b_a}, "C": {"A": c_a, "B": c_b}}
     return CircumcircleData(t, _point(x, y), radius, splits)

@@ -5,7 +5,7 @@ turns a triangle into one vector, every slot's |residual| / scale, and
 `checks.entries` turns it into every check's entry. `fuzz` merges the
 vectors of many random triangles by position; it runs the catalogue on
 frames of six drawn coordinates and makes a Triangle only to print a
-counterexample. `verify` prints its vector and the constructions it read.
+counterexample. `verify` prints its vector and the frame's constructions.
 
 A command line that names a command is parsed by that command's parser
 alone, built once per process; a fresh full tree (`build_parser`) parses
@@ -32,8 +32,8 @@ from collections import Counter
 from operator import truediv
 
 from . import checks, circles, cosine_law, decomposition, three_sum
-from .geometry import (CHAIN, CIRCUMCIRCLE, DOTS, INCIRCLE, QUAD_AREAS, SIDES, SIMILARITY,
-                       TOLERANCE, TWICE_AREA, VERTICES, GeometryError, Point, Triangle,
+from .geometry import (CHAIN, CIRCUMCIRCLE, DEFECTS, DOTS, INCIRCLE, QUAD_AREAS, SIDES,
+                       SIMILARITY, TOLERANCE, TWICE_AREA, VERTICES, GeometryError, Point, Triangle,
                        triangle_from_sides, _frame, _Record, _worst)
 
 SCHEMA = "cuoco-report/2"
@@ -90,12 +90,13 @@ def _triangle_json(t: Triangle) -> dict:
 def cmd_verify(args) -> tuple:
     t = _triangle_from_args(args)
     m = t.metrics
-    residuals, scales, skipped, k, trig, defects = checks._rows(t.frame)
+    f = t.frame
+    residuals, scales, skipped, trig = checks._rows(f)
     values = [None if slot in skipped else abs(residual) / scale
               for slot, (residual, scale) in enumerate(zip(residuals, scales))]
     entries = checks.entries(values, Counter(skipped), 1, args.tol)
     passed = all(entry["passed"] for entry in entries.values())
-    S, T, R = t.frame[DOTS]
+    S, T, R = f[DOTS]
     return {
         "schema": SCHEMA,
         "command": "verify",
@@ -107,10 +108,10 @@ def cmd_verify(args) -> tuple:
         "pair_areas": [R, S, T],  # the legs' dots, the exact route
         "checks": entries,
         "values": values,
-        # The kernel's slices, laid out as cuoco.geometry says, and the rest the checks read.
-        "constructions": {"quad_areas": k[QUAD_AREAS], "similarity": k[SIMILARITY],
-                          "incircle": k[INCIRCLE], "circumcircle": k[CIRCUMCIRCLE],
-                          "chain": k[CHAIN], "trig_pair_areas": trig, "euclid_defects": defects},
+        # The frame's slices, laid out as cuoco.geometry says, and the trig pair areas.
+        "constructions": {"quad_areas": f[QUAD_AREAS], "similarity": f[SIMILARITY],
+                          "incircle": f[INCIRCLE], "circumcircle": f[CIRCUMCIRCLE],
+                          "chain": f[CHAIN], "trig_pair_areas": trig, "euclid_defects": f[DEFECTS]},
         "passed": passed,
     }, 0 if passed else 1
 
@@ -225,7 +226,7 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
     checked = count
     for index in range(count):
         f = _sample(rng)
-        residuals, scales, skipped, _, _, _ = rows(f)
+        residuals, scales, skipped, _ = rows(f)
         values = list(map(truediv, map(abs, residuals), scales))
         for slot in skipped:
             values[slot] = -1.0

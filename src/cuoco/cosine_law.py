@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (DOTS, SQUARES, VERTICES, GeometryError, Triangle, TriangleMetrics,
-                       _check_sides, _check_vertex)
+from .geometry import (DEFECTS, VERTICES, GeometryError, Triangle, TriangleMetrics, _check_sides,
+                       _check_vertex)
 
 
 class DomainError(GeometryError):
@@ -52,14 +52,7 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     """
     _check_vertex(at_vertex)
     i = 2 * VERTICES.index(at_vertex)
-    return _defects(*t.frame[SQUARES], *t.frame[DOTS])[i:i + 2]
-
-
-def _defects(sq_a, sq_b, sq_c, dot_a, dot_b, dot_c) -> tuple:
-    """euclid_defect's (defect, residual) at A, B and C, from the frame's exact values."""
-    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
-    return (at_a, sq_a - sq_c - sq_b + at_a, at_b, sq_b - sq_a - sq_c + at_b, at_c,
-            sq_c - sq_b - sq_a + at_c)
+    return t.frame[DEFECTS][i:i + 2]
 
 
 def _identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta, cos_gamma) -> tuple:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 
 from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIMILARITY, VERTICES,
-                       Point, Triangle, TriangleMetrics, cross, _check_vertex, _constructions,
-                       _point, _Record, _worst)
+                       Point, Triangle, TriangleMetrics, cross, _check_vertex, _point, _Record,
+                       _worst)
 
 PAIR_CLASSES = ("R", "S", "T")
 PANEL_LABELS = ("R1", "R2", "S1", "S2", "T1", "T2")
@@ -124,7 +124,7 @@ def build(t: Triangle) -> CuocoDecomposition:
     """Construct the three exterior squares and the six altitude panels."""
     f = t.frame
     squares, panels = [], []
-    dots, feet, corners = dict(zip(VERTICES, f[DOTS])), f[FEET], _constructions(f)[CORNERS]
+    dots, feet, corners = dict(zip(VERTICES, f[DOTS])), f[FEET], f[CORNERS]
     for i, (side, (first, second, _)) in enumerate(SIDE_FRAMES.items()):
         p, q = getattr(t, first), getattr(t, second)
         pox, poy, qox, qoy, fox, foy = corners[6 * i:6 * i + 6]
@@ -167,7 +167,7 @@ class SimilarityReport(_Record):
 def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     _check_vertex(at_vertex)
     i = 4 * VERTICES.index(at_vertex)
-    return SimilarityReport(at_vertex, *_constructions(t.frame)[SIMILARITY][i:i + 4])
+    return SimilarityReport(at_vertex, *t.frame[SIMILARITY][i:i + 4])
 
 
 class DerivationStep(_Record):
@@ -203,9 +203,8 @@ def derive_cosine_theorem(d: CuocoDecomposition) -> DerivationTrace:
     Intermediate steps use the constructed quads (the geometric route);
     the final form uses the certified S pair area.
     """
-    k = _constructions(d.triangle.frame)
-    values = k[CHAIN]
+    values, deviations = d.triangle.frame[CHAIN], d.triangle.frame[CHAIN_DEVIATIONS]
     steps = tuple(DerivationStep(expression, panels, value)
                   for (expression, panels), value in zip(_CHAIN, values))
     return DerivationTrace(steps=steps, residual=values[0] - values[-1],
-                           max_deviation=_worst([abs(deviation) for deviation in k[CHAIN_DEVIATIONS]]))
+                           max_deviation=_worst([abs(deviation) for deviation in deviations]))

@@ -1,10 +1,10 @@
 """Planar primitives: points, triangles, and the measurements built on them.
 
-Every per-triangle value (legs, twice the area, squared sides, the legs'
-dots, altitude feet, metrics, classification) is computed in one place,
-`_frame`, from the six vertex coordinates, into one flat tuple laid out as
-the slices and indices below name. `Triangle` stores its frame; `fuzz` and
-the check catalogue read frames without building a Triangle.
+Every per-triangle value (legs, squared sides, dots, feet, metrics, the
+Euclid defects and every construction) is computed in one place, `_frame`,
+from the six vertex coordinates, into one flat tuple laid out as the slices
+and indices below name. `Triangle` stores its frame, which the builders are
+views of; `fuzz` and the check catalogue read frames without a Triangle.
 
 Coordinates keep the numeric type they arrive with. Integer input stays
 integer all the way through the dot-product identities, so those can be
@@ -37,11 +37,22 @@ TOLERANCE = 1e-9
 # the vertices (ax, ay, ..., cy), counterclockwise; the legs leaving A, B and
 # C, (P - V, Q - V) with (P, Q) = OPPOSITE_SIDE[V], x then y; twice the area;
 # |BC|^2, |CA|^2, |AB|^2 as dots of the legs; the dots of the two legs at A,
-# B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y.
+# B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y;
+# euclid_defect's (defect, residual) at A, B, C. Then the constructions:
+# build's p_out, q_out and foot_out (x, y) across sides a, b, c; the quad
+# areas in PANEL_LABELS order; similarity_check's ch, ck, residual, scale at
+# A, B, C; the incircle's centre, radius, tangent params and points on a, b,
+# c and tangent lengths at A, B, C; the circumcircle's centre, offset from A,
+# radius and splits at A toward B and C, at B toward C and A, at C toward A
+# and B; the equal-area chain's five steps, then the last four minus the
+# first, a^2.
 SIDES, ANGLES, SEMIPERIMETER, AREA, COSINES = slice(0, 3), slice(3, 6), 6, 7, slice(8, 11)
 SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE, CLASSIFICATION = slice(11, 14), 14, 15, 16
 COORDS, LEGS, TWICE_AREA, SQUARES = slice(17, 23), slice(23, 35), 35, slice(36, 39)
-DOTS, FOOT_PARAMS, FEET = slice(39, 42), slice(42, 45), slice(45, 51)
+DOTS, FOOT_PARAMS, FEET, DEFECTS = slice(39, 42), slice(42, 45), slice(45, 51), slice(51, 57)
+CORNERS, QUAD_AREAS, SIMILARITY = slice(57, 75), slice(75, 81), slice(81, 93)
+INCIRCLE, CIRCUMCIRCLE, CHAIN = slice(93, 108), slice(108, 119), slice(119, 124)
+CHAIN_DEVIATIONS = slice(124, 128)
 
 
 class GeometryError(ValueError):
@@ -218,11 +229,15 @@ class Triangle(_Frozen):
 
 
 def _frame(ax, ay, bx, by, cx, cy) -> tuple:
-    """The frame of the triangle with these vertices, clockwise ones re-labeled.
+    """The frame of the triangle with these vertices, clockwise ones re-labeled:
+    every value of the triangle and its constructions, laid out as above.
 
     Twice the area and the squared sides must be finite, so that nothing
-    computed from the frame later can overflow, and the squared sides
-    nonzero, since the feet and the cosines divide by them.
+    computed from them later can overflow, and the squared sides nonzero,
+    since the feet and the cosines divide by them. The constructions are
+    not tested: the quads and the incentre sit in absolute coordinates and
+    can overflow where the triangle does not, and a circumcentre whose
+    determinant underflows is infinite. Each reader tests what it uses.
 
     Each angle is atan2(2 * area, dot) of the two legs leaving its vertex;
     the arccosine of a side cosine near +-1 loses every digit of a small
@@ -255,9 +270,12 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     # The dot of the two legs at V: half the Euclid defect at V, and the
     # pair area S (at A), T (at B) or R (at C).
     dot_a, dot_b, dot_c = abx * acx + aby * acy, bcx * bax + bcy * bay, cax * cbx + cay * cby
+    at_a, at_b, at_c = 2 * dot_a, 2 * dot_b, 2 * dot_c
     # The side opposite V runs from P along the leg (Q - P), and the foot's
     # parameter is the dot at P over that side's square.
     t_a, t_b, t_c = dot_b / sq_a, dot_c / sq_b, dot_a / sq_c
+    fax, fay, fbx, fby = bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay
+    fcx, fcy = ax + t_c * abx, ay + t_c * aby
     a, b, c = math.sqrt(sq_a), math.sqrt(sq_b), math.sqrt(sq_c)
     a2, b2, c2 = a * a, b * b, c * c
     # The cosine at each vertex: (adjacent^2 + adjacent^2 - opposite^2)
@@ -267,37 +285,7 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     # The same squares again, as metrics built from their fields compute them.
     (a2, b2, c2), area_scale, length_scale, classification = _beside(a, b, c, cosines)
     cos_a, cos_b, cos_c = cosines
-    atan2 = math.atan2
-    return (a, b, c, atan2(doubled, dot_a), atan2(doubled, dot_b), atan2(doubled, dot_c),
-            (a + b + c) / 2.0, doubled / 2.0, cos_a, cos_b, cos_c, a2, b2, c2,
-            area_scale, length_scale, classification,
-            ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
-            doubled, sq_a, sq_b, sq_c, dot_a, dot_b, dot_c, t_a, t_b, t_c,
-            bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay,
-            ax + t_c * abx, ay + t_c * aby)
-
-
-# The constructions' layout: build's p_out, q_out and foot_out (x, y) across
-# sides a, b, c; the quad areas in PANEL_LABELS order; similarity_check's ch,
-# ck, residual, scale at A, B, C; the incircle's centre, radius, tangent params
-# and points on a, b, c and tangent lengths at A, B, C; the circumcircle's
-# centre, offset from A, radius and splits at A toward B and C, at B toward C
-# and A, at C toward A and B; the equal-area chain's five steps, then the last
-# four minus the first, a^2.
-CORNERS, QUAD_AREAS, SIMILARITY = slice(0, 18), slice(18, 24), slice(24, 36)
-INCIRCLE, CIRCUMCIRCLE, CHAIN, CHAIN_DEVIATIONS = (slice(36, 51), slice(51, 62), slice(62, 67),
-                                                   slice(67, 71))
-
-
-def _constructions(f: tuple) -> tuple:
-    """Every construction's values for the triangle of frame f, laid out as the
-    slices above name, for the builders and the catalogue. It never raises: the
-    quads and the incentre sit in absolute coordinates and can overflow where
-    the frame does not, and a circumcentre whose determinant underflows is
-    infinite. Each reader tests what it uses."""
-    (a, b, c, _, _, _, s, area, _, _, _, a2, b2, c2, _, _, _,
-     ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
-     _, sq_a, sq_b, sq_c, dot_a, _, _, _, _, _, fax, fay, fbx, fby, fcx, fcy) = f
+    s, area = (a + b + c) / 2.0, doubled / 2.0
     # Side (p, q) with foot f moves out by perp(p - q), which points away from
     # a counterclockwise triangle and has the side's length: (q, p, p_out,
     # q_out) is its exterior square, split into the panels (foot, p, p_out,
@@ -308,19 +296,20 @@ def _constructions(f: tuple) -> tuple:
     bpx, bpy, bqx, bqy, bfx, bfy = cx + nx, cy + ny, ax + nx, ay + ny, fbx + nx, fby + ny
     nx, ny = -bay, bax
     cpx, cpy, cqx, cqy, cfx, cfy = ax + nx, ay + ny, bx + nx, by + ny, fcx + nx, fcy + ny
-    # Each quad's shoelace area, its terms summed alike, so bit for bit.
+    # Each quad's shoelace area, its terms summed alike, so bit for bit; halved
+    # by an int, so an exact (Fraction) sum stays exact.
     t2 = (0 + (fax * by - fay * bx) + (bx * apy - by * apx) + (apx * afy - apy * afx)
-          + (afx * fay - afy * fax)) / 2.0
+          + (afx * fay - afy * fax)) / 2
     r1 = (0 + (cx * fay - cy * fax) + (fax * afy - fay * afx) + (afx * aqy - afy * aqx)
-          + (aqx * cy - aqy * cx)) / 2.0
+          + (aqx * cy - aqy * cx)) / 2
     r2 = (0 + (fbx * cy - fby * cx) + (cx * bpy - cy * bpx) + (bpx * bfy - bpy * bfx)
-          + (bfx * fby - bfy * fbx)) / 2.0
+          + (bfx * fby - bfy * fbx)) / 2
     s1 = (0 + (ax * fby - ay * fbx) + (fbx * bfy - fby * bfx) + (bfx * bqy - bfy * bqx)
-          + (bqx * ay - bqy * ax)) / 2.0
+          + (bqx * ay - bqy * ax)) / 2
     s2 = (0 + (fcx * ay - fcy * ax) + (ax * cpy - ay * cpx) + (cpx * cfy - cpy * cfx)
-          + (cfx * fcy - cfy * fcx)) / 2.0
+          + (cfx * fcy - cfy * fcx)) / 2
     t1 = (0 + (bx * fcy - by * fcx) + (fcx * cfy - fcy * cfx) + (cfx * cqy - cfy * cqx)
-          + (cqx * by - cqy * bx)) / 2.0
+          + (cqx * by - cqy * bx)) / 2
     # At V with (P, Q) = OPPOSITE_SIDE[V]: ch = dot(foot from P - V, Q - V) / |VQ|,
     # ck = dot(foot from Q - V, P - V) / |VP|, and |VP| ck - |VQ| ch vanishes.
     ch_a = ((fbx - ax) * acx + (fby - ay) * acy) / b
@@ -334,11 +323,11 @@ def _constructions(f: tuple) -> tuple:
     # tangent point at p + t e, t = dot(centre - p, e) / |e|^2.
     weight = a + b + c
     ox, oy = (a * ax + b * bx + c * cx) / weight, (a * ay + b * by + c * cy) / weight
-    t_a = ((ox - bx) * bcx + (oy - by) * bcy) / sq_a
-    t_b = ((ox - cx) * cax + (oy - cy) * cay) / sq_b
-    t_c = ((ox - ax) * abx + (oy - ay) * aby) / sq_c
-    pax, pay, pbx, pby = bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay
-    pcx, pcy = ax + t_c * abx, ay + t_c * aby
+    tan_a = ((ox - bx) * bcx + (oy - by) * bcy) / sq_a
+    tan_b = ((ox - cx) * cax + (oy - cy) * cay) / sq_b
+    tan_c = ((ox - ax) * abx + (oy - ay) * aby) / sq_c
+    pax, pay, pbx, pby = bx + tan_a * bcx, by + tan_a * bcy, cx + tan_b * cax, cy + tan_b * cay
+    pcx, pcy = ax + tan_c * abx, ay + tan_c * aby
     # Each vertex to the tangent point on the side toward the next vertex.
     dax, day, dbx, dby, dcx, dcy = pcx - ax, pcy - ay, pax - bx, pay - by, pbx - cx, pby - cy
     # The circumcentre's offset from A, in A's frame with the legs scaled by a
@@ -363,12 +352,17 @@ def _constructions(f: tuple) -> tuple:
     atan2, sqrt = math.atan2, math.sqrt
     # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2 S
     step_1, step_2, step_3, step_4 = r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * dot_a
-    return (apx, apy, aqx, aqy, afx, afy, bpx, bpy, bqx, bqy, bfx, bfy,
+    return (a, b, c, atan2(doubled, dot_a), atan2(doubled, dot_b), atan2(doubled, dot_c),
+            s, area, cos_a, cos_b, cos_c, a2, b2, c2, area_scale, length_scale, classification,
+            ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
+            doubled, sq_a, sq_b, sq_c, dot_a, dot_b, dot_c, t_a, t_b, t_c, fax, fay, fbx, fby,
+            fcx, fcy, at_a, sq_a - sq_c - sq_b + at_a, at_b, sq_b - sq_a - sq_c + at_b, at_c,
+            sq_c - sq_b - sq_a + at_c, apx, apy, aqx, aqy, afx, afy, bpx, bpy, bqx, bqy, bfx, bfy,
             cpx, cpy, cqx, cqy, cfx, cfy, r1, r2, s1, s2, t1, t2,
             ch_a, ck_a, c * ck_a - b * ch_a, product_a if product_a > 1.0 else 1.0,
             ch_b, ck_b, a * ck_b - c * ch_b, product_b if product_b > 1.0 else 1.0,
             ch_c, ck_c, b * ck_c - a * ch_c, product_c if product_c > 1.0 else 1.0,
-            ox, oy, area / s, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy,
+            ox, oy, area / s, tan_a, tan_b, tan_c, pax, pay, pbx, pby, pcx, pcy,
             sqrt(dax * dax + day * day), sqrt(dbx * dbx + dby * dby), sqrt(dcx * dcx + dcy * dcy),
             ex, ey, qx, qy, sqrt(rx * rx + ry * ry),
             atan2(abx * qy - aby * qx, abx * qx + aby * qy),

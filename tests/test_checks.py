@@ -1,5 +1,5 @@
-"""The catalogue, `cuoco.checks._rows`: one construction of each kind per
-triangle, no report record built, and the circle checks far from the origin."""
+"""The catalogue, `cuoco.checks._rows`: one frame per triangle, no report
+record built, and the circle checks far from the origin."""
 
 import hashlib
 import math
@@ -8,30 +8,53 @@ from fractions import Fraction
 
 import pytest
 
-from cuoco import checks, circles, decomposition, geometry, three_sum
+from cuoco import checks, circles, cli, decomposition, geometry, three_sum
 from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
-from cuoco.geometry import (DOTS, LEGS, SQUARES, VERTICES, Point, Triangle, foot_of_altitude,
-                            triangle_from_sides)
+from cuoco.figures import KINDS
+from cuoco.geometry import (DOTS, LEGS, QUAD_AREAS, SQUARES, VERTICES, Point, Triangle,
+                            foot_of_altitude, triangle_from_sides)
 
 from conftest import records
 
 AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sums", "derivation")
 
 
-def test_one_construction_per_triangle(monkeypatch):
-    # The constructions once, and neither circle builder.
-    t = random_triangle(random.Random(11))
-    calls = {}
-    for module, name in ((circles, "incircle"), (circles, "circumcircle"),
-                         (geometry, "_constructions")):
-        def counting(*args, _name=name, _original=getattr(module, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args)
+def test_one_frame_per_triangle(capsys, monkeypatch, tmp_path):
+    # Building a Triangle computes its frame; every builder, view and the
+    # catalogue read it, and each command computes its triangle's frame once.
+    calls = []
+    exact = geometry._frame
 
-        monkeypatch.setattr(module, name, counting)
+    def counting(*coords):
+        calls.append(coords)
+        return exact(*coords)
+
+    for module in (geometry, checks, circles, decomposition, three_sum, cli):
+        if vars(module).get("_frame") is exact:
+            monkeypatch.setattr(module, "_frame", counting)
+    t = triangle_from_sides(2, 3, 4)
+    assert len(calls) == 1
+    for v in VERTICES:
+        foot_of_altitude(t, v), euclid_defect(t, v), decomposition.similarity_check(t, v)
+    for pair in decomposition.PAIR_CLASSES:
+        decomposition.panel_area_exact(pair, t)
+    decomposition.derive_cosine_theorem(decomposition.build(t))
+    three_sum.interpret_squares(t)
+    three_sum.interpret_sides(circles.incircle(t))
+    three_sum.interpret_angles(circles.circumcircle(t))
     checks._rows(t.frame)
-    assert calls == {"_constructions": 1}
+    assert len(calls) == 1
+    solve = ("solve", "--L", "4", "--M", "9", "--N", "16", "--sides", "2,3,4", "--interpret")
+    commands = [("verify", "--sides", "2,3,4"),
+                *(("figure", "--kind", kind, "--sides", "2,3,4", "--out", str(tmp_path / kind))
+                  for kind in KINDS),
+                *((*solve, reading) for reading in ("squares", "sides", "angles"))]
+    for argv in commands:
+        calls.clear()
+        assert main(list(argv)) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 RECORD_TYPES = (circles.IncircleData, circles.CircumcircleData, three_sum.InterpretationReport,
@@ -144,12 +167,15 @@ def test_records_match_pinned_digest():
     assert digest.hexdigest() == RECORDS_DIGEST
 
 
+RATIONAL = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
+                    Point(Fraction(-3, 4), Fraction(11, 3)))
+
+
 def test_rational_input_stays_exact():
     # Fraction coordinates: the quantities built from the coordinates alone
     # (no square root) stay Fraction, and the Euclid defect identity holds
     # exactly. A float constant in that arithmetic would turn them to float.
-    t = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
-                 Point(Fraction(-3, 4), Fraction(11, 3)))
+    t = RATIONAL
     f = t.frame
     exact = [t.twice_area, *f[LEGS], *f[SQUARES], *f[DOTS]]
     for v in VERTICES:
@@ -161,3 +187,17 @@ def test_rational_input_stays_exact():
         assert type(defect) is Fraction and residual == 0 and type(residual) is Fraction
     # The whole catalogue runs; its last record is the split sum at C.
     assert records(t.frame)[-1][:2] == ("split_sums", "C")
+
+
+def test_rational_quads_hold_the_pairs_exactly():
+    # The shoelace areas halve by an integer 2, so Fraction quads stay
+    # Fraction: each pair is equal and each square is the sum of its two
+    # panels with ==, and pair_equivalence's residuals are exactly 0.
+    f = RATIONAL.frame
+    quads = r1, r2, s1, s2, t1, t2 = f[QUAD_AREAS]
+    assert all(type(area) is Fraction for area in quads), quads
+    assert (r1, s1, t1) == (r2, s2, t2)
+    assert (r1 + t2, r2 + s1, s2 + t1) == f[SQUARES]
+    residuals = checks._rows(f)[0]
+    pairs = [residuals[slot] for slot in checks.COLUMNS["pair_equivalence"]]
+    assert pairs == [0, 0, 0] and all(type(value) is Fraction for value in pairs)

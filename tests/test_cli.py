@@ -247,25 +247,6 @@ class TestFigure:
         assert code == 0
         assert json.loads(out)["report"] == {"vertex": "B", "defect": 18.0}
 
-    def test_defect_figure_computes_the_constructions_once(self, capsys, monkeypatch, tmp_path):
-        # The receipt's defect reads the frame; only the drawing's build
-        # reads the constructions kernel, wherever a module holds it.
-        calls = []
-        kernel = geometry._constructions
-
-        def counting(f):
-            calls.append(f)
-            return kernel(f)
-
-        for module in (geometry, cosine_law, decomposition, circles, figures, cli):
-            if vars(module).get("_constructions") is kernel:
-                monkeypatch.setattr(module, "_constructions", counting)
-        code, out, _ = run_cli(capsys, "figure", "--kind", "euclid_defect", "--sides", "2,3,4",
-                               "--out", str(tmp_path / "d.svg"))
-        assert code == 0
-        assert json.loads(out)["report"] == {"vertex": "B", "defect": 11.0}
-        assert len(calls) == 1
-
     def test_file_content_deterministic(self, capsys, tmp_path):
         first = tmp_path / "one.svg"
         second = tmp_path / "two.svg"
@@ -470,32 +451,22 @@ class TestFuzz:
         assert report["constructions"]["chain"] == [step.value for step in trace.steps]
 
     @staticmethod
-    def edit_constructions(monkeypatch, where, edit):
-        """Make the catalogue see the constructions of each frame with the
-        values at `where`, a slice, passed through `edit`."""
-        exact = geometry._constructions
+    def edit_frame(monkeypatch, where, edit):
+        """Make every frame, a Triangle's and each of fuzz's draws, hold the
+        values at `where`, a slice, passed through `edit` with the exact frame."""
+        exact = geometry._frame
 
-        def edited(f):
-            k = list(exact(f))
-            k[where] = edit(f, k[where])
-            return tuple(k)
+        def edited(*coords):
+            f = list(exact(*coords))
+            f[where] = edit(f, f[where])
+            return tuple(f)
 
-        monkeypatch.setattr(geometry, "_constructions", edited)
-
-    @staticmethod
-    def edit_defects(monkeypatch, edit):
-        """Make the catalogue see each frame's Euclid defects, (defect,
-        residual) at A, B, C, passed through `edit` with the squared sides."""
-        exact = cosine_law._defects
-
-        def edited(sq_a, sq_b, sq_c, *dots):
-            return tuple(edit((sq_a, sq_b, sq_c), exact(sq_a, sq_b, sq_c, *dots)))
-
-        monkeypatch.setattr(cosine_law, "_defects", edited)
+        monkeypatch.setattr(geometry, "_frame", edited)
+        monkeypatch.setattr(cli, "_frame", edited)
 
     def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
-        self.edit_constructions(monkeypatch, geometry.CHAIN_DEVIATIONS,
-                                lambda f, deviations: [math.nan] * len(deviations))
+        self.edit_frame(monkeypatch, geometry.CHAIN_DEVIATIONS,
+                        lambda f, deviations: [math.nan] * len(deviations))
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -536,12 +507,12 @@ class TestFuzz:
         assert "--tol" in err
 
     def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
-        def corrupted(squares, defects):
-            shift = 1e-8 * max(1.0, *squares)
+        def corrupted(f, defects):
+            shift = 1e-8 * max(1.0, *f[geometry.SQUARES])
             # (defect, residual) at A, B, C
             return [value + shift if i % 2 else value for i, value in enumerate(defects)]
 
-        self.edit_defects(monkeypatch, corrupted)
+        self.edit_frame(monkeypatch, geometry.DEFECTS, corrupted)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
@@ -552,7 +523,7 @@ class TestFuzz:
         assert all(report["values"][slot] > 1e-9 for slot in checks.COLUMNS["euclid_defect"])
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
-        self.edit_defects(monkeypatch, lambda squares, defects: [1.0, math.nan] * 3)
+        self.edit_frame(monkeypatch, geometry.DEFECTS, lambda f, defects: [1.0, math.nan] * 3)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -774,7 +745,7 @@ class TestPositionalFold:
         verdict = max(values) <= tol and total == total
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(checks, "_rows", lambda f: (
-                residuals, [1.0] * checks.SLOTS, skipped, None, None, None))
+                residuals, [1.0] * checks.SLOTS, skipped, None))
             assert run_fuzz(1, 0, tol)["passed"] is verdict
 
     def test_nan_after_a_folded_batch(self, monkeypatch):
@@ -1077,10 +1048,11 @@ PINNED_VERIFY_INPUTS = [
 ]
 
 # SHA-256 of repr((exit code, stdout, stderr)) of `verify` on each of
-# PINNED_VERIFY_INPUTS, then of repr(checks._rows(f)), every slot and
-# construction `verify` prints, for the frame of the Fraction triangle of
-# test_rational_input_stays_exact, which `verify` cannot take.
-VERIFY_PIN_DIGEST = "c301c893529f1fb236322f6ec504bd0cc1827757c4cf907494a9a20b49e7e9e7"
+# PINNED_VERIFY_INPUTS, then of the repr of every slot and construction
+# `verify` prints, (residuals, scales, skipped slots, the frame from CORNERS
+# on, trig pair areas, Euclid defects), for the frame of the Fraction triangle
+# of test_rational_input_stays_exact, which `verify` cannot take.
+VERIFY_PIN_DIGEST = "2749d59676f82f70aa2ce878095af133393c1d9d9e8012f8ea2207df57f845cb"
 
 
 def test_verify_outputs_match_pinned_digest(capsys):
@@ -1093,7 +1065,10 @@ def test_verify_outputs_match_pinned_digest(capsys):
         digest.update(repr(run_cli(capsys, "verify", triangle)).encode("utf-8"))
     t = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
                  Point(Fraction(-3, 4), Fraction(11, 3)))
-    digest.update(repr(checks._rows(t.frame)).encode("utf-8"))
+    f = t.frame
+    residuals, scales, skipped, trig = checks._rows(f)
+    rows = (residuals, scales, skipped, f[geometry.CORNERS.start:], trig, f[geometry.DEFECTS])
+    digest.update(repr(rows).encode("utf-8"))
     assert digest.hexdigest() == VERIFY_PIN_DIGEST
 
 

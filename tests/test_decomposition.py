@@ -20,7 +20,6 @@ from cuoco.cosine_law import euclid_defect
 from cuoco.three_sum import interpret_squares
 from cuoco.geometry import (
     QUAD_AREAS,
-    _constructions,
     cross,
     dot,
     foot_of_altitude,
@@ -66,7 +65,7 @@ def pair_equivalence_row(t):
     as verify prints them)."""
     for check, _, residual, scale in records(t.frame):
         if check == "pair_equivalence":
-            return residual, scale, list(_rows(t.frame)[3][QUAD_AREAS])
+            return residual, scale, list(t.frame[QUAD_AREAS])
 
 
 class TestBuild:
@@ -274,10 +273,10 @@ class TestVerifyPairs:
             assert [area.hex() for area in quads] == [shoelace(p.quad).hex() for p in build(t).panels]
 
     def test_overflowing_quad_areas_raise(self):
-        # The constructions hold the quad areas as they come out; the
-        # catalogue refuses them.
+        # The frame holds the quad areas as they come out; the catalogue
+        # refuses them.
         for t in (FAR_OUT, OVERFLOWING_QUADS):
-            assert not math.isfinite(sum(_constructions(t.frame)[QUAD_AREAS]))
+            assert not math.isfinite(sum(t.frame[QUAD_AREAS]))
             with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
                 _rows(t.frame)
             with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
@@ -289,7 +288,7 @@ def assert_frame_areas_are_the_figures(t):
     shoelace areas of the quads build(t) draws, bit for bit: hex() tells
     0.0 from -0.0."""
     drawn = [shoelace(panel.quad).hex() for panel in build(t).panels]
-    assert [area.hex() for area in _constructions(t.frame)[QUAD_AREAS]] == drawn
+    assert [area.hex() for area in t.frame[QUAD_AREAS]] == drawn
 
 
 class TestFrameAreas:

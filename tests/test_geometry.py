@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuoco import geometry
 from cuoco.cli import random_triangle
 from cuoco.cosine_law import euclid_defect
 from cuoco.decomposition import similarity_check
@@ -80,6 +81,19 @@ class TestTriangle:
         # the feet and the side cosines would divide by zero.
         with pytest.raises(GeometryError, match="squared side .* underflows to zero"):
             Triangle(A=Point(0, 0), B=Point(1e-170, 0), C=Point(0, 1e10))
+
+    def test_layout_constants_tile_the_frame(self):
+        # The slice and index constants name each value of the frame once, so
+        # a value added to it without a name, or a name off its place, fails.
+        size = len(triangle_from_sides(2, 3, 4).frame)
+        named = []
+        for name, where in vars(geometry).items():
+            if name.isupper() and isinstance(where, slice):
+                assert where.step is None, name
+                named += range(where.start, where.stop)
+            elif name.isupper() and type(where) is int:
+                named.append(where)
+        assert sorted(named) == list(range(size))
 
 
 def _same_number(x, y) -> bool:

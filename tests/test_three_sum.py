@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuoco import cli, geometry, three_sum
+from cuoco import cli, three_sum
 from cuoco.circles import circumcircle, incircle
 from cuoco.decomposition import _trig_areas, panel_area_trig
 from cuoco.geometry import (ANGLES, AREA_SCALE, CIRCUMCIRCLE, CLASSIFICATION, DOTS, INCIRCLE,
@@ -376,15 +376,14 @@ READINGS = {"_squares": composed_squares, "_sides": composed_sides, "_angles": c
 
 def reading_args(f):
     """Each reading's arguments for a frame, as the catalogue passes them."""
-    k = geometry._constructions(f)
     S, T, R = f[DOTS]
     trig_r, trig_s, trig_t = _trig_areas(*f[SIDES], *map(math.cos, f[ANGLES]))
-    length_a, length_b, length_c = k[INCIRCLE][12:15]
+    length_a, length_b, length_c = f[INCIRCLE][12:15]
     kind = f[CLASSIFICATION].kind
     return {"_squares": (*f[SIDE_SQUARES], kind, R, T, S, trig_r, trig_t, trig_s, f[AREA_SCALE]),
             "_sides": (*f[SIDES], f[SEMIPERIMETER], length_c, length_b, length_a,
                        f[LENGTH_SCALE]),
-            "_angles": (*f[ANGLES], kind, *k[CIRCUMCIRCLE][5:11])}
+            "_angles": (*f[ANGLES], kind, *f[CIRCUMCIRCLE][5:11])}
 
 
 def outcome(reading, args):
