@@ -43,7 +43,6 @@ def test_one_frame_per_triangle(capsys, monkeypatch, tmp_path):
     three_sum.interpret_squares(t)
     three_sum.interpret_sides(circles.incircle(t))
     three_sum.interpret_angles(circles.circumcircle(t))
-    checks._rows(t.frame)
     assert len(calls) == 1
     solve = ("solve", "--L", "4", "--M", "9", "--N", "16", "--sides", "2,3,4", "--interpret")
     commands = [("verify", "--sides", "2,3,4"),
@@ -55,6 +54,22 @@ def test_one_frame_per_triangle(capsys, monkeypatch, tmp_path):
         assert main(list(argv)) == 0
         assert len(calls) == 1, argv
     capsys.readouterr()
+
+
+def test_one_construction_per_triangle(monkeypatch):
+    # The catalogue reads the constructions from the Triangle's one frame:
+    # it computes no frame of its own, and calls neither circle builder.
+    t = random_triangle(random.Random(11))
+    calls = {}
+    for module, name in ((circles, "incircle"), (circles, "circumcircle"),
+                         (geometry, "_frame")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    checks._rows(t.frame)
+    assert calls == {}
 
 
 RECORD_TYPES = (circles.IncircleData, circles.CircumcircleData, three_sum.InterpretationReport,

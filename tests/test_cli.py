@@ -247,6 +247,26 @@ class TestFigure:
         assert code == 0
         assert json.loads(out)["report"] == {"vertex": "B", "defect": 18.0}
 
+    def test_defect_figure_computes_the_constructions_once(self, capsys, monkeypatch, tmp_path):
+        # The constructions are part of the triangle's frame: the receipt's
+        # defect and the drawing's build both read the one frame, wherever
+        # a module holds the kernel.
+        calls = []
+        kernel = geometry._frame
+
+        def counting(*coords):
+            calls.append(coords)
+            return kernel(*coords)
+
+        for module in (geometry, cosine_law, decomposition, circles, figures, cli):
+            if vars(module).get("_frame") is kernel:
+                monkeypatch.setattr(module, "_frame", counting)
+        code, out, _ = run_cli(capsys, "figure", "--kind", "euclid_defect", "--sides", "2,3,4",
+                               "--out", str(tmp_path / "d.svg"))
+        assert code == 0
+        assert json.loads(out)["report"] == {"vertex": "B", "defect": 11.0}
+        assert len(calls) == 1
+
     def test_file_content_deterministic(self, capsys, tmp_path):
         first = tmp_path / "one.svg"
         second = tmp_path / "two.svg"
