@@ -89,8 +89,7 @@ def _triangle_json(t: Triangle) -> dict:
 
 def cmd_verify(args) -> tuple:
     t = _triangle_from_args(args)
-    m = t.metrics
-    f = t.frame
+    m, f = t.metrics, t.frame
     residuals, scales, skipped, trig = checks._rows(f)
     values = [None if slot in skipped else abs(residual) / scale
               for slot, (residual, scale) in enumerate(zip(residuals, scales))]

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIMILARITY, VERTICES,
-                       Point, Triangle, TriangleMetrics, cross, _check_vertex, _point, _Record,
-                       _worst)
+from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIMILARITY, VERTICES, Point,
+                       Triangle, TriangleMetrics, cross, _check_vertex, _point, _Record, _worst)
 
 PAIR_CLASSES = ("R", "S", "T")
 PANEL_LABELS = ("R1", "R2", "S1", "S2", "T1", "T2")
@@ -93,7 +92,7 @@ def shoelace(points) -> float:
     n = len(points)
     for i in range(n):
         total += cross(points[i], points[(i + 1) % n])
-    return total / 2.0
+    return total / 2
 
 
 def panel_area_exact(pair: str, t: Triangle):

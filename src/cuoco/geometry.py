@@ -296,20 +296,23 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     bpx, bpy, bqx, bqy, bfx, bfy = cx + nx, cy + ny, ax + nx, ay + ny, fbx + nx, fby + ny
     nx, ny = -bay, bax
     cpx, cpy, cqx, cqy, cfx, cfy = ax + nx, ay + ny, bx + nx, by + ny, fcx + nx, fcy + ny
-    # Each quad's shoelace area, its terms summed alike, so bit for bit; halved
-    # by an int, so an exact (Fraction) sum stays exact.
-    t2 = (0 + (fax * by - fay * bx) + (bx * apy - by * apx) + (apx * afy - apy * afx)
-          + (afx * fay - afy * fax)) / 2
-    r1 = (0 + (cx * fay - cy * fax) + (fax * afy - fay * afx) + (afx * aqy - afy * aqx)
-          + (aqx * cy - aqy * cx)) / 2
-    r2 = (0 + (fbx * cy - fby * cx) + (cx * bpy - cy * bpx) + (bpx * bfy - bpy * bfx)
-          + (bfx * fby - bfy * fbx)) / 2
-    s1 = (0 + (ax * fby - ay * fbx) + (fbx * bfy - fby * bfx) + (bfx * bqy - bfy * bqx)
-          + (bqx * ay - bqy * ax)) / 2
-    s2 = (0 + (fcx * ay - fcy * ax) + (ax * cpy - ay * cpx) + (cpx * cfy - cpy * cfx)
-          + (cfx * fcy - cfy * fcx)) / 2
-    t1 = (0 + (bx * fcy - by * fcx) + (fcx * cfy - fcy * cfx) + (cfx * cqy - cfy * cqx)
-          + (cqx * by - cqy * bx)) / 2
+    # Each quad's shoelace area, terms summed alike (bit for bit) and halved by an int (a
+    # Fraction sum stays exact); NaN where an exact int product passes the float range.
+    try:
+        t2 = (0 + (fax * by - fay * bx) + (bx * apy - by * apx) + (apx * afy - apy * afx)
+              + (afx * fay - afy * fax)) / 2
+        r1 = (0 + (cx * fay - cy * fax) + (fax * afy - fay * afx) + (afx * aqy - afy * aqx)
+              + (aqx * cy - aqy * cx)) / 2
+        r2 = (0 + (fbx * cy - fby * cx) + (cx * bpy - cy * bpx) + (bpx * bfy - bpy * bfx)
+              + (bfx * fby - bfy * fbx)) / 2
+        s1 = (0 + (ax * fby - ay * fbx) + (fbx * bfy - fby * bfx) + (bfx * bqy - bfy * bqx)
+              + (bqx * ay - bqy * ax)) / 2
+        s2 = (0 + (fcx * ay - fcy * ax) + (ax * cpy - ay * cpx) + (cpx * cfy - cpy * cfx)
+              + (cfx * fcy - cfy * fcx)) / 2
+        t1 = (0 + (bx * fcy - by * fcx) + (fcx * cfy - fcy * cfx) + (cfx * cqy - cfy * cqx)
+              + (cqx * by - cqy * bx)) / 2
+    except OverflowError:
+        t2 = r1 = r2 = s1 = s2 = t1 = math.nan
     # At V with (P, Q) = OPPOSITE_SIDE[V]: ch = dot(foot from P - V, Q - V) / |VQ|,
     # ck = dot(foot from Q - V, P - V) / |VP|, and |VP| ck - |VQ| ch vanishes.
     ch_a = ((fbx - ax) * acx + (fby - ay) * acy) / b

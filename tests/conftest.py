@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, strategies as st
 
-from cuoco import checks
+from cuoco import checks, circles, cli, cosine_law, decomposition, figures, geometry, three_sum
 from cuoco.cli import random_triangle
 from cuoco.geometry import Point, Triangle, cross, _worst
 
 SAMPLE_SEED = 42
+
+# Fraction vertices: every value built without a square root stays exact.
+RATIONAL = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
+                    Point(Fraction(-3, 4), Fraction(11, 3)))
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +22,23 @@ def fuzz_triangles():
     """A healthy mix of acute, right-ish and obtuse random triangles."""
     rng = random.Random(SAMPLE_SEED)
     return [random_triangle(rng) for _ in range(1500)]
+
+
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """The vertex coordinates of each `_frame` call from here on, wherever
+    a cuoco module holds the function."""
+    calls = []
+    exact = geometry._frame
+
+    def counting(*coords):
+        calls.append(coords)
+        return exact(*coords)
+
+    for module in (geometry, checks, circles, cosine_law, decomposition, figures, three_sum, cli):
+        if vars(module).get("_frame") is exact:
+            monkeypatch.setattr(module, "_frame", counting)
+    return calls
 
 
 @st.composite

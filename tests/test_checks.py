@@ -8,33 +8,23 @@ from fractions import Fraction
 
 import pytest
 
-from cuoco import checks, circles, cli, decomposition, geometry, three_sum
+from cuoco import checks, circles, decomposition, geometry, three_sum
 from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
-from cuoco.figures import KINDS
 from cuoco.geometry import (DOTS, LEGS, QUAD_AREAS, SQUARES, VERTICES, Point, Triangle,
                             foot_of_altitude, triangle_from_sides)
 
-from conftest import records
+from conftest import RATIONAL, records
 
 AREA_SCALED = ("euclid_defect", "pair_equivalence", "trig_vs_exact", "square_sums", "derivation")
 
 
-def test_one_frame_per_triangle(capsys, monkeypatch, tmp_path):
+def test_one_frame_per_triangle(frame_calls):
     # Building a Triangle computes its frame; every builder, view and the
-    # catalogue read it, and each command computes its triangle's frame once.
-    calls = []
-    exact = geometry._frame
-
-    def counting(*coords):
-        calls.append(coords)
-        return exact(*coords)
-
-    for module in (geometry, checks, circles, decomposition, three_sum, cli):
-        if vars(module).get("_frame") is exact:
-            monkeypatch.setattr(module, "_frame", counting)
+    # catalogue read it. Each command's one frame: test_cli's
+    # test_defect_figure_computes_the_constructions_once.
     t = triangle_from_sides(2, 3, 4)
-    assert len(calls) == 1
+    assert len(frame_calls) == 1
     for v in VERTICES:
         foot_of_altitude(t, v), euclid_defect(t, v), decomposition.similarity_check(t, v)
     for pair in decomposition.PAIR_CLASSES:
@@ -43,17 +33,8 @@ def test_one_frame_per_triangle(capsys, monkeypatch, tmp_path):
     three_sum.interpret_squares(t)
     three_sum.interpret_sides(circles.incircle(t))
     three_sum.interpret_angles(circles.circumcircle(t))
-    assert len(calls) == 1
-    solve = ("solve", "--L", "4", "--M", "9", "--N", "16", "--sides", "2,3,4", "--interpret")
-    commands = [("verify", "--sides", "2,3,4"),
-                *(("figure", "--kind", kind, "--sides", "2,3,4", "--out", str(tmp_path / kind))
-                  for kind in KINDS),
-                *((*solve, reading) for reading in ("squares", "sides", "angles"))]
-    for argv in commands:
-        calls.clear()
-        assert main(list(argv)) == 0
-        assert len(calls) == 1, argv
-    capsys.readouterr()
+    checks._rows(t.frame)
+    assert len(frame_calls) == 1
 
 
 def test_one_construction_per_triangle(monkeypatch):
@@ -180,10 +161,6 @@ def test_records_match_pinned_digest():
         for check, item, residual, scale in records(t.frame):
             digest.update(repr((check, item, residual, scale)).encode("utf-8"))
     assert digest.hexdigest() == RECORDS_DIGEST
-
-
-RATIONAL = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
-                    Point(Fraction(-3, 4), Fraction(11, 3)))
 
 
 def test_rational_input_stays_exact():

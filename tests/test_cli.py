@@ -247,25 +247,24 @@ class TestFigure:
         assert code == 0
         assert json.loads(out)["report"] == {"vertex": "B", "defect": 18.0}
 
-    def test_defect_figure_computes_the_constructions_once(self, capsys, monkeypatch, tmp_path):
-        # The constructions are part of the triangle's frame: the receipt's
-        # defect and the drawing's build both read the one frame, wherever
-        # a module holds the kernel.
-        calls = []
-        kernel = geometry._frame
-
-        def counting(*coords):
-            calls.append(coords)
-            return kernel(*coords)
-
-        for module in (geometry, cosine_law, decomposition, circles, figures, cli):
-            if vars(module).get("_frame") is kernel:
-                monkeypatch.setattr(module, "_frame", counting)
+    def test_defect_figure_computes_the_constructions_once(self, capsys, frame_calls, tmp_path):
+        # The constructions are part of the triangle's frame: the defect
+        # figure's receipt and its drawing read the one frame, and so does
+        # every other figure kind, verify and each solve --interpret reading.
         code, out, _ = run_cli(capsys, "figure", "--kind", "euclid_defect", "--sides", "2,3,4",
                                "--out", str(tmp_path / "d.svg"))
         assert code == 0
         assert json.loads(out)["report"] == {"vertex": "B", "defect": 11.0}
-        assert len(calls) == 1
+        assert len(frame_calls) == 1
+        solve = ("solve", "--L", "4", "--M", "9", "--N", "16", "--sides", "2,3,4", "--interpret")
+        commands = [("verify", "--sides", "2,3,4"),
+                    *(("figure", "--kind", kind, "--sides", "2,3,4", "--out", str(tmp_path / kind))
+                      for kind in figures.KINDS),
+                    *((*solve, reading) for reading in ("squares", "sides", "angles"))]
+        for argv in commands:
+            frame_calls.clear()
+            assert run_cli(capsys, *argv)[0] == 0
+            assert len(frame_calls) == 1, argv
 
     def test_file_content_deterministic(self, capsys, tmp_path):
         first = tmp_path / "one.svg"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from cuoco.geometry import (
     triangle_from_sides,
 )
 
-from conftest import float_triangles, integer_triangles, records
+from conftest import RATIONAL, float_triangles, integer_triangles, records
 
 
 # Far from the origin: the triangle's own sizes are finite, but the cross
@@ -39,6 +40,11 @@ FAR_OUT = Triangle(Point(1e160, 0), Point(1.00000000000001e160, 0), Point(1e160,
 # 8.9e153 from the origin along both axes: every squared side is finite, but
 # the panel quad areas, cross products of absolute corners, are not.
 OVERFLOWING_QUADS = Triangle(Point(0, 0), Point(8.9e153, 0), Point(0, 8.9e153))
+
+# Exact integers 1e300 from the origin: the squared sides and twice the area
+# are small ints, but an exact product of absolute corners (about 1e310)
+# cannot join the quads' float terms.
+EXACT_FAR_OUT = Triangle(Point(10**300, 0), Point(10**300 + 10**10, 0), Point(10**300, 10**10))
 
 
 def point_in_convex_quad(pt, quad, slack):
@@ -271,11 +277,25 @@ class TestVerifyPairs:
         for t in triangles:
             _, _, quads = pair_equivalence_row(t)  # hex() tells 0.0 from -0.0
             assert [area.hex() for area in quads] == [shoelace(p.quad).hex() for p in build(t).panels]
+        # Fraction input: both halve an exact sum by an int, so both stay Fraction.
+        drawn = [shoelace(p.quad) for p in build(RATIONAL).panels]
+        assert list(RATIONAL.frame[QUAD_AREAS]) == drawn
+        assert all(type(area) is Fraction for area in drawn), drawn
+
+    def test_exact_input_beyond_the_float_range(self):
+        # The triangle and every value outside the quads are as for any
+        # exact input; only the catalogue refuses the NaN quad areas.
+        t = EXACT_FAR_OUT
+        assert t.metrics.b == t.metrics.c == 1e10 and t.twice_area == 10**20
+        assert foot_of_altitude(t, "A") == (Point(1e300, 5e9), 0.5)
+        assert all(math.isnan(area) for area in t.frame[QUAD_AREAS])
+        with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
+            _rows(t.frame)
 
     def test_overflowing_quad_areas_raise(self):
         # The frame holds the quad areas as they come out; the catalogue
         # refuses them.
-        for t in (FAR_OUT, OVERFLOWING_QUADS):
+        for t in (FAR_OUT, OVERFLOWING_QUADS, EXACT_FAR_OUT):
             assert not math.isfinite(sum(t.frame[QUAD_AREAS]))
             with pytest.raises(NonFiniteCoordinate, match="panel quad areas"):
                 _rows(t.frame)
@@ -371,10 +391,10 @@ class TestShoelace:
         square = (Point(0, 1), Point(1, 1), Point(1, 0), Point(0, 0))
         assert shoelace(square) == pytest.approx(-1.0, rel=1e-15)
 
-# Each public builder on OVERFLOWING_QUADS and FAR_OUT: None where it returns,
-# else the error it raises. Only the catalogue tests the quad areas, so no
-# builder fails on them; far out, only the incircle, whose centre's formula
-# multiplies absolute coordinates, fails.
+# Each public builder on OVERFLOWING_QUADS, FAR_OUT and EXACT_FAR_OUT: None
+# where it returns, else the error it raises. Only the catalogue tests the
+# quad areas, so no builder fails on them; far out, only the incircle, whose
+# centre's formula multiplies absolute coordinates, fails.
 BUILDERS = {
     "incircle": lambda t: incircle(t),
     "circumcircle": lambda t: circumcircle(t),
@@ -389,12 +409,15 @@ BUILDER_ERRORS = [
     (FAR_OUT, "incircle", "the incentre is not finite"),
     (FAR_OUT, "circumcircle", None),
     (FAR_OUT, "build", None),
+    *((EXACT_FAR_OUT, name, "the incentre is not finite" if name == "incircle" else None)
+      for name in BUILDERS),
 ]
+BUILDER_TRIANGLES = {id(FAR_OUT): "far_out", id(OVERFLOWING_QUADS): "overflowing_quads",
+                     id(EXACT_FAR_OUT): "exact_far_out"}
 
 
 @pytest.mark.parametrize("t, name, error", BUILDER_ERRORS,
-                         ids=[f"{'far_out' if t is FAR_OUT else 'overflowing_quads'}-{name}"
-                              for t, name, _ in BUILDER_ERRORS])
+                         ids=[f"{BUILDER_TRIANGLES[id(t)]}-{name}" for t, name, _ in BUILDER_ERRORS])
 def test_each_builder_fails_only_on_its_own_construction(t, name, error):
     if error is None:
         BUILDERS[name](t)
