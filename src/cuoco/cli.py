@@ -165,10 +165,10 @@ def cmd_figure(args) -> tuple:
     spec = figures.FigureSpec(kind=args.kind, labels=not args.no_labels, precision=args.precision)
     data = figures.construction(args.kind, t)
     receipt = _RECEIPTS[type(data)](data)
-    text = figures.render(data, spec)
+    svg = figures.render(data, spec).encode("utf-8")
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(args.out, "wb") as handle:
+            handle.write(svg)
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     return {
@@ -176,7 +176,7 @@ def cmd_figure(args) -> tuple:
         "command": "figure",
         "kind": args.kind,
         "out": args.out,
-        "bytes": len(text.encode("utf-8")),
+        "bytes": len(svg),
         "report": receipt,
     }, 0
 

@@ -14,8 +14,8 @@ from functools import partial
 
 from . import circles, decomposition
 from .circles import CircumcircleData, IncircleData
-from .decomposition import CuocoDecomposition, HOSTED_PANELS, PANEL_LABELS, SIDE_FRAMES, shoelace
-from .geometry import Point, Triangle, VERTICES, _Frozen
+from .decomposition import CuocoDecomposition, HOSTED_PANELS, PANEL_LABELS, SIDE_FRAMES
+from .geometry import QUAD_AREAS, VERTICES, NonFiniteCoordinate, Point, Triangle, _Frozen
 
 _NS = "http://www.w3.org/2000/svg"
 
@@ -49,38 +49,31 @@ class FigureSpec(_Frozen):
 
 
 class _Sheet:
-    """Collects formatted elements in paint order and tracks the bbox.
-    Sizes scale with the diagonal of the bbox of the outline `points`."""
+    """Collects formatted elements in paint order and the coordinates they
+    cover. Sizes scale with the diagonal of the bbox of the outline `points`."""
 
     def __init__(self, spec: FigureSpec, points):
         self.spec = spec
+        # `%` gives f"{float(v):.{p}f}"'s digits, or its OverflowError, for any v.
+        self.num = f"%.{spec.precision}f"
+        self.fmt = self.num.__mod__
         xs = [p.x for p in points]
         ys = [p.y for p in points]
         self.diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        self.thin = self.fmt(0.003 * self.diag)
-        self.wide = self.fmt(0.005 * self.diag)
-        self.dash = self.fmt(0.02 * self.diag)
+        self.thin, self.wide, self.dash, self.size = (
+            self.fmt(k * self.diag) for k in (0.003, 0.005, 0.02, 0.045))
         self.elements: list[str] = []
-        self._min_x = math.inf
-        self._min_y = math.inf
-        self._max_x = -math.inf
-        self._max_y = -math.inf
-
-    def fmt(self, value: float) -> str:
-        return f"{float(value):.{self.spec.precision}f}"
-
-    def _cover(self, x: float, y: float, pad: float = 0.0) -> None:
-        self._min_x = min(self._min_x, x - pad)
-        self._min_y = min(self._min_y, y - pad)
-        self._max_x = max(self._max_x, x + pad)
-        self._max_y = max(self._max_y, y + pad)
+        self.xs: list = []  # every covered x; a circle covers its centre's x ± r
+        self.ys: list = []
 
     def _coords(self, pts, sep: str, between: str) -> str:
         """Cover each point and format it as x `sep` y, the points joined by `between`."""
+        xy = f"{self.num}{sep}{self.num}"
         chunks = []
         for p in pts:
-            self._cover(p.x, p.y)
-            chunks.append(f"{self.fmt(p.x)}{sep}{self.fmt(p.y)}")
+            self.xs.append(p.x)
+            self.ys.append(p.y)
+            chunks.append(xy % (p.x, p.y))
         return between.join(chunks)
 
     def add_square(self, pts, fill: str) -> None:
@@ -108,7 +101,8 @@ class _Sheet:
         )
 
     def add_circle(self, cls: str, center: Point, r: float, filled: bool) -> None:
-        self._cover(center.x, center.y, pad=r)
+        self.xs += (center.x - r, center.x + r)
+        self.ys += (center.y - r, center.y + r)
         paint = STROKE_PALETTE["main"] if filled else "none"
         self.elements.append(
             f'<circle class="{cls}" cx="{self.fmt(center.x)}" cy="{self.fmt(center.y)}" '
@@ -117,8 +111,8 @@ class _Sheet:
         )
 
     def add_line(self, cls: str, p: Point, q: Point) -> None:
-        self._cover(p.x, p.y)
-        self._cover(q.x, q.y)
+        self.xs += (p.x, q.x)
+        self.ys += (p.y, q.y)
         self.elements.append(
             f'<line class="{cls}" x1="{self.fmt(p.x)}" y1="{self.fmt(p.y)}" '
             f'x2="{self.fmt(q.x)}" y2="{self.fmt(q.y)}" stroke="{STROKE_PALETTE["light"]}" '
@@ -128,26 +122,27 @@ class _Sheet:
     def add_label(self, pos: Point, text: str) -> None:
         if not self.spec.labels:
             return
-        size = self.fmt(0.045 * self.diag)
         # The group below flips y; each label flips itself back.
         self.elements.append(
             f'<text class="label" transform="translate({self._coords((pos,), " ", "")}) '
-            f'scale(1 -1)" font-size="{size}" font-family="sans-serif" '
+            f'scale(1 -1)" font-size="{self.size}" font-family="sans-serif" '
             f'text-anchor="middle" fill="{STROKE_PALETTE["main"]}">{text}</text>'
         )
 
     def document(self) -> str:
-        width = self._max_x - self._min_x
-        height = self._max_y - self._min_y
+        # Rounding is monotonic, so float() of the exact extreme is the
+        # extreme of the floats; the infinite start passes over a NaN.
+        min_x, max_x = float(min(math.inf, *self.xs)), float(max(-math.inf, *self.xs))
+        min_y, max_y = float(min(math.inf, *self.ys)), float(max(-math.inf, *self.ys))
+        width = max_x - min_x
+        height = max_y - min_y
         margin = 0.05 * max(width, height)
-        view = (
-            f"{self.fmt(self._min_x - margin)} {self.fmt(-(self._max_y + margin))} "
-            f"{self.fmt(width + 2 * margin)} {self.fmt(height + 2 * margin)}"
-        )
+        extents = width + 2 * margin, height + 2 * margin
+        view = " ".join([self.num] * 4) % (min_x - margin, -(max_y + margin), *extents)
         # A zero viewBox width or height disables rendering (SVG 1.1, 7.7).
         if not all(float(extent) for extent in view.split()[2:]):
             raise ValueError(
-                f"the drawing is {width + 2 * margin:.3g} by {height + 2 * margin:.3g} units, "
+                f"the drawing is {extents[0]:.3g} by {extents[1]:.3g} units, "
                 f"which prints as zero at precision {self.spec.precision}; raise the precision")
         period = self.fmt(0.025 * self.diag)
         stripe = self.fmt(0.008 * self.diag)
@@ -210,10 +205,12 @@ def _draw_cuoco(d: CuocoDecomposition, spec: FigureSpec, by_pair: bool,
                    + [p for panel in d.panels for p in panel.quad])
     for sq in d.squares:
         sheet.add_square(sq.vertices, FILL_PALETTE[sq.side])
-    for panel in d.panels:
+    for panel, area in zip(d.panels, t.frame[QUAD_AREAS]):
         fill = FILL_PALETTE[panel.pair if by_pair else panel.host]
         # Oversized: larger than its host square, as beside an obtuse angle.
-        dashed = dash_oversized and abs(shoelace(panel.quad)) > side_sq[panel.host] * (1.0 + 1e-12)
+        if dash_oversized and area != area:  # NaN, from overflow: neither larger nor not
+            raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not numbers")
+        dashed = dash_oversized and abs(area) > side_sq[panel.host] * (1.0 + 1e-12)
         sheet.add_panel(panel.label, panel.quad, fill, negative=panel.signed_area < 0, dashed=dashed)
     sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])
     quads = {panel.label: panel.quad for panel in d.panels}

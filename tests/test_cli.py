@@ -20,6 +20,7 @@ from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
 from conftest import circumcentre_budget, records
+from test_decomposition import EXACT_FAR_OUT, FAR_OUT
 from test_reports import PINNED_REPORTS
 
 
@@ -287,14 +288,39 @@ class TestFigure:
 
     def test_every_kind_renders(self, capsys, tmp_path):
         assert tuple(self.RECEIPTS_2_3_4) == figures.KINDS
+        t = triangle_from_sides(2, 3, 4)
         for kind, receipt in self.RECEIPTS_2_3_4.items():
             out_file = tmp_path / f"{kind}.svg"
             code, out, _ = run_cli(
                 capsys, "figure", "--kind", kind, "--sides", "2,3,4", "--out", str(out_file)
             )
             assert code == 0
-            assert out_file.stat().st_size > 0
-            assert json.loads(out)["report"] == receipt, kind
+            report = json.loads(out)
+            assert report["report"] == receipt, kind
+            # The file holds the rendered text as UTF-8 bytes, and `bytes` counts them.
+            svg = figures.render(figures.construction(kind, t), figures.FigureSpec(kind))
+            assert out_file.read_bytes() == svg.encode("utf-8")
+            assert report["bytes"] == out_file.stat().st_size, kind
+
+    @pytest.mark.parametrize("t", [EXACT_FAR_OUT, FAR_OUT], ids=["exact_far_out", "far_out"])
+    def test_nan_quad_areas_refused_where_panels_are_dashed(self, capsys, tmp_path, t):
+        # The quad areas overflow to NaN, which no host square is smaller or
+        # larger than: the obtuse kind, which dashes the oversized panels,
+        # refuses, as verify does; the two kinds that dash none draw.
+        points = "--points=" + ",".join(str(v) for p in (t.A, t.B, t.C) for v in (p.x, p.y))
+        for kind in ("cuoco", "cuoco_pairs", "cuoco_obtuse"):
+            out_file = tmp_path / f"{kind}.svg"
+            code, out, err = run_cli(capsys, "figure", "--kind", kind, points, "--out", str(out_file))
+            if kind != "cuoco_obtuse":
+                assert (code, err) == (0, ""), kind
+                assert out_file.exists()
+                continue
+            assert (code, out) == (2, "")
+            assert err == "error: coordinates overflow: the panel quad areas are not numbers\n"
+            assert not out_file.exists()
+        code, out, err = run_cli(capsys, "verify", points)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "panel quad areas" in err and err.count("\n") == 1
 
     def test_drawing_too_small_for_precision_exit_2(self, capsys, tmp_path):
         # Every coordinate prints as 0.000000 at the default precision; the

@@ -3,16 +3,18 @@ import math
 import random
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cuoco import circles, decomposition
 from cuoco.circles import incircle
 from cuoco.cli import random_triangle
 from cuoco.decomposition import build
-from cuoco.figures import KINDS, FigureSpec, KindMismatch, construction, render
-from cuoco.geometry import triangle_from_sides
+from cuoco.figures import KINDS, FigureSpec, KindMismatch, _Sheet, construction, render
+from cuoco.geometry import Point, _point, triangle_from_sides
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -102,6 +104,44 @@ def test_renders_match_pinned_digest():
                 for precision in (1, 3, 6, 12):
                     digest.update(render(data, FigureSpec(kind, labels, precision)).encode("utf-8"))
     assert digest.hexdigest() == "baa6c4b0a55979a1785a8904cd0a45ae014bda196218f99639b5e7734f152957"
+
+
+# Numbers the sheet formats: any float (-0.0, subnormals, 1e300 and the
+# infinities among them), binary fractions that tie at a rounding digit,
+# decimal halves near one, ints past 2**53 and Fractions.
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]),
+    st.builds(lambda m, k: m / 2**k, st.integers(-2**40, 2**40), st.integers(1, 40)),
+    st.builds(lambda m, k: (2 * m + 1) / (2 * 10**k), st.integers(-10**6, 10**6), st.integers(1, 12)),
+    st.integers(2**53, 2**1000).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.fractions(),
+)
+
+
+def formatters(precision: int):
+    """The sheet's formatter for one number and for one point, x then y."""
+    sheet = _Sheet(FigureSpec("cuoco", precision=precision), (Point(0, 0), Point(1, 1)))
+    return sheet.fmt, lambda x, y: sheet._coords((_point(x, y),), " ", "")
+
+
+@given(value=NUMBERS, other=NUMBERS, precision=st.integers(1, 12))
+def test_sheet_formats_as_the_float_f_string(value, other, precision):
+    number, point = formatters(precision)
+    expected = f"{float(value):.{precision}f}"
+    assert number(value) == expected
+    assert point(value, other) == f"{expected} {float(other):.{precision}f}"
+
+
+@pytest.mark.parametrize("value", [10**400, -2**1024, Fraction(10**400, 3)])
+@pytest.mark.parametrize("precision", [1, 6, 12])
+def test_sheet_formatter_overflows_as_float_does(value, precision):
+    number, point = formatters(precision)
+    with pytest.raises(OverflowError):
+        f"{float(value):.{precision}f}"
+    for call in (lambda: number(value), lambda: point(value, 0), lambda: point(0, value)):
+        with pytest.raises(OverflowError):
+            call()
 
 
 class TestStructure:
