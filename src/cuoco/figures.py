@@ -130,10 +130,9 @@ class _Sheet:
         )
 
     def document(self) -> str:
-        # Rounding is monotonic, so float() of the exact extreme is the
-        # extreme of the floats; the infinite start passes over a NaN.
-        min_x, max_x = float(min(math.inf, *self.xs)), float(max(-math.inf, *self.xs))
-        min_y, max_y = float(min(math.inf, *self.ys)), float(max(-math.inf, *self.ys))
+        # Rounding is monotonic: float() of the exact extreme is the extreme of the floats.
+        min_x, max_x = float(min(self.xs)), float(max(self.xs))
+        min_y, max_y = float(min(self.ys)), float(max(self.ys))
         width = max_x - min_x
         height = max_y - min_y
         margin = 0.05 * max(width, height)

@@ -14,7 +14,7 @@ from cuoco.circles import incircle
 from cuoco.cli import random_triangle
 from cuoco.decomposition import build
 from cuoco.figures import KINDS, FigureSpec, KindMismatch, _Sheet, construction, render
-from cuoco.geometry import Point, _point, triangle_from_sides
+from cuoco.geometry import Point, Triangle, _point, triangle_from_sides
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -107,8 +107,9 @@ def test_renders_match_pinned_digest():
 
 
 # Numbers the sheet formats: any float (-0.0, subnormals, 1e300 and the
-# infinities among them), binary fractions that tie at a rounding digit,
-# decimal halves near one, ints past 2**53 and Fractions.
+# infinities among them), dyadic fractions, some of them exact ties at a
+# rounding digit, the floats nearest a decimal half at a rounding digit,
+# ints past 2**53 and Fractions.
 NUMBERS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]),
@@ -134,14 +135,26 @@ def test_sheet_formats_as_the_float_f_string(value, other, precision):
 
 
 @pytest.mark.parametrize("value", [10**400, -2**1024, Fraction(10**400, 3)])
-@pytest.mark.parametrize("precision", [1, 6, 12])
-def test_sheet_formatter_overflows_as_float_does(value, precision):
-    number, point = formatters(precision)
+def test_sheet_formatter_overflows_as_float_does(value):
+    number, point = formatters(6)
     with pytest.raises(OverflowError):
-        f"{float(value):.{precision}f}"
+        f"{float(value):.6f}"
     for call in (lambda: number(value), lambda: point(value, 0), lambda: point(0, value)):
         with pytest.raises(OverflowError):
             call()
+
+
+def test_exact_coordinates_are_covered_as_floats():
+    # Every x of this integer triangle, and of its squares and circle, is
+    # the float 1e300, as an int, plus at most about 3e10, and rounds to
+    # that float. So the drawing has no width of its own: its viewBox is
+    # two margins wide, 0.1 of the drawing's height, and 1.1 of it high.
+    far = int(1e300)
+    t = Triangle(Point(far, 0), Point(far + 10**10, 0), Point(far, 10**10))
+    for kind in ("euclid_defect", "cuoco", "cuoco_pairs", "circumcircle"):
+        svg = render(construction(kind, t), FigureSpec(kind))
+        _, _, width, height = (float(v) for v in ET.fromstring(svg).attrib["viewBox"].split())
+        assert width == pytest.approx(height / 11), kind
 
 
 class TestStructure:
