@@ -1,19 +1,19 @@
 """The catalogue of checks: every invariant the package verifies, in slots.
 
 `_rows(f)` computes a triangle's checks from its frame into SLOTS fixed
-slots: the residuals, each slot's scale and the slots skipped (defect_sign
-near a right angle, a positivity check whose reading's flag is None). The
-one table, `RECORDS`, lists the records the slots make, in order, as
-(check, item, number of slots); `item` is the vertex, pair class or side a
-record is about, or None.
+slots, each slot's |residual| / scale, divided where the residual is
+formed, and names the slots skipped (defect_sign near a right angle, a
+positivity check whose reading's flag is None). The one table, `RECORDS`,
+lists the records the slots make, in order, as (check, item, number of
+slots); `item` is the vertex, pair class or side a record is about, or None.
 
-`verify` and `fuzz` turn each triangle into one vector, a slot's
-|residual| / scale, and merge the vectors of many triangles by position
-(`cli.run_fuzz`), keeping a NaN. `entries` turns the merged vector and the
-skip counts into every check's entry, in `NAMES` order (checks about the
-same items interleave in `RECORDS`, item by item): a record of several
-slots takes the largest of them, and a check reports its worst record. A
-record passes when |residual| / scale <= tol, so a NaN fails.
+`verify` reads that vector as it comes; `fuzz` merges the vectors of many
+triangles by position (`cli.run_fuzz`), keeping a NaN. `entries` turns the
+merged vector and the skip counts into every check's entry, in `NAMES`
+order (checks about the same items interleave in `RECORDS`, item by item):
+a record of several slots takes the largest of them, and a check reports
+its worst record. A record passes when |residual| / scale <= tol, so a NaN
+fails.
 
 Every construction and Euclid defect is read from the triangle's one frame,
 of which the builders are views (no decomposition, circle or report record is
@@ -87,8 +87,8 @@ def entries(worst, skips, count: int, tol: float) -> dict:
 
 
 def _rows(f: tuple) -> tuple:
-    """The slots of the triangle of a frame: (residuals, scales, skipped slots,
-    the trigonometric pair areas R, S, T)."""
+    """The slots of the triangle of a frame: (each slot's |residual| / scale,
+    the skipped slots, the trigonometric pair areas R, S, T)."""
     # Rounding in the area identities grows with the largest squared side: `scale`.
     (a, b, c, alpha, beta, gamma, s, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
      classification, ax, ay, bx, by, cx, cy, _, _, _, _, _, _, _, _, _, _, _, _,
@@ -126,42 +126,40 @@ def _rows(f: tuple) -> tuple:
     # The two splits at a vertex: each is pi/2 minus the angle at the far end
     # of its side, and they sum to the vertex's angle.
     split_x, split_y, split_z = angles[1]
-    # The readings' max_residual is already divided by their scales. Each
-    # positivity slot reads the flag its reading's verdict reads: the sign
-    # of the sides reading, and acute_iff_positive of the other two. A
-    # tangent point's slot is how far its param lies outside [0, 1].
-    residuals = [
-        r_a, r_b, r_c, defect_a, 0.0 if (at_a > 0) == (cos_a > 0) else 1.0,
-        defect_b, 0.0 if (at_b > 0) == (cos_b > 0) else 1.0,
-        defect_c, 0.0 if (at_c > 0) == (cos_c > 0) else 1.0,
-        r1 - r2, s1 - s2, t1 - t2, R - trig_r, S - trig_s, T - trig_t,
-        R + T - a2, R + S - b2, S + T - c2, similar_a, similar_b, similar_c,
-        chain_1, chain_2, chain_3, chain_4,
-        squares[4], 0.0 if squares[3] else 1.0, sides[4], 0.0 if sides[2] else 1.0,
-        angles[4], 0.0 if angles[3] else 1.0,
-        length_a - z, length_b - y, length_c - x,
-        sqrt(dax * dax + day * day) - radius,
-        -t_a if t_a < 0.0 else 0.0 if t_a <= 1.0 else t_a - 1.0,
-        sqrt(dbx * dbx + dby * dby) - radius,
-        -t_b if t_b < 0.0 else 0.0 if t_b <= 1.0 else t_b - 1.0,
-        sqrt(dcx * dcx + dcy * dcy) - radius,
-        -t_c if t_c < 0.0 else 0.0 if t_c <= 1.0 else t_c - 1.0,
-        sqrt(ax * ax + ay * ay) - circumradius, sqrt(bx * bx + by * by) - circumradius,
-        sqrt(cx * cx + cy * cy) - circumradius,
-        a_b - split_x, a_c - split_y, a_b + a_c - alpha,
-        b_c - split_z, b_a - split_x, b_c + b_a - beta,
-        c_a - split_y, c_b - split_z, c_a + c_b - gamma,
-    ]
-    # Each slot's scale, in the same order; the cosine identity's is max side^2.
+    # Each slot's |residual| / scale, the cosine identity's over max side^2; the
+    # readings' max_residual comes divided. A positivity slot reads the flag its
+    # reading's verdict reads: the sides reading's sign, the others' acute_iff_positive.
+    # A tangent point's slot is how far its param lies outside [0, 1].
     square = max(a2, b2, c2)
-    scales = [square, square, square, scale, 1.0, scale, 1.0, scale, 1.0, scale, scale, scale,
-              scale, scale, scale, scale, scale, scale, scale_a, scale_b, scale_c, scale, scale,
-              scale, scale, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, length_scale, length_scale, length_scale,
-              radius_scale, 1.0, radius_scale, 1.0, radius_scale, 1.0, circumradius_scale,
-              circumradius_scale, circumradius_scale, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    values = [
+        abs(r_a) / square, abs(r_b) / square, abs(r_c) / square,
+        abs(defect_a) / scale, 0.0 if (at_a > 0) == (cos_a > 0) else 1.0,
+        abs(defect_b) / scale, 0.0 if (at_b > 0) == (cos_b > 0) else 1.0,
+        abs(defect_c) / scale, 0.0 if (at_c > 0) == (cos_c > 0) else 1.0,
+        abs(r1 - r2) / scale, abs(s1 - s2) / scale, abs(t1 - t2) / scale,
+        abs(R - trig_r) / scale, abs(S - trig_s) / scale, abs(T - trig_t) / scale,
+        abs(R + T - a2) / scale, abs(R + S - b2) / scale, abs(S + T - c2) / scale,
+        abs(similar_a) / scale_a, abs(similar_b) / scale_b, abs(similar_c) / scale_c,
+        abs(chain_1) / scale, abs(chain_2) / scale, abs(chain_3) / scale, abs(chain_4) / scale,
+        squares[4], 0.0 if squares[3] else 1.0, sides[4], 0.0 if sides[2] else 1.0,
+        angles[4], 0.0 if angles[3] else 1.0, abs(length_a - z) / length_scale,
+        abs(length_b - y) / length_scale, abs(length_c - x) / length_scale,
+        abs(sqrt(dax * dax + day * day) - radius) / radius_scale,
+        -t_a if t_a < 0.0 else 0.0 if t_a <= 1.0 else t_a - 1.0,
+        abs(sqrt(dbx * dbx + dby * dby) - radius) / radius_scale,
+        -t_b if t_b < 0.0 else 0.0 if t_b <= 1.0 else t_b - 1.0,
+        abs(sqrt(dcx * dcx + dcy * dcy) - radius) / radius_scale,
+        -t_c if t_c < 0.0 else 0.0 if t_c <= 1.0 else t_c - 1.0,
+        abs(sqrt(ax * ax + ay * ay) - circumradius) / circumradius_scale,
+        abs(sqrt(bx * bx + by * by) - circumradius) / circumradius_scale,
+        abs(sqrt(cx * cx + cy * cy) - circumradius) / circumradius_scale,
+        abs(a_b - split_x), abs(a_c - split_y), abs(a_b + a_c - alpha), abs(b_c - split_z),
+        abs(b_a - split_x), abs(b_c + b_a - beta), abs(c_a - split_y), abs(c_b - split_z),
+        abs(c_a + c_b - gamma),
+    ]
     # A defect's sign is read only beyond 1e-12 of a right angle, tighter than
     # RIGHT_ANGLE_BAND, which would skip more vertices.
     kept = (abs(cos_a) > 1e-12, abs(cos_b) > 1e-12, abs(cos_c) > 1e-12, squares[3] is not None,
             sides[2] is not None, angles[3] is not None)
     skipped = [] if all(kept) else [slot for slot, keep in zip(_SKIPPABLE, kept) if not keep]
-    return residuals, scales, skipped, trig
+    return values, skipped, trig

@@ -1,11 +1,12 @@
 """Command line driver: verify, solve, figure, fuzz.
 
 `verify` and `fuzz` are shells over one catalogue, `cuoco.checks`: each
-turns a triangle into one vector, every slot's |residual| / scale, and
-`checks.entries` turns it into every check's entry. `fuzz` merges the
-vectors of many random triangles by position; it runs the catalogue on
-frames of six drawn coordinates and makes a Triangle only to print a
-counterexample. `verify` prints its vector and the frame's constructions.
+takes a triangle's vector from `checks._rows`, every slot's |residual| /
+scale as the catalogue divides it, and `checks.entries` turns it into
+every check's entry. `fuzz` merges the vectors of many random triangles by
+position; it runs the catalogue on frames of six drawn coordinates and
+makes a Triangle only to print a counterexample. `verify` prints its
+vector and the frame's constructions.
 
 A command line that names a command is parsed by that command's parser
 alone, built once per process; a fresh full tree (`build_parser`) parses
@@ -29,7 +30,6 @@ import os
 import random
 import sys
 from collections import Counter
-from operator import truediv
 
 from . import checks, circles, cosine_law, decomposition, three_sum
 from .geometry import (CHAIN, CIRCUMCIRCLE, DEFECTS, DOTS, INCIRCLE, QUAD_AREAS, SIDES,
@@ -90,9 +90,9 @@ def _triangle_json(t: Triangle) -> dict:
 def cmd_verify(args) -> tuple:
     t = _triangle_from_args(args)
     m, f = t.metrics, t.frame
-    residuals, scales, skipped, trig = checks._rows(f)
-    values = [None if slot in skipped else abs(residual) / scale
-              for slot, (residual, scale) in enumerate(zip(residuals, scales))]
+    values, skipped, trig = checks._rows(f)
+    for slot in skipped:
+        values[slot] = None
     entries = checks.entries(values, Counter(skipped), 1, args.tol)
     passed = all(entry["passed"] for entry in entries.values())
     S, T, R = f[DOTS]
@@ -225,8 +225,7 @@ def run_fuzz(count: int, seed, tol: float) -> dict:
     checked = count
     for index in range(count):
         f = _sample(rng)
-        residuals, scales, skipped, _ = rows(f)
-        values = list(map(truediv, map(abs, residuals), scales))
+        values, skipped, _ = rows(f)
         for slot in skipped:
             values[slot] = -1.0
             skips[slot] += 1

@@ -233,7 +233,7 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     every value of the triangle and its constructions, laid out as above.
 
     Twice the area and the squared sides must be finite, so that nothing
-    computed from them later can overflow, and the squared sides nonzero,
+    computed from them later can overflow, and the sides nonzero as floats,
     since the feet and the cosines divide by them. The constructions are
     not tested: the quads and the incentre sit in absolute coordinates and
     can overflow where the triangle does not, and a circumcentre whose
@@ -264,9 +264,10 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
         )
     if doubled == 0:
         raise CollinearPoints(f"vertices are collinear: {_named(ax, ay, bx, by, cx, cy)}")
-    if not (sq_a and sq_b and sq_c):
-        raise GeometryError(
-            f"a squared side of {_named(ax, ay, bx, by, cx, cy)} underflows to zero")
+    a, b, c = math.sqrt(sq_a), math.sqrt(sq_b), math.sqrt(sq_c)
+    if not (a and b and c):  # a squared side is 0, or exact and below the float range
+        what = "side length" if sq_a and sq_b and sq_c else "squared side"
+        raise GeometryError(f"a {what} of {_named(ax, ay, bx, by, cx, cy)} underflows to zero")
     # The dot of the two legs at V: half the Euclid defect at V, and the
     # pair area S (at A), T (at B) or R (at C).
     dot_a, dot_b, dot_c = abx * acx + aby * acy, bcx * bax + bcy * bay, cax * cbx + cay * cby
@@ -276,7 +277,6 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     t_a, t_b, t_c = dot_b / sq_a, dot_c / sq_b, dot_a / sq_c
     fax, fay, fbx, fby = bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay
     fcx, fcy = ax + t_c * abx, ay + t_c * aby
-    a, b, c = math.sqrt(sq_a), math.sqrt(sq_b), math.sqrt(sq_c)
     a2, b2, c2 = a * a, b * b, c * c
     # The cosine at each vertex: (adjacent^2 + adjacent^2 - opposite^2)
     # over twice the adjacent sides' product.

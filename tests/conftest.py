@@ -119,16 +119,14 @@ def side_triples(draw):
 
 
 def records(f) -> list:
-    """(check, item, residual, scale) of each record the slots of frame f
-    make, skipped ones left out: `checks._rows` regrouped record by record
-    by `checks.RECORDS`, a record of several slots taking the largest of
-    their |residual|s (a NaN kept)."""
-    residuals, scales, skipped = checks._rows(f)[:3]
+    """(check, item, value) of each record the slots of frame f make,
+    skipped ones left out: `checks._rows` regrouped record by record by
+    `checks.RECORDS`, a record of several slots taking the largest of their
+    |residual| / scale values (a NaN kept)."""
+    values, skipped = checks._rows(f)[:2]
     found, start = [], 0
     for check, item, count in checks.RECORDS:
         if start not in skipped:
-            residual = (residuals[start] if count == 1
-                        else _worst(map(abs, residuals[start:start + count])))
-            found.append((check, item, residual, scales[start]))
+            found.append((check, item, _worst(values[start:start + count])))
         start += count
     return found

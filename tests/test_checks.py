@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from cuoco import checks, circles, decomposition, geometry, three_sum
+from cuoco import checks, circles, cli, decomposition, geometry, three_sum
 from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
-from cuoco.geometry import (DOTS, LEGS, QUAD_AREAS, SQUARES, VERTICES, Point, Triangle,
-                            foot_of_altitude, triangle_from_sides)
+from cuoco.geometry import (CHAIN_DEVIATIONS, COORDS, DEFECTS, DOTS, INCIRCLE, LEGS, QUAD_AREAS,
+                            SIDES, SQUARES, VERTICES, Point, Triangle, foot_of_altitude,
+                            triangle_from_sides)
 
 from conftest import RATIONAL, records
 
@@ -106,30 +107,58 @@ def test_translation_far_out_keeps_the_splits_passing():
         offset = Point(distance * math.cos(turn), distance * math.sin(turn))
         far = Triangle(t.A + offset, t.B + offset, t.C + offset)
         for triangle in (t, far):
-            for check, item, residual, scale in records(triangle.frame):
+            for check, item, value in records(triangle.frame):
                 if check in ("angles_interpretation", "vertex_splits"):
-                    assert abs(residual) <= 1e-9 * scale, (triangle, check, item, residual)
+                    assert value <= 1e-9, (triangle, check, item, value)
 
 
 @pytest.mark.parametrize("sides, floored", [((0.3, 0.5, 0.7), True), ((9.5, 10.0, 10.5), False)])
 def test_area_and_length_records_carry_one_scale(sides, floored):
     # Below 1 the floors bind and both scales are 1; near 10 they are the
-    # largest squared side and the largest side.
+    # largest squared side and the largest side. Each slot is its residual,
+    # read from the frame or the public API, over that scale, bit for bit.
     t = triangle_from_sides(*sides)
-    m = t.metrics
+    m, f = t.metrics, t.frame
     area_scale = max(1.0, m.a * m.a, m.b * m.b, m.c * m.c)
     length_scale = max(1.0, m.a, m.b, m.c)
     assert (area_scale == length_scale == 1.0) == floored
-    seen = set()
-    for check, item, _, scale in records(t.frame):
-        if check in AREA_SCALED:
-            assert scale == area_scale, (check, item)
-        elif check == "tangent_lengths":
-            assert scale == length_scale
-        else:
+    r1, r2, s1, s2, t1, t2 = f[QUAD_AREAS]
+    S, T, R = f[DOTS]
+    trig = [decomposition.panel_area_trig(pair, m) for pair in "RST"]
+    a2, b2, c2 = m.side_squares
+    lengths = circles.incircle(t).tangent_lengths
+    residuals = {
+        "euclid_defect": f[DEFECTS][1::2],
+        "pair_equivalence": (r1 - r2, s1 - s2, t1 - t2),
+        "trig_vs_exact": [exact - area for exact, area in zip((R, S, T), trig)],
+        "square_sums": (R + T - a2, R + S - b2, S + T - c2),
+        "derivation": f[CHAIN_DEVIATIONS],
+        "tangent_lengths": [lengths[v] - (m.s - side) for v, side in zip("ABC", f[SIDES])],
+    }
+    values = checks._rows(f)[0]
+    for check, found in residuals.items():
+        scale = length_scale if check == "tangent_lengths" else area_scale
+        expected = [abs(r) / scale for r in found]
+        assert repr([values[slot] for slot in checks.COLUMNS[check]]) == repr(expected), check
+    assert set(residuals) == {*AREA_SCALED, "tangent_lengths"}
+
+
+def test_every_scale_has_its_slots_dimension():
+    # Scaling a triangle by 2^k scales each length by 2^k and each area by
+    # 4^k, exactly, and leaves every |residual| / scale as it was, bit for
+    # bit, once no max(1.0, .) floor binds: an inradius above 1 keeps every
+    # side, product of sides and radius above 1. A slot divided by a scale
+    # of the wrong dimension is off by a factor of 2^28 or more.
+    rng, kept = random.Random(31), 0
+    while kept < 500:
+        f = cli._sample(rng)
+        if f[INCIRCLE][2] <= 2.0 ** -12:  # the inradius, scaled by 2^12 below
             continue
-        seen.add(check)
-    assert seen == {*AREA_SCALED, "tangent_lengths"}
+        kept += 1
+        rows = [repr(checks._rows(geometry._frame(*(math.ldexp(value, power)
+                                                    for value in f[COORDS])))[:2])
+                for power in (12, 40, 200)]
+        assert rows[0] == rows[1] == rows[2], f[COORDS]
 
 
 def _pinned_triangles():
@@ -148,18 +177,20 @@ def _pinned_triangles():
         yield random_triangle(rng)
 
 
-# SHA-256 of repr((check, item, residual, scale)) over every record of
-# the catalogue (conftest.records) for the triangles of _pinned_triangles.
-# The reports print |residual| / scale, and fuzz reports only each check's
-# worst, so neither sees every residual's sign and last bit; this does.
-RECORDS_DIGEST = "e3a9a8bd131aa32d09f4f21d8883af49b223d9a7920d0b1a9f7907e4741a00e1"
+# SHA-256 of repr((check, item, value)) over every record of the catalogue
+# (conftest.records) for each triangle of _pinned_triangles, then of repr of
+# the triangle's frame. fuzz reports only each check's worst value; the
+# frame holds every value the residuals are formed from, so this pins each
+# one's sign and last bit too.
+RECORDS_DIGEST = "9df4371d88553b91e6e174cddea4070b5f35ec8fedf68ffd5d33084cb674ad64"
 
 
 def test_records_match_pinned_digest():
     digest = hashlib.sha256()
     for t in _pinned_triangles():
-        for check, item, residual, scale in records(t.frame):
-            digest.update(repr((check, item, residual, scale)).encode("utf-8"))
+        for record in records(t.frame):
+            digest.update(repr(record).encode("utf-8"))
+        digest.update(repr(t.frame).encode("utf-8"))
     assert digest.hexdigest() == RECORDS_DIGEST
 
 
@@ -190,6 +221,7 @@ def test_rational_quads_hold_the_pairs_exactly():
     assert all(type(area) is Fraction for area in quads), quads
     assert (r1, s1, t1) == (r2, s2, t2)
     assert (r1 + t2, r2 + s1, s2 + t1) == f[SQUARES]
-    residuals = checks._rows(f)[0]
-    pairs = [residuals[slot] for slot in checks.COLUMNS["pair_equivalence"]]
-    assert pairs == [0, 0, 0] and all(type(value) is Fraction for value in pairs)
+    # Each exact residual of 0 normalises to 0.0.
+    values = checks._rows(f)[0]
+    pairs = [values[slot] for slot in checks.COLUMNS["pair_equivalence"]]
+    assert repr(pairs) == repr([0.0, 0.0, 0.0])

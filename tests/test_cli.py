@@ -19,7 +19,7 @@ from cuoco import (checks, circles, cli, cosine_law, decomposition, figures, geo
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
-from conftest import circumcentre_budget, records
+from conftest import RATIONAL, circumcentre_budget, records
 from test_decomposition import EXACT_FAR_OUT, FAR_OUT
 from test_reports import PINNED_REPORTS
 
@@ -696,8 +696,7 @@ def fold_records(count, seed, tol, sample=None) -> tuple:
     for index in range(count):
         f = sample(rng)
         checked += 1
-        for check, item, residual, scale in records(f):
-            value = abs(residual) / scale
+        for check, item, value in records(f):
             # A record's first value creates its maximum; a NaN, once in, stays.
             if value > maxima.setdefault((check, item), value) or value != value:
                 maxima[check, item] = value
@@ -784,13 +783,14 @@ class TestPositionalFold:
             residuals[slot] = data.draw(special)
         skipped = sorted(data.draw(st.sets(st.integers(0, checks.SLOTS - 1), max_size=3),
                                    label="skipped"))
-        # Scale 1: each value is |residual|, and a skipped slot's is -1.0.
-        values = [-1.0 if slot in skipped else abs(r) for slot, r in enumerate(residuals)]
+        # _rows gives each |residual| / scale (here scale 1); run_fuzz marks a
+        # skipped slot's value -1.0.
+        magnitudes = [abs(r) for r in residuals]
+        values = [-1.0 if slot in skipped else value for slot, value in enumerate(magnitudes)]
         total = sum(values)
         verdict = max(values) <= tol and total == total
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(checks, "_rows", lambda f: (
-                residuals, [1.0] * checks.SLOTS, skipped, None))
+            patch.setattr(checks, "_rows", lambda f: (magnitudes, skipped, None))
             assert run_fuzz(1, 0, tol)["passed"] is verdict
 
     def test_nan_after_a_folded_batch(self, monkeypatch):
@@ -801,10 +801,10 @@ class TestPositionalFold:
         exact = checks._rows
 
         def nan_in_the_last_slot(f):
-            residuals, *rest = exact(f)
+            values, *rest = exact(f)
             if f == nan_frame:
-                residuals[-1] = math.nan
-            return (residuals, *rest)
+                values[-1] = math.nan
+            return (values, *rest)
 
         monkeypatch.setattr(checks, "_rows", nan_in_the_last_slot)
         monkeypatch.setattr(cli, "_BATCH", 7)
@@ -894,22 +894,21 @@ class TestCatalogue:
 
     def test_per_record_verdict_divides_by_the_scale(self, capsys, monkeypatch):
         # At this pair |r| <= tol * scale is False but |r| / scale <= tol is
-        # True; verify judges by the second, as fuzz does.
+        # True; verify judges by the second, as fuzz does. The frame holds r
+        # as the Euclid defect residual at A and the scale as the area scale.
         r, scale, tol = 1.4130532120301893e-07, 141.3053212030189, 1e-9
         assert not abs(r) <= tol * scale
-        rows = checks._rows
-        [slot] = [start for check, item, start, _ in checks.OWNERS
-                  if (check, item) == ("euclid_defect", "A")]
-
-        def edited(f):
-            residuals, scales, *rest = rows(f)
-            residuals[slot], scales[slot] = r, scale
-            return (residuals, scales, *rest)
-
-        monkeypatch.setattr(checks, "_rows", edited)
+        TestFuzz.edit_frame(monkeypatch, slice(geometry.AREA_SCALE, geometry.AREA_SCALE + 1),
+                            lambda f, _: [scale])
+        TestFuzz.edit_frame(monkeypatch, geometry.DEFECTS,
+                            lambda f, defects: [defects[0], r, *defects[2:]])
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4", "--tol", str(tol))
         assert code == 0
-        entry = json.loads(out)["checks"]["euclid_defect"]
+        report = json.loads(out)
+        [slot] = [start for check, item, start, _ in checks.OWNERS
+                  if (check, item) == ("euclid_defect", "A")]
+        assert report["values"][slot] == abs(r) / scale
+        entry = report["checks"]["euclid_defect"]
         assert (entry["max_residual"], entry["worst_item"]) == (abs(r) / scale, "A")
         assert entry["passed"] is (abs(r) / scale <= tol) is True
 
@@ -1093,11 +1092,15 @@ PINNED_VERIFY_INPUTS = [
 ]
 
 # SHA-256 of repr((exit code, stdout, stderr)) of `verify` on each of
-# PINNED_VERIFY_INPUTS, then of the repr of every slot and construction
-# `verify` prints, (residuals, scales, skipped slots, the frame from CORNERS
-# on, trig pair areas, Euclid defects), for the frame of the Fraction triangle
-# of test_rational_input_stays_exact, which `verify` cannot take.
-VERIFY_PIN_DIGEST = "2749d59676f82f70aa2ce878095af133393c1d9d9e8012f8ea2207df57f845cb"
+# PINNED_VERIFY_INPUTS.
+VERIFY_PIN_DIGEST = "12427f2d690d35d95bc227a5ed0a20e63b35b808d232a1a7b20fe90315cc2307"
+
+# SHA-256 of the repr of every slot and construction `verify` prints, (each
+# slot's |residual| / scale, skipped slots, the frame from CORNERS on, trig
+# pair areas, Euclid defects), for the frame of the Fraction triangle
+# RATIONAL, which `verify` cannot take. Its exact residuals (the defects, the
+# quad areas, the similarity and chain values) are in the frame.
+RATIONAL_ROWS_DIGEST = "79751215fcb511a9ca2454d0fac93ade641371f0b7d726660e477b7ce4dd48b9"
 
 
 def test_verify_outputs_match_pinned_digest(capsys):
@@ -1108,13 +1111,11 @@ def test_verify_outputs_match_pinned_digest(capsys):
     digest = hashlib.sha256()
     for triangle in PINNED_VERIFY_INPUTS:
         digest.update(repr(run_cli(capsys, "verify", triangle)).encode("utf-8"))
-    t = Triangle(Point(Fraction(1, 3), Fraction(-2, 7)), Point(Fraction(9, 2), Fraction(1, 5)),
-                 Point(Fraction(-3, 4), Fraction(11, 3)))
-    f = t.frame
-    residuals, scales, skipped, trig = checks._rows(f)
-    rows = (residuals, scales, skipped, f[geometry.CORNERS.start:], trig, f[geometry.DEFECTS])
-    digest.update(repr(rows).encode("utf-8"))
     assert digest.hexdigest() == VERIFY_PIN_DIGEST
+    f = RATIONAL.frame
+    values, skipped, trig = checks._rows(f)
+    rows = (values, skipped, f[geometry.CORNERS.start:], trig, f[geometry.DEFECTS])
+    assert hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() == RATIONAL_ROWS_DIGEST
 
 
 # fuzz runs whose tolerance is below the sweep's worst residuals, so each stops

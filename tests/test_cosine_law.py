@@ -180,12 +180,12 @@ class TestVerifyCosineIdentity:
             assert max(abs(r) for r in residuals) <= 1e-9 * max(m.a**2, m.b**2, m.c**2)
 
     def test_scale_tracks_largest_side(self):
-        # The catalogue's cosine_identity record: its scale is max side^2,
-        # with no floor, and its residual the worst of the three.
+        # The catalogue's cosine_identity slots: each residual over max
+        # side^2, with no floor, bit for bit; the record is the worst of the three.
         t = triangle_from_sides(3.0, 4.0, 5.0)
+        square = max(t.metrics.side_squares)
+        assert square == pytest.approx(25.0, rel=1e-12)
+        expected = [abs(r) / square for r in verify_cosine_identity(t.metrics)]
+        assert repr(_rows(t.frame)[0][:3]) == repr(expected)
         record = next(row for row in records(t.frame) if row[0] == "cosine_identity")
-        _, _, residual, scale = record
-        residuals = tuple(_rows(t.frame)[0][:3])
-        assert scale == pytest.approx(25.0, rel=1e-12)
-        assert residuals == verify_cosine_identity(t.metrics)
-        assert residual == max(abs(r) for r in residuals) <= 1e-9 * scale
+        assert record[2] == max(expected) <= 1e-9

@@ -67,11 +67,17 @@ def by_label(d):
 
 
 def pair_equivalence_row(t):
-    """The catalogue's pair_equivalence record: (residual, scale, quad areas
-    as verify prints them)."""
-    for check, _, residual, scale in records(t.frame):
+    """The catalogue's pair_equivalence record: (its value, the worst pair's
+    |residual| / scale, and the quad areas as verify prints them)."""
+    for check, _, value in records(t.frame):
         if check == "pair_equivalence":
-            return residual, scale, list(t.frame[QUAD_AREAS])
+            return value, list(t.frame[QUAD_AREAS])
+
+
+def worst_pair(quads, scale) -> float:
+    """The largest |difference| of the quads of a pair class, over scale."""
+    r1, r2, s1, s2, t1, t2 = quads
+    return max(abs(r1 - r2), abs(s1 - s2), abs(t1 - t2)) / scale
 
 
 class TestBuild:
@@ -261,21 +267,22 @@ class TestVerifyPairs:
     def test_passes_including_obtuse(self, fuzz_triangles):
         kinds = set()
         for t in fuzz_triangles[:400]:
-            residual, scale, _ = pair_equivalence_row(t)
-            assert residual <= 1e-9 * scale
+            value, quads = pair_equivalence_row(t)
+            assert value == worst_pair(quads, t.metrics.area_scale) <= 1e-9
             kinds.add(t.metrics.classification.kind)
         assert "obtuse" in kinds and "acute" in kinds
 
     def test_reports_three_pairs(self):
-        _, scale, quads = pair_equivalence_row(triangle_from_sides(2.0, 3.0, 4.0))
-        assert scale == 16.0
+        t = triangle_from_sides(2.0, 3.0, 4.0)
+        value, quads = pair_equivalence_row(t)
+        assert t.metrics.area_scale == 16.0 and value == worst_pair(quads, 16.0)
         assert quads == pytest.approx([-1.5, -1.5, 10.5, 10.5, 5.5, 5.5], abs=1e-12)
 
     def test_quad_areas_are_shoelace_bit_for_bit(self, fuzz_triangles):
         triangles = [*fuzz_triangles[:200], triangle_from_sides(3, 4, 5),
                      Triangle(Point(3, 4), Point(0, 0), Point(3, 0))]
         for t in triangles:
-            _, _, quads = pair_equivalence_row(t)  # hex() tells 0.0 from -0.0
+            _, quads = pair_equivalence_row(t)  # hex() tells 0.0 from -0.0
             assert [area.hex() for area in quads] == [shoelace(p.quad).hex() for p in build(t).panels]
         # Fraction input: both halve an exact sum by an int, so both stay Fraction.
         drawn = [shoelace(p.quad) for p in build(RATIONAL).panels]

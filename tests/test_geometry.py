@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,13 @@ class TestTriangle:
         # the feet and the side cosines would divide by zero.
         with pytest.raises(GeometryError, match="squared side .* underflows to zero"):
             Triangle(A=Point(0, 0), B=Point(1e-170, 0), C=Point(0, 1e10))
+
+    def test_underflowing_side_length_rejected(self):
+        # Exact squared sides of about 1e-800 are nonzero Fractions, but their
+        # float square roots are 0.0: the side cosines would divide by zero.
+        tiny = Fraction(1, 10**400)
+        with pytest.raises(GeometryError, match="a side length of .* underflows to zero"):
+            Triangle(A=Point(tiny, 0), B=Point(3 * tiny, 0), C=Point(0, tiny))
 
     def test_layout_constants_tile_the_frame(self):
         # The slice and index constants name each value of the frame once, so
