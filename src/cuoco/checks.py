@@ -15,9 +15,9 @@ a record of several slots takes the largest of them, and a check reports
 its worst record. A record passes when |residual| / scale <= tol, so a NaN
 fails.
 
-Every construction and Euclid defect is read from the triangle's one frame,
-of which the builders are views (no decomposition, circle or report record is
-built), beside the angles' cosines, the trig pair areas and the three readings.
+`_rows` reads the triangle's one frame, which the builders are views of, by
+the names `geometry.LAYOUT` declares, through one getter, `_READ`; it builds
+no record, and adds the angles' cosines, the trig pair areas and the readings.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import cos, isfinite, sqrt
 
 from . import circles, cosine_law, decomposition, three_sum
-from .geometry import NonFiniteCoordinate, _worst
+from .geometry import NonFiniteCoordinate, frame_getter, _worst
 
 # (check, item, slots) of each record, in record order.
 RECORDS = (
@@ -59,6 +59,14 @@ COLUMNS = {name: [slot for _, start, end in spans for slot in range(start, end)]
            for name, spans in _RECORDS_OF.items()}
 _SKIPPABLE = (*COLUMNS["defect_sign"], *(COLUMNS[name + "_positivity"][0]
                                          for name in ("squares", "sides", "angles")))
+# The frame values _rows reads, by their names in geometry.LAYOUT.
+_READ = frame_getter(
+    "a b c alpha beta gamma s cos_A cos_B cos_C a2 b2 c2 area_scale length_scale classification "
+    "A_x A_y B_x B_y C_x C_y S T R defect_A residual_A defect_B residual_B defect_C residual_C R1 "
+    "R2 S1 S2 T1 T2 similar_A scale_A similar_B scale_B similar_C scale_C I_x I_y inradius tan_a "
+    "tan_b tan_c touch_a_x touch_a_y touch_b_x touch_b_y touch_c_x touch_c_y length_A length_B "
+    "length_C O_x O_y circumradius A_B A_C B_C B_A C_A C_B deviation_1 deviation_2 deviation_3 "
+    "deviation_4")
 
 
 def entries(worst, skips, count: int, tol: float) -> dict:
@@ -89,39 +97,38 @@ def entries(worst, skips, count: int, tol: float) -> dict:
 def _rows(f: tuple) -> tuple:
     """The slots of the triangle of a frame: (each slot's |residual| / scale,
     the skipped slots, the trigonometric pair areas R, S, T)."""
-    # Rounding in the area identities grows with the largest squared side: `scale`.
-    (a, b, c, alpha, beta, gamma, s, _, cos_a, cos_b, cos_c, a2, b2, c2, scale, length_scale,
-     classification, ax, ay, bx, by, cx, cy, _, _, _, _, _, _, _, _, _, _, _, _,
-     _, _, _, _, S, T, R, _, _, _, _, _, _, _, _, _,
-     at_a, defect_a, at_b, defect_b, at_c, defect_c,
-     _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, r1, r2, s1, s2, t1, t2,
-     _, _, similar_a, scale_a, _, _, similar_b, scale_b, _, _, similar_c, scale_c,
-     ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, length_a, length_b, length_c,
-     centre_x, centre_y, _, _, circumradius, a_b, a_c, b_c, b_a, c_a, c_b,
-     _, _, _, _, _, chain_1, chain_2, chain_3, chain_4) = f
+    # Rounding in the area identities grows with the largest squared side: `area_scale`.
+    (a, b, c, alpha, beta, gamma, s, cos_A, cos_B, cos_C, a2, b2, c2, area_scale, length_scale,
+     classification, A_x, A_y, B_x, B_y, C_x, C_y, S, T, R, defect_A, residual_A, defect_B,
+     residual_B, defect_C, residual_C, R1, R2, S1, S2, T1, T2, similar_A, scale_A, similar_B,
+     scale_B, similar_C, scale_C, I_x, I_y, inradius, tan_a, tan_b, tan_c, touch_a_x, touch_a_y,
+     touch_b_x, touch_b_y, touch_c_x, touch_c_y, length_A, length_B, length_C, O_x, O_y,
+     circumradius, A_B, A_C, B_C, B_A, C_A, C_B, deviation_1, deviation_2, deviation_3,
+     deviation_4) = _READ(f)
     cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
     r_a, r_b, r_c = cosine_law._identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta,
                                                    cos_gamma)
     # The quads sit in absolute coordinates, where products overflow first.
-    if not isfinite(r1 + r2 + s1 + s2 + t1 + t2):
+    if not isfinite(R1 + R2 + S1 + S2 + T1 + T2):
         raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
     # The pair areas R, S, T by both routes: the legs' dots and the trig forms.
     trig = trig_r, trig_s, trig_t = decomposition._trig_areas(a, b, c, cos_alpha, cos_beta,
                                                               cos_gamma)
     kind = classification.kind
-    squares = three_sum._squares(a2, b2, c2, kind, R, T, S, trig_r, trig_t, trig_s, scale)
-    circles._check_centre(ox, oy, "incentre")
-    sides = three_sum._sides(a, b, c, s, length_c, length_b, length_a, length_scale)
-    circles._check_centre(centre_x, centre_y, "circumcentre")
-    angles = three_sum._angles(alpha, beta, gamma, kind, a_b, a_c, b_c, b_a, c_a, c_b)
+    squares = three_sum._squares(a2, b2, c2, kind, R, T, S, trig_r, trig_t, trig_s, area_scale)
+    circles._check_centre(I_x, I_y, "incentre")
+    sides = three_sum._sides(a, b, c, s, length_C, length_B, length_A, length_scale)
+    circles._check_centre(O_x, O_y, "circumcentre")
+    angles = three_sum._angles(alpha, beta, gamma, kind, A_B, A_C, B_C, B_A, C_A, C_B)
     x, y, z = sides[1]
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
-    dax, day, dbx, dby, dcx, dcy = ox - pax, oy - pay, ox - pbx, oy - pby, ox - pcx, oy - pcy
-    radius_scale = radius if radius > 1.0 else 1.0
+    dax, day, dbx, dby = I_x - touch_a_x, I_y - touch_a_y, I_x - touch_b_x, I_y - touch_b_y
+    dcx, dcy = I_x - touch_c_x, I_y - touch_c_y
+    radius_scale = inradius if inradius > 1.0 else 1.0
     # Each vertex's offset from the circumcentre.
-    ax, ay, bx, by = centre_x - ax, centre_y - ay, centre_x - bx, centre_y - by
-    cx, cy = centre_x - cx, centre_y - cy
+    oax, oay, obx, oby = O_x - A_x, O_y - A_y, O_x - B_x, O_y - B_y
+    ocx, ocy = O_x - C_x, O_y - C_y
     circumradius_scale = circumradius if circumradius > 1.0 else 1.0
     # The two splits at a vertex: each is pi/2 minus the angle at the far end
     # of its side, and they sum to the vertex's angle.
@@ -133,33 +140,34 @@ def _rows(f: tuple) -> tuple:
     square = max(a2, b2, c2)
     values = [
         abs(r_a) / square, abs(r_b) / square, abs(r_c) / square,
-        abs(defect_a) / scale, 0.0 if (at_a > 0) == (cos_a > 0) else 1.0,
-        abs(defect_b) / scale, 0.0 if (at_b > 0) == (cos_b > 0) else 1.0,
-        abs(defect_c) / scale, 0.0 if (at_c > 0) == (cos_c > 0) else 1.0,
-        abs(r1 - r2) / scale, abs(s1 - s2) / scale, abs(t1 - t2) / scale,
-        abs(R - trig_r) / scale, abs(S - trig_s) / scale, abs(T - trig_t) / scale,
-        abs(R + T - a2) / scale, abs(R + S - b2) / scale, abs(S + T - c2) / scale,
-        abs(similar_a) / scale_a, abs(similar_b) / scale_b, abs(similar_c) / scale_c,
-        abs(chain_1) / scale, abs(chain_2) / scale, abs(chain_3) / scale, abs(chain_4) / scale,
+        abs(residual_A) / area_scale, 0.0 if (defect_A > 0) == (cos_A > 0) else 1.0,
+        abs(residual_B) / area_scale, 0.0 if (defect_B > 0) == (cos_B > 0) else 1.0,
+        abs(residual_C) / area_scale, 0.0 if (defect_C > 0) == (cos_C > 0) else 1.0,
+        abs(R1 - R2) / area_scale, abs(S1 - S2) / area_scale, abs(T1 - T2) / area_scale,
+        abs(R - trig_r) / area_scale, abs(S - trig_s) / area_scale, abs(T - trig_t) / area_scale,
+        abs(R + T - a2) / area_scale, abs(R + S - b2) / area_scale, abs(S + T - c2) / area_scale,
+        abs(similar_A) / scale_A, abs(similar_B) / scale_B, abs(similar_C) / scale_C,
+        abs(deviation_1) / area_scale, abs(deviation_2) / area_scale,
+        abs(deviation_3) / area_scale, abs(deviation_4) / area_scale,
         squares[4], 0.0 if squares[3] else 1.0, sides[4], 0.0 if sides[2] else 1.0,
-        angles[4], 0.0 if angles[3] else 1.0, abs(length_a - z) / length_scale,
-        abs(length_b - y) / length_scale, abs(length_c - x) / length_scale,
-        abs(sqrt(dax * dax + day * day) - radius) / radius_scale,
-        -t_a if t_a < 0.0 else 0.0 if t_a <= 1.0 else t_a - 1.0,
-        abs(sqrt(dbx * dbx + dby * dby) - radius) / radius_scale,
-        -t_b if t_b < 0.0 else 0.0 if t_b <= 1.0 else t_b - 1.0,
-        abs(sqrt(dcx * dcx + dcy * dcy) - radius) / radius_scale,
-        -t_c if t_c < 0.0 else 0.0 if t_c <= 1.0 else t_c - 1.0,
-        abs(sqrt(ax * ax + ay * ay) - circumradius) / circumradius_scale,
-        abs(sqrt(bx * bx + by * by) - circumradius) / circumradius_scale,
-        abs(sqrt(cx * cx + cy * cy) - circumradius) / circumradius_scale,
-        abs(a_b - split_x), abs(a_c - split_y), abs(a_b + a_c - alpha), abs(b_c - split_z),
-        abs(b_a - split_x), abs(b_c + b_a - beta), abs(c_a - split_y), abs(c_b - split_z),
-        abs(c_a + c_b - gamma),
+        angles[4], 0.0 if angles[3] else 1.0, abs(length_A - z) / length_scale,
+        abs(length_B - y) / length_scale, abs(length_C - x) / length_scale,
+        abs(sqrt(dax * dax + day * day) - inradius) / radius_scale,
+        -tan_a if tan_a < 0.0 else 0.0 if tan_a <= 1.0 else tan_a - 1.0,
+        abs(sqrt(dbx * dbx + dby * dby) - inradius) / radius_scale,
+        -tan_b if tan_b < 0.0 else 0.0 if tan_b <= 1.0 else tan_b - 1.0,
+        abs(sqrt(dcx * dcx + dcy * dcy) - inradius) / radius_scale,
+        -tan_c if tan_c < 0.0 else 0.0 if tan_c <= 1.0 else tan_c - 1.0,
+        abs(sqrt(oax * oax + oay * oay) - circumradius) / circumradius_scale,
+        abs(sqrt(obx * obx + oby * oby) - circumradius) / circumradius_scale,
+        abs(sqrt(ocx * ocx + ocy * ocy) - circumradius) / circumradius_scale,
+        abs(A_B - split_x), abs(A_C - split_y), abs(A_B + A_C - alpha), abs(B_C - split_z),
+        abs(B_A - split_x), abs(B_C + B_A - beta), abs(C_A - split_y), abs(C_B - split_z),
+        abs(C_A + C_B - gamma),
     ]
     # A defect's sign is read only beyond 1e-12 of a right angle, tighter than
     # RIGHT_ANGLE_BAND, which would skip more vertices.
-    kept = (abs(cos_a) > 1e-12, abs(cos_b) > 1e-12, abs(cos_c) > 1e-12, squares[3] is not None,
+    kept = (abs(cos_A) > 1e-12, abs(cos_B) > 1e-12, abs(cos_C) > 1e-12, squares[3] is not None,
             sides[2] is not None, angles[3] is not None)
     skipped = [] if all(kept) else [slot for slot, keep in zip(_SKIPPABLE, kept) if not keep]
     return values, skipped, trig

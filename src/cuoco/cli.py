@@ -6,7 +6,7 @@ scale as the catalogue divides it, and `checks.entries` turns it into
 every check's entry. `fuzz` merges the vectors of many random triangles by
 position; it runs the catalogue on frames of six drawn coordinates and
 makes a Triangle only to print a counterexample. `verify` prints its
-vector and the frame's constructions.
+vector and the frame's construction groups, as `geometry.LAYOUT` declares.
 
 A command line that names a command is parsed by that command's parser
 alone, built once per process; a fresh full tree (`build_parser`) parses
@@ -107,7 +107,7 @@ def cmd_verify(args) -> tuple:
         "pair_areas": [R, S, T],  # the legs' dots, the exact route
         "checks": entries,
         "values": values,
-        # The frame's slices, laid out as cuoco.geometry says, and the trig pair areas.
+        # Groups of the frame, as geometry.LAYOUT declares them, and the trig pair areas.
         "constructions": {"quad_areas": f[QUAD_AREAS], "similarity": f[SIMILARITY],
                           "incircle": f[INCIRCLE], "circumcircle": f[CIRCUMCIRCLE],
                           "chain": f[CHAIN], "trig_pair_areas": trig, "euclid_defects": f[DEFECTS]},

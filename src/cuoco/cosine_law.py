@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (DEFECTS, VERTICES, GeometryError, Triangle, TriangleMetrics, _check_sides,
-                       _check_vertex)
+from .geometry import (VERTICES, GeometryError, Triangle, TriangleMetrics, frame_getter,
+                       _check_sides, _check_vertex)
+
+_DEFECT = {v: frame_getter(f"defect_{v} residual_{v}") for v in VERTICES}
 
 
 class DomainError(GeometryError):
@@ -51,8 +53,7 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     negation square alike, so which way a side runs does not matter.
     """
     _check_vertex(at_vertex)
-    i = 2 * VERTICES.index(at_vertex)
-    return t.frame[DEFECTS][i:i + 2]
+    return _DEFECT[at_vertex](t.frame)
 
 
 def _identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta, cos_gamma) -> tuple:

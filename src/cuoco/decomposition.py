@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (CHAIN, CHAIN_DEVIATIONS, CORNERS, DOTS, FEET, SIMILARITY, VERTICES, Point,
-                       Triangle, TriangleMetrics, cross, _check_vertex, _point, _Record, _worst)
+from .geometry import (CHAIN, CHAIN_DEVIATIONS, VERTICES, Point, Triangle, TriangleMetrics, cross,
+                       frame_getter, _check_vertex, _point, _Record, _worst)
 
 PAIR_CLASSES = ("R", "S", "T")
 PANEL_LABELS = ("R1", "R2", "S1", "S2", "T1", "T2")
@@ -40,6 +40,13 @@ HOSTED_PANELS = {"a": ("T2", "R1"), "b": ("R2", "S1"), "c": ("S2", "T1")}
 
 # Pair class -> the vertex whose two legs' dot is its area.
 _PAIR_VERTEX = {"R": "C", "S": "A", "T": "B"}
+# The frame values the builders read: the pair areas; a side's foot and its
+# corners moved out, p_out, q_out and foot_out; a vertex's similarity values.
+_PAIR_AREAS = frame_getter("R S T")
+_SIDE_POINTS = {e: frame_getter(f"foot_{v}_x foot_{v}_y p_out_{e}_x p_out_{e}_y q_out_{e}_x "
+                                f"q_out_{e}_y foot_out_{e}_x foot_out_{e}_y")
+                for e, (_, _, v) in SIDE_FRAMES.items()}
+_SIMILARITY = {v: frame_getter(f"ch_{v} ck_{v} similar_{v} scale_{v}") for v in VERTICES}
 
 
 class SquareOnSide(_Record):
@@ -102,7 +109,7 @@ def panel_area_exact(pair: str, t: Triangle):
     """
     if pair not in _PAIR_VERTEX:
         raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
-    return t.frame[DOTS][VERTICES.index(_PAIR_VERTEX[pair])]
+    return _PAIR_AREAS(t.frame)[PAIR_CLASSES.index(pair)]
 
 
 def _trig_areas(a, b, c, cos_alpha, cos_beta, cos_gamma) -> tuple:
@@ -122,24 +129,22 @@ def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
 def build(t: Triangle) -> CuocoDecomposition:
     """Construct the three exterior squares and the six altitude panels."""
     f = t.frame
-    squares, panels = [], []
-    dots, feet, corners = dict(zip(VERTICES, f[DOTS])), f[FEET], f[CORNERS]
-    for i, (side, (first, second, _)) in enumerate(SIDE_FRAMES.items()):
+    squares, panels, pair_areas = [], [], _PAIR_AREAS(f)
+    # Each panel's signed area is its pair's panel_area_exact: the dot of the
+    # two legs at the vertex it touches.
+    area = {_PAIR_VERTEX[pair]: value for pair, value in zip(PAIR_CLASSES, pair_areas)}
+    for side, (first, second, _) in SIDE_FRAMES.items():
         p, q = getattr(t, first), getattr(t, second)
-        pox, poy, qox, qoy, fox, foy = corners[6 * i:6 * i + 6]
-        foot, p_out = _point(feet[2 * i], feet[2 * i + 1]), _point(pox, poy)
+        fx, fy, pox, poy, qox, qoy, fox, foy = _SIDE_POINTS[side](f)
+        foot, p_out = _point(fx, fy), _point(pox, poy)
         q_out, foot_out = _point(qox, qoy), _point(fox, foy)
         squares.append(SquareOnSide(side, (q, p, p_out, q_out)))
         first_label, second_label = HOSTED_PANELS[side]
-        panels.append(RectanglePanel(first_label, side, dots[first], (foot, p, p_out, foot_out)))
-        panels.append(RectanglePanel(second_label, side, dots[second], (q, foot, foot_out, q_out)))
+        panels.append(RectanglePanel(first_label, side, area[first], (foot, p, p_out, foot_out)))
+        panels.append(RectanglePanel(second_label, side, area[second], (q, foot, foot_out, q_out)))
     # Built as T2, R1, R2, S1, S2, T1; one place round is PANEL_LABELS order.
     panels = panels[1:] + panels[:1]
-    # Each panel's signed area is its pair's panel_area_exact: the same
-    # dot of the same two legs.
-    r1, _, s1, _, t1, _ = panels
-    return CuocoDecomposition(t, t.metrics, tuple(squares), tuple(panels),
-                              PairAreas(r1.signed_area, s1.signed_area, t1.signed_area))
+    return CuocoDecomposition(t, t.metrics, tuple(squares), tuple(panels), PairAreas(*pair_areas))
 
 
 class SimilarityReport(_Record):
@@ -165,8 +170,7 @@ class SimilarityReport(_Record):
 
 def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
     _check_vertex(at_vertex)
-    i = 4 * VERTICES.index(at_vertex)
-    return SimilarityReport(at_vertex, *t.frame[SIMILARITY][i:i + 4])
+    return SimilarityReport(at_vertex, *_SIMILARITY[at_vertex](t.frame))
 
 
 class DerivationStep(_Record):

@@ -15,8 +15,8 @@ from functools import partial
 from . import circles, decomposition
 from .circles import CircumcircleData, IncircleData
 from .decomposition import CuocoDecomposition, HOSTED_PANELS, SIDE_FRAMES
-from .geometry import (CORNERS, FEET, QUAD_AREAS, VERTICES, NonFiniteCoordinate, Point, Triangle,
-                       _Frozen, _point)
+from .geometry import (QUAD_AREAS, VERTICES, NonFiniteCoordinate, Point, Triangle, _Frozen,
+                       _point)
 
 _NS = "http://www.w3.org/2000/svg"
 
@@ -187,8 +187,8 @@ def _vertex_labels(sheet: _Sheet, t: Triangle) -> None:
 
 def _draw_euclid_defect(t: Triangle, spec: FigureSpec) -> _Sheet:
     # Panel T2, (foot, B, B_out, foot_out), is the rectangle BC·BD, on side a.
-    corners = t.frame[CORNERS]
-    foot, far_b, far_foot = _point(*t.frame[FEET][:2]), _point(*corners[:2]), _point(*corners[4:6])
+    fx, fy, bx, by, _, _, ox, oy = decomposition._SIDE_POINTS["a"](t.frame)
+    foot, far_b, far_foot = _point(fx, fy), _point(bx, by), _point(ox, oy)
     sheet = _Sheet(spec, (t.A, t.B, t.C, foot, far_foot, far_b))
     sheet.add_polygon("defect", (foot, t.B, far_b, far_foot), FILL_PALETTE["defect"], "0.6")
     sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])

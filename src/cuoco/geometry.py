@@ -2,9 +2,9 @@
 
 Every per-triangle value (legs, squared sides, dots, feet, metrics, the
 Euclid defects and every construction) is computed in one place, `_frame`,
-from the six vertex coordinates, into one flat tuple laid out as the slices
-and indices below name. `Triangle` stores its frame, which the builders are
-views of; `fuzz` and the check catalogue read frames without a Triangle.
+from the six vertex coordinates, into one flat tuple laid out as `LAYOUT`
+declares, and read by name. `Triangle` stores its frame, which the builders
+are views of; `fuzz` and the check catalogue read frames without a Triangle.
 
 Coordinates keep the numeric type they arrive with. Integer input stays
 integer all the way through the dot-product identities, so those can be
@@ -15,7 +15,7 @@ square roots and arctangents that genuinely need it.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 VERTICES = ("A", "B", "C")
 
@@ -30,29 +30,49 @@ RIGHT_ANGLE_BAND = 1e-9
 # gives its own tolerance (`--tol`, a reading's `tol`).
 TOLERANCE = 1e-9
 
-# The frame's layout. First TriangleMetrics' values, in its order: a = |BC|,
-# b = |CA|, c = |AB|, the angles, s, the area, the side cosines, side_squares,
-# the area and length floors and the classification. Then the values from the
-# coordinates alone, exact for exact input (the last two for Fraction only):
-# the vertices (ax, ay, ..., cy), counterclockwise; the legs leaving A, B and
-# C, (P - V, Q - V) with (P, Q) = OPPOSITE_SIDE[V], x then y; twice the area;
-# |BC|^2, |CA|^2, |AB|^2 as dots of the legs; the dots of the two legs at A,
-# B, C; foot_of_altitude's tparam from A, B, C; its foot, x then y;
-# euclid_defect's (defect, residual) at A, B, C. Then the constructions:
-# build's p_out, q_out and foot_out (x, y) across sides a, b, c; the quad
-# areas in PANEL_LABELS order; similarity_check's ch, ck, residual, scale at
-# A, B, C; the incircle's centre, radius, tangent params and points on a, b,
-# c and tangent lengths at A, B, C; the circumcircle's centre, offset from A,
-# radius and splits at A toward B and C, at B toward C and A, at C toward A
-# and B; the equal-area chain's five steps, then the last four minus the
-# first, a^2.
-SIDES, ANGLES, SEMIPERIMETER, AREA, COSINES = slice(0, 3), slice(3, 6), 6, 7, slice(8, 11)
-SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE, CLASSIFICATION = slice(11, 14), 14, 15, 16
-COORDS, LEGS, TWICE_AREA, SQUARES = slice(17, 23), slice(23, 35), 35, slice(36, 39)
-DOTS, FOOT_PARAMS, FEET, DEFECTS = slice(39, 42), slice(42, 45), slice(45, 51), slice(51, 57)
-CORNERS, QUAD_AREAS, SIMILARITY = slice(57, 75), slice(75, 81), slice(81, 93)
-INCIRCLE, CIRCUMCIRCLE, CHAIN = slice(93, 108), slice(108, 119), slice(119, 124)
-CHAIN_DEVIATIONS = slice(124, 128)
+# The frame's layout: each group, in frame order, and the names of its values.
+# A vertex's or side's value ends in its name (A or a), a point's in _x and _y.
+# The legs at V run to P and Q, (P, Q) = OPPOSITE_SIDE[V]; DOTS, the legs' dots
+# at A, B, C, are the pair areas S, T, R; side e's square moves its ends p, q
+# and its foot out; a split at V is toward the vertex named; deviation_k is
+# step_k - step_0, and step_0 is a^2.
+LAYOUT = {
+    "SIDES": "a b c", "ANGLES": "alpha beta gamma", "SEMIPERIMETER": "s", "AREA": "area",
+    "COSINES": "cos_A cos_B cos_C", "SIDE_SQUARES": "a2 b2 c2", "AREA_SCALE": "area_scale",
+    "LENGTH_SCALE": "length_scale", "CLASSIFICATION": "classification",
+    "COORDS": "A_x A_y B_x B_y C_x C_y",
+    "LEGS": "AB_x AB_y AC_x AC_y BC_x BC_y BA_x BA_y CA_x CA_y CB_x CB_y",
+    "TWICE_AREA": "twice_area", "SQUARES": "sq_a sq_b sq_c", "DOTS": "S T R",
+    "FOOT_PARAMS": "t_A t_B t_C", "FEET": "foot_A_x foot_A_y foot_B_x foot_B_y foot_C_x foot_C_y",
+    "DEFECTS": "defect_A residual_A defect_B residual_B defect_C residual_C",
+    "CORNERS": " ".join(f"p_out_{e}_x p_out_{e}_y q_out_{e}_x q_out_{e}_y foot_out_{e}_x "
+                        f"foot_out_{e}_y" for e in "abc"),
+    "QUAD_AREAS": "R1 R2 S1 S2 T1 T2",
+    "SIMILARITY": " ".join(f"ch_{v} ck_{v} similar_{v} scale_{v}" for v in VERTICES),
+    "INCIRCLE": "I_x I_y inradius tan_a tan_b tan_c touch_a_x touch_a_y touch_b_x touch_b_y "
+                "touch_c_x touch_c_y length_A length_B length_C",
+    "CIRCUMCIRCLE": "O_x O_y AO_x AO_y circumradius A_B A_C B_C B_A C_A C_B",
+    "CHAIN": "step_0 step_1 step_2 step_3 step_4",
+    "CHAIN_DEVIATIONS": "deviation_1 deviation_2 deviation_3 deviation_4",
+}
+FIELDS = tuple(name for names in LAYOUT.values() for name in names.split())
+_INDEX = {name: index for index, name in enumerate(FIELDS)}
+
+
+def frame_getter(names: str):
+    """An itemgetter of the frame values named, space-separated, in that order:
+    the value for one name, a tuple for more. An unknown name raises KeyError
+    here, where the getter is made, rather than at the first frame read."""
+    return itemgetter(*(_INDEX[name] for name in names.split()))
+
+
+# Each group's constant: the index of its one value, or the slice of its values.
+(SIDES, ANGLES, SEMIPERIMETER, AREA, COSINES, SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE,
+ CLASSIFICATION, COORDS, LEGS, TWICE_AREA, SQUARES, DOTS, FOOT_PARAMS, FEET, DEFECTS, CORNERS,
+ QUAD_AREAS, SIMILARITY, INCIRCLE, CIRCUMCIRCLE, CHAIN, CHAIN_DEVIATIONS) = (
+    _INDEX[first] if first == last else slice(_INDEX[first], _INDEX[last] + 1)
+    for first, last in ((names.split()[0], names.split()[-1]) for names in LAYOUT.values()))
+_FOOT = {v: frame_getter(f"foot_{v}_x foot_{v}_y t_{v}") for v in VERTICES}
 
 
 class GeometryError(ValueError):
@@ -230,7 +250,7 @@ class Triangle(_Frozen):
 
 def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     """The frame of the triangle with these vertices, clockwise ones re-labeled:
-    every value of the triangle and its constructions, laid out as above.
+    every value of the triangle and its constructions, in LAYOUT's order.
 
     Twice the area and the squared sides must be finite, so that nothing
     computed from them later can overflow, and the sides nonzero as floats,
@@ -409,23 +429,26 @@ def _check_vertex(name: str) -> None:
 
 class TriangleMetrics(_Frozen):
     """Side lengths, angles (radians), semiperimeter, area, side cosines, and
-    beside them the values of `_beside`: a view of a frame's first 17
-    values. Built from the fields (a copy, a pickle), the metrics compute
-    those values into a frame of their own."""
+    beside them the values of `_beside`: a view of the frame's values of
+    those names. Built from the fields (a copy, a pickle), the metrics
+    compute those values into a frame of their own."""
 
     _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
     __slots__ = ("frame",)
-    # a, b, c and the angles lead the frame.
     (a, b, c, alpha, beta, gamma, s, area, cosines, side_squares, area_scale, length_scale,
-     classification) = (property(lambda m, where=where: m.frame[where]) for where in (
-         0, 1, 2, 3, 4, 5, SEMIPERIMETER, AREA, COSINES, SIDE_SQUARES, AREA_SCALE, LENGTH_SCALE,
-         CLASSIFICATION))
+     classification) = (property(lambda m, get=frame_getter(names): get(m.frame)) for names in (
+         "a", "b", "c", "alpha", "beta", "gamma", "s", "area", LAYOUT["COSINES"],
+         LAYOUT["SIDE_SQUARES"], "area_scale", "length_scale", "classification"))
 
     def __init__(self, a: float, b: float, c: float, alpha: float, beta: float, gamma: float,
                  s: float, area: float, cosines: tuple[float, float, float]) -> None:
         squares, area_scale, length_scale, classification = _beside(a, b, c, cosines)
-        self._store((a, b, c, alpha, beta, gamma, s, area, *cosines, *squares, area_scale,
-                     length_scale, classification))
+        frame = [None] * len(FIELDS)  # a frame of its own, each value where LAYOUT puts it
+        (frame[SIDES], frame[ANGLES], frame[SEMIPERIMETER], frame[AREA], frame[COSINES],
+         frame[SIDE_SQUARES], frame[AREA_SCALE], frame[LENGTH_SCALE], frame[CLASSIFICATION]) = (
+            (a, b, c), (alpha, beta, gamma), s, area, cosines, squares, area_scale, length_scale,
+            classification)
+        self._store(tuple(frame))
 
     @classmethod
     def _view(cls, f: tuple) -> "TriangleMetrics":
@@ -506,6 +529,5 @@ def foot_of_altitude(t: Triangle, from_vertex: str) -> tuple[Point, float]:
     beyond the segment, which happens exactly at an obtuse base angle.
     """
     _check_vertex(from_vertex)
-    f, i = t.frame, VERTICES.index(from_vertex)
-    feet = f[FEET]
-    return _point(feet[2 * i], feet[2 * i + 1]), f[FOOT_PARAMS][i]
+    x, y, tparam = _FOOT[from_vertex](t.frame)
+    return _point(x, y), tparam

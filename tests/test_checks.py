@@ -11,8 +11,8 @@ import pytest
 from cuoco import checks, circles, cli, decomposition, geometry, three_sum
 from cuoco.cli import main, random_triangle
 from cuoco.cosine_law import euclid_defect
-from cuoco.geometry import (CHAIN_DEVIATIONS, COORDS, DEFECTS, DOTS, INCIRCLE, LEGS, QUAD_AREAS,
-                            SIDES, SQUARES, VERTICES, Point, Triangle, foot_of_altitude,
+from cuoco.geometry import (CHAIN_DEVIATIONS, COORDS, DOTS, LEGS, QUAD_AREAS, SIDES, SQUARES,
+                            VERTICES, Point, Triangle, foot_of_altitude, frame_getter,
                             triangle_from_sides)
 
 from conftest import RATIONAL, records
@@ -128,7 +128,7 @@ def test_area_and_length_records_carry_one_scale(sides, floored):
     a2, b2, c2 = m.side_squares
     lengths = circles.incircle(t).tangent_lengths
     residuals = {
-        "euclid_defect": f[DEFECTS][1::2],
+        "euclid_defect": frame_getter("residual_A residual_B residual_C")(f),
         "pair_equivalence": (r1 - r2, s1 - s2, t1 - t2),
         "trig_vs_exact": [exact - area for exact, area in zip((R, S, T), trig)],
         "square_sums": (R + T - a2, R + S - b2, S + T - c2),
@@ -149,10 +149,10 @@ def test_every_scale_has_its_slots_dimension():
     # bit, once no max(1.0, .) floor binds: an inradius above 1 keeps every
     # side, product of sides and radius above 1. A slot divided by a scale
     # of the wrong dimension is off by a factor of 2^28 or more.
-    rng, kept = random.Random(31), 0
+    rng, kept, inradius = random.Random(31), 0, frame_getter("inradius")
     while kept < 500:
         f = cli._sample(rng)
-        if f[INCIRCLE][2] <= 2.0 ** -12:  # the inradius, scaled by 2^12 below
+        if inradius(f) <= 2.0 ** -12:  # scaled by 2^12 below
             continue
         kept += 1
         rows = [repr(checks._rows(geometry._frame(*(math.ldexp(value, power)

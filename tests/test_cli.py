@@ -496,21 +496,24 @@ class TestFuzz:
         assert report["constructions"]["chain"] == [step.value for step in trace.steps]
 
     @staticmethod
-    def edit_frame(monkeypatch, where, edit):
+    def edit_frame(monkeypatch, names, edit):
         """Make every frame, a Triangle's and each of fuzz's draws, hold the
-        values at `where`, a slice, passed through `edit` with the exact frame."""
+        values named (space-separated, as geometry.LAYOUT names them) passed
+        through `edit` with the exact frame."""
         exact = geometry._frame
+        where = [geometry.FIELDS.index(name) for name in names.split()]
 
         def edited(*coords):
             f = list(exact(*coords))
-            f[where] = edit(f, f[where])
+            for index, value in zip(where, edit(f, [f[index] for index in where]), strict=True):
+                f[index] = value
             return tuple(f)
 
         monkeypatch.setattr(geometry, "_frame", edited)
         monkeypatch.setattr(cli, "_frame", edited)
 
     def test_broken_chain_is_a_counterexample(self, capsys, monkeypatch):
-        self.edit_frame(monkeypatch, geometry.CHAIN_DEVIATIONS,
+        self.edit_frame(monkeypatch, geometry.LAYOUT["CHAIN_DEVIATIONS"],
                         lambda f, deviations: [math.nan] * len(deviations))
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
@@ -552,12 +555,11 @@ class TestFuzz:
         assert "--tol" in err
 
     def test_defect_off_by_1e_8_scale_is_flagged(self, capsys, monkeypatch):
-        def corrupted(f, defects):
+        def corrupted(f, residuals):
             shift = 1e-8 * max(1.0, *f[geometry.SQUARES])
-            # (defect, residual) at A, B, C
-            return [value + shift if i % 2 else value for i, value in enumerate(defects)]
+            return [residual + shift for residual in residuals]
 
-        self.edit_frame(monkeypatch, geometry.DEFECTS, corrupted)
+        self.edit_frame(monkeypatch, "residual_A residual_B residual_C", corrupted)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         assert json.loads(out)["counterexample"]["check"] == "euclid_defect"
@@ -568,7 +570,8 @@ class TestFuzz:
         assert all(report["values"][slot] > 1e-9 for slot in checks.COLUMNS["euclid_defect"])
 
     def test_nan_residual_is_a_counterexample(self, capsys, monkeypatch):
-        self.edit_frame(monkeypatch, geometry.DEFECTS, lambda f, defects: [1.0, math.nan] * 3)
+        self.edit_frame(monkeypatch, geometry.LAYOUT["DEFECTS"],
+                        lambda f, defects: [1.0, math.nan] * 3)
         code, out, _ = run_cli(capsys, "fuzz", "--count", "5", "--seed", "7")
         assert code == 1
         report = json.loads(out)
@@ -898,10 +901,8 @@ class TestCatalogue:
         # as the Euclid defect residual at A and the scale as the area scale.
         r, scale, tol = 1.4130532120301893e-07, 141.3053212030189, 1e-9
         assert not abs(r) <= tol * scale
-        TestFuzz.edit_frame(monkeypatch, slice(geometry.AREA_SCALE, geometry.AREA_SCALE + 1),
-                            lambda f, _: [scale])
-        TestFuzz.edit_frame(monkeypatch, geometry.DEFECTS,
-                            lambda f, defects: [defects[0], r, *defects[2:]])
+        TestFuzz.edit_frame(monkeypatch, "area_scale", lambda f, _: [scale])
+        TestFuzz.edit_frame(monkeypatch, "residual_A", lambda f, _: [r])
         code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4", "--tol", str(tol))
         assert code == 0
         report = json.loads(out)

@@ -1,8 +1,13 @@
 import copy
 import math
+import os
 import pickle
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +21,6 @@ from cuoco.geometry import (
     GeometryError,
     OPPOSITE_SIDE,
     CollinearPoints,
-    LEGS,
-    VERTICES,
     cross,
     distance,
     dot,
@@ -30,6 +33,7 @@ from cuoco.geometry import (
 )
 
 from conftest import float_triangles, integer_triangles, side_triples
+from test_cli import PINNED_VERIFY_INPUTS
 
 
 class TestPoint:
@@ -90,18 +94,77 @@ class TestTriangle:
         with pytest.raises(GeometryError, match="a side length of .* underflows to zero"):
             Triangle(A=Point(tiny, 0), B=Point(3 * tiny, 0), C=Point(0, tiny))
 
-    def test_layout_constants_tile_the_frame(self):
-        # The slice and index constants name each value of the frame once, so
-        # a value added to it without a name, or a name off its place, fails.
-        size = len(triangle_from_sides(2, 3, 4).frame)
-        named = []
-        for name, where in vars(geometry).items():
-            if name.isupper() and isinstance(where, slice):
-                assert where.step is None, name
-                named += range(where.start, where.stop)
-            elif name.isupper() and type(where) is int:
-                named.append(where)
-        assert sorted(named) == list(range(size))
+
+def _tree_copy(tmp_path, *edits):
+    """A copy of the cuoco package under tmp_path with each (file, old, new)
+    edit made, each old text found exactly once; returns the copy's root."""
+    package = Path(geometry.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "cuoco", ignore=shutil.ignore_patterns("__pycache__"))
+    for name, old, new in edits:
+        path = tmp_path / "cuoco" / name
+        text = path.read_text()
+        assert text.count(old) == 1, (name, old)
+        path.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def _run(root, script: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(root)),
+                          capture_output=True, text=True)
+
+
+class TestLayout:
+    def test_the_declaration_names_each_value_once(self):
+        assert len(set(geometry.FIELDS)) == len(geometry.FIELDS) == 128
+        # One value per name in the frame of an int, a float and a Fraction triangle.
+        for vertices in ((0, 0, 3, 0, 0, 4), (0.3, 0.1, 1.7, 0.2, 0.4, 2.9),
+                         (Fraction(1, 3), Fraction(-2, 7), Fraction(9, 2), 0, 0, Fraction(11, 3))):
+            assert len(geometry._frame(*vertices)) == len(geometry.FIELDS), vertices
+        # Each group's constant spans exactly its own names, in order.
+        for group, names in geometry.LAYOUT.items():
+            where = getattr(geometry, group)
+            spanned = geometry.FIELDS[where] if isinstance(where, slice) else (geometry.FIELDS[where],)
+            assert spanned == tuple(names.split()), group
+
+    def test_a_getter_of_an_unknown_name_fails_at_import(self, tmp_path):
+        with pytest.raises(KeyError, match="deviation_5"):
+            geometry.frame_getter("a deviation_5")
+        # The catalogue's getter is made when cuoco.checks is imported.
+        root = _tree_copy(tmp_path, ("checks.py", "deviation_4\")", "deviation_5\")"))
+        result = _run(root, "import cuoco.checks")
+        assert result.returncode == 1 and "KeyError: 'deviation_5'" in result.stderr
+
+    def test_a_value_inserted_at_the_front_changes_no_output(self, tmp_path):
+        # The frame gains a first value, declared as a group of its own, and
+        # nothing outside the declaration and _frame's return changes: every
+        # reader reads by name, so every command prints the same bytes, and
+        # metrics rebuilt from their fields (a copy, a pickle) read the same.
+        root = _tree_copy(
+            tmp_path,
+            ("geometry.py", "LAYOUT = {\n", 'LAYOUT = {\n    "PADDING": "padding",\n'),
+            ("geometry.py", "(SIDES, ANGLES, ", "(PADDING, SIDES, ANGLES, "),
+            ("geometry.py", "    return (a, b, c, ", "    return (-1.0, a, b, c, "))
+        argvs = [["fuzz", "--count", "200", "--seed", "7"], ["verify", "--sides", "2,3,4"],
+                 *(["verify", triangle] for triangle in PINNED_VERIFY_INPUTS[::3])]
+        script = (
+            "import contextlib, copy, io, pickle\n"
+            "from cuoco import cli, geometry\n"
+            "print(len(geometry._frame(0, 0, 3, 0, 0, 4)), geometry.SIDES)\n"
+            "m = geometry.triangle_from_sides(2, 3, 4).metrics\n"
+            "for rebuilt in (copy.copy(m), pickle.loads(pickle.dumps(m))):\n"
+            "    print(repr((rebuilt == m, rebuilt.side_squares, rebuilt.area_scale,\n"
+            "                rebuilt.length_scale, rebuilt.classification)))\n"
+            f"for argv in {argvs!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = cli.main(argv)\n"
+            "    print(repr((code, out.getvalue(), err.getvalue())))\n")
+        package_root = Path(geometry.__file__).resolve().parent.parent
+        edited, unedited = _run(root, script), _run(package_root, script)
+        assert edited.returncode == unedited.returncode == 0, edited.stderr + unedited.stderr
+        shape, _, outputs = edited.stdout.partition("\n")
+        assert shape == "129 slice(1, 4, None)"
+        assert unedited.stdout.partition("\n")[2] == outputs
 
 
 def _same_number(x, y) -> bool:
@@ -111,9 +174,8 @@ def _same_number(x, y) -> bool:
 
 def _legs(t) -> dict:
     """Vertex V -> its two legs (P - V, Q - V) as Points, as t's frame holds them."""
-    legs = t.frame[LEGS]
-    return {v: (Point(*legs[4 * i:4 * i + 2]), Point(*legs[4 * i + 2:4 * i + 4]))
-            for i, v in enumerate(VERTICES)}
+    return {v: tuple(Point(*geometry.frame_getter(f"{v}{w}_x {v}{w}_y")(t.frame)) for w in (p, q))
+            for v, (p, q) in OPPOSITE_SIDE.items()}
 
 
 def _assert_legs_are_vertex_differences(t):

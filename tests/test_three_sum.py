@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from cuoco import cli, three_sum
 from cuoco.circles import circumcircle, incircle
 from cuoco.decomposition import _trig_areas, panel_area_trig
-from cuoco.geometry import (ANGLES, AREA_SCALE, CIRCUMCIRCLE, CLASSIFICATION, DOTS, INCIRCLE,
-                            LENGTH_SCALE, SEMIPERIMETER, SIDE_SQUARES, SIDES, GeometryError, Point,
-                            Triangle, _is_finite, _worst, triangle_from_sides)
+from cuoco.geometry import (ANGLES, AREA_SCALE, CLASSIFICATION, DOTS, LENGTH_SCALE, SEMIPERIMETER,
+                            SIDE_SQUARES, SIDES, GeometryError, Point, Triangle, frame_getter,
+                            _is_finite, _worst, triangle_from_sides)
 from cuoco.three_sum import (
     SIDES_BUDGET,
     ThreeSum,
@@ -374,16 +374,18 @@ def composed_angles(alpha, beta, gamma, kind, gx, gy, gz, hx, hy, hz):
 READINGS = {"_squares": composed_squares, "_sides": composed_sides, "_angles": composed_angles}
 
 
+TANGENT_LENGTHS = frame_getter("length_C length_B length_A")
+SPLITS = frame_getter("A_B A_C B_C B_A C_A C_B")
+
+
 def reading_args(f):
     """Each reading's arguments for a frame, as the catalogue passes them."""
     S, T, R = f[DOTS]
     trig_r, trig_s, trig_t = _trig_areas(*f[SIDES], *map(math.cos, f[ANGLES]))
-    length_a, length_b, length_c = f[INCIRCLE][12:15]
     kind = f[CLASSIFICATION].kind
     return {"_squares": (*f[SIDE_SQUARES], kind, R, T, S, trig_r, trig_t, trig_s, f[AREA_SCALE]),
-            "_sides": (*f[SIDES], f[SEMIPERIMETER], length_c, length_b, length_a,
-                       f[LENGTH_SCALE]),
-            "_angles": (*f[ANGLES], kind, *f[CIRCUMCIRCLE][5:11])}
+            "_sides": (*f[SIDES], f[SEMIPERIMETER], *TANGENT_LENGTHS(f), f[LENGTH_SCALE]),
+            "_angles": (*f[ANGLES], kind, *SPLITS(f))}
 
 
 def outcome(reading, args):
