@@ -17,15 +17,16 @@ fails.
 
 `_rows` reads the triangle's one frame, which the builders are views of, by
 the names `geometry.LAYOUT` declares, through one getter, `_READ`; it builds
-no record, and adds the angles' cosines, the trig pair areas and the readings.
+no record, and takes the cosine identity's residuals, the trig pair areas and
+the three readings from one call, `three_sum._readings`.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from math import cos, isfinite, sqrt
+from math import isfinite, sqrt
 
-from . import circles, cosine_law, decomposition, three_sum
+from . import circles, three_sum
 from .geometry import NonFiniteCoordinate, frame_getter, _worst
 
 # (check, item, slots) of each record, in record order.
@@ -61,7 +62,7 @@ _SKIPPABLE = (*COLUMNS["defect_sign"], *(COLUMNS[name + "_positivity"][0]
                                          for name in ("squares", "sides", "angles")))
 # The frame values _rows reads, by their names in geometry.LAYOUT.
 _READ = frame_getter(
-    "a b c alpha beta gamma s cos_A cos_B cos_C a2 b2 c2 area_scale length_scale classification "
+    "alpha beta gamma cos_A cos_B cos_C a2 b2 c2 area_scale length_scale "
     "A_x A_y B_x B_y C_x C_y S T R defect_A residual_A defect_B residual_B defect_C residual_C R1 "
     "R2 S1 S2 T1 T2 similar_A scale_A similar_B scale_B similar_C scale_C I_x I_y inradius tan_a "
     "tan_b tan_c touch_a_x touch_a_y touch_b_x touch_b_y touch_c_x touch_c_y length_A length_B "
@@ -98,29 +99,27 @@ def _rows(f: tuple) -> tuple:
     """The slots of the triangle of a frame: (each slot's |residual| / scale,
     the skipped slots, the trigonometric pair areas R, S, T)."""
     # Rounding in the area identities grows with the largest squared side: `area_scale`.
-    (a, b, c, alpha, beta, gamma, s, cos_A, cos_B, cos_C, a2, b2, c2, area_scale, length_scale,
-     classification, A_x, A_y, B_x, B_y, C_x, C_y, S, T, R, defect_A, residual_A, defect_B,
-     residual_B, defect_C, residual_C, R1, R2, S1, S2, T1, T2, similar_A, scale_A, similar_B,
-     scale_B, similar_C, scale_C, I_x, I_y, inradius, tan_a, tan_b, tan_c, touch_a_x, touch_a_y,
-     touch_b_x, touch_b_y, touch_c_x, touch_c_y, length_A, length_B, length_C, O_x, O_y,
-     circumradius, A_B, A_C, B_C, B_A, C_A, C_B, deviation_1, deviation_2, deviation_3,
-     deviation_4) = _READ(f)
-    cos_alpha, cos_beta, cos_gamma = cos(alpha), cos(beta), cos(gamma)
-    r_a, r_b, r_c = cosine_law._identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta,
-                                                   cos_gamma)
+    (alpha, beta, gamma, cos_A, cos_B, cos_C, a2, b2, c2, area_scale, length_scale, A_x, A_y, B_x,
+     B_y, C_x, C_y, S, T, R, defect_A, residual_A, defect_B, residual_B, defect_C, residual_C, R1,
+     R2, S1, S2, T1, T2, similar_A, scale_A, similar_B, scale_B, similar_C, scale_C, I_x, I_y,
+     inradius, tan_a, tan_b, tan_c, touch_a_x, touch_a_y, touch_b_x, touch_b_y, touch_c_x,
+     touch_c_y, length_A, length_B, length_C, O_x, O_y, circumradius, A_B, A_C, B_C, B_A, C_A, C_B,
+     deviation_1, deviation_2, deviation_3, deviation_4) = _READ(f)
     # The quads sit in absolute coordinates, where products overflow first.
     if not isfinite(R1 + R2 + S1 + S2 + T1 + T2):
         raise NonFiniteCoordinate("coordinates overflow: the panel quad areas are not finite")
-    # The pair areas R, S, T by both routes: the legs' dots and the trig forms.
-    trig = trig_r, trig_s, trig_t = decomposition._trig_areas(a, b, c, cos_alpha, cos_beta,
-                                                              cos_gamma)
-    kind = classification.kind
-    squares = three_sum._squares(a2, b2, c2, kind, R, T, S, trig_r, trig_t, trig_s, area_scale)
-    circles._check_centre(I_x, I_y, "incentre")
-    sides = three_sum._sides(a, b, c, s, length_C, length_B, length_A, length_scale)
-    circles._check_centre(O_x, O_y, "circumcentre")
-    angles = three_sum._angles(alpha, beta, gamma, kind, A_B, A_C, B_C, B_A, C_A, C_B)
-    x, y, z = sides[1]
+    # The readings' one pass. The slots read each reading's max_residual and the flag
+    # its verdict reads, the tangent lengths' closed forms (x, y, z) = (s - c, s - b,
+    # s - a) and the splits', each pi/2 minus the angle at the far end of its side.
+    (r_a, r_b, r_c, trig_r, trig_s, trig_t, sq_x, sq_y, sq_z, _, _, _, _, squares_acute,
+     squares_worst, _, _, _, x, y, z, sides_positive, _, sides_worst, _, _, _, split_x, split_y,
+     split_z, _, angles_acute, angles_worst) = three_sum._readings(f)
+    # A squares solution that is not finite raises as _solve does, then a circle
+    # centre that is not (see circles._check_centre), the incentre first.
+    if not isfinite(sq_x + sq_y + sq_z + I_x + I_y + O_x + O_y):
+        three_sum._solve(a2, b2, c2)
+        circles._check_centre(I_x, I_y, "incentre")
+        circles._check_centre(O_x, O_y, "circumcentre")
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
     dax, day, dbx, dby = I_x - touch_a_x, I_y - touch_a_y, I_x - touch_b_x, I_y - touch_b_y
@@ -130,9 +129,6 @@ def _rows(f: tuple) -> tuple:
     oax, oay, obx, oby = O_x - A_x, O_y - A_y, O_x - B_x, O_y - B_y
     ocx, ocy = O_x - C_x, O_y - C_y
     circumradius_scale = circumradius if circumradius > 1.0 else 1.0
-    # The two splits at a vertex: each is pi/2 minus the angle at the far end
-    # of its side, and they sum to the vertex's angle.
-    split_x, split_y, split_z = angles[1]
     # Each slot's |residual| / scale, the cosine identity's over max side^2; the
     # readings' max_residual comes divided. A positivity slot reads the flag its
     # reading's verdict reads: the sides reading's sign, the others' acute_iff_positive.
@@ -149,8 +145,8 @@ def _rows(f: tuple) -> tuple:
         abs(similar_A) / scale_A, abs(similar_B) / scale_B, abs(similar_C) / scale_C,
         abs(deviation_1) / area_scale, abs(deviation_2) / area_scale,
         abs(deviation_3) / area_scale, abs(deviation_4) / area_scale,
-        squares[4], 0.0 if squares[3] else 1.0, sides[4], 0.0 if sides[2] else 1.0,
-        angles[4], 0.0 if angles[3] else 1.0, abs(length_A - z) / length_scale,
+        squares_worst, 0.0 if squares_acute else 1.0, sides_worst, 0.0 if sides_positive else 1.0,
+        angles_worst, 0.0 if angles_acute else 1.0, abs(length_A - z) / length_scale,
         abs(length_B - y) / length_scale, abs(length_C - x) / length_scale,
         abs(sqrt(dax * dax + day * day) - inradius) / radius_scale,
         -tan_a if tan_a < 0.0 else 0.0 if tan_a <= 1.0 else tan_a - 1.0,
@@ -167,7 +163,7 @@ def _rows(f: tuple) -> tuple:
     ]
     # A defect's sign is read only beyond 1e-12 of a right angle, tighter than
     # RIGHT_ANGLE_BAND, which would skip more vertices.
-    kept = (abs(cos_A) > 1e-12, abs(cos_B) > 1e-12, abs(cos_C) > 1e-12, squares[3] is not None,
-            sides[2] is not None, angles[3] is not None)
+    kept = (abs(cos_A) > 1e-12, abs(cos_B) > 1e-12, abs(cos_C) > 1e-12,
+            squares_acute is not None, sides_positive is not None, angles_acute is not None)
     skipped = [] if all(kept) else [slot for slot, keep in zip(_SKIPPABLE, kept) if not keep]
-    return values, skipped, trig
+    return values, skipped, (trig_r, trig_s, trig_t)

@@ -56,17 +56,10 @@ def euclid_defect(t: Triangle, at_vertex: str) -> tuple[float, float]:
     return _DEFECT[at_vertex](t.frame)
 
 
-def _identity_residuals(a, b, c, a2, b2, c2, cos_alpha, cos_beta, cos_gamma) -> tuple:
-    """verify_cosine_identity's residuals from the sides, squares and cosines."""
-    return (
-        a2 - b2 - c2 + 2.0 * b * c * cos_alpha,
-        b2 - a2 - c2 + 2.0 * a * c * cos_beta,
-        c2 - a2 - b2 + 2.0 * a * b * cos_gamma,
-    )
-
-
 def verify_cosine_identity(m: TriangleMetrics) -> tuple[float, float, float]:
     """Residuals of a^2 - b^2 - c^2 + 2bc*cos(alpha) and its two cyclic
     forms, at A, B and C; max side^2 is their scale."""
-    return _identity_residuals(m.a, m.b, m.c, *m.side_squares, math.cos(m.alpha),
-                               math.cos(m.beta), math.cos(m.gamma))
+    a, b, c, (a2, b2, c2) = m.a, m.b, m.c, m.side_squares
+    return (a2 - b2 - c2 + 2.0 * b * c * math.cos(m.alpha),
+            b2 - a2 - c2 + 2.0 * a * c * math.cos(m.beta),
+            c2 - a2 - b2 + 2.0 * a * b * math.cos(m.gamma))

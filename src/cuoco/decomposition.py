@@ -112,18 +112,13 @@ def panel_area_exact(pair: str, t: Triangle):
     return _PAIR_AREAS(t.frame)[PAIR_CLASSES.index(pair)]
 
 
-def _trig_areas(a, b, c, cos_alpha, cos_beta, cos_gamma) -> tuple:
-    """The pair areas R, S, T on the trigonometric route from the sides and
-    the angles' cosines."""
-    return a * b * cos_gamma, b * c * cos_alpha, a * c * cos_beta
-
-
 def panel_area_trig(pair: str, m: TriangleMetrics) -> float:
     """Pair area on the trigonometric route: two sides times the included cosine."""
     if pair not in _PAIR_VERTEX:
         raise ValueError(f"unknown pair class {pair!r}, expected one of {PAIR_CLASSES}")
-    areas = _trig_areas(m.a, m.b, m.c, math.cos(m.alpha), math.cos(m.beta), math.cos(m.gamma))
-    return areas[PAIR_CLASSES.index(pair)]
+    a, b, c = m.a, m.b, m.c
+    return (a * b * math.cos(m.gamma) if pair == "R" else b * c * math.cos(m.alpha) if pair == "S"
+            else a * c * math.cos(m.beta))
 
 
 def build(t: Triangle) -> CuocoDecomposition:

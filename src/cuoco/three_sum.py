@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 
 from .circles import CircumcircleData, IncircleData
-from .decomposition import panel_area_exact, _trig_areas
-from .geometry import (ANGLES, CLASSIFICATION, LENGTH_SCALE, SEMIPERIMETER, SIDES, TOLERANCE,
-                       Classification, GeometryError, Triangle, _Frozen, _Record, _is_finite)
+from .geometry import (ANGLES, CLASSIFICATION, SIDE_SQUARES, SIDES, TOLERANCE, Classification,
+                       GeometryError, Triangle, frame_getter, _Frozen, _INDEX, _Record, _is_finite)
 
 
 class ThreeSum(_Frozen):
@@ -107,48 +106,13 @@ class InterpretationReport(_Record):
         self.passed = passed
 
 
-def _report(kind: str, terms: tuple, mapping: dict[str, str], measured: tuple, values: tuple,
-            classification: Classification, verdict_flag: bool | None,
-            tol: float) -> InterpretationReport:
-    """A reading's report. `terms` are the system's right-hand sides, `values`
-    the reading's (solution, closed_form, all_positive, acute_iff_positive,
-    max_residual), and the first (x, y, z) triple of `measured` is `geometric`.
-    It passes when max_residual <= tol and `verdict_flag`, the flag its
-    verdict reads, is not False."""
-    solution, (cx, cy, cz), positive, acute, max_residual = values
-    gx, gy, gz = measured[0]
-    return InterpretationReport(
-        kind, ThreeSum(*terms), Solution(*solution), mapping, {"x": gx, "y": gy, "z": gz},
-        {"x": cx, "y": cy, "z": cz}, max_residual, positive, classification, acute,
-        max_residual <= tol and verdict_flag is not False)
-
-
-def _squares(a2, b2, c2, kind: str, gx, gy, gz, cx, cy, cz, scale) -> tuple:
-    """The squares reading's values (see _report) from the squared sides, the kind
-    of triangle, the pair areas (R, T, S) by the dots and by trig, and the area scale."""
-    x, y, z = solution = _solve(a2, b2, c2)
-    positive = a2 < b2 + c2 and b2 < a2 + c2 and c2 < a2 + b2
-    # The worst deviation, a NaN kept: max() can drop a NaN, a sum of
-    # nonnegative terms cannot.
-    deviations = (abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz))
-    total = sum(deviations)
-    return (solution, (cx, cy, cz), positive,
-            None if kind == "right" else positive == (kind == "acute"),
-            (max(deviations) if total == total else total) / scale)
-
-
-def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
-    """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
-    m = t.metrics
-    exact = (panel_area_exact("R", t), panel_area_exact("T", t), panel_area_exact("S", t))
-    # panel_area_trig's values, each of its three cosines taken once.
-    trig_r, trig_s, trig_t = _trig_areas(m.a, m.b, m.c, math.cos(m.alpha), math.cos(m.beta),
-                                         math.cos(m.gamma))
-    values = _squares(*m.side_squares, m.classification.kind, *exact, trig_r, trig_t, trig_s,
-                      m.area_scale)
-    return _report("squares", m.side_squares, {"x": "R", "y": "T", "z": "S"}, (exact,), values,
-                   m.classification, values[3], tol)
-
+# The frame values the readings read, by their names in geometry.LAYOUT.
+_READ = frame_getter(
+    "a b c alpha beta gamma s a2 b2 c2 area_scale length_scale classification S T R length_A "
+    "length_B length_C A_B A_C B_C B_A C_A C_B")
+_PAIR_AREAS = frame_getter("R T S")
+# Where each reading's nine values start in _readings' tuple.
+_SQUARES, _SIDES, _ANGLES = 6, 15, 24
 
 # Rounding budget on a tangent length, in units of u * max side with
 # u = 2**-53. Each side is the square root of its leg's squared length; the
@@ -160,17 +124,86 @@ def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationRepo
 SIDES_BUDGET = 8
 
 
-def _sides(a, b, c, s, gx, gy, gz, scale) -> tuple:
-    """The sides reading's values (see _report) from the sides, the
-    semiperimeter, the tangent lengths at C, B, A and the length scale."""
-    x, y, z = solution = _solve(a, b, c)
-    cx, cy, cz = s - c, s - b, s - a
-    smallest = min(solution)
+def _readings(f: tuple) -> tuple:
+    """The readings of the triangle of frame f in one pass, which raises only
+    in math.cos of an infinite angle (no frame holds one): the cosine
+    identity's residuals at A, B, C and the trig pair areas R, S, T (as
+    verify_cosine_identity and panel_area_trig give them), then the nine
+    values of the squares, sides and angles readings in turn: the solution
+    (x, y, z) as _solve forms it, the closed form (x, y, z), all_positive,
+    acute_iff_positive and max_residual, the worst deviation from the
+    measured and the closed-form values over the reading's scale, a NaN kept
+    (max() can drop a NaN, a sum of nonnegative terms cannot). A solution
+    that is not finite is returned as it is; _solve on its terms raises."""
+    (a, b, c, alpha, beta, gamma, s, a2, b2, c2, area_scale, length_scale, classification, S, T,
+     R, length_A, length_B, length_C, A_B, A_C, B_C, B_A, C_A, C_B) = _READ(f)
+    cos_alpha, cos_beta, cos_gamma = math.cos(alpha), math.cos(beta), math.cos(gamma)
+    trig_r, trig_s, trig_t = a * b * cos_gamma, b * c * cos_alpha, a * c * cos_beta
+    kind = classification.kind
+    right, is_acute = kind == "right", kind == "acute"
+    # (L, M, N) = squared sides against the pair areas (R, T, S), by the dots and by trig.
+    hl, hm, hn = a2 / 2.0, b2 / 2.0, c2 / 2.0
+    sq_x, sq_y, sq_z = (hl + hm) - hn, (hl + hn) - hm, (hm + hn) - hl
+    sq_positive = a2 < b2 + c2 and b2 < a2 + c2 and c2 < a2 + b2
+    d1, d2, d3 = abs(sq_x - R), abs(sq_y - T), abs(sq_z - S)
+    d4, d5, d6 = abs(sq_x - trig_r), abs(sq_y - trig_t), abs(sq_z - trig_s)
+    total = d1 + d2 + d3 + d4 + d5 + d6
+    sq_worst = (max(d1, d2, d3, d4, d5, d6) if total == total else total) / area_scale
+    # (L, M, N) = sides against the tangent lengths at C, B, A and s - c, s - b, s - a.
+    hl, hm, hn = a / 2.0, b / 2.0, c / 2.0
+    sd_x, sd_y, sd_z = (hl + hm) - hn, (hl + hn) - hm, (hm + hn) - hl
+    sd_cx, sd_cy, sd_cz = s - c, s - b, s - a
+    smallest = min(sd_x, sd_y, sd_z)
     undecided = abs(smallest) <= math.ldexp(SIDES_BUDGET * max(a, b, c), -53)
-    deviations = (abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz))
-    total = sum(deviations)  # a NaN kept, as in _squares
-    return (solution, (cx, cy, cz), None if undecided else smallest > 0, None,
-            (max(deviations) if total == total else total) / scale)
+    d1, d2, d3 = abs(sd_x - length_C), abs(sd_y - length_B), abs(sd_z - length_A)
+    d4, d5, d6 = abs(sd_x - sd_cx), abs(sd_y - sd_cy), abs(sd_z - sd_cz)
+    total = d1 + d2 + d3 + d4 + d5 + d6
+    sd_worst = (max(d1, d2, d3, d4, d5, d6) if total == total else total) / length_scale
+    # (L, M, N) = angles against both splits of each component and pi/2 - gamma, ...
+    hl, hm, hn = alpha / 2.0, beta / 2.0, gamma / 2.0
+    an_x, an_y, an_z = (hl + hm) - hn, (hl + hn) - hm, (hm + hn) - hl
+    half_pi = math.pi / 2.0
+    an_cx, an_cy, an_cz = half_pi - gamma, half_pi - beta, half_pi - alpha
+    an_positive = alpha < beta + gamma and beta < alpha + gamma and gamma < alpha + beta
+    d1, d2, d3 = abs(an_x - A_B), abs(an_y - A_C), abs(an_z - B_C)
+    d4, d5, d6 = abs(an_x - an_cx), abs(an_y - an_cy), abs(an_z - an_cz)
+    d7, d8, d9 = abs(an_x - B_A), abs(an_y - C_A), abs(an_z - C_B)
+    total = d1 + d2 + d3 + d4 + d5 + d6 + d7 + d8 + d9
+    an_worst = max(d1, d2, d3, d4, d5, d6, d7, d8, d9) if total == total else total
+    return (a2 - b2 - c2 + 2.0 * b * c * cos_alpha, b2 - a2 - c2 + 2.0 * a * c * cos_beta,
+            c2 - a2 - b2 + 2.0 * a * b * cos_gamma, trig_r, trig_s, trig_t,
+            sq_x, sq_y, sq_z, trig_r, trig_t, trig_s, sq_positive,
+            None if right else sq_positive == is_acute, sq_worst,
+            sd_x, sd_y, sd_z, sd_cx, sd_cy, sd_cz, None if undecided else smallest > 0, None,
+            sd_worst, an_x, an_y, an_z, an_cx, an_cy, an_cz, an_positive,
+            None if right else an_positive == is_acute, an_worst)
+
+
+def _frame_with(f: tuple, names: str, values) -> tuple:
+    """The frame f with the values named, as geometry.LAYOUT names them, replaced."""
+    frame = list(f)
+    for name, value in zip(names.split(), values, strict=True):
+        frame[_INDEX[name]] = value
+    return tuple(frame)
+
+
+def _report(kind: str, terms: tuple, mapping: dict[str, str], geometric: tuple, f: tuple,
+            start: int, tol: float) -> InterpretationReport:
+    """The report of the reading of system `terms` whose nine values start at
+    `start` in _readings(f), measured as `geometric`. It passes when max_residual
+    <= tol and the flag its verdict reads (the sides reading's all_positive, the
+    others' acute_iff_positive) is not False."""
+    x, y, z, cx, cy, cz, positive, acute, max_residual = _readings(f)[start:start + 9]
+    return InterpretationReport(
+        kind, ThreeSum(*terms), Solution(x, y, z), mapping, dict(zip("xyz", geometric)),
+        {"x": cx, "y": cy, "z": cz}, max_residual, positive, f[CLASSIFICATION], acute,
+        max_residual <= tol and (positive if start == _SIDES else acute) is not False)
+
+
+def interpret_squares(t: Triangle, tol: float = TOLERANCE) -> InterpretationReport:
+    """(L, M, N) = squared sides; the solution must be the pair areas (R, T, S)."""
+    return _report("squares", t.frame[SIDE_SQUARES], {"x": "R", "y": "T", "z": "S"},
+                   _PAIR_AREAS(t.frame), t.frame, _SQUARES, tol)
 
 
 def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -182,28 +215,11 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     below, so a sign is decided only beyond the rounding budget
     SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
-    f, lengths = inc.triangle.frame, inc.tangent_lengths
+    lengths = inc.tangent_lengths
     measured = (lengths["C"], lengths["B"], lengths["A"])
-    values = _sides(*f[SIDES], f[SEMIPERIMETER], *measured, f[LENGTH_SCALE])
-    return _report(
-        "sides", f[SIDES],
-        {"x": "tangent length at C", "y": "tangent length at B", "z": "tangent length at A"},
-        (measured,), values, f[CLASSIFICATION], values[2], tol)
-
-
-def _angles(alpha, beta, gamma, kind: str, gx, gy, gz, hx, hy, hz) -> tuple:
-    """The angles reading's values (see _report) from the angles, the kind of
-    triangle and two (x, y, z) split triples; the deviation is absolute."""
-    x, y, z = solution = _solve(alpha, beta, gamma)
-    half_pi = math.pi / 2.0
-    cx, cy, cz = half_pi - gamma, half_pi - beta, half_pi - alpha
-    positive = alpha < beta + gamma and beta < alpha + gamma and gamma < alpha + beta
-    deviations = (abs(x - gx), abs(y - gy), abs(z - gz), abs(x - cx), abs(y - cy), abs(z - cz),
-                  abs(x - hx), abs(y - hy), abs(z - hz))
-    total = sum(deviations)  # a NaN kept, as in _squares
-    return (solution, (cx, cy, cz), positive,
-            None if kind == "right" else positive == (kind == "acute"),
-            max(deviations) if total == total else total)
+    f = _frame_with(inc.triangle.frame, "length_C length_B length_A", measured)
+    return _report("sides", f[SIDES], {"x": "tangent length at C", "y": "tangent length at B",
+                                       "z": "tangent length at A"}, measured, f, _SIDES, tol)
 
 
 def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -213,13 +229,9 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     triangle over AB), y = pi/2 - beta over side b, z = pi/2 - alpha over
     side a. Residuals are absolute: angles are already order one.
     """
-    m = circ.triangle.metrics
-    # Each component is realized twice; hold it against both measurements.
     at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
-    measured = ((at_a["B"], at_a["C"], at_b["C"]), (at_b["A"], at_c["A"], at_c["B"]))
-    values = _angles(*circ.triangle.frame[ANGLES], m.classification.kind, *measured[0],
-                     *measured[1])
-    return _report(
-        "angles", (m.alpha, m.beta, m.gamma),
-        {"x": "split over side c", "y": "split over side b", "z": "split over side a"},
-        measured, values, m.classification, values[3], tol)
+    # Each component is realized twice, and held against both splits.
+    measured = (at_a["B"], at_a["C"], at_b["C"], at_b["A"], at_c["A"], at_c["B"])
+    f = _frame_with(circ.triangle.frame, "A_B A_C B_C B_A C_A C_B", measured)
+    return _report("angles", f[ANGLES], {"x": "split over side c", "y": "split over side b",
+                                         "z": "split over side a"}, measured[:3], f, _ANGLES, tol)

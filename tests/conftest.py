@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, strategies as st
@@ -130,3 +135,22 @@ def records(f) -> list:
             found.append((check, item, _worst(values[start:start + count])))
         start += count
     return found
+
+
+def tree_copy(tmp_path, *edits):
+    """A copy of the cuoco package under tmp_path with each (file, old, new)
+    edit made, each old text found exactly once; returns the copy's root."""
+    package = Path(geometry.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "cuoco", ignore=shutil.ignore_patterns("__pycache__"))
+    for name, old, new in edits:
+        path = tmp_path / "cuoco" / name
+        text = path.read_text()
+        assert text.count(old) == 1, (name, old)
+        path.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def run_script(root, script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports cuoco from root."""
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(root)),
+                          capture_output=True, text=True)

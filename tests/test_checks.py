@@ -40,18 +40,22 @@ def test_one_frame_per_triangle(frame_calls):
 
 def test_one_construction_per_triangle(monkeypatch):
     # The catalogue reads the constructions from the Triangle's one frame:
-    # it computes no frame of its own, and calls neither circle builder.
+    # it computes no frame of its own, and calls neither circle builder. On
+    # a finite frame its one call into Python code is the readings' one pass:
+    # no reading's report, no _solve and no centre check.
     t = random_triangle(random.Random(11))
     calls = {}
-    for module, name in ((circles, "incircle"), (circles, "circumcircle"),
-                         (geometry, "_frame")):
+    for module, name in ((circles, "incircle"), (circles, "circumcircle"), (geometry, "_frame"),
+                         (three_sum, "_readings"), (three_sum, "interpret_squares"),
+                         (three_sum, "interpret_sides"), (three_sum, "interpret_angles"),
+                         (three_sum, "_solve"), (circles, "_check_centre")):
         def counting(*args, _name=name, _original=getattr(module, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
     checks._rows(t.frame)
-    assert calls == {}
+    assert calls == {"_readings": 1}
 
 
 RECORD_TYPES = (circles.IncircleData, circles.CircumcircleData, three_sum.InterpretationReport,

@@ -19,7 +19,7 @@ from cuoco import (checks, circles, cli, cosine_law, decomposition, figures, geo
 from cuoco.cli import _worst, main, random_triangle, run_fuzz
 from cuoco.geometry import Point, Triangle, dot, triangle_from_sides
 
-from conftest import RATIONAL, circumcentre_budget, records
+from conftest import RATIONAL, circumcentre_budget, records, tree_copy
 from test_decomposition import EXACT_FAR_OUT, FAR_OUT
 from test_reports import PINNED_REPORTS
 
@@ -834,34 +834,33 @@ class TestCatalogue:
         assert list(json.loads(out)["checks"]) == list(checks.NAMES)
 
     @staticmethod
-    def _edit_closed_form(monkeypatch, reading, edit):
-        """Make the catalogue see the closed form (x, y, z) that `reading`, a
-        reading's value function, returns passed through `edit`; its
-        max_residual stays as computed."""
-        exact = getattr(three_sum, reading)
+    def _run_mutant(tmp_path, old, new, *argv):
+        """`cuoco` on argv, run from a copy of the package whose
+        `three_sum._readings` source has the one edit old -> new: (exit code,
+        report)."""
+        root = tree_copy(tmp_path, ("three_sum.py", old, new))
+        result = subprocess.run([sys.executable, "-m", "cuoco.cli", *argv],
+                                env=dict(os.environ, PYTHONPATH=str(root)), capture_output=True,
+                                text=True)
+        return result.returncode, json.loads(result.stdout)
 
-        def edited(*args):
-            solution, closed, *rest = exact(*args)
-            return (solution, edit(closed), *rest)
-
-        monkeypatch.setattr(three_sum, reading, edited)
-
-    def test_shifted_closed_form_splits_fail_verify(self, capsys, monkeypatch):
-        self._edit_closed_form(monkeypatch, "_angles",
-                               lambda closed: tuple(value + 1e-6 for value in closed))
-        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+    def test_shifted_closed_form_splits_fail_verify(self, tmp_path):
+        # The catalogue sees the angles reading's closed form shifted; its
+        # max_residual stays as computed.
+        code, report = self._run_mutant(
+            tmp_path, "an_x, an_y, an_z, an_cx, an_cy, an_cz,",
+            "an_x, an_y, an_z, an_cx + 1e-6, an_cy + 1e-6, an_cz + 1e-6,",
+            "verify", "--sides", "2,3,4")
         assert code == 1
-        report = json.loads(out)
         assert failed_checks(report) == ["vertex_splits"]
         assert report["checks"]["vertex_splits"]["max_residual"] == pytest.approx(1e-6, rel=1e-3)
 
-    def test_nan_in_a_folded_check_fails_verify(self, capsys, monkeypatch):
-        # y is the tangent length at B.
-        self._edit_closed_form(monkeypatch, "_sides",
-                               lambda closed: (closed[0], math.nan, closed[2]))
-        code, out, _ = run_cli(capsys, "verify", "--sides", "2,3,4")
+    def test_nan_in_a_folded_check_fails_verify(self, tmp_path):
+        # y of the sides reading's closed form is the tangent length at B.
+        code, report = self._run_mutant(
+            tmp_path, "sd_x, sd_y, sd_z, sd_cx, sd_cy, sd_cz,",
+            "sd_x, sd_y, sd_z, sd_cx, math.nan, sd_cz,", "verify", "--sides", "2,3,4")
         assert code == 1
-        report = json.loads(out)
         assert failed_checks(report) == ["tangent_lengths"]
         assert math.isnan(report["checks"]["tangent_lengths"]["max_residual"])
 
@@ -879,21 +878,16 @@ class TestCatalogue:
         assert json.loads(out)["checks"]["sides_positivity"] == {
             "evaluated": 0, "skipped": 1, "max_residual": None, "worst_item": None, "passed": True}
 
-    def test_negative_tangent_length_fails_verify(self, capsys, monkeypatch):
-        # A mutant solve that puts a y inside the rounding budget (only the
-        # needle's tangent length at B is) twice the budget below zero.
-        exact = three_sum._solve
-
-        def pushed(L, M, N):
-            x, y, z = exact(L, M, N)
-            budget = three_sum.SIDES_BUDGET * 2.0**-53 * max(L, M, N)
-            return x, -2 * budget if abs(y) <= budget else y, z
-
-        monkeypatch.setattr(three_sum, "_solve", pushed)
-        code, out, _ = run_cli(capsys, "verify", "--points=0,0,1,0,1e8,1")
+    def test_negative_tangent_length_fails_verify(self, tmp_path):
+        # A mutant sides solution that puts a y inside the rounding budget
+        # (only the needle's tangent length at B is) twice the budget below zero.
+        code, report = self._run_mutant(
+            tmp_path, "    sd_cx, sd_cy, sd_cz = ",
+            "    budget = SIDES_BUDGET * 2.0**-53 * max(a, b, c)\n"
+            "    sd_y = -2 * budget if abs(sd_y) <= budget else sd_y\n"
+            "    sd_cx, sd_cy, sd_cz = ", "verify", "--points=0,0,1,0,1e8,1")
         assert code == 1
-        assert failed_checks(json.loads(out)) == ["sides_positivity"]
-
+        assert failed_checks(report) == ["sides_positivity"]
 
     def test_per_record_verdict_divides_by_the_scale(self, capsys, monkeypatch):
         # At this pair |r| <= tol * scale is False but |r| / scale <= tol is

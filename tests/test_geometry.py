@@ -1,11 +1,7 @@
 import copy
 import math
-import os
 import pickle
 import random
-import shutil
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +28,7 @@ from cuoco.geometry import (
     TriangleInequalityViolated,
 )
 
-from conftest import float_triangles, integer_triangles, side_triples
+from conftest import float_triangles, integer_triangles, run_script, side_triples, tree_copy
 from test_cli import PINNED_VERIFY_INPUTS
 
 
@@ -95,24 +91,6 @@ class TestTriangle:
             Triangle(A=Point(tiny, 0), B=Point(3 * tiny, 0), C=Point(0, tiny))
 
 
-def _tree_copy(tmp_path, *edits):
-    """A copy of the cuoco package under tmp_path with each (file, old, new)
-    edit made, each old text found exactly once; returns the copy's root."""
-    package = Path(geometry.__file__).resolve().parent
-    shutil.copytree(package, tmp_path / "cuoco", ignore=shutil.ignore_patterns("__pycache__"))
-    for name, old, new in edits:
-        path = tmp_path / "cuoco" / name
-        text = path.read_text()
-        assert text.count(old) == 1, (name, old)
-        path.write_text(text.replace(old, new))
-    return tmp_path
-
-
-def _run(root, script: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(root)),
-                          capture_output=True, text=True)
-
-
 class TestLayout:
     def test_the_declaration_names_each_value_once(self):
         assert len(set(geometry.FIELDS)) == len(geometry.FIELDS) == 128
@@ -130,8 +108,8 @@ class TestLayout:
         with pytest.raises(KeyError, match="deviation_5"):
             geometry.frame_getter("a deviation_5")
         # The catalogue's getter is made when cuoco.checks is imported.
-        root = _tree_copy(tmp_path, ("checks.py", "deviation_4\")", "deviation_5\")"))
-        result = _run(root, "import cuoco.checks")
+        root = tree_copy(tmp_path, ("checks.py", "deviation_4\")", "deviation_5\")"))
+        result = run_script(root, "import cuoco.checks")
         assert result.returncode == 1 and "KeyError: 'deviation_5'" in result.stderr
 
     def test_a_value_inserted_at_the_front_changes_no_output(self, tmp_path):
@@ -139,7 +117,7 @@ class TestLayout:
         # nothing outside the declaration and _frame's return changes: every
         # reader reads by name, so every command prints the same bytes, and
         # metrics rebuilt from their fields (a copy, a pickle) read the same.
-        root = _tree_copy(
+        root = tree_copy(
             tmp_path,
             ("geometry.py", "LAYOUT = {\n", 'LAYOUT = {\n    "PADDING": "padding",\n'),
             ("geometry.py", "(SIDES, ANGLES, ", "(PADDING, SIDES, ANGLES, "),
@@ -160,7 +138,7 @@ class TestLayout:
             "        code = cli.main(argv)\n"
             "    print(repr((code, out.getvalue(), err.getvalue())))\n")
         package_root = Path(geometry.__file__).resolve().parent.parent
-        edited, unedited = _run(root, script), _run(package_root, script)
+        edited, unedited = run_script(root, script), run_script(package_root, script)
         assert edited.returncode == unedited.returncode == 0, edited.stderr + unedited.stderr
         shape, _, outputs = edited.stdout.partition("\n")
         assert shape == "129 slice(1, 4, None)"

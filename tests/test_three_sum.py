@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cuoco import cli, three_sum
 from cuoco.circles import circumcircle, incircle
-from cuoco.decomposition import _trig_areas, panel_area_trig
-from cuoco.geometry import (ANGLES, AREA_SCALE, CLASSIFICATION, DOTS, LENGTH_SCALE, SEMIPERIMETER,
-                            SIDE_SQUARES, SIDES, GeometryError, Point, Triangle, frame_getter,
-                            _is_finite, _worst, triangle_from_sides)
+from cuoco.cosine_law import verify_cosine_identity
+from cuoco.decomposition import panel_area_trig
+from cuoco.geometry import (ANGLES, AREA_SCALE, CLASSIFICATION, DOTS, FIELDS, LENGTH_SCALE,
+                            SEMIPERIMETER, SIDE_SQUARES, SIDES, GeometryError, Point, Triangle,
+                            TriangleMetrics, frame_getter, _is_finite, _worst, triangle_from_sides)
 from cuoco.three_sum import (
     SIDES_BUDGET,
     ThreeSum,
@@ -21,7 +22,7 @@ from cuoco.three_sum import (
 )
 
 
-from conftest import eliminate
+from conftest import eliminate, run_script, tree_copy
 
 finite_values = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
@@ -191,20 +192,19 @@ class TestInterpretSides:
         assert report.passed
 
     @pytest.mark.parametrize("times, expected", [(2.0, False), (0.5, None)])
-    def test_sign_decided_only_beyond_the_budget(self, monkeypatch, times, expected):
-        # A mutant solve that puts the needle's smallest tangent length
-        # `times` the rounding budget below zero: beyond the budget the
-        # reading fails, within it the sign stays undecided.
-        exact = three_sum._solve
-
-        def pushed(L, M, N):
-            x, _, z = exact(L, M, N)
-            return x, -times * SIDES_BUDGET * 2.0**-53 * max(L, M, N), z
-
-        monkeypatch.setattr(three_sum, "_solve", pushed)
-        report = interpret_sides(incircle(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))))
-        assert report.all_positive is expected
-        assert report.passed is (expected is None)
+    def test_sign_decided_only_beyond_the_budget(self, tmp_path, times, expected):
+        # A mutant sides solution, a source edit of `_readings` in a copy of
+        # the package, that puts the needle's smallest tangent length `times`
+        # the rounding budget below zero: beyond the budget the reading
+        # fails, within it the sign stays undecided.
+        root = tree_copy(tmp_path, ("three_sum.py", "    sd_cx, sd_cy, sd_cz = ",
+                                    f"    sd_y = -{times} * SIDES_BUDGET * 2.0**-53 * max(a, b, c)\n"
+                                    "    sd_cx, sd_cy, sd_cz = "))
+        result = run_script(root, (
+            "from cuoco import Point, Triangle, incircle, interpret_sides\n"
+            "report = interpret_sides(incircle(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))))\n"
+            "print(repr((report.all_positive, report.passed)))\n"))
+        assert result.stdout == f"{(expected, expected is None)!r}\n", result.stderr
 
 
 class TestInterpretAngles:
@@ -276,16 +276,15 @@ class TestReadingsKeepANaN:
 
     @pytest.mark.parametrize("route", ["panel_area_exact", "panel_area_trig"])
     @pytest.mark.parametrize("pair", ["R", "T", "S"])
-    def test_squares(self, monkeypatch, route, pair):
-        if route == "panel_area_exact":
-            exact = three_sum.panel_area_exact
-            monkeypatch.setattr(three_sum, route,
-                                lambda p, arg: math.nan if p == pair else exact(p, arg))
-        else:  # the reading takes panel_area_trig's values at once, as R, S, T
-            trig, where = three_sum._trig_areas, "RST".index(pair)
-            monkeypatch.setattr(three_sum, "_trig_areas", lambda *args: tuple(
-                math.nan if i == where else area for i, area in enumerate(trig(*args))))
-        self.assert_nan_fails(interpret_squares(triangle_from_sides(2.0, 3.0, 4.0)))
+    def test_squares(self, route, pair):
+        # The reading takes the exact pair areas from the frame and the trig
+        # ones from the angles' cosines: R from gamma, S from alpha, T from beta.
+        t = triangle_from_sides(2.0, 3.0, 4.0)
+        name = pair if route == "panel_area_exact" else {"R": "gamma", "S": "alpha", "T": "beta"}[pair]
+        frame = list(t.frame)
+        frame[FIELDS.index(name)] = math.nan
+        object.__setattr__(t, "frame", tuple(frame))
+        self.assert_nan_fails(interpret_squares(t))
 
     @pytest.mark.parametrize("vertex", ["A", "B", "C"])
     def test_sides_measured(self, vertex):
@@ -310,8 +309,11 @@ class TestReadingsKeepANaN:
 
 
 # The readings as they were composed from helpers: _check_terms' one-sum fast
-# path, _solve, _all_positive and _deviation folding with _worst. The flat
-# readings must give the same five values, or raise the same error.
+# path, _solve, _all_positive and _deviation folding with _worst. The one flat
+# pass, `_readings`, must give the same five values of each reading, or a
+# solution that is not finite where the composition raises, and on those terms
+# _solve must raise the same error. Its cosine identity residuals and trig pair
+# areas must be those of the metric-level references.
 def composed_check_terms(L, M, N):
     try:
         finite = math.isfinite(0.0 + L + M + N)
@@ -371,7 +373,11 @@ def composed_angles(alpha, beta, gamma, kind, gx, gy, gz, hx, hy, hz):
             composed_deviation(solution, ((gx, gy, gz), (hx, hy, hz)), closed, 1.0))
 
 
-READINGS = {"_squares": composed_squares, "_sides": composed_sides, "_angles": composed_angles}
+READINGS = {"squares": composed_squares, "sides": composed_sides, "angles": composed_angles}
+TERMS = {"squares": SIDE_SQUARES, "sides": SIDES, "angles": ANGLES}
+# Every float value of the frame that `_readings` reads.
+READ = ("a b c alpha beta gamma s a2 b2 c2 area_scale length_scale S T R length_A length_B "
+        "length_C A_B A_C B_C B_A C_A C_B").split()
 
 
 TANGENT_LENGTHS = frame_getter("length_C length_B length_A")
@@ -379,13 +385,14 @@ SPLITS = frame_getter("A_B A_C B_C B_A C_A C_B")
 
 
 def reading_args(f):
-    """Each reading's arguments for a frame, as the catalogue passes them."""
+    """Each reading's arguments for a frame, as the composition takes them."""
     S, T, R = f[DOTS]
-    trig_r, trig_s, trig_t = _trig_areas(*f[SIDES], *map(math.cos, f[ANGLES]))
+    m = TriangleMetrics._view(f)
+    trig_r, trig_t, trig_s = (panel_area_trig(pair, m) for pair in "RTS")
     kind = f[CLASSIFICATION].kind
-    return {"_squares": (*f[SIDE_SQUARES], kind, R, T, S, trig_r, trig_t, trig_s, f[AREA_SCALE]),
-            "_sides": (*f[SIDES], f[SEMIPERIMETER], *TANGENT_LENGTHS(f), f[LENGTH_SCALE]),
-            "_angles": (*f[ANGLES], kind, *SPLITS(f))}
+    return {"squares": (*f[SIDE_SQUARES], kind, R, T, S, trig_r, trig_t, trig_s, f[AREA_SCALE]),
+            "sides": (*f[SIDES], f[SEMIPERIMETER], *TANGENT_LENGTHS(f), f[LENGTH_SCALE]),
+            "angles": (*f[ANGLES], kind, *SPLITS(f))}
 
 
 def outcome(reading, args):
@@ -396,33 +403,64 @@ def outcome(reading, args):
         return type(exc), str(exc)
 
 
+def composed(f):
+    """The composition's outcome for a frame: the metric-level cosine identity
+    residuals and trig pair areas R, S, T by repr, then each reading's."""
+    m = TriangleMetrics._view(f)
+    args = reading_args(f)
+    return [repr(verify_cosine_identity(m)), repr(tuple(panel_area_trig(p, m) for p in "RST")),
+            *(outcome(READINGS[name], args[name]) for name in READINGS)]
+
+
+def flat(f):
+    """`_readings`' outcome for a frame, split as `composed` splits it; a
+    reading whose solution is not finite reads as what _solve raises on its
+    terms, as the catalogue raises it."""
+    values = three_sum._readings(f)
+    found = [repr(values[:3]), repr(values[3:6])]
+    for start, name in zip((6, 15, 24), READINGS):
+        x, y, z, cx, cy, cz, positive, acute, worst = values[start:start + 9]
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            found.append(repr(((x, y, z), (cx, cy, cz), positive, acute, worst)))
+        else:
+            found.append(outcome(three_sum._solve, f[TERMS[name]]))
+    return found
+
+
 class TestFlatReadingsMatchTheComposition:
     @staticmethod
-    def assert_match(f_args):
-        for name, args in f_args.items():
-            assert outcome(getattr(three_sum, name), args) == outcome(READINGS[name], args), (
-                name, args)
+    def assert_match(f):
+        # Both take an infinite angle's cosine, where math.cos raises.
+        results = []
+        for compute in (flat, composed):
+            try:
+                results.append(compute(f))
+            except ValueError as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1], f
 
     def test_fuzz_frames(self):
         rng = random.Random(2024)
         for _ in range(2000):
-            self.assert_match(reading_args(cli._sample(rng)))
+            self.assert_match(cli._sample(rng))
 
     @pytest.mark.parametrize("t", [Triangle(Point(0, 0), Point(4, 0), Point(4, 3)),
                                    Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))],
                              ids=["3-4-5", "needle"])
     def test_right_triangle_and_needle(self, t):
-        self.assert_match(reading_args(t.frame))
+        self.assert_match(t.frame)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("sides", [(2.0, 3.0, 4.0), (6.0, 7.0, 8.0)])
     def test_non_finite_value_in_each_position(self, sides, value):
-        # Every float argument in turn: the system's terms (which raise), each
-        # measured and closed-form value, and the scale.
-        for name, args in reading_args(triangle_from_sides(*sides).frame).items():
-            for i, arg in enumerate(args):
-                if isinstance(arg, float):
-                    self.assert_match({name: (*args[:i], value, *args[i + 1:])})
+        # Every float value the readings read in turn: the systems' terms
+        # (whose readings raise), each measured and closed-form value's
+        # sources, and the scales.
+        f = triangle_from_sides(*sides).frame
+        for name in READ:
+            edited = list(f)
+            edited[FIELDS.index(name)] = value
+            self.assert_match(tuple(edited))
 
     @pytest.mark.parametrize("terms", [
         (3.0, 4.0, 5.0), (3, 4, 5), (10**400, 1, 1), (1.0, -10**400, 2.0), (10**400, -10**400, 1),
