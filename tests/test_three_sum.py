@@ -197,12 +197,13 @@ class TestInterpretSides:
         # the package, that puts the needle's smallest tangent length `times`
         # the rounding budget below zero: beyond the budget the reading
         # fails, within it the sign stays undecided.
+        pushed = f"    sd_y = -{times} * SIDES_BUDGET * 2.0**-53 * max(a, b, c)\n"
         root = tree_copy(tmp_path, ("three_sum.py", "    sd_cx, sd_cy, sd_cz = ",
-                                    f"    sd_y = -{times} * SIDES_BUDGET * 2.0**-53 * max(a, b, c)\n"
-                                    "    sd_cx, sd_cy, sd_cz = "))
+                                    pushed + "    sd_cx, sd_cy, sd_cz = "))
         result = run_script(root, (
             "from cuoco import Point, Triangle, incircle, interpret_sides\n"
-            "report = interpret_sides(incircle(Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))))\n"
+            "needle = Triangle(Point(0, 0), Point(1, 0), Point(1e8, 1))\n"
+            "report = interpret_sides(incircle(needle))\n"
             "print(repr((report.all_positive, report.passed)))\n"))
         assert result.stdout == f"{(expected, expected is None)!r}\n", result.stderr
 
@@ -280,7 +281,8 @@ class TestReadingsKeepANaN:
         # The reading takes the exact pair areas from the frame and the trig
         # ones from the angles' cosines: R from gamma, S from alpha, T from beta.
         t = triangle_from_sides(2.0, 3.0, 4.0)
-        name = pair if route == "panel_area_exact" else {"R": "gamma", "S": "alpha", "T": "beta"}[pair]
+        angle = {"R": "gamma", "S": "alpha", "T": "beta"}[pair]
+        name = pair if route == "panel_area_exact" else angle
         frame = list(t.frame)
         frame[FIELDS.index(name)] = math.nan
         object.__setattr__(t, "frame", tuple(frame))
