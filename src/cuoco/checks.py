@@ -115,11 +115,11 @@ def _rows(f: tuple) -> tuple:
      squares_worst, _, _, _, x, y, z, sides_positive, _, sides_worst, _, _, _, split_x, split_y,
      split_z, _, angles_acute, angles_worst) = three_sum._readings(f)
     # A squares solution that is not finite raises as _solve does, then a circle
-    # centre that is not (see circles._check_centre), the incentre first.
-    if not isfinite(sq_x + sq_y + sq_z + I_x + I_y + O_x + O_y):
+    # that is not (see circles._check_centre), the incentre first.
+    if not isfinite(sq_x + sq_y + sq_z + I_x + I_y + O_x + O_y + circumradius):
         three_sum._solve(a2, b2, c2)
         circles._check_centre(I_x, I_y, "incentre")
-        circles._check_centre(O_x, O_y, "circumcentre")
+        circles._check_centre(O_x, O_y, "circumcentre", circumradius)
     # Each distance from a centre is sqrt(dx * dx + dy * dy), as `norm` forms
     # it (not math.hypot, whose last bit can differ).
     dax, day, dbx, dby = I_x - touch_a_x, I_y - touch_a_y, I_x - touch_b_x, I_y - touch_b_y

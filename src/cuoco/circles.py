@@ -39,12 +39,14 @@ class CircumcircleData(_Record):
         self.splits = splits  # splits[v][w]: signed split at v toward side vw
 
 
-def _check_centre(x, y, name: str) -> None:
-    """A circle centre's check: the incentre's formula multiplies absolute
-    coordinates, which can overflow where the triangle's own check does not
-    reach, and a flat triangle's circumcentre can lie beyond the float range."""
+def _check_centre(x, y, name: str, radius=0.0) -> None:
+    """A circle's check: the incentre's formula multiplies absolute coordinates, which can
+    overflow where the triangle's own check does not reach; a flat triangle's circumcentre can
+    lie beyond the float range, and a thin one's radius, the root of a squared offset, overflow."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteCoordinate(f"coordinates overflow: the {name} is not finite")
+    if not math.isfinite(radius):
+        raise NonFiniteCoordinate("coordinates overflow: the circumradius is not finite")
 
 
 def incircle(t: Triangle) -> IncircleData:
@@ -79,6 +81,6 @@ def circumcircle(t: Triangle) -> CircumcircleData:
     centre's coordinates round to a grid as coarse as the triangle itself.
     """
     x, y, _, _, radius, a_b, a_c, b_c, b_a, c_a, c_b = t.frame[CIRCUMCIRCLE]
-    _check_centre(x, y, "circumcentre")
+    _check_centre(x, y, "circumcentre", radius)
     splits = {"A": {"B": a_b, "C": a_c}, "B": {"C": b_c, "A": b_a}, "C": {"A": c_a, "B": c_b}}
     return CircumcircleData(t, _point(x, y), radius, splits)

@@ -26,8 +26,11 @@ def third_side(a: float, b: float, gamma: float) -> float:
     _check_sides(a, b)
     if not (0.0 < gamma < math.pi):
         raise DomainError(f"gamma must lie in (0, pi), got {gamma!r}")
+    k = min(math.frexp(max(a, b))[1], 0)  # tiny sides scaled as in cos_from_sides, and back
+    if k:
+        a, b = math.ldexp(a, -k), math.ldexp(b, -k)
     value = a * a + b * b - 2.0 * a * b * math.cos(gamma)
-    return math.sqrt(value if value > 0.0 else 0.0)
+    return math.ldexp(math.sqrt(value if value > 0.0 else 0.0), k)
 
 
 def cos_from_sides(a: float, b: float, c: float) -> float:

@@ -170,12 +170,14 @@ def _away_from(anchor: Point, reference: Point, amount: float) -> Point:
     if length == 0.0:
         return anchor
     k = amount / length
-    return Point(anchor.x + k * d.x, anchor.y + k * d.y)
+    if k == math.inf:  # a subnormal length: the unit vector first
+        return _point(anchor.x + amount * (d.x / length), anchor.y + amount * (d.y / length))
+    return _point(anchor.x + k * d.x, anchor.y + k * d.y)
 
 
 def _centroid(pts) -> Point:
     n = len(pts)
-    return Point(sum(p.x for p in pts) / n, sum(p.y for p in pts) / n)
+    return _point(sum(p.x for p in pts) / n, sum(p.y for p in pts) / n)
 
 
 def _vertex_labels(sheet: _Sheet, t: Triangle) -> None:
@@ -228,7 +230,7 @@ def _draw_cuoco(d: CuocoDecomposition, spec: FigureSpec, by_pair: bool,
 def _circle_sheet(data, spec: FigureSpec, cls: str) -> _Sheet:
     """The triangle, its circle of class `cls` and the centre."""
     t, c, r = data.triangle, data.center, data.radius
-    sheet = _Sheet(spec, (t.A, t.B, t.C, Point(c.x - r, c.y - r), Point(c.x + r, c.y + r)))
+    sheet = _Sheet(spec, (t.A, t.B, t.C, _point(c.x - r, c.y - r), _point(c.x + r, c.y + r)))
     sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])
     sheet.add_circle(cls, c, r, filled=False)
     sheet.add_circle("center", c, 0.012 * sheet.diag, filled=True)
@@ -245,7 +247,7 @@ def _draw_incircle(data: IncircleData, spec: FigureSpec) -> _Sheet:
     for name in VERTICES:
         v = getattr(t, name)
         tp = data.tangent_points[_NEXT_SIDE[name]]
-        mid = Point((v.x + tp.x) / 2.0, (v.y + tp.y) / 2.0)
+        mid = _point((v.x + tp.x) / 2.0, (v.y + tp.y) / 2.0)
         sheet.add_label(
             _away_from(mid, data.center, 0.06 * sheet.diag),
             f"{data.tangent_lengths[name]:.3f}",

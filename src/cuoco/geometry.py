@@ -96,8 +96,8 @@ class TriangleInequalityViolated(GeometryError):
 
 
 class _Record:
-    """Repr and equality over the fields named in `_fields`, which is also
-    the order of the constructor's arguments; per-call reports use it as is."""
+    """Repr and equality over the fields named in `_fields`, in the order of the
+    constructor's arguments (a view has none); per-call reports use it as is."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -121,8 +121,8 @@ class _Frozen(_Record):
     `__slots__`, its fields followed by any values stored beside them (or,
     for a view, the one value its fields are read from), and has no
     instance `__dict__`. Assignment raises, so constructors set the
-    slots through their descriptors (`_store`) or `object.__setattr__`;
-    copy and pickle rebuild a value through its constructor."""
+    slots through their descriptors (`_store`) or `object.__setattr__`. Copy
+    and pickle rebuild a value through its constructor, a view through `_view`."""
 
     __slots__ = ()
 
@@ -160,8 +160,8 @@ class Point(_Frozen):
     Computed points, like the results of arithmetic on points, are built by
     `_point` without the finiteness check: their inputs were checked
     already, and the one way they can stop being finite, overflow, is
-    caught once per triangle by `_frame` (and by the circle centres, which
-    mix in absolute coordinates).
+    caught once per triangle by `_frame` (and by the circle checks, which
+    mix in absolute coordinates or square the circumcentre's offset).
     """
 
     __slots__ = _fields = ("x", "y")
@@ -297,14 +297,20 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     t_a, t_b, t_c = dot_b / sq_a, dot_c / sq_b, dot_a / sq_c
     fax, fay, fbx, fby = bx + t_a * bcx, by + t_a * bcy, cx + t_b * cax, cy + t_b * cay
     fcx, fcy = ax + t_c * abx, ay + t_c * aby
+    # The metrics' side squares: the roots squared again (a * a, not the exact sq_a).
     a2, b2, c2 = a * a, b * b, c * c
     # The cosine at each vertex: (adjacent^2 + adjacent^2 - opposite^2)
     # over twice the adjacent sides' product.
-    cosines = ((b2 + c2 - a2) / (2.0 * b * c), (a2 + c2 - b2) / (2.0 * a * c),
-               (a2 + b2 - c2) / (2.0 * a * b))
-    # The same squares again, as metrics built from their fields compute them.
-    (a2, b2, c2), area_scale, length_scale, classification = _beside(a, b, c, cosines)
-    cos_a, cos_b, cos_c = cosines
+    cos_a, cos_b, cos_c = ((b2 + c2 - a2) / (2.0 * b * c), (a2 + c2 - b2) / (2.0 * a * c),
+                           (a2 + b2 - c2) / (2.0 * a * b))
+    # Classified by the first smallest cosine; |cos| <= RIGHT_ANGLE_BAND reads as right.
+    vertex, smallest = "A", cos_a
+    if cos_b < smallest:
+        vertex, smallest = "B", cos_b
+    if cos_c < smallest:
+        vertex, smallest = "C", cos_c
+    classification = (_OBTUSE[vertex] if smallest < -RIGHT_ANGLE_BAND
+                      else _RIGHT[vertex] if smallest <= RIGHT_ANGLE_BAND else _ACUTE)
     s, area = (a + b + c) / 2.0, doubled / 2.0
     # Side (p, q) with foot f moves out by perp(p - q), which points away from
     # a counterclockwise triangle and has the side's length: (q, p, p_out,
@@ -376,7 +382,8 @@ def _frame(ax, ay, bx, by, cx, cy) -> tuple:
     # a^2 = R1 + T2 = R2 + T1 = (b^2 - S1) + (c^2 - S2) = b^2 + c^2 - 2 S
     step_1, step_2, step_3, step_4 = r1 + t2, r2 + t1, (b2 - s1) + (c2 - s2), b2 + c2 - 2.0 * dot_a
     return (a, b, c, atan2(doubled, dot_a), atan2(doubled, dot_b), atan2(doubled, dot_c),
-            s, area, cos_a, cos_b, cos_c, a2, b2, c2, area_scale, length_scale, classification,
+            s, area, cos_a, cos_b, cos_c, a2, b2, c2, max(1.0, a2, b2, c2), max(1.0, a, b, c),
+            classification,
             ax, ay, bx, by, cx, cy, abx, aby, acx, acy, bcx, bcy, bax, bay, cax, cay, cbx, cby,
             doubled, sq_a, sq_b, sq_c, dot_a, dot_b, dot_c, t_a, t_b, t_c, fax, fay, fbx, fby,
             fcx, fcy, at_a, sq_a - sq_c - sq_b + at_a, at_b, sq_b - sq_a - sq_c + at_b, at_c,
@@ -428,10 +435,10 @@ def _check_vertex(name: str) -> None:
 
 
 class TriangleMetrics(_Frozen):
-    """Side lengths, angles (radians), semiperimeter, area, side cosines, and
-    beside them the values of `_beside`: a view of the frame's values of
-    those names. Built from the fields (a copy, a pickle), the metrics
-    compute those values into a frame of their own."""
+    """Side lengths, angles (radians), semiperimeter, area, side cosines, and beside
+    them the side squares, the area and length floors (the residual scales) and
+    the classification: a view of the frame's values of those names, built by
+    `_view` alone. Copy and pickle carry the whole frame."""
 
     _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
     __slots__ = ("frame",)
@@ -440,38 +447,14 @@ class TriangleMetrics(_Frozen):
          "a", "b", "c", "alpha", "beta", "gamma", "s", "area", LAYOUT["COSINES"],
          LAYOUT["SIDE_SQUARES"], "area_scale", "length_scale", "classification"))
 
-    def __init__(self, a: float, b: float, c: float, alpha: float, beta: float, gamma: float,
-                 s: float, area: float, cosines: tuple[float, float, float]) -> None:
-        squares, area_scale, length_scale, classification = _beside(a, b, c, cosines)
-        frame = [None] * len(FIELDS)  # a frame of its own, each value where LAYOUT puts it
-        (frame[SIDES], frame[ANGLES], frame[SEMIPERIMETER], frame[AREA], frame[COSINES],
-         frame[SIDE_SQUARES], frame[AREA_SCALE], frame[LENGTH_SCALE], frame[CLASSIFICATION]) = (
-            (a, b, c), (alpha, beta, gamma), s, area, cosines, squares, area_scale, length_scale,
-            classification)
-        self._store(tuple(frame))
-
     @classmethod
     def _view(cls, f: tuple) -> "TriangleMetrics":
         m = object.__new__(cls)
         m._store(f)
         return m
 
-
-def _beside(a, b, c, cosines) -> tuple:
-    """(a * a, b * b, c * c), the area and length floors (the residual scales
-    of areas and lengths) and the classification by the smallest side cosine,
-    where |cos| <= RIGHT_ANGLE_BAND reads as right."""
-    squares = (a * a, b * b, c * c)
-    # min() over the vertices, the first of equal cosines
-    cos_a, cos_b, cos_c = cosines
-    vertex, smallest = "A", cos_a
-    if cos_b < smallest:
-        vertex, smallest = "B", cos_b
-    if cos_c < smallest:
-        vertex, smallest = "C", cos_c
-    classification = (_OBTUSE[vertex] if smallest < -RIGHT_ANGLE_BAND
-                      else _RIGHT[vertex] if smallest <= RIGHT_ANGLE_BAND else _ACUTE)
-    return squares, max(1.0, *squares), max(1.0, a, b, c), classification
+    def __reduce__(self):
+        return (TriangleMetrics._view, (self.frame,))
 
 
 class Classification(_Frozen):

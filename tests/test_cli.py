@@ -417,6 +417,19 @@ class TestDegenerateArithmetic:
         assert cause in err
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "figure"])
+    def test_overflowing_circumradius_exit_2(self, capsys, tmp_path, command):
+        # The centre lies about 1.2e159 below the base, finite, but its offset
+        # from A squares past the float range. `verify` printed a NaN
+        # circumradius and exited 1; `figure` blamed the circle's outline.
+        argv = {"verify": ("verify",),
+                "figure": ("figure", "--kind", "circumcircle", "--out", str(tmp_path / "x.svg"))}
+        code, out, err = run_cli(capsys, *argv[command], "--points=0,0,1,0,0.5,1e-160")
+        assert code == 2
+        assert out == ""
+        assert err == "error: coordinates overflow: the circumradius is not finite\n"
+        assert not (tmp_path / "x.svg").exists()
+
     @pytest.mark.parametrize("command", ["figure", "solve"])
     def test_far_thin_circumcentre_is_equidistant(self, capsys, tmp_path, command):
         # A determinant of absolute coordinates cancelled to zero here; the
@@ -594,18 +607,11 @@ class TestFuzz:
         for values in ([-1.0, math.nan, -2.0], [-1.0, -2.0, math.nan]):
             assert math.isnan(_worst(values))
 
-    def test_classifies_once_per_triangle(self, monkeypatch):
-        # Each frame classifies its triangle once, in _beside.
-        original = geometry._beside
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(geometry, "_beside", counting)
-        run_fuzz(50, 7, 1e-9)
-        assert len(calls) == 50
+    def test_classifies_once_per_triangle(self, capsys, monkeypatch):
+        # Each triangle is classified once, in its one frame.
+        code, calls, _ = self.profile_fuzz(capsys, monkeypatch, {"_frame": [geometry._frame]},
+                                           "--count", "50", "--seed", "7")
+        assert code == 0 and calls["_frame"] == 50
 
     def test_similarity_reads_side_lengths_from_metrics(self, monkeypatch):
         t = triangle_from_sides(2.0, 3.0, 4.0)
@@ -654,13 +660,10 @@ class TestFuzz:
     def test_builds_no_triangle_metrics_or_point(self, capsys, monkeypatch):
         # Only a counterexample's report builds a Triangle, from its frame.
         # Each type is built by __init__ or by a function that skips it.
-        counted = {"Triangle": [geometry.Triangle.__init__],
-                   "TriangleMetrics": [geometry.TriangleMetrics.__init__],
+        # A TriangleMetrics has one constructor, _view.
+        counted = {"Triangle": [geometry.Triangle.__init__, geometry.Triangle._from_frame.__func__],
+                   "TriangleMetrics": [geometry.TriangleMetrics._view.__func__],
                    "Point": [geometry.Point.__init__, geometry._point]}
-        for name, method in (("Triangle", "_from_frame"), ("TriangleMetrics", "_view")):
-            built_by = getattr(getattr(geometry, name), method, None)
-            if built_by is not None:
-                counted[name].append(built_by.__func__)
         code, calls, _ = self.profile_fuzz(capsys, monkeypatch, counted, "--count", "200")
         assert code == 0
         assert calls == {"Triangle": 0, "TriangleMetrics": 0, "Point": 0}

@@ -52,6 +52,12 @@ class TestThirdSide:
         with pytest.raises(NonFiniteCoordinate, match="overflow"):
             third_side(1e200, 1e200, 1.0)
 
+    @pytest.mark.parametrize("side", [1e-160, 1e-200, 5e-324])
+    def test_tiny_sides_keep_their_length(self, side):
+        # Their squares underflow: unscaled, 1e-200 gave 0.0 and 1e-160 lost
+        # five digits. The true length is 2 side sin(1/2).
+        assert third_side(side, side, 1.0) == pytest.approx(2 * side * math.sin(0.5), rel=1e-15)
+
     def test_bool_side_rejected(self):
         with pytest.raises(NonPositiveSide):
             third_side(True, True, 1.0)

@@ -73,6 +73,18 @@ class TestDeterminism:
             assert "nan" not in svg.lower()
             assert "inf" not in svg.lower()
 
+    @pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "circumcircle"])
+    def test_label_beside_a_subnormal_offset(self, kind):
+        # A lies 7e-321 above the centroid of this flat triangle, so amount /
+        # length overflows: the label, once (nan, inf) and refused, is set
+        # 0.07 of the diagonal straight above A. (Its circumcentre is beyond
+        # the float range.)
+        svg = render(construction(kind, Triangle(Point(0.5, 1e-320), Point(0, 0), Point(1, 0))),
+                     FigureSpec(kind=kind))
+        assert "nan" not in svg.lower() and "inf" not in svg.lower()
+        x, y = re.search(r'translate\((\S+) (\S+)\)[^>]*>A<', svg).groups()
+        assert x == "0.500000" and float(y) > 0.05
+
 
 # The figures demos/draw_figures.py writes, with the specs it uses.
 DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"

@@ -116,7 +116,7 @@ class TestLayout:
         # The frame gains a first value, declared as a group of its own, and
         # nothing outside the declaration and _frame's return changes: every
         # reader reads by name, so every command prints the same bytes, and
-        # metrics rebuilt from their fields (a copy, a pickle) read the same.
+        # copied and pickled metrics, which carry the frame, read the same.
         root = tree_copy(
             tmp_path,
             ("geometry.py", "LAYOUT = {\n", 'LAYOUT = {\n    "PADDING": "padding",\n'),
