@@ -7,6 +7,8 @@ same three-sum linear system returns as squared sides (panel areas),
 sides (incircle tangent lengths), and angles (circumcenter splits).
 """
 
+from types import ModuleType as _ModuleType
+
 from .geometry import (
     Classification,
     CollinearPoints,
@@ -84,55 +86,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Classification",
-    "CollinearPoints",
-    "CircumcircleData",
-    "CuocoDecomposition",
-    "DerivationTrace",
-    "DomainError",
-    "FIGURE_KINDS",
-    "FigureSpec",
-    "GeometryError",
-    "IncircleData",
-    "InterpretationReport",
-    "KindMismatch",
-    "NonFiniteCoordinate",
-    "NonPositiveSide",
-    "PairAreas",
-    "Point",
-    "RectanglePanel",
-    "SimilarityReport",
-    "Solution",
-    "SquareOnSide",
-    "ThreeSum",
-    "Triangle",
-    "TriangleInequalityViolated",
-    "TriangleMetrics",
-    "all_positive",
-    "build_decomposition",
-    "circumcircle",
-    "cos_from_sides",
-    "cross",
-    "derive_cosine_theorem",
-    "distance",
-    "dot",
-    "euclid_defect",
-    "figure_construction",
-    "foot_of_altitude",
-    "incircle",
-    "interpret_angles",
-    "interpret_sides",
-    "interpret_squares",
-    "norm",
-    "panel_area_exact",
-    "panel_area_trig",
-    "perp",
-    "render",
-    "shoelace",
-    "similarity_check",
-    "solve",
-    "third_side",
-    "triangle_from_sides",
-    "verify_cosine_identity",
-]
+# The public names bound above that are not modules, and the figure exports.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += _FIGURE_EXPORTS

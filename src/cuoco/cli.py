@@ -8,10 +8,11 @@ position; it runs the catalogue on frames of six drawn coordinates and
 makes a Triangle only to print a counterexample. `verify` prints its
 vector and the frame's construction groups, as `geometry.LAYOUT` declares.
 
-A command line that names a command is parsed by that command's parser
-alone, built once per process; a fresh full tree (`build_parser`) parses
-help, errors and a missing or unknown command, so every usage line and
-message reads as from the full tree. `figures` is imported only to draw.
+A well-formed command line is read straight from its command's options,
+held by its parser, built once per process; argparse parses only what
+that path declines, and a fresh full tree (`build_parser`) parses help,
+errors and a missing or unknown command, so every usage line and message
+reads as from the full tree. `figures` is imported only to draw.
 
 Each command returns its report and exit code; `main` prints the report
 as one line of JSON (schema "cuoco-report/2"), records as their fields and
@@ -48,6 +49,10 @@ def _num(text: str):
     try:
         return int(text)
     except ValueError:
+        digits = text[1:] if text[:1] in "+-" else text
+        if digits.isdecimal():  # only Python's digit limit refuses these; float() reads inf
+            raise InputError(f"an integer of {len(digits)} digits exceeds Python's limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         return float(text)
 
 
@@ -352,21 +357,61 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _command_parser(name: str) -> _CommandParser:
-    """One command's arguments, without -h, built once per process: parsing
-    writes only to the namespace it is given, and every default is immutable."""
+def _command_parser(name: str) -> tuple:
+    """One command's parser, without -h, built once per process, and its
+    one-value store and store_true actions by option string. Parsing writes
+    only to the namespace it is given, and every default is immutable."""
     parser = _CommandParser(prog=f"cuoco {name}", add_help=False)
     COMMANDS[name][1](parser)
-    return parser
+    return parser, {option: action for action in parser._actions for option in action.option_strings
+                    if type(action) is argparse._StoreTrueAction
+                    or type(action) is argparse._StoreAction and action.nargs is None}
+
+
+def _read(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse parses from argv when each token is an exact
+    `--opt=value`, `--opt value` (value not starting with "-") or flag,
+    each value converts and is among its choices, and no required option
+    is missing; otherwise None."""
+    parser, options = _command_parser(name)
+    args, seen, tokens = argparse.Namespace(command=name), set(), iter(argv)
+    try:
+        for token in tokens:
+            option, equals, value = token.partition("=")
+            action = options.get(option)
+            if action is None or action.nargs == 0 and equals:
+                return None
+            if action.nargs == 0:
+                value = action.const
+            else:
+                value = value if equals else next(tokens, "-")
+                if value == "--" or not equals and value.startswith("-"):
+                    return None
+                parser._check_value(action, value := parser._get_value(action, value))
+            setattr(args, action.dest, value)
+            seen.add(action)
+        for action in parser._actions:
+            if action not in seen:
+                if action.required:
+                    return None
+                default = action.default  # as argparse, a str default goes through the type
+                vars(args).setdefault(action.dest, parser._get_value(action, default)
+                                      if isinstance(default, str) else default)
+    except argparse.ArgumentError:
+        return None
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace the full tree parses from argv. A command line that
-    its command's parser takes whole is parsed by that parser alone; a fresh
-    full tree parses help, errors, extra arguments and any other command."""
+    """The namespace the full tree parses from argv: read by `_read`, else
+    parsed by the command's parser if it takes the line whole, else by a
+    fresh full tree, which prints help and errors."""
     if argv and argv[0] in COMMANDS:
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
         try:
-            args, extras = _command_parser(argv[0]).parse_known_args(
+            args, extras = _command_parser(argv[0])[0].parse_known_args(
                 argv[1:], argparse.Namespace(command=argv[0]))
         except argparse.ArgumentError:
             extras = True

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -105,6 +107,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "overflow" in err
+
+    @pytest.mark.parametrize("triangle", ["--points=0,0,{},0,0,1", "--sides=3,-{},5"])
+    def test_over_long_integer_names_the_digit_limit(self, capsys, triangle):
+        # int() refuses text past Python's digit limit, where float() reads inf.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "verify", triangle.format("1" + "0" * limit))
+        assert (code, out) == (2, "")
+        assert err == f"error: an integer of {limit + 1} digits exceeds Python's limit of {limit} digits\n"
 
     def test_band_edge_reads_right_everywhere(self, capsys):
         # The cosine at C is about -6e-10: inside the one right-angle band.
@@ -1233,12 +1243,57 @@ PARSER_ARGVS = [
     ("solve", "--L", "-1", "--M", "-2", "--N", "-3"),
     ("verify",),
     ("--", "verify"),
+    # Lines the direct path reads, and the edges where it leaves the line
+    # to argparse: an abbreviation, a separate value starting with "-",
+    # `--` as a value, a flag given "=", a missing value or required
+    # option, a bad type or choice.
+    ("solve", "--L=-1", "--M=-2e3", "--N", "3", "--degrees", "--degrees"),
+    ("verify", "--points=-3,4,0,0,1,1", "--tol", "0", "--points", "0,0,4,0,0,3"),
+    ("verify", "--sides", ""),
+    ("fuzz",),
+    ("fuzz", "--seed=", "--count=7"),
+    ("figure", "--kind=cuoco", "--sides=3,4,5", "--out", "a b=c.svg", "--precision=2"),
+    ("verify", "--sid=3,4,5"),
+    ("solve", "--L", "1", "--M", "2", "--N", "--3"),
+    ("verify", "--sides=--"),
+    ("solve", "--L=1", "--M=2", "--N=3", "--degrees=yes"),
+    ("figure", "--kind", "cuoco", "--sides=3,4,5", "--out", "x.svg", "--no-labels="),
+    ("verify", "--tol"),
+    ("solve", "--L=1", "--N=3"),
+    ("verify", "--sides=3,4,5", "--tol=-1"),
+    ("figure", "--kind", "cuoco", "--sides=3,4,5", "--out", "x.svg", "--precision=1.5"),
+    ("solve", "--L=1", "--M=2", "--N=3", "--interpret=nope"),
+    ("verify", "--sides", "3,4,5", "--help"),
 ]
 
 
+# What the property below gives an option: values its type takes, edge
+# values for the direct path, faults it puts in a line, and tokens that are
+# no option of any command.
+LINE_VALUES = {None: ["3,4,5", "0,0,4,0,1,3", "a b=c"], float: ["1", "2.5", "1e400"],
+               int: ["5", "0"], cli._tolerance: ["0", "1e-6"]}
+LINE_EDGES = ["-1", "-3,4,0,0,1,1", "x", "1.5", "nan", "", "--", "-h", "nope"]
+LINE_FAULTS = ["edge", "abbreviate", "drop", "repeat", "form", "stray"]
+LINE_STRAYS = ["--", "--bogus", "extra", "-h", "--help", "-1"]
+
+
+def parsed_quietly(parse, argv) -> tuple:
+    """What parse makes of argv: the repr of each of the namespace's fields
+    (so a NaN equals itself) or the exit code, and what it printed to
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {name: repr(value) for name, value in vars(parse(list(argv))).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestParser:
-    """A command line that names a command is parsed by that command's
-    parser alone; help, errors and usage lines come from the full tree."""
+    """A well-formed command line is read straight from its command's
+    options; argparse parses the rest, with the command's parser alone
+    where it can; help, errors and usage lines come from the full tree."""
 
     @staticmethod
     def built_parsers(monkeypatch) -> list:
@@ -1313,6 +1368,70 @@ class TestParser:
         assert self.parsed(capsys, cli._parse, argv) == expected
         # The full tree is built only to print help or an error.
         assert len(trees) == (1 if isinstance(expected[0], int) else 0)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_direct_path_parses_as_the_full_tree(self, data):
+        # A well-formed line from a command's own options, each required one
+        # and some others, in the "=" or separate form, then up to two
+        # faults: an edge value, an abbreviation, a dropped, repeated or
+        # re-formed option, or a stray token.
+        name = data.draw(st.sampled_from(NAMES), label="command")
+        actions = [action for action in cli._command_parser(name)[0]._actions if action.option_strings]
+        groups = []  # [option, value, form]: form "=", "separate" or "flag"
+        for action in data.draw(st.permutations(actions)):
+            if action.required or data.draw(st.booleans()):
+                good = action.choices or LINE_VALUES.get(action.type, LINE_VALUES[None])
+                form = "flag" if action.nargs == 0 else data.draw(st.sampled_from(["=", "separate"]))
+                groups.append([action.option_strings[0], data.draw(st.sampled_from(list(good))), form])
+        for fault in data.draw(st.lists(st.sampled_from(LINE_FAULTS), max_size=2), label="faults"):
+            if fault == "stray":
+                token = data.draw(st.sampled_from(LINE_STRAYS))
+                groups.insert(data.draw(st.integers(0, len(groups))), [token, "x", "flag"])
+                continue
+            if not groups:
+                continue
+            group = groups[data.draw(st.integers(0, len(groups) - 1))]
+            if fault == "edge":
+                group[1] = data.draw(st.sampled_from(LINE_EDGES))
+            elif fault == "abbreviate" and len(group[0]) > 2:
+                group[0] = group[0][:data.draw(st.integers(2, len(group[0]) - 1))]
+            elif fault == "drop":
+                groups.remove(group)
+            elif fault == "repeat":
+                groups.insert(data.draw(st.integers(0, len(groups))), list(group))
+            elif fault == "form":  # a flag given "=", or a value given another form
+                group[2] = "=" if group[2] == "flag" else data.draw(st.sampled_from(["=", "separate", "flag"]))
+        argv = [name]
+        for option, value, form in groups:
+            argv += {"=": [f"{option}={value}"], "separate": [option, value], "flag": [option]}[form]
+        expected = parsed_quietly(lambda argv: cli.build_parser().parse_args(argv), argv)
+        full_tree, trees = cli.build_parser, []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda: trees.append(1) or full_tree())
+            assert parsed_quietly(cli._parse, argv) == expected, argv
+        # The full tree is built only to print help or an error.
+        assert len(trees) == (1 if isinstance(expected[0], int) else 0), argv
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--points=-3,4,0,0,1,1"),
+        ("verify", "--sides=3.5,4.25,5.0"),
+        ("solve", "--L=1.5", "--M=2.0", "--N=3.25", "--interpret", "sides", "--sides=3.5,4.25,5.0"),
+        ("solve", "--L=1.5", "--M=2.0", "--N=3.25", "--interpret", "angles", "--points=-3,4,0,0,1,1"),
+        *(("figure", "--kind", kind, "--points=-3,4,0,0,1,1", "--out", f"{kind}.svg")
+          for kind in figures.KINDS),
+        ("fuzz", "--count", "100", "--seed", "281474976710655"),
+    ], ids=" ".join)
+    def test_bench_shaped_lines_make_no_argparse_parse(self, monkeypatch, argv):
+        # Each line's shape as the benchmark workloads send it.
+        parses = []
+        known = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *args: parses.append(args) or known(self, *args))
+        args = cli._parse(list(argv))
+        assert parses == []
+        assert args == cli.build_parser().parse_args(list(argv))
+        assert len(parses) == 2  # the same counter sees the full tree and its subparser parse
 
     def test_a_reused_parser_parses_as_a_fresh_full_tree(self, capsys):
         # Every line through one set of command parsers, in order and then
