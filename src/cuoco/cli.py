@@ -370,9 +370,9 @@ def _command_parser(name: str) -> tuple:
 
 def _read(name: str, argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse parses from argv when each token is an exact
-    `--opt=value`, `--opt value` (value not starting with "-") or flag,
-    each value converts and is among its choices, and no required option
-    is missing; otherwise None."""
+    `--opt=value` (value not "--", which argparse drops), `--opt value`
+    (value not starting with "-") or flag, each value converts and is
+    among its choices, and no required option is missing; else None."""
     parser, options = _command_parser(name)
     args, seen, tokens = argparse.Namespace(command=name), set(), iter(argv)
     try:
