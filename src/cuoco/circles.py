@@ -11,32 +11,48 @@ from __future__ import annotations
 
 import math
 
-from .geometry import CIRCUMCIRCLE, INCIRCLE, NonFiniteCoordinate, Point, Triangle, _point, _Record
+from .geometry import NonFiniteCoordinate, Triangle, frame_getter, _point, _View
 
 # Side id -> its endpoints in cyclic order.
 SIDE_ENDPOINTS = {"a": ("B", "C"), "b": ("C", "A"), "c": ("A", "B")}
 
 
-class IncircleData(_Record):
-    __slots__ = _fields = ("triangle", "center", "radius", "tangent_points", "tangent_params",
-                           "tangent_lengths")
-
-    def __init__(self, triangle: Triangle, center: Point, radius: float,
-                 tangent_points: dict[str, Point], tangent_params: dict[str, float],
-                 tangent_lengths: dict[str, float]) -> None:
-        self.triangle, self.center, self.radius = triangle, center, radius
-        self.tangent_points = tangent_points  # keyed by side id
-        self.tangent_params = tangent_params  # keyed by side id, affine along SIDE_ENDPOINTS
-        self.tangent_lengths = tangent_lengths  # keyed by vertex, measured geometrically
+def _field(names: str, shape=lambda value: value):
+    """A view's field: shape applied to the frame values named (one name's
+    value, or their tuple), read from its triangle on each access."""
+    get = frame_getter(names)
+    return property(lambda view: shape(get(view.triangle.frame)))
 
 
-class CircumcircleData(_Record):
-    __slots__ = _fields = ("triangle", "center", "radius", "splits")
+class IncircleData(_View):
+    """The incircle of `triangle`, a view of its frame built by `incircle`.
+    Each read of another field builds a fresh Point or dict."""
 
-    def __init__(self, triangle: Triangle, center: Point, radius: float,
-                 splits: dict[str, dict[str, float]]) -> None:
-        self.triangle, self.center, self.radius = triangle, center, radius
-        self.splits = splits  # splits[v][w]: signed split at v toward side vw
+    __slots__ = ("triangle",)
+    _fields = ("triangle", "center", "radius", "tangent_points", "tangent_params",
+               "tangent_lengths")
+    center, radius = _field("I_x I_y", lambda xy: _point(*xy)), _field("inradius")
+    # keyed by side id; the params affine along SIDE_ENDPOINTS
+    tangent_points = _field("touch_a_x touch_a_y touch_b_x touch_b_y touch_c_x touch_c_y",
+                            lambda xy: dict(zip("abc", map(_point, xy[::2], xy[1::2]))))
+    tangent_params = _field("tan_a tan_b tan_c", lambda values: dict(zip("abc", values)))
+    # keyed by vertex, measured geometrically
+    tangent_lengths = _field("length_A length_B length_C", lambda values: dict(zip("ABC", values)))
+
+
+class CircumcircleData(_View):
+    """The circumcircle of `triangle`, a view of its frame built by
+    `circumcircle`. Each read of another field builds a fresh Point or dict."""
+
+    __slots__ = ("triangle",)
+    _fields = ("triangle", "center", "radius", "splits")
+    center, radius = _field("O_x O_y", lambda xy: _point(*xy)), _field("circumradius")
+    # splits[v][w]: signed split at v toward side vw
+    splits = _field("A_B A_C B_C B_A C_A C_B", lambda s: {
+        "A": {"B": s[0], "C": s[1]}, "B": {"C": s[2], "A": s[3]}, "C": {"A": s[4], "B": s[5]}})
+
+
+_INCENTRE, _CIRCUMCENTRE = frame_getter("I_x I_y"), frame_getter("O_x O_y circumradius")
 
 
 def _check_centre(x, y, name: str, radius=0.0) -> None:
@@ -59,12 +75,8 @@ def incircle(t: Triangle) -> IncircleData:
     cyclically next vertex (the distance along the other adjacent side is
     equal, which callers test).
     """
-    (ox, oy, radius, t_a, t_b, t_c, pax, pay, pbx, pby, pcx, pcy, at_a, at_b,
-     at_c) = t.frame[INCIRCLE]
-    _check_centre(ox, oy, "incentre")
-    return IncircleData(t, _point(ox, oy), radius,
-                        {"a": _point(pax, pay), "b": _point(pbx, pby), "c": _point(pcx, pcy)},
-                        {"a": t_a, "b": t_b, "c": t_c}, {"A": at_a, "B": at_b, "C": at_c})
+    _check_centre(*_INCENTRE(t.frame), "incentre")
+    return IncircleData._view(t)
 
 
 def circumcircle(t: Triangle) -> CircumcircleData:
@@ -80,7 +92,6 @@ def circumcircle(t: Triangle) -> CircumcircleData:
     A and the legs at A, never as centre - v: far from the origin the
     centre's coordinates round to a grid as coarse as the triangle itself.
     """
-    x, y, _, _, radius, a_b, a_c, b_c, b_a, c_a, c_b = t.frame[CIRCUMCIRCLE]
+    x, y, radius = _CIRCUMCENTRE(t.frame)
     _check_centre(x, y, "circumcentre", radius)
-    splits = {"A": {"B": a_b, "C": a_c}, "B": {"C": b_c, "A": b_a}, "C": {"A": c_a, "B": c_b}}
-    return CircumcircleData(t, _point(x, y), radius, splits)
+    return CircumcircleData._view(t)

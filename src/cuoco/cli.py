@@ -8,11 +8,11 @@ position; it runs the catalogue on frames of six drawn coordinates and
 makes a Triangle only to print a counterexample. `verify` prints its
 vector and the frame's construction groups, as `geometry.LAYOUT` declares.
 
-A well-formed command line is read straight from its command's options,
-held by its parser, built once per process; argparse parses only what
-that path declines, and a fresh full tree (`build_parser`) parses help,
-errors and a missing or unknown command, so every usage line and message
-reads as from the full tree. `figures` is imported only to draw.
+A command line takes one of two paths. A well-formed one is read straight
+from its command's options, held by its parser, built once per process;
+a fresh full tree (`build_parser`) parses every line that path declines,
+so help, errors and every usage line and message come from the full tree.
+`figures` is imported only to draw.
 
 Each command returns its report and exit code; `main` prints the report
 as one line of JSON (schema "cuoco-report/2"), records as their fields and
@@ -349,19 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A parser that never prints: it raises each error for the full tree to print."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
 @functools.cache
 def _command_parser(name: str) -> tuple:
     """One command's parser, without -h, built once per process, and its
     one-value store and store_true actions by option string. Parsing writes
     only to the namespace it is given, and every default is immutable."""
-    parser = _CommandParser(prog=f"cuoco {name}", add_help=False)
+    parser = argparse.ArgumentParser(prog=f"cuoco {name}", add_help=False)
     COMMANDS[name][1](parser)
     return parser, {option: action for action in parser._actions for option in action.option_strings
                     if type(action) is argparse._StoreTrueAction
@@ -404,20 +397,19 @@ def _read(name: str, argv: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace the full tree parses from argv: read by `_read`, else
-    parsed by the command's parser if it takes the line whole, else by a
-    fresh full tree, which prints help and errors."""
+    parsed by a fresh full tree, which prints help and errors. An option
+    given `--opt=--` is refused: argparse leaves its value a list (or, in
+    later versions, "--"), which no command reads."""
     if argv and argv[0] in COMMANDS:
         args = _read(argv[0], argv[1:])
         if args is not None:
             return args
-        try:
-            args, extras = _command_parser(argv[0])[0].parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        except argparse.ArgumentError:
-            extras = True
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list) or value == "--":
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

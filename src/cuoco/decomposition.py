@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import (CHAIN, CHAIN_DEVIATIONS, VERTICES, Point, Triangle, TriangleMetrics, cross,
+from .geometry import (CHAIN, CHAIN_DEVIATIONS, VERTICES, Triangle, TriangleMetrics, cross,
                        frame_getter, _check_vertex, _point, _Record, _worst)
 
 PAIR_CLASSES = ("R", "S", "T")
@@ -52,22 +52,15 @@ _SIMILARITY = {v: frame_getter(f"ch_{v} ck_{v} similar_{v} scale_{v}") for v in 
 class SquareOnSide(_Record):
     """Exterior square; vertices counterclockwise, first two on the triangle side."""
 
+    # side: "a" | "b" | "c"; vertices: four Points
     __slots__ = _fields = ("side", "vertices")
-
-    def __init__(self, side: str, vertices: tuple[Point, Point, Point, Point]) -> None:
-        self.side = side  # "a" | "b" | "c"
-        self.vertices = vertices
 
 
 class RectanglePanel(_Record):
+    # label: one of PANEL_LABELS; host: side id of the host square; signed_area:
+    # dot-product value, exact for integer coordinates; quad: constructed
+    # corners, four Points, degenerate at a right angle
     __slots__ = _fields = ("label", "host", "signed_area", "quad")
-
-    def __init__(self, label: str, host: str, signed_area: float,
-                 quad: tuple[Point, Point, Point, Point]) -> None:
-        self.label = label  # one of PANEL_LABELS
-        self.host = host  # side id of the host square
-        self.signed_area = signed_area  # dot-product value, exact for integer coordinates
-        self.quad = quad  # constructed corners, degenerate at a right angle
 
     @property
     def pair(self) -> str:
@@ -77,20 +70,10 @@ class RectanglePanel(_Record):
 class PairAreas(_Record):
     __slots__ = _fields = ("R", "S", "T")
 
-    def __init__(self, R: float, S: float, T: float) -> None:
-        self.R, self.S, self.T = R, S, T
-
 
 class CuocoDecomposition(_Record):
+    # squares: sides a, b, c; panels: in PANEL_LABELS order
     __slots__ = _fields = ("triangle", "metrics", "squares", "panels", "pair_areas")
-
-    def __init__(self, triangle: Triangle, metrics: TriangleMetrics,
-                 squares: tuple[SquareOnSide, SquareOnSide, SquareOnSide],
-                 panels: tuple[RectanglePanel, ...], pair_areas: PairAreas) -> None:
-        self.triangle, self.metrics = triangle, metrics
-        self.squares = squares  # sides a, b, c
-        self.panels = panels  # in PANEL_LABELS order
-        self.pair_areas = pair_areas
 
 
 def shoelace(points) -> float:
@@ -153,14 +136,9 @@ class SimilarityReport(_Record):
     both sides equal |VP|*|VQ|*cos(angle at V) only after the fact.
     """
 
+    # ch: signed distance from V to the altitude foot on line V->Q; ck: signed
+    # distance from V to the altitude foot on line V->P; residual: |VP| * ck - |VQ| * ch
     __slots__ = _fields = ("vertex", "ch", "ck", "residual", "scale")
-
-    def __init__(self, vertex: str, ch: float, ck: float, residual: float, scale: float) -> None:
-        self.vertex = vertex
-        self.ch = ch  # signed distance from V to the altitude foot on line V->Q
-        self.ck = ck  # signed distance from V to the altitude foot on line V->P
-        self.residual = residual  # |VP| * ck - |VQ| * ch
-        self.scale = scale
 
 
 def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
@@ -171,18 +149,10 @@ def similarity_check(t: Triangle, at_vertex: str) -> SimilarityReport:
 class DerivationStep(_Record):
     __slots__ = _fields = ("expression", "panels", "value")
 
-    def __init__(self, expression: str, panels: tuple[str, ...], value: float) -> None:
-        self.expression, self.panels, self.value = expression, panels, value
-
 
 class DerivationTrace(_Record):
+    # residual: a^2 - (b^2 + c^2 - 2*S); max_deviation: worst |step - a^2|
     __slots__ = _fields = ("steps", "residual", "max_deviation")
-
-    def __init__(self, steps: tuple[DerivationStep, ...], residual: float,
-                 max_deviation: float) -> None:
-        self.steps = steps
-        self.residual = residual  # a^2 - (b^2 + c^2 - 2*S)
-        self.max_deviation = max_deviation  # worst |step - a^2|
 
 
 # The equal-area chain, step by step: (expression, panels it reads).

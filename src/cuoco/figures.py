@@ -15,8 +15,7 @@ from functools import partial
 from . import circles, decomposition
 from .circles import CircumcircleData, IncircleData
 from .decomposition import CuocoDecomposition, HOSTED_PANELS, SIDE_FRAMES
-from .geometry import (QUAD_AREAS, VERTICES, NonFiniteCoordinate, Point, Triangle, _Frozen,
-                       _point)
+from .geometry import QUAD_AREAS, VERTICES, NonFiniteCoordinate, Point, Triangle, _point, _Record
 
 _NS = "http://www.w3.org/2000/svg"
 
@@ -36,7 +35,7 @@ class KindMismatch(ValueError):
     """Data object does not carry what the requested kind draws."""
 
 
-class FigureSpec(_Frozen):
+class FigureSpec(_Record):
     __slots__ = _fields = ("kind", "labels", "precision")
 
     def __init__(self, kind: str, labels: bool = True, precision: int = 6) -> None:
@@ -227,9 +226,8 @@ def _draw_cuoco(d: CuocoDecomposition, spec: FigureSpec, by_pair: bool,
     return sheet
 
 
-def _circle_sheet(data, spec: FigureSpec, cls: str) -> _Sheet:
-    """The triangle, its circle of class `cls` and the centre."""
-    t, c, r = data.triangle, data.center, data.radius
+def _circle_sheet(t: Triangle, c: Point, r: float, spec: FigureSpec, cls: str) -> _Sheet:
+    """The triangle t, its circle of class `cls`, centre c and radius r, and the centre."""
     sheet = _Sheet(spec, (t.A, t.B, t.C, _point(c.x - r, c.y - r), _point(c.x + r, c.y + r)))
     sheet.add_polygon("triangle", (t.A, t.B, t.C), FILL_PALETTE["triangle"])
     sheet.add_circle(cls, c, r, filled=False)
@@ -238,30 +236,29 @@ def _circle_sheet(data, spec: FigureSpec, cls: str) -> _Sheet:
 
 
 def _draw_incircle(data: IncircleData, spec: FigureSpec) -> _Sheet:
-    t = data.triangle
-    sheet = _circle_sheet(data, spec, "incircle")
+    # Each read of a view's field builds it afresh: one read each.
+    t, center, points = data.triangle, data.center, data.tangent_points
+    lengths = data.tangent_lengths
+    sheet = _circle_sheet(t, center, data.radius, spec, "incircle")
     for side in ("a", "b", "c"):
-        sheet.add_circle("tangent-point", data.tangent_points[side], 0.012 * sheet.diag, filled=True)
+        sheet.add_circle("tangent-point", points[side], 0.012 * sheet.diag, filled=True)
     _vertex_labels(sheet, t)
-    sheet.add_label(_away_from(data.center, t.A, 0.05 * sheet.diag), "I")
+    sheet.add_label(_away_from(center, t.A, 0.05 * sheet.diag), "I")
     for name in VERTICES:
         v = getattr(t, name)
-        tp = data.tangent_points[_NEXT_SIDE[name]]
+        tp = points[_NEXT_SIDE[name]]
         mid = _point((v.x + tp.x) / 2.0, (v.y + tp.y) / 2.0)
-        sheet.add_label(
-            _away_from(mid, data.center, 0.06 * sheet.diag),
-            f"{data.tangent_lengths[name]:.3f}",
-        )
+        sheet.add_label(_away_from(mid, center, 0.06 * sheet.diag), f"{lengths[name]:.3f}")
     return sheet
 
 
 def _draw_circumcircle(data: CircumcircleData, spec: FigureSpec) -> _Sheet:
-    t = data.triangle
-    sheet = _circle_sheet(data, spec, "circumcircle")
+    t, center = data.triangle, data.center
+    sheet = _circle_sheet(t, center, data.radius, spec, "circumcircle")
     for name in VERTICES:
-        sheet.add_line("radius", data.center, getattr(t, name))
+        sheet.add_line("radius", center, getattr(t, name))
     _vertex_labels(sheet, t)
-    sheet.add_label(_away_from(data.center, _centroid((t.A, t.B, t.C)), 0.05 * sheet.diag), "O")
+    sheet.add_label(_away_from(center, _centroid((t.A, t.B, t.C)), 0.05 * sheet.diag), "O")
     return sheet
 
 

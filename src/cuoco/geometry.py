@@ -96,8 +96,13 @@ class TriangleInequalityViolated(GeometryError):
 
 
 class _Record:
-    """Repr and equality over the fields named in `_fields`, in the order of the
-    constructor's arguments (a view has none); per-call reports use it as is."""
+    """An immutable record: repr, equality and hash over the fields named in
+    `_fields`. Each subclass declares `__slots__`, its fields followed by any
+    values stored beside them, and has no instance `__dict__`. Its field
+    constructor takes the fields positionally or by name; a class that
+    validates its input or gives a default has its own, which sets the slots
+    through their descriptors (`_store`). Assignment raises. Copy and pickle
+    rebuild a record through its constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -105,6 +110,20 @@ class _Record:
     def __init_subclass__(cls) -> None:
         if cls._fields:  # every record has two fields or more, so this returns a tuple
             cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **named) -> None:
+        if named:
+            values += tuple(named.pop(name) for name in self._fields[len(values):] if name in named)
+        if named or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes each of its fields "
+                            f"({', '.join(self._fields)}) once, positionally or by name")
+        self._store(*values)
+
+    def _store(self, *values) -> None:
+        """Set the leading slots, in `__slots__` order, to values."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -114,26 +133,6 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == other._values(other)
-
-
-class _Frozen(_Record):
-    """An immutable _Record, hashed by its fields. Each subclass declares
-    `__slots__`, its fields followed by any values stored beside them (or,
-    for a view, the one value its fields are read from), and has no
-    instance `__dict__`. Assignment raises, so constructors set the
-    slots through their descriptors (`_store`) or `object.__setattr__`. Copy
-    and pickle rebuild a value through its constructor, a view through `_view`."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _store(self, *values) -> None:
-        """Set the leading slots, in `__slots__` order, to values."""
-        for set_slot, value in zip(self._setters, values):
-            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -148,7 +147,27 @@ class _Frozen(_Record):
         return (type(self), self._values(self))
 
 
-class Point(_Frozen):
+class _View(_Record):
+    """A record that holds one value, its one slot, and reads its fields
+    from it as properties. It has no field constructor: `_view` builds it,
+    and copy and pickle rebuild it from the value it holds."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named) -> None:
+        raise TypeError(f"{type(self).__qualname__} is a view and has no field constructor")
+
+    @classmethod
+    def _view(cls, value):
+        view = object.__new__(cls)
+        view._store(value)
+        return view
+
+    def __reduce__(self):
+        return (self._view, (getattr(self, self.__slots__[0]),))
+
+
+class Point(_Record):
     """A point or vector. `Point(x, y)` checks that both are finite.
 
     The per-triangle constructions (the legs and feet, the circles, the
@@ -215,7 +234,7 @@ def distance(p: Point, q: Point) -> float:
     return norm(p - q)
 
 
-class Triangle(_Frozen):
+class Triangle(_Record):
     """Three non-collinear vertices, stored counterclockwise.
 
     Clockwise input is re-labeled (B and C swapped) rather than rejected,
@@ -434,11 +453,11 @@ def _check_vertex(name: str) -> None:
         raise GeometryError(f"unknown vertex {name!r}, expected one of {VERTICES}")
 
 
-class TriangleMetrics(_Frozen):
+class TriangleMetrics(_View):
     """Side lengths, angles (radians), semiperimeter, area, side cosines, and beside
     them the side squares, the area and length floors (the residual scales) and
-    the classification: a view of the frame's values of those names, built by
-    `_view` alone. Copy and pickle carry the whole frame."""
+    the classification: a view of the frame's values of those names. Copy and
+    pickle carry the whole frame."""
 
     _fields = ("a", "b", "c", "alpha", "beta", "gamma", "s", "area", "cosines")
     __slots__ = ("frame",)
@@ -447,17 +466,8 @@ class TriangleMetrics(_Frozen):
          "a", "b", "c", "alpha", "beta", "gamma", "s", "area", LAYOUT["COSINES"],
          LAYOUT["SIDE_SQUARES"], "area_scale", "length_scale", "classification"))
 
-    @classmethod
-    def _view(cls, f: tuple) -> "TriangleMetrics":
-        m = object.__new__(cls)
-        m._store(f)
-        return m
 
-    def __reduce__(self):
-        return (TriangleMetrics._view, (self.frame,))
-
-
-class Classification(_Frozen):
+class Classification(_Record):
     __slots__ = _fields = ("kind", "vertex")
 
     def __init__(self, kind: str, vertex: str | None = None) -> None:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 
 from .circles import CircumcircleData, IncircleData
-from .geometry import (ANGLES, CLASSIFICATION, SIDE_SQUARES, SIDES, TOLERANCE, Classification,
-                       GeometryError, Triangle, frame_getter, _Frozen, _INDEX, _Record, _is_finite)
+from .geometry import (ANGLES, CLASSIFICATION, SIDE_SQUARES, SIDES, TOLERANCE, GeometryError,
+                       Triangle, frame_getter, _Record, _is_finite)
 
 
-class ThreeSum(_Frozen):
+class ThreeSum(_Record):
     """Right-hand sides of x + y = L, x + z = M, y + z = N."""
 
     __slots__ = _fields = ("L", "M", "N")
@@ -41,9 +41,6 @@ def _check_terms(L: float, M: float, N: float) -> None:
 
 class Solution(_Record):
     __slots__ = _fields = ("x", "y", "z")
-
-    def __init__(self, x: float, y: float, z: float) -> None:
-        self.x, self.y, self.z = x, y, z
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -95,22 +92,17 @@ class InterpretationReport(_Record):
                            "max_residual", "all_positive", "classification",
                            "acute_iff_positive", "passed")
 
-    def __init__(self, kind: str, system: ThreeSum, solution: Solution, mapping: dict[str, str],
-                 geometric: dict[str, float], closed_form: dict[str, float],
-                 max_residual: float, all_positive: bool | None, classification: Classification,
-                 acute_iff_positive: bool | None, passed: bool) -> None:
-        self.kind, self.system, self.solution, self.mapping = kind, system, solution, mapping
-        self.geometric, self.closed_form = geometric, closed_form
-        self.max_residual, self.all_positive = max_residual, all_positive
-        self.classification, self.acute_iff_positive = classification, acute_iff_positive
-        self.passed = passed
-
 
 # The frame values the readings read, by their names in geometry.LAYOUT.
 _READ = frame_getter(
     "a b c alpha beta gamma s a2 b2 c2 area_scale length_scale classification S T R length_A "
     "length_B length_C A_B A_C B_C B_A C_A C_B")
 _PAIR_AREAS = frame_getter("R T S")
+# What the sides and angles readings report as measured: the tangent lengths
+# at C, B, A, and one split of each component, which is realized twice and
+# held against both splits in _readings.
+_LENGTHS = frame_getter("length_C length_B length_A")
+_SPLITS = frame_getter("A_B A_C B_C")
 # Where each reading's nine values start in _readings' tuple.
 _SQUARES, _SIDES, _ANGLES = 6, 15, 24
 
@@ -179,14 +171,6 @@ def _readings(f: tuple) -> tuple:
             None if right else an_positive == is_acute, an_worst)
 
 
-def _frame_with(f: tuple, names: str, values) -> tuple:
-    """The frame f with the values named, as geometry.LAYOUT names them, replaced."""
-    frame = list(f)
-    for name, value in zip(names.split(), values, strict=True):
-        frame[_INDEX[name]] = value
-    return tuple(frame)
-
-
 def _report(kind: str, terms: tuple, mapping: dict[str, str], geometric: tuple, f: tuple,
             start: int, tol: float) -> InterpretationReport:
     """The report of the reading of system `terms` whose nine values start at
@@ -215,11 +199,9 @@ def interpret_sides(inc: IncircleData, tol: float = TOLERANCE) -> Interpretation
     below, so a sign is decided only beyond the rounding budget
     SIDES_BUDGET * u * max side; within it `all_positive` is None.
     """
-    lengths = inc.tangent_lengths
-    measured = (lengths["C"], lengths["B"], lengths["A"])
-    f = _frame_with(inc.triangle.frame, "length_C length_B length_A", measured)
+    f = inc.triangle.frame
     return _report("sides", f[SIDES], {"x": "tangent length at C", "y": "tangent length at B",
-                                       "z": "tangent length at A"}, measured, f, _SIDES, tol)
+                                       "z": "tangent length at A"}, _LENGTHS(f), f, _SIDES, tol)
 
 
 def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> InterpretationReport:
@@ -229,9 +211,6 @@ def interpret_angles(circ: CircumcircleData, tol: float = TOLERANCE) -> Interpre
     triangle over AB), y = pi/2 - beta over side b, z = pi/2 - alpha over
     side a. Residuals are absolute: angles are already order one.
     """
-    at_a, at_b, at_c = circ.splits["A"], circ.splits["B"], circ.splits["C"]
-    # Each component is realized twice, and held against both splits.
-    measured = (at_a["B"], at_a["C"], at_b["C"], at_b["A"], at_c["A"], at_c["B"])
-    f = _frame_with(circ.triangle.frame, "A_B A_C B_C B_A C_A C_B", measured)
+    f = circ.triangle.frame
     return _report("angles", f[ANGLES], {"x": "split over side c", "y": "split over side b",
-                                         "z": "split over side a"}, measured[:3], f, _ANGLES, tol)
+                                         "z": "split over side a"}, _SPLITS(f), f, _ANGLES, tol)

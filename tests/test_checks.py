@@ -64,9 +64,18 @@ RECORD_TYPES = (circles.IncircleData, circles.CircumcircleData, three_sum.Interp
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Type name -> how many records of that type of RECORD_TYPES were built."""
+    """Type name -> how many records of that type of RECORD_TYPES were built:
+    through the constructor, or through `_view` for a view."""
     counts = dict.fromkeys((cls.__name__ for cls in RECORD_TYPES), 0)
     for cls in RECORD_TYPES:
+        if issubclass(cls, geometry._View):
+            def viewing(value, _view=cls._view, _name=cls.__name__):
+                counts[_name] += 1
+                return _view(value)
+
+            monkeypatch.setattr(cls, "_view", viewing)
+            continue
+
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             counts[_name] += 1
             _init(self, *args, **kwargs)

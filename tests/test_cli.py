@@ -1218,8 +1218,8 @@ class TestEntryPoint:
 
 NAMES = ("verify", "solve", "figure", "fuzz")
 
-# Command lines the one-command parser takes whole, and ones it leaves to
-# the full tree: help, unknown and extra arguments, bad values.
+# Command lines the direct path reads, and ones it leaves to the full tree:
+# help, unknown and extra arguments, bad values.
 PARSER_ARGVS = [
     ("verify", "--sides", "3,4,5", "--tol", "1e-6"),
     ("solve", "--L", "1", "--M", "2", "--N", "3", "--degrees", "--interpret", "sides"),
@@ -1277,6 +1277,24 @@ LINE_FAULTS = ["edge", "abbreviate", "drop", "repeat", "form", "stray"]
 LINE_STRAYS = ["--", "--bogus", "extra", "-h", "--help", "-1"]
 
 
+def full_tree_parse(argv):
+    """What `_parse` must make of argv: the full tree's parse, except that an
+    option argparse leaves a list, as on Python 3.11 after `--opt=--` (or
+    "--", as later versions leave it), is refused as a missing value."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    given_dashes = [dest for dest, value in vars(args).items()
+                    if isinstance(value, list) or value == "--"]
+    if given_dashes:
+        parser.error(f"argument --{given_dashes[0]}: expected one argument")
+    return args
+
+
+def declined(argv) -> bool:
+    """Whether the direct path, `_read`, leaves argv to the full tree."""
+    return not (argv and argv[0] in cli.COMMANDS) or cli._read(argv[0], list(argv[1:])) is None
+
+
 def parsed_quietly(parse, argv) -> tuple:
     """What parse makes of argv: the repr of each of the namespace's fields
     (so a NaN equals itself) or the exit code, and what it printed to
@@ -1292,8 +1310,8 @@ def parsed_quietly(parse, argv) -> tuple:
 
 class TestParser:
     """A well-formed command line is read straight from its command's
-    options; argparse parses the rest, with the command's parser alone
-    where it can; help, errors and usage lines come from the full tree."""
+    options; a fresh full tree parses the rest, and prints help, errors and
+    usage lines."""
 
     @staticmethod
     def built_parsers(monkeypatch) -> list:
@@ -1362,12 +1380,12 @@ class TestParser:
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv))
     def test_one_subparser_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
         full_tree = cli.build_parser
-        expected = self.parsed(capsys, lambda argv: full_tree().parse_args(argv), argv)
+        expected = self.parsed(capsys, full_tree_parse, argv)
         trees = []
         monkeypatch.setattr(cli, "build_parser", lambda: trees.append(1) or full_tree())
         assert self.parsed(capsys, cli._parse, argv) == expected
-        # The full tree is built only to print help or an error.
-        assert len(trees) == (1 if isinstance(expected[0], int) else 0)
+        # The full tree is built exactly when the direct path declines the line.
+        assert len(trees) == declined(argv)
 
     @settings(max_examples=1000, deadline=None)
     @given(st.data())
@@ -1405,13 +1423,13 @@ class TestParser:
         argv = [name]
         for option, value, form in groups:
             argv += {"=": [f"{option}={value}"], "separate": [option, value], "flag": [option]}[form]
-        expected = parsed_quietly(lambda argv: cli.build_parser().parse_args(argv), argv)
+        expected = parsed_quietly(full_tree_parse, argv)
         full_tree, trees = cli.build_parser, []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "build_parser", lambda: trees.append(1) or full_tree())
             assert parsed_quietly(cli._parse, argv) == expected, argv
-        # The full tree is built only to print help or an error.
-        assert len(trees) == (1 if isinstance(expected[0], int) else 0), argv
+        # The full tree is built exactly when the direct path declines the line.
+        assert len(trees) == declined(argv), argv
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--points=-3,4,0,0,1,1"),
@@ -1439,9 +1457,27 @@ class TestParser:
         # (a bad type, a missing required option) and after ones it took.
         cli._command_parser.cache_clear()
         for argv in PARSER_ARGVS + PARSER_ARGVS[::-1]:
-            expected = self.parsed(capsys, lambda argv: cli.build_parser().parse_args(argv), argv)
+            expected = self.parsed(capsys, full_tree_parse, argv)
             assert self.parsed(capsys, cli._parse, argv) == expected, argv
         assert cli._command_parser.cache_info().misses == len(NAMES)
+
+    @pytest.mark.parametrize("argv, option", [
+        (("verify", "--sides=--"), "--sides"),
+        (("fuzz", "--seed=--"), "--seed"),
+        (("figure", "--kind=cuoco", "--sides=2,3,4", "--out=--"), "--out"),
+        (("verify", "--sides=2,3,4", "--points=--"), "--points"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+    def test_a_dashes_value_is_refused(self, capsys, monkeypatch, tmp_path, argv, option):
+        # argparse leaves `--opt=--` a list, which no command reads: each line
+        # crashed in its command with a traceback, and the last one read as
+        # both triangle options given.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"cuoco: error: argument {option}: expected one argument"]
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         # The `cuoco` console script calls main() with no arguments.

@@ -237,21 +237,34 @@ class TestInterpretAngles:
         assert report.passed
 
 
+def edit_frame(t: Triangle, **values) -> None:
+    """Replace the values named in t's frame, as geometry.LAYOUT names them."""
+    frame = list(t.frame)
+    for name, value in values.items():
+        frame[FIELDS.index(name)] = value
+    object.__setattr__(t, "frame", tuple(frame))
+
+
 class TestReadingsReadTheirConstruction:
-    """A reading takes its circle and measures nothing again: a shift in
-    the circle it is given shows in its residual."""
+    """A reading takes its circle, a view of the triangle's frame, and
+    measures nothing again: a shift in the frame's circle values shows in
+    the circle and in the reading's residual."""
 
     def test_sides_reading_reads_the_given_incircle(self):
         inc = incircle(triangle_from_sides(2.0, 3.0, 4.0))
-        inc.tangent_lengths = {**inc.tangent_lengths, "B": inc.tangent_lengths["B"] + 1e-6}
+        shifted = inc.tangent_lengths["B"] + 1e-6
+        edit_frame(inc.triangle, length_B=shifted)
+        assert inc.tangent_lengths["B"] == shifted
         report = interpret_sides(inc)
-        assert report.geometric["y"] == inc.tangent_lengths["B"]
+        assert report.geometric["y"] == shifted
         assert report.max_residual == pytest.approx(1e-6 / 4.0, rel=1e-6)
         assert not report.passed
 
     def test_angles_reading_reads_the_given_circumcircle(self):
         circ = circumcircle(triangle_from_sides(2.0, 3.0, 4.0))
-        circ.splits = {**circ.splits, "C": {w: value + 1e-6 for w, value in circ.splits["C"].items()}}
+        shifted = {w: value + 1e-6 for w, value in circ.splits["C"].items()}
+        edit_frame(circ.triangle, C_A=shifted["A"], C_B=shifted["B"])
+        assert circ.splits["C"] == shifted
         report = interpret_angles(circ)
         assert report.max_residual == pytest.approx(1e-6, rel=1e-6)
         assert not report.passed
@@ -282,31 +295,28 @@ class TestReadingsKeepANaN:
         # ones from the angles' cosines: R from gamma, S from alpha, T from beta.
         t = triangle_from_sides(2.0, 3.0, 4.0)
         angle = {"R": "gamma", "S": "alpha", "T": "beta"}[pair]
-        name = pair if route == "panel_area_exact" else angle
-        frame = list(t.frame)
-        frame[FIELDS.index(name)] = math.nan
-        object.__setattr__(t, "frame", tuple(frame))
+        edit_frame(t, **{pair if route == "panel_area_exact" else angle: math.nan})
         self.assert_nan_fails(interpret_squares(t))
 
     @pytest.mark.parametrize("vertex", ["A", "B", "C"])
     def test_sides_measured(self, vertex):
         inc = incircle(triangle_from_sides(2.0, 3.0, 4.0))
-        inc.tangent_lengths = {**inc.tangent_lengths, vertex: math.nan}
+        edit_frame(inc.triangle, **{f"length_{vertex}": math.nan})
+        assert math.isnan(inc.tangent_lengths[vertex])
         self.assert_nan_fails(interpret_sides(inc))
 
     def test_sides_closed_form(self):
         # The closed forms s - a, s - b, s - c all read the semiperimeter.
         inc = incircle(triangle_from_sides(2.0, 3.0, 4.0))
-        frame = list(inc.triangle.frame)
-        frame[SEMIPERIMETER] = math.nan
-        object.__setattr__(inc.triangle, "frame", tuple(frame))
+        edit_frame(inc.triangle, s=math.nan)
         self.assert_nan_fails(interpret_sides(inc))
 
     @pytest.mark.parametrize("at, toward", [("A", "B"), ("A", "C"), ("B", "A"), ("B", "C"),
                                             ("C", "A"), ("C", "B")])
     def test_angles_measured(self, at, toward):
         circ = circumcircle(triangle_from_sides(2.0, 3.0, 4.0))
-        circ.splits = {**circ.splits, at: {**circ.splits[at], toward: math.nan}}
+        edit_frame(circ.triangle, **{f"{at}_{toward}": math.nan})
+        assert math.isnan(circ.splits[at][toward])
         self.assert_nan_fails(interpret_angles(circ))
 
 
