@@ -26,7 +26,7 @@ def _field(names: str, shape=lambda value: value):
 
 class IncircleData(_View):
     """The incircle of `triangle`, a view of its frame built by `incircle`.
-    Each read of another field builds a fresh Point or dict."""
+    Each read of a Point or dict field builds a fresh one."""
 
     __slots__ = ("triangle",)
     _fields = ("triangle", "center", "radius", "tangent_points", "tangent_params",
@@ -42,7 +42,7 @@ class IncircleData(_View):
 
 class CircumcircleData(_View):
     """The circumcircle of `triangle`, a view of its frame built by
-    `circumcircle`. Each read of another field builds a fresh Point or dict."""
+    `circumcircle`. Each read of a Point or dict field builds a fresh one."""
 
     __slots__ = ("triangle",)
     _fields = ("triangle", "center", "radius", "splits")

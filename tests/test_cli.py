@@ -1468,9 +1468,8 @@ class TestParser:
         (("verify", "--sides=2,3,4", "--points=--"), "--points"),
     ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
     def test_a_dashes_value_is_refused(self, capsys, monkeypatch, tmp_path, argv, option):
-        # argparse leaves `--opt=--` a list, which no command reads: each line
-        # crashed in its command with a traceback, and the last one read as
-        # both triangle options given.
+        # argparse leaves `--opt=--` a list, which no command can read: `_parse`
+        # refuses it before any command runs, so nothing is written.
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
